@@ -220,12 +220,23 @@ class RunResult:
 
 
 class Benchmark(abc.ABC):
-    """Base class for the nine HPC benchmarks."""
+    """Base class for the nine HPC benchmarks.
+
+    An instance separates its *shape* from its *data*.  :meth:`setup`
+    derives the problem sizes plus the few random draws that feed the
+    IR or the traits (spmv's row lengths, hist's values, amcd's
+    chains); that is all pricing, tuning and the design space read.
+    The remaining input arrays, named in :attr:`lazy_inputs`, are drawn
+    by :meth:`draw_inputs` on the first access to any of them — only
+    functional execution and verification pay for them.
+    """
 
     #: short paper name ("spmv", "vecop", ...)
     name: ClassVar[str]
     #: one-line description from §IV-A
     description: ClassVar[str] = ""
+    #: input arrays drawn on first use by :meth:`draw_inputs`
+    lazy_inputs: ClassVar[tuple[str, ...]] = ()
 
     def __init__(
         self,
@@ -261,7 +272,25 @@ class Benchmark(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def setup(self) -> None:
-        """Allocate and initialize the problem instance (untimed)."""
+        """Derive the problem shape and the trait-feeding draws (untimed)."""
+
+    def draw_inputs(self) -> dict[str, np.ndarray]:
+        """Draw the :attr:`lazy_inputs` arrays from ``self.rng``.
+
+        Called once, on the first access to any lazy input; the draws
+        continue ``self.rng`` right where :meth:`setup` left it and run
+        in a fixed order, so every array is bit for bit what an eager
+        ``setup()`` drawing the same sequence would have produced.
+        Nothing else may consume ``self.rng`` after :meth:`setup`.
+        """
+        return {}
+
+    def __getattr__(self, attr: str) -> Any:
+        # reached only when normal lookup fails: a lazy input not drawn yet
+        if attr in type(self).lazy_inputs:
+            self.__dict__.update(self.draw_inputs())
+            return self.__dict__[attr]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
 
     @abc.abstractmethod
     def elements(self) -> int:
@@ -278,9 +307,10 @@ class Benchmark(abc.ABC):
     def reference(self) -> np.ndarray:
         """Memoized :meth:`reference_result` (callers must not mutate).
 
-        A benchmark instance is immutable after :meth:`setup`, so the
-        reference is computed once per instance no matter how many of
-        the four versions verify against it.
+        A benchmark instance is immutable after :meth:`setup` (its lazy
+        inputs are drawn once and never change), so the reference is
+        computed once per instance no matter how many of the four
+        versions verify against it.
         """
         return perf.instance_memo(self, "reference", self.reference_result)
 
@@ -825,8 +855,9 @@ def execute_run(
     a ``ProcessPoolExecutor`` worker can execute it by reference — this
     is the unit of work the campaign engine
     (:mod:`repro.experiments.engine`) fans out.  Because benchmarks
-    consume their RNG only during :meth:`Benchmark.setup`, the result is
-    identical to running the same version on a shared instance.
+    consume their RNG only in :meth:`Benchmark.setup` and in the one
+    fixed-order :meth:`Benchmark.draw_inputs`, the result is identical
+    to running the same version on a shared instance.
     """
     from .registry import create  # deferred: registry imports this module
 
@@ -852,11 +883,12 @@ def execute_runs(
 ) -> tuple[RunResult, ...]:
     """Worker-safe batch entry: several versions on one shared instance.
 
-    Problem setup is by far the most expensive part of a cell at paper
-    scale, and it is identical across the four versions — so workers run
-    whole version groups against a single benchmark instance, exactly
-    like the classic serial loop.  Results are returned in ``versions``
-    order.
+    Drawing the input arrays is by far the most expensive host set-up
+    of a cell at paper scale, and it is identical across the four
+    versions — so workers run whole version groups against a single
+    benchmark instance, which draws its lazy inputs once for all of
+    them, exactly like the classic serial loop.  Results are returned
+    in ``versions`` order.
     """
     from .registry import create  # deferred: registry imports this module
 

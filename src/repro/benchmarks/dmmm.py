@@ -43,11 +43,15 @@ class Dmmm(SingleKernelMixin, Benchmark):
     description = "dense C = A @ B; data reuse and compute throughput"
 
     DEFAULT_N = 512
+    lazy_inputs = ("A", "B")
 
     def setup(self) -> None:
         self.n = max(64, int(self.DEFAULT_N * self.scale ** (1 / 3)))
-        self.A = self.rng.standard_normal((self.n, self.n)).astype(self.ftype)
-        self.B = self.rng.standard_normal((self.n, self.n)).astype(self.ftype)
+
+    def draw_inputs(self) -> dict[str, np.ndarray]:
+        A = self.rng.standard_normal((self.n, self.n)).astype(self.ftype)
+        B = self.rng.standard_normal((self.n, self.n)).astype(self.ftype)
+        return {"A": A, "B": B}
 
     def elements(self) -> int:
         return self.n**2

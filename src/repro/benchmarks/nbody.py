@@ -84,14 +84,17 @@ class NBody(SingleKernelMixin, Benchmark):
     description = "all-pairs gravity; compute-bound O(N^2)"
 
     DEFAULT_BODIES = 2048
+    lazy_inputs = ("bodies",)
 
     def setup(self) -> None:
         self.n_bodies = max(256, int(self.DEFAULT_BODIES * np.sqrt(self.scale)))
+
+    def draw_inputs(self) -> dict[str, np.ndarray]:
         bodies = np.zeros((self.n_bodies, FIELDS), dtype=self.ftype)
         bodies[:, 0:3] = self.rng.standard_normal((self.n_bodies, 3))
         bodies[:, 3] = self.rng.random(self.n_bodies) + 0.1
         bodies[:, 4:7] = 0.05 * self.rng.standard_normal((self.n_bodies, 3))
-        self.bodies = bodies
+        return {"bodies": bodies}
 
     def elements(self) -> int:
         return self.n_bodies

@@ -43,10 +43,13 @@ class Reduction(Benchmark):
     DEFAULT_N = 1 << 23
     #: stage-1 work-items (fixed grid, chunked accumulation)
     STAGE1_ITEMS = 4096
+    lazy_inputs = ("data",)
 
     def setup(self) -> None:
         self.n = max(self.STAGE1_ITEMS * 4, int(self.DEFAULT_N * self.scale))
-        self.data = self.rng.standard_normal(self.n).astype(self.ftype)
+
+    def draw_inputs(self) -> dict[str, np.ndarray]:
+        return {"data": self.rng.standard_normal(self.n).astype(self.ftype)}
 
     def elements(self) -> int:
         return self.n

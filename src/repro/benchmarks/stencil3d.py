@@ -35,11 +35,14 @@ class Stencil3D(SingleKernelMixin, Benchmark):
     DEFAULT_DIM = 96
     C0 = 0.4
     C1 = 0.1
+    lazy_inputs = ("grid",)
 
     def setup(self) -> None:
         self.dim = max(16, int(self.DEFAULT_DIM * self.scale ** (1 / 3)))
+
+    def draw_inputs(self) -> dict[str, np.ndarray]:
         d = self.dim
-        self.grid = self.rng.standard_normal((d, d, d)).astype(self.ftype)
+        return {"grid": self.rng.standard_normal((d, d, d)).astype(self.ftype)}
 
     def elements(self) -> int:
         return self.dim**3

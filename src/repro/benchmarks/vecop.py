@@ -31,11 +31,15 @@ class VecOp(SingleKernelMixin, Benchmark):
     description = "element-wise vector addition; stresses memory bandwidth"
 
     DEFAULT_N = 1 << 22
+    lazy_inputs = ("a", "b")
 
     def setup(self) -> None:
         self.n = max(1024, int(self.DEFAULT_N * self.scale))
-        self.a = self.rng.random(self.n).astype(self.ftype)
-        self.b = self.rng.random(self.n).astype(self.ftype)
+
+    def draw_inputs(self) -> dict[str, np.ndarray]:
+        a = self.rng.random(self.n).astype(self.ftype)
+        b = self.rng.random(self.n).astype(self.ftype)
+        return {"a": a, "b": b}
 
     def elements(self) -> int:
         return self.n

@@ -164,15 +164,17 @@ def config_grid(name_prefix: str = "soc", **axes) -> tuple[SoCConfig, ...]:
         if not vals:
             raise CalibrationError(f"axis {knob!r} has no values")
     named_axes = [k for k, vals in zip(swept, values) if len(vals) > 1]
+    # unswept knobs keep their defaults, which are the board's values
+    board = tuple(getattr(EXYNOS_5250, k) for k in swept)
     configs = []
     for combo in itertools.product(*values):
         knobs = dict(zip(swept, combo))
-        tokens = [_axis_token(k, knobs[k]) for k in named_axes]
-        name = "-".join([name_prefix] + tokens) if tokens else name_prefix
-        cfg = SoCConfig(name=name, **knobs)
-        if replace(cfg, name=EXYNOS_5250.name) == EXYNOS_5250:
-            cfg = replace(cfg, name=EXYNOS_5250.name)
-        configs.append(cfg)
+        if combo == board:
+            name = EXYNOS_5250.name
+        else:
+            tokens = [_axis_token(k, knobs[k]) for k in named_axes]
+            name = "-".join([name_prefix] + tokens) if tokens else name_prefix
+        configs.append(SoCConfig(name=name, **knobs))
     return tuple(configs)
 
 

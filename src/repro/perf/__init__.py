@@ -431,11 +431,13 @@ def digest(*parts: Any) -> str:
 def instance_memo(obj: Any, tag: Any, compute: Callable[[], Any], *, counter: str = "functional") -> Any:
     """Memoize a pure per-instance computation on the instance itself.
 
-    Benchmark instances are immutable after ``setup()``, so results that
-    depend only on instance state (the verification reference, the
-    functional CPU execution) are computed once per instance.  Hits and
-    misses are accounted under the ``counter`` cache so they surface in
-    :func:`counters` alongside the content-keyed caches.
+    Benchmark instances are immutable after ``setup()`` — their lazy
+    input arrays are drawn once, on first use, and never change — so
+    results that depend only on instance state (the verification
+    reference, the functional CPU execution) are computed once per
+    instance.  Hits and misses are accounted under the ``counter`` cache
+    so they surface in :func:`counters` alongside the content-keyed
+    caches.
     """
     if not _ENABLED:
         return compute()

@@ -143,6 +143,12 @@ class OPPTable:
         scaled so its nominal OPP is *exactly* the config's clock (the
         top frequency is assigned, not multiplied, so no float residue
         leaks into the fixed-frequency reproduction).
+
+        The lower OPPs are multiplied by ``top_hz / f_top``.  When that
+        product rounds two neighbouring OPPs onto one frequency — only
+        possible for points a few float ulps apart — the ladder cannot
+        keep its shape, and a ``ValueError`` naming the collapsed pair
+        is raised instead of silently merging them.
         """
         if top_hz <= 0:
             raise ValueError("top_hz must be positive")
@@ -150,12 +156,18 @@ class OPPTable:
         if top_hz == top.frequency_hz:
             return self
         ratio = top_hz / top.frequency_hz
-        scaled = [
-            OperatingPoint(p.frequency_hz * ratio, p.voltage_v)
-            for p in self.points[:-1]
-        ]
-        scaled.append(OperatingPoint(top_hz, top.voltage_v))
-        return OPPTable(tuple(scaled))
+        freqs = [p.frequency_hz * ratio for p in self.points[:-1]] + [top_hz]
+        for i in range(1, len(freqs)):
+            if freqs[i] <= freqs[i - 1]:
+                raise ValueError(
+                    f"rescaling to {top_hz!r} Hz collapses the OPPs at "
+                    f"{self.points[i - 1].frequency_hz!r} Hz and "
+                    f"{self.points[i].frequency_hz!r} Hz onto one frequency; "
+                    f"the ladder's points are too close to rescale by {ratio!r}"
+                )
+        return OPPTable(
+            tuple(OperatingPoint(f, p.voltage_v) for f, p in zip(freqs, self.points))
+        )
 
 
 #: Mali-T604 OPPs of the Exynos 5250 (mainline exynos5250.dtsi ladder);

@@ -1,4 +1,11 @@
-"""Shared test fixtures: the pool-hang timeout guard.
+"""Shared test set-up: Hypothesis profiles and the pool-hang guard.
+
+Property tests run under the derandomized ``tier1`` profile by default:
+every run draws the same examples and no example database is read or
+written, so the suite passes or fails the same way each time.  The
+``explore`` profile draws fresh random examples and keeps the usual
+``.hypothesis/`` database; select it with
+``pytest tests/property --hypothesis-profile=explore``.
 
 Fault-injection tests drive real worker kills through a
 ``ProcessPoolExecutor``; a recovery bug could leave the parent blocked
@@ -12,6 +19,12 @@ from __future__ import annotations
 import signal
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", parent=settings.get_profile("default"), print_blob=True)
+# the --hypothesis-profile option, applied after this import, overrides it
+settings.load_profile("tier1")
 
 DEFAULT_GUARD_S = 120
 

@@ -14,7 +14,7 @@ rest on:
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.power.dvfs import (
     DeadlineInfeasible,
@@ -185,8 +185,20 @@ def test_power_scale_is_monotone_and_one_at_nominal(table):
 
 
 @given(table=opp_tables(), top=st.floats(min_value=50e6, max_value=2e9))
+@example(
+    table=OPPTable((OperatingPoint(1999999999.9999998, 1.0), OperatingPoint(2e9, 1.1))),
+    top=50e6,
+)
 @settings(max_examples=100)
 def test_rescaled_preserves_shape_and_assigns_top(table, top):
+    ratio = top / table.nominal.frequency_hz
+    freqs = [p.frequency_hz * ratio for p in table.points[:-1]] + [top]
+    if any(hi <= lo for lo, hi in zip(freqs, freqs[1:])):
+        # the ratio rounds neighbouring OPPs onto one frequency: the
+        # ladder cannot keep its shape, so rescaling refuses up front
+        with pytest.raises(ValueError, match="collapses the OPPs"):
+            table.rescaled(top)
+        return
     out = table.rescaled(top)
     assert out.nominal.frequency_hz == top  # assigned, never multiplied
     assert len(out) == len(table)

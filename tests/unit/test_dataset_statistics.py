@@ -23,14 +23,13 @@ class TestSpmvMatrix:
 
     def test_no_duplicate_columns_within_row(self):
         bench = create("spmv", scale=0.05, seed=3)
-        m = bench.matrix
         for row in range(0, bench.rows, max(bench.rows // 50, 1)):
-            cols = m.indices[m.indptr[row] : m.indptr[row + 1]]
+            cols = bench.indices[bench.indptr[row] : bench.indptr[row + 1]]
             assert len(cols) == len(np.unique(cols))
 
     def test_matrix_matches_nnz(self):
         bench = create("spmv", scale=0.05)
-        assert bench.matrix.nnz == bench.nnz
+        assert len(bench.indices) == len(bench.data) == bench.indptr[-1] == bench.nnz
 
 
 class TestHistValues:

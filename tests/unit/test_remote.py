@@ -223,6 +223,30 @@ class TestNetFaults:
             a, _b = _sockpair()
             send_message(a, {"kind": "result"}, endpoint="worker")  # third: clean
 
+    def test_concurrent_attempts_get_distinct_numbers(self, tmp_path):
+        """Two workers can send result frames at the same moment; every
+        attempt must still get its own number, or "drop the first
+        result frame" silently drops none."""
+        n_threads, per_thread = 16, 50
+        for round_ in range(10):
+            start = threading.Barrier(n_threads)
+            seen: list[int] = []
+
+            def bump():
+                start.wait()
+                for _ in range(per_thread):
+                    seen.append(
+                        faults._bump(tmp_path / str(round_), "worker", "result", "net_drop")
+                    )
+
+            threads = [threading.Thread(target=bump) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(seen) == list(range(1, n_threads * per_thread + 1))
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown fault mode"):
             faults.FaultSpec(benchmark="worker", mode="net_jitter")
