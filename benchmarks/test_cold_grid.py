@@ -16,7 +16,7 @@ set two ways:
 
 Both paths produce bitwise-identical rows (asserted below and in
 ``tests/property/test_pricing_bitwise.py``); the raw model-walk time of
-the scalar references under ``perf.disabled()`` is recorded as
+the scalar references of ``tests/pricing_oracle.py`` is recorded as
 ``reference_walk_s`` for context.  The speedup test asserts the CI
 floor (≥3×); the committed ``BENCH_cold_grid.json`` at the repo root
 records the full-scale number (see EXPERIMENTS.md).
@@ -53,11 +53,16 @@ from repro.benchmarks.base import Precision, cpu_pricing_inputs
 from repro.benchmarks.registry import create
 from repro.calibration.exynos5250 import default_platform
 from repro.compiler.pipeline import compile_kernel
-from repro.cpu.openmp import _time_openmp_scalar, time_openmp
-from repro.cpu.serial import _time_serial_scalar, time_serial
-from repro.mali.timing import _time_launch_uncached, time_launch
+from repro.cpu.openmp import time_openmp
+from repro.cpu.serial import time_serial
+from repro.mali.timing import time_launch
 from repro.ocl.driver import default_quirks, driver_local_size
 from repro.pricing import MODE_OPENMP, MODE_SERIAL, CpuCell, GpuLaunchCell
+from tests.pricing_oracle import (
+    time_launch_reference,
+    time_openmp_reference,
+    time_serial_reference,
+)
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 #: seconds the PR-5 revision took on this grid (measured out-of-band in
@@ -162,13 +167,13 @@ def _price_reference_walk(platform, cpu_cells, gpu_cells):
     rows = []
     with perf.disabled():
         for cell in cpu_cells:
-            fn = _time_serial_scalar if cell.mode == MODE_SERIAL else _time_openmp_scalar
+            fn = time_serial_reference if cell.mode == MODE_SERIAL else time_openmp_reference
             rows.append(
                 fn(cell.mix, cell.n_elements, cell.traits, platform.cpu, dram, cpu_caches)
             )
         for cell in gpu_cells:
             rows.append(
-                _time_launch_uncached(
+                time_launch_reference(
                     cell.compiled,
                     cell.n_items,
                     cell.local_size,

@@ -8,21 +8,21 @@ launch cell) and prices a 64-point SoC design space two ways:
   config: the GPU/CPU config stacks hoist every config-invariant
   quantity at build time, so each config costs a few whole-grid NumPy
   passes plus :func:`repro.power.rails.stack_watts`;
-* **facade loop** — :meth:`~repro.designspace.DesignSpace.facade_rows`
-  per config: a fresh ``PlatformPricing`` facade per SoC, the cost
-  profile of running the PR-6 batched grid once per config.
+* **facade loop** — ``facade_rows`` of ``tests/pricing_oracle.py`` per
+  config: every cell of every SoC priced one by one through the scalar
+  reference models, the loop the stacks replace.
 
-Every row is bitwise-identical between the engines (asserted below and
-in ``tests/property/test_grid_pricing_identity.py``, including the
+Every row is bitwise-identical between the two (asserted below and in
+``tests/property/test_grid_pricing_identity.py``, including the
 register-exhaustion infeasible lanes), so the speedup is pure
 evaluation-strategy win.  The in-test floor matches the acceptance
 criterion (≥8× over ≥64 configs); the committed
 ``BENCH_design_space.json`` at the repo root records the full-scale
 number (see EXPERIMENTS.md).
 
-The stack build itself (compiles + hoisting) is shared by both engines
+The stack build itself (compiles + hoisting) is shared by both paths
 and excluded from the timed region — a design-space sweep pays it once
-regardless of engine — but is recorded as ``space_build_s``.
+— but is recorded as ``space_build_s``.
 
 Regenerate with::
 
@@ -38,6 +38,7 @@ import numpy as np
 from repro import perf
 from repro.calibration.socspace import default_space
 from repro.designspace import DesignSpace
+from tests.pricing_oracle import facade_rows
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 ROUNDS = 7
@@ -79,10 +80,10 @@ def test_design_space_stacked(benchmark):
 
 
 def test_design_space_facade_loop(benchmark):
-    """The same configs through per-config ``PlatformPricing`` facades."""
+    """The same configs through the per-cell scalar references."""
     space, configs, _ = _build_space()
     rows = benchmark.pedantic(
-        lambda: [space.facade_rows(c) for c in configs],
+        lambda: [facade_rows(space, c) for c in configs],
         setup=perf.reset,
         rounds=ROUNDS,
         iterations=1,
@@ -104,7 +105,7 @@ def test_design_space_speedup_and_identity(benchmark):
 
     perf.reset()
     t0 = time.perf_counter()
-    facade_rows = [space.facade_rows(c) for c in configs]
+    reference_rows = [facade_rows(space, c) for c in configs]
     facade_s = time.perf_counter() - t0
 
     stacked_rows = benchmark.pedantic(
@@ -114,7 +115,7 @@ def test_design_space_speedup_and_identity(benchmark):
     )
     stacked_s = benchmark.stats.stats.min
 
-    for config, s, f in zip(configs, stacked_rows, facade_rows):
+    for config, s, f in zip(configs, stacked_rows, reference_rows):
         assert _rows_bitwise_equal(s, f), config.name
     speedup = facade_s / stacked_s
     benchmark.extra_info["scale"] = SCALE

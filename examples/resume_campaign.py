@@ -89,9 +89,13 @@ def main(argv=None) -> int:
     # 2-3. journaled child, SIGKILLed mid-grid
     work = Path(tempfile.mkdtemp(prefix="repro-resume-"))
     journal_dir = work / "journal"
+    # the child leads its own process group: SIGKILL reaches only the
+    # orchestrating process, and the pool workers it orphans are killed
+    # with the group afterwards
     proc = subprocess.Popen(
         [sys.executable, __file__, "--child", f"--scale={args.scale}",
-         f"--jobs={args.jobs}", f"--journal-dir={journal_dir}"]
+         f"--jobs={args.jobs}", f"--journal-dir={journal_dir}"],
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 240
@@ -107,6 +111,10 @@ def main(argv=None) -> int:
     finally:
         proc.kill()
         proc.wait()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # no orphaned workers left
     before = finished_cells(journal_dir)
     print(f"child SIGKILLed with {len(before)}/{spec.size} cells journaled")
     assert len(before) < spec.size, "kill landed too late to prove anything"

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .. import perf
 from ..ocl.buffer import Buffer
 from ..ocl.context import Context
 from ..ocl.enums import MapFlag, MemFlag
@@ -67,23 +66,6 @@ def launch(
     return queue.enqueue_nd_range_kernel(kernel, global_size, local_size, traits=traits)
 
 
-def exec_memo_tag(bench, kernel_name: str) -> tuple:
-    """Content tag for one benchmark's functional kernel executions.
-
-    Two launches with the same tag *and* the same argument digests are
-    guaranteed to produce the same outputs (the functional body is a
-    pure NumPy function of its arguments), so
-    :func:`repro.perf.memoized_kernel_func` can replay them.
-    """
-    return (
-        bench.name,
-        kernel_name,
-        bench.precision.value,
-        float(bench.scale),
-        int(bench.seed),
-    )
-
-
 class SingleKernelMixin:
     """GPU orchestration for benchmarks with one kernel and one launch.
 
@@ -105,8 +87,7 @@ class SingleKernelMixin:
         from ..ocl.program import KernelSpec, Program
 
         ir = self.kernel_ir(options)
-        func = perf.memoized_kernel_func(exec_memo_tag(self, ir.name), self.kernel_func())
-        spec = KernelSpec(ir=ir, func=func, traits=self.gpu_traits(options))
+        spec = KernelSpec(ir=ir, func=self.kernel_func(), traits=self.gpu_traits(options))
         program = Program(ctx, [spec]).build(options)
         kernel = program.create_kernel(ir.name)
         buffers = self.gpu_buffers(ctx, queue)

@@ -30,9 +30,8 @@ from ..ir.nodes import AccessPattern, Kernel as IrKernel, MemSpace, OpKind, Scal
 from ..memory.cache import StreamSpec
 from ..ocl.program import KernelSpec, Program
 from ..workload import WorkloadTraits
-from .. import perf
 from .base import Benchmark
-from .common import alloc_mapped, exec_memo_tag, launch, read_mapped
+from .common import alloc_mapped, launch, read_mapped
 
 
 class Histogram(Benchmark):
@@ -171,14 +170,14 @@ class Histogram(Benchmark):
     # ------------------------------------------------------------------
     def gpu_setup(self, ctx, queue, options: CompileOptions) -> dict:
         main_ir = self.kernel_ir(options)
-        main_func = perf.memoized_kernel_func(exec_memo_tag(self, main_ir.name), self._main_func())
-        specs = [KernelSpec(ir=main_ir, func=main_func, traits=self.gpu_traits(options))]
+        specs = [
+            KernelSpec(ir=main_ir, func=self._main_func(), traits=self.gpu_traits(options))
+        ]
         if options.any_enabled:
-            merge_func = perf.memoized_kernel_func(
-                exec_memo_tag(self, "hist_merge"), self._merge_func()
-            )
             specs.append(
-                KernelSpec(ir=self._merge_ir(), func=merge_func, traits=self._merge_traits())
+                KernelSpec(
+                    ir=self._merge_ir(), func=self._merge_func(), traits=self._merge_traits()
+                )
             )
         program = Program(ctx, specs).build(options)
         buffers = {

@@ -31,7 +31,7 @@ from ..ocl.program import KernelSpec, Program
 from ..workload import WorkloadTraits
 from .. import perf
 from .base import Benchmark
-from .common import alloc_mapped, exec_memo_tag, launch, read_mapped
+from .common import alloc_mapped, launch, read_mapped
 
 
 class Reduction(Benchmark):
@@ -167,12 +167,12 @@ class Reduction(Benchmark):
         specs = [
             KernelSpec(
                 ir=stage1,
-                func=perf.memoized_kernel_func(exec_memo_tag(self, "red_stage1"), self._stage1_func()),
+                func=self._stage1_func(),
                 traits=self.gpu_traits(options),
             ),
             KernelSpec(
                 ir=stage2,
-                func=perf.memoized_kernel_func(exec_memo_tag(self, "red_stage2"), self._stage2_func()),
+                func=self._stage2_func(),
                 traits=self._stage2_traits(),
             ),
         ]

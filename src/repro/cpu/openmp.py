@@ -16,14 +16,12 @@ because of four effects, each modelled explicitly:
 
 from __future__ import annotations
 
-import math
-
 from ..ir.analysis import InstructionMix
 from ..memory.cache import CacheHierarchy
 from ..memory.dram import DramModel
 from ..workload import WorkloadTraits
 from .config import A15Config
-from .serial import CpuTiming, _core_cycles
+from .serial import CpuTiming
 
 
 def time_openmp(
@@ -36,72 +34,9 @@ def time_openmp(
 ) -> CpuTiming:
     """Price one timed iteration of the OpenMP version on both cores.
 
-    Thin shim over the batched :class:`~repro.cpu.pricing.CpuPricer`
-    (bitwise-identical to the scalar reference ``_time_openmp_scalar``).
+    A one-lane view over :class:`~repro.cpu.pricing.CpuConfigStack`
+    (through :class:`~repro.cpu.pricing.CpuPricer`).
     """
     from .pricing import CpuPricer  # deferred: pricing imports CpuTiming
 
     return CpuPricer(mix, traits, config, dram, caches).price_openmp((n_elements,))[0]
-
-
-def _time_openmp_scalar(
-    mix: InstructionMix,
-    n_elements: int,
-    traits: WorkloadTraits,
-    config: A15Config,
-    dram: DramModel,
-    caches: CacheHierarchy,
-) -> CpuTiming:
-    """Scalar reference implementation (property-tested against the shim)."""
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
-    n_cores = config.cores
-    totals = mix.scaled(float(n_elements))
-    totals.loop_headers += float(n_elements)
-
-    cycles, instructions = _core_cycles(totals, config, caches, traits)
-    serial_cycles = cycles * traits.serial_fraction
-    parallel_cycles = cycles - serial_cycles
-
-    # imbalance between 2 cores: expected max of per-core sums; for n/2
-    # chunks per core with per-chunk cv the max exceeds the mean by
-    # cv * sqrt(2 ln cores / chunks)
-    imbalance = 1.0
-    if traits.imbalance_cv > 0.0:
-        chunks_per_core = max(n_elements / n_cores, 1.0)
-        imbalance = 1.0 + traits.imbalance_cv * math.sqrt(
-            2.0 * math.log(max(n_cores, 2)) / chunks_per_core
-        )
-    # static scheduling over large arrays behaves like few big chunks:
-    # raggedness concentrates less than per-element, so floor it
-    imbalance = max(imbalance, 1.0 + 0.35 * traits.imbalance_cv / math.sqrt(n_cores))
-
-    compute_s = (
-        serial_cycles + parallel_cycles / n_cores * imbalance
-    ) / config.clock_hz
-
-    traffic = caches.dram_traffic(list(traits.streams))
-    dram_bytes = sum(traffic.values())
-    dram_s = (
-        dram.transfer_seconds("cpu2", bytes_by_pattern=traffic) if dram_bytes > 0 else 0.0
-    )
-
-    total = max(compute_s, dram_s) + (1.0 - config.mlp_overlap) * min(compute_s, dram_s)
-    stall = total - compute_s
-
-    overhead = traits.launches * (
-        config.omp_region_overhead_s + n_cores * config.omp_chunk_overhead_s
-    )
-    total += overhead
-
-    ipc = instructions / (total * config.clock_hz * n_cores) if total > 0 else 0.0
-    return CpuTiming(
-        seconds=total,
-        compute_seconds=compute_s,
-        mem_stall_seconds=stall,
-        dram_seconds=dram_s,
-        overhead_seconds=overhead,
-        dram_bytes=dram_bytes,
-        active_cores=n_cores,
-        ipc=ipc,
-    )

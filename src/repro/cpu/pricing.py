@@ -1,20 +1,21 @@
-"""Batched CPU pricing: Serial and OpenMP timings over many cells.
+"""Cortex-A15 pricing: Serial and OpenMP timings over many cells.
 
-``CpuPricer`` generalizes the GPU :class:`~repro.mali.timing.LaunchPricer`
-pattern to the Cortex-A15 models: everything that does not depend on the
-element count — the per-entry (count, cost) columns of the instruction
-mix, the L1 hit fraction, the DRAM traffic and its transfer time — is
-hoisted once per (mix, traits) pair, and ``_core_cycles`` is evaluated
-for a whole vector of element counts in one 2-D NumPy pass.
+The A15 model prices one timed iteration in two steps.  The core
+cycles and instruction count of ``n`` elements (:meth:`CpuPricer._core_cycles_one`)
+walk per-entry (count, cost) columns of the per-element instruction
+mix, hoisted once per (mix, config) along with the L1 hit fraction, the
+DRAM traffic and its transfer time per stream mix.  The Serial and
+OpenMP epilogues then turn cycles into seconds — OoO overlap with DRAM,
+and for OpenMP the Amdahl split, the two-core imbalance and the runtime
+overheads.
 
-Bitwise contract (same as the GPU pricer): elementwise float64 products
-are IEEE-identical to the scalar ``(count*n) * cost`` expressions, every
-reduction is a sequential accumulation in source dict order — never
-``np.sum`` — and terms the scalar path skips behind ``> 0`` guards are
-added as exact ``0.0`` (IEEE-identical on non-negative partial sums).
-The OpenMP imbalance epilogue calls ``math.sqrt``/``math.log`` and stays
-scalar per cell: routing those through libm-equivalent NumPy ufuncs is
-*not* guaranteed bit-identical, and the epilogue is O(1) per cell anyway.
+The epilogues exist once, as the array passes of
+:class:`CpuConfigStack`: design-space sweeps evaluate them for every
+cell per SoC config (:meth:`CpuConfigStack.rows`), and
+:func:`~repro.cpu.serial.time_serial`, :func:`~repro.cpu.openmp.time_openmp`,
+:class:`CpuPricer` and :class:`CpuPricingModel` are views that build a
+stack over their own cells and read the lanes back as
+:class:`~repro.cpu.serial.CpuTiming` rows of Python floats.
 """
 
 from __future__ import annotations
@@ -26,28 +27,16 @@ from ..ir.analysis import InstructionMix
 from ..ir.nodes import AccessPattern, MemSpace
 from ..memory.cache import CacheHierarchy
 from ..memory.dram import DramModel
+from ..pricing.cells import MODE_OPENMP, MODE_SERIAL, CpuCell
 from ..workload import WorkloadTraits
 from .config import A15Config
 from .serial import CpuTiming
 
-#: ``CpuCell.mode`` values
-MODE_SERIAL = "serial"
-MODE_OPENMP = "openmp"
-
 _IRREGULAR = (AccessPattern.STRIDED, AccessPattern.GATHER, AccessPattern.ATOMIC)
-
-#: element-count batches below which the scalar per-count loops beat
-#: the 2-D NumPy pass (both are bitwise-identical)
-_BULK_THRESHOLD = 32
 
 
 class _CpuTables:
-    """Per-entry columns of one per-element mix, in source dict order.
-
-    Columns are plain Python lists — small batches price fastest through
-    scalar loops — with NumPy views materialized on demand for the 2-D
-    bulk pass (:meth:`arrays`).
-    """
+    """Per-entry columns of one per-element mix, in source dict order."""
 
     __slots__ = (
         "acc_counts",
@@ -64,7 +53,6 @@ class _CpuTables:
         "ir_counts",
         "ir_widths",
         "ato_counts",
-        "_arrays",
     )
 
     def __init__(self, mix: InstructionMix, config: A15Config) -> None:
@@ -79,6 +67,9 @@ class _CpuTables:
         a_widths: list[float] = []
         for (op, base, width, accumulates), count in mix.arith.items():
             if accumulates and base.startswith("f"):
+                # loop-carried FP dependency: no -funsafe-math-optimizations
+                # means GCC may not reassociate, so the chain advances one
+                # element per VFP result latency
                 per_lane = max(config.op_cycles[op], config.accum_latency(op))
                 if base == "f64":
                     per_lane *= config.fp64_cost_factor
@@ -119,33 +110,6 @@ class _CpuTables:
         self.ir_counts = ir_counts
         self.ir_widths = ir_widths
         self.ato_counts = [float(c) for c in mix.atomics.values()]
-        self._arrays: tuple | None = None
-
-    def arrays(self) -> tuple:
-        """float64 column views for the 2-D bulk pass, built on demand."""
-        if self._arrays is None:
-            import numpy as np
-
-            self._arrays = tuple(
-                np.asarray(col, dtype=np.float64)
-                for col in (
-                    self.acc_counts,
-                    self.acc_perlane,
-                    self.acc_widths,
-                    self.fp_counts,
-                    self.fp_costs,
-                    self.int_counts,
-                    self.int_costs,
-                    self.a_counts,
-                    self.a_widths,
-                    self.m_counts,
-                    self.m_widths,
-                    self.ir_counts,
-                    self.ir_widths,
-                    self.ato_counts,
-                )
-            )
-        return self._arrays
 
 
 def _cpu_tables_for(mix: InstructionMix, config: A15Config) -> _CpuTables:
@@ -153,9 +117,8 @@ def _cpu_tables_for(mix: InstructionMix, config: A15Config) -> _CpuTables:
 
     A pure derived constant, cached in the mix's instance dict keyed by
     config identity (the identity check pins the config object); every
-    pricer of that mix — batched grids and one-shot ``time_serial`` /
-    ``time_openmp`` calls alike — shares one build.  Stripped on pickle
-    (see :meth:`InstructionMix.__getstate__`).
+    pricer of that mix shares one build.  Stripped on pickle (see
+    :meth:`InstructionMix.__getstate__`).
     """
     cache = mix.__dict__.get("_cpu_tables")
     if cache is None:
@@ -182,32 +145,14 @@ def _stream_tables(dram: DramModel, caches: CacheHierarchy) -> dict:
     return found
 
 
-def _seq_outer(counts, ns, *factors):
-    """Sequential row accumulation of ``((counts*n) * f0) * f1...`` terms.
-
-    Axis 0 is the mix-entry axis; accumulating row by row gives every
-    lane its additions in exactly the order the scalar dict loop performs
-    them.
-    """
-    import numpy as np
-
-    acc = np.zeros(len(ns))
-    if not counts.size:
-        return acc
-    terms = counts[:, None] * ns[None, :]
-    for f in factors:
-        terms = terms * f[:, None]
-    for row in terms:
-        acc += row
-    return acc
-
-
 class CpuPricer:
-    """Batched Serial/OpenMP pricing of one per-element mix.
+    """Serial/OpenMP pricing of one per-element mix.
 
-    One pricer covers both modes: ``_core_cycles`` sees identical inputs
-    for Serial and OpenMP, so the vectorized core runs once per distinct
-    vector of element counts and only the epilogues differ.
+    Holds the element-count-independent state of one (mix, traits)
+    pair: the mix columns, the L1 hit fraction, the DRAM traffic and
+    the irregular-access DRAM miss fraction.  :meth:`price_serial` and
+    :meth:`price_openmp` are views over a :class:`CpuConfigStack` of
+    the requested element counts.
     """
 
     def __init__(
@@ -217,7 +162,6 @@ class CpuPricer:
         config: A15Config,
         dram: DramModel,
         caches: CacheHierarchy,
-        stream_tables: dict | None = None,
     ) -> None:
         self.mix = mix
         self.traits = traits
@@ -225,16 +169,16 @@ class CpuPricer:
         self.dram = dram
         self.caches = caches
         self._tables = _cpu_tables_for(mix, config)
-        tables = stream_tables if stream_tables is not None else _stream_tables(dram, caches)
+        tables = _stream_tables(dram, caches)
         entry = tables.get(traits.streams)
         if entry is None:
             streams = list(traits.streams)
             l1_hit = caches.l1_hit_fraction(streams)
             traffic = caches.dram_traffic(streams)
             dram_bytes = sum(traffic.values())
-            # the guarded irregular-miss penalty: its scale factor does
-            # not depend on the element count, so it reduces to one
-            # group scalar
+            # irregular accesses that miss the L2 stall for a DRAM round
+            # trip; the miss fraction does not depend on the element
+            # count, so it reduces to one group scalar
             irregular = [st for st in streams if st.pattern in _IRREGULAR]
             miss_frac: float | None = None
             if irregular:
@@ -265,75 +209,16 @@ class CpuPricer:
         return found
 
     # ------------------------------------------------------------------
-    def _core_cycles_bulk(self, ns):
-        """Vectorized ``serial._core_cycles`` over element counts ``ns``.
-
-        ``ns`` already includes nothing: the serial element loop header
-        (``totals.loop_headers += n``) is applied here, exactly where the
-        scalar path applies it — before any loop-header consumer.
-        """
-        import numpy as np
-
-        (
-            acc_counts,
-            acc_perlane,
-            acc_widths,
-            fp_counts,
-            fp_costs,
-            int_counts,
-            int_costs,
-            a_counts,
-            a_widths,
-            m_counts,
-            m_widths,
-            ir_counts,
-            ir_widths,
-            ato_counts,
-        ) = self._tables.arrays()
-        config = self.config
-        mix = self.mix
-
-        accum = _seq_outer(acc_counts, ns, acc_perlane, acc_widths)
-        fp = _seq_outer(fp_counts, ns, fp_costs)
-        int_ = _seq_outer(int_counts, ns, int_costs)
-        instructions = _seq_outer(a_counts, ns, a_widths)
-
-        ls_count = _seq_outer(m_counts, ns, m_widths)
-        irregular_ls = _seq_outer(ir_counts, ns, ir_widths)
-        ls = ls_count / config.ls_ops_per_cycle
-        ls = ls + ((irregular_ls * (1.0 - self._l1_hit)) * config.l2_hit_penalty_cycles)
-        if self._miss_frac is not None:
-            ls = ls + ((irregular_ls * self._miss_frac) * config.dram_miss_penalty_cycles)
-        instructions = instructions + ls_count
-
-        branches = mix.branches * ns
-        divergent = mix.divergent_branches * ns
-        loop_headers = (mix.loop_headers * ns) + ns  # + the element loop
-        calls = mix.calls * ns
-        atomic_ops = _seq_outer(ato_counts, ns)
-
-        branch_cycles = (
-            branches * config.mispredict_rate
-            + divergent * (config.divergent_mispredict_rate - config.mispredict_rate)
-        ) * config.mispredict_penalty
-        loop_cycles = loop_headers * config.loop_header_cycles
-        call_cycles = calls * config.call_cycles
-        atomic_cycles = atomic_ops * config.atomic_cycles
-        instructions = instructions + (((branches + loop_headers) + calls) + atomic_ops)
-
-        il = int_ + loop_cycles
-        busy = np.maximum(np.maximum(np.maximum(fp, il), ls), accum)
-        leak = 0.25 * (((((fp + int_) + loop_cycles) + ls) + accum) - busy)
-        cycles = (((busy + leak) + branch_cycles) + call_cycles) + atomic_cycles
-        return cycles, instructions
-
     def _core_cycles_one(self, n: float) -> tuple[float, float]:
-        """Scalar twin of :meth:`_core_cycles_bulk` for one element count.
+        """(busy cycles on one core, instruction count) of ``n`` elements.
 
-        Every product and every sequential addition is the same IEEE-754
-        double operation the bulk pass performs lane-wise, in the same
-        order, so the two paths agree bit for bit — and below the ufunc
-        dispatch overhead the scalar loops win on small batches.
+        The serial element loop itself adds one loop header per element.
+        FP, integer, LS and the FP dependency chain overlap on an OoO
+        core: the busiest resource dominates, a quarter of the rest leaks
+        past the overlap, and serialization costs (mispredicts, calls,
+        atomics) add.  L1-miss latency exposes only on irregular
+        accesses — the prefetchers hide it for unit-stride streams, whose
+        cost is the DRAM roofline charged in the epilogues.
         """
         t = self._tables
         config = self.config
@@ -387,168 +272,51 @@ class CpuPricer:
         cycles = (((busy + leak) + branch_cycles) + call_cycles) + atomic_cycles
         return cycles, instructions
 
-    def _core_cycles_for(self, counts: list[int]):
-        """(cycles, instructions) sequences for validated counts —
-        scalar loops below :data:`_BULK_THRESHOLD`, the 2-D pass above."""
-        if len(counts) < _BULK_THRESHOLD:
-            cycles: list[float] = []
-            instructions: list[float] = []
-            for n in counts:
-                c, i = self._core_cycles_one(float(n))
-                cycles.append(c)
-                instructions.append(i)
-            return cycles, instructions
-        import numpy as np
-
-        ns = np.asarray([float(n) for n in counts], dtype=np.float64)
-        return self._core_cycles_bulk(ns)
-
-    def _prepare(self, n_values) -> list[int]:
-        counts = [int(n) for n in n_values]
-        for n in counts:
-            if n < 1:
-                raise ValueError(f"n_elements must be >= 1, got {n}")
-        return counts
-
     def price_serial(self, n_values) -> tuple[CpuTiming, ...]:
-        """Serial timings for each element count, bitwise ``time_serial``."""
-        counts = self._prepare(n_values)
-        cycles_seq, instr_seq = self._core_cycles_for(counts)
-        config = self.config
-        dram_s = self._agent_dram_s("cpu1")
-        out = []
-        for j in range(len(counts)):
-            cycles = float(cycles_seq[j])
-            instructions = float(instr_seq[j])
-            compute_s = cycles / config.clock_hz
-            total = max(compute_s, dram_s) + (
-                (1.0 - config.mlp_overlap) * min(compute_s, dram_s)
-            )
-            stall = total - compute_s
-            ipc = instructions / (total * config.clock_hz) if total > 0 else 0.0
-            out.append(
-                CpuTiming(
-                    seconds=total,
-                    compute_seconds=compute_s,
-                    mem_stall_seconds=stall,
-                    dram_seconds=dram_s,
-                    overhead_seconds=0.0,
-                    dram_bytes=self._dram_bytes,
-                    active_cores=1,
-                    ipc=ipc,
-                )
-            )
-        return tuple(out)
+        """Serial timings for each element count."""
+        return self._price(MODE_SERIAL, n_values)
 
     def price_openmp(self, n_values) -> tuple[CpuTiming, ...]:
-        """OpenMP timings for each element count, bitwise ``time_openmp``.
+        """OpenMP timings for each element count."""
+        return self._price(MODE_OPENMP, n_values)
 
-        The core cycles come from the shared scalar-or-vectorized pass;
-        the imbalance/overhead epilogue is scalar per cell (see module
-        docstring for why the transcendentals stay on ``math``).
-        """
-        counts = self._prepare(n_values)
-        cycles_arr, instr_arr = self._core_cycles_for(counts)
-        config = self.config
-        n_cores = config.cores
-        dram_s = self._agent_dram_s("cpu2")
-        out = []
-        for j, n_elements in enumerate(counts):
-            cycles = float(cycles_arr[j])
-            instructions = float(instr_arr[j])
-            serial_cycles = cycles * self.traits.serial_fraction
-            parallel_cycles = cycles - serial_cycles
-            imbalance = 1.0
-            if self.traits.imbalance_cv > 0.0:
-                chunks_per_core = max(n_elements / n_cores, 1.0)
-                imbalance = 1.0 + self.traits.imbalance_cv * math.sqrt(
-                    2.0 * math.log(max(n_cores, 2)) / chunks_per_core
-                )
-            imbalance = max(imbalance, 1.0 + 0.35 * self.traits.imbalance_cv / math.sqrt(n_cores))
-            compute_s = (serial_cycles + parallel_cycles / n_cores * imbalance) / config.clock_hz
-            total = max(compute_s, dram_s) + (1.0 - config.mlp_overlap) * min(compute_s, dram_s)
-            stall = total - compute_s
-            overhead = self.traits.launches * (
-                config.omp_region_overhead_s + n_cores * config.omp_chunk_overhead_s
-            )
-            total += overhead
-            ipc = instructions / (total * config.clock_hz * n_cores) if total > 0 else 0.0
-            out.append(
-                CpuTiming(
-                    seconds=total,
-                    compute_seconds=compute_s,
-                    mem_stall_seconds=stall,
-                    dram_seconds=dram_s,
-                    overhead_seconds=overhead,
-                    dram_bytes=self._dram_bytes,
-                    active_cores=n_cores,
-                    ipc=ipc,
-                )
-            )
-        return tuple(out)
-
-    def price_mode(self, mode: str, n_values) -> tuple[CpuTiming, ...]:
-        """Dispatch on a :class:`~repro.pricing.CpuCell` mode string."""
-        if mode == MODE_SERIAL:
-            return self.price_serial(n_values)
-        if mode == MODE_OPENMP:
-            return self.price_openmp(n_values)
-        raise ValueError(f"unknown CPU pricing mode {mode!r}")
+    def _price(self, mode: str, n_values) -> tuple[CpuTiming, ...]:
+        cells = tuple(
+            CpuCell(mix=self.mix, mode=mode, n_elements=int(n), traits=self.traits)
+            for n in n_values
+        )
+        if not cells:
+            return ()
+        return CpuConfigStack(cells, self.config, self.dram, self.caches).timings()
 
 
 class CpuPricingModel:
-    """Batched :class:`~repro.pricing.PricingModel` over CPU cells.
-
-    Groups cells by (mix, traits) — one :class:`CpuPricer` per group —
-    then prices each mode's element counts in one vectorized pass.
-    """
+    """Batched :class:`~repro.pricing.PricingModel` over CPU cells: every
+    call prices its cells as the lanes of one :class:`CpuConfigStack`."""
 
     def __init__(self, config: A15Config, dram: DramModel, caches: CacheHierarchy):
         self.config = config
         self.dram = dram
         self.caches = caches
-        self._pricers: dict[tuple[int, int], CpuPricer] = {}
-        # shared per-stream-mix tables, resolved once per facade
-        self._streams = _stream_tables(dram, caches)
-
-    def pricer(self, mix: InstructionMix, traits: WorkloadTraits) -> CpuPricer:
-        """The shared :class:`CpuPricer` for one (mix, traits) pair."""
-        gk = (id(mix), id(traits))
-        found = self._pricers.get(gk)
-        if found is None:
-            found = self._pricers[gk] = CpuPricer(
-                mix, traits, self.config, self.dram, self.caches,
-                stream_tables=self._streams,
-            )
-        return found
 
     def price(self, cells) -> tuple[CpuTiming, ...]:
         """Timings for each :class:`~repro.pricing.CpuCell`."""
         cells = tuple(cells)
-        grouped: dict[tuple[int, int, str], list[int]] = {}
-        for i, cell in enumerate(cells):
-            gk = (id(cell.mix), id(cell.traits), cell.mode)
-            grouped.setdefault(gk, []).append(i)
-        out: list[CpuTiming | None] = [None] * len(cells)
-        for (_, _, mode), idxs in grouped.items():
-            first = cells[idxs[0]]
-            pricer = self.pricer(first.mix, first.traits)
-            timings = pricer.price_mode(mode, [cells[i].n_elements for i in idxs])
-            for j, i in enumerate(idxs):
-                out[i] = timings[j]
-        return tuple(out)  # type: ignore[arg-type]
+        if not cells:
+            return ()
+        return CpuConfigStack(cells, self.config, self.dram, self.caches).timings()
 
     def price_one(self, cell) -> CpuTiming:
-        """Single-cell convenience (same vectorized tables)."""
+        """Single-cell convenience (one stack lane)."""
         return self.price((cell,))[0]
 
 
 # ---------------------------------------------------------------------------
-# Config-axis stacking (design-space sweeps)
+# Config-axis stacking: the Serial/OpenMP epilogues
 
 #: A15Config fields a :class:`CpuConfigStack` treats as sweepable axes.
 #: They appear only in the Serial/OpenMP epilogues — never inside
-#: ``_core_cycles`` — so the hoisted cycle/instruction columns stay valid
+#: the core cycles — so the hoisted cycle/instruction lanes stay valid
 #: across every variant.
 _CPU_STACK_AXES = frozenset(
     {"cores", "clock_hz", "mlp_overlap", "omp_region_overhead_s", "omp_chunk_overhead_s"}
@@ -582,17 +350,19 @@ class CpuStackRows:
 
 
 class CpuConfigStack:
-    """Config-axis vectorization of a fixed set of CPU cells.
+    """The Serial/OpenMP epilogues over a fixed set of CPU cells.
 
     The core cycle/instruction counts of every cell are config-invariant
     across the swept axes (:data:`_CPU_STACK_AXES`), so they are computed
-    once through the shared :class:`CpuPricer` machinery; each
-    :meth:`rows` call replays only the Serial/OpenMP epilogues as
-    whole-stack array passes.  Every lane is bitwise-identical to pricing
-    the cell through a per-config :class:`CpuPricingModel` facade — the
-    array expressions mirror the scalar epilogues operation by operation
-    (``math.log``/``math.sqrt`` of config scalars stay on ``math``; only
-    per-cell arithmetic is vectorized).
+    once per cell at construction (``ValueError`` for ``n_elements <
+    1``); :meth:`_serial_lanes` / :meth:`_openmp_lanes` are the epilogues
+    as whole-stack array passes.  :meth:`rows` evaluates them for one
+    ``(config, dram)`` point of a sweep, :meth:`timings` for the stack's
+    own point as :class:`~repro.cpu.serial.CpuTiming` rows.
+    ``math.log``/``math.sqrt`` of config scalars stay on ``math``; only
+    per-cell arithmetic is vectorized, with correctly rounded ufuncs, so
+    every lane is what the scalar formulation computes for that cell
+    (asserted against the references in ``tests/pricing_oracle.py``).
     """
 
     def __init__(
@@ -607,47 +377,34 @@ class CpuConfigStack:
         cells = tuple(cells)
         if not cells:
             raise ValueError("CpuConfigStack needs at least one cell")
-        for cell in cells:
-            if cell.mode not in (MODE_SERIAL, MODE_OPENMP):
-                raise ValueError(f"unknown CPU pricing mode {cell.mode!r}")
         self.cells = cells
         self.config = config
         self.dram = dram
         self.caches = caches
-        self._sig = _cpu_stack_signature(config)
-        self._model = CpuPricingModel(config, dram, caches)
+        self._sig: tuple | None = None  # rows()'s base signature, on first use
 
         group_ord: dict[tuple[int, int], int] = {}
         self._group_pricers: list[CpuPricer] = []
-        group_cells: list[list[int]] = []
         gidx: list[int] = []
-        for i, cell in enumerate(cells):
-            pricer = self._model.pricer(cell.mix, cell.traits)
+        core: list[tuple[float, float]] = []
+        for cell in cells:
+            n = int(cell.n_elements)
+            if n < 1:
+                raise ValueError(f"n_elements must be >= 1, got {n}")
             gk = (id(cell.mix), id(cell.traits))
             g = group_ord.get(gk)
             if g is None:
                 g = group_ord[gk] = len(self._group_pricers)
-                self._group_pricers.append(pricer)
-                group_cells.append([])
-            group_cells[g].append(i)
+                self._group_pricers.append(
+                    CpuPricer(cell.mix, cell.traits, config, dram, caches)
+                )
             gidx.append(g)
+            core.append(self._group_pricers[g]._core_cycles_one(float(n)))
         self._gidx = np.asarray(gidx, dtype=np.intp)
-
-        width = len(cells)
-        cyc = np.empty(width)
-        instr = np.empty(width)
-        dram_bytes = np.empty(width)
-        for g, pricer in enumerate(self._group_pricers):
-            idxs = group_cells[g]
-            counts = pricer._prepare([cells[i].n_elements for i in idxs])
-            cyc_seq, instr_seq = pricer._core_cycles_for(counts)
-            for j, i in enumerate(idxs):
-                cyc[i] = float(cyc_seq[j])
-                instr[i] = float(instr_seq[j])
-                dram_bytes[i] = float(pricer._dram_bytes)
-        self._cycles = cyc
-        self._instructions = instr
-        self._dram_bytes = dram_bytes
+        self._cycles, self._instructions = np.asarray(core).T.copy()
+        self._dram_bytes = np.asarray(
+            [float(p._dram_bytes) for p in self._group_pricers]
+        )[self._gidx]
 
         self._n_f = np.asarray([float(int(c.n_elements)) for c in cells])
         self._cv = np.asarray([c.traits.imbalance_cv for c in cells])
@@ -669,15 +426,11 @@ class CpuConfigStack:
         found = self._dram_cache.get(dram.config)
         if found is None:
             # a throwaway pricer per group reuses (and fills) the same
-            # process-global stream tables a facade on this DRAM would
-            tables = _stream_tables(dram, self.caches)
+            # process-global stream tables a pricer on this DRAM would
             s1 = []
             s2 = []
             for pricer in self._group_pricers:
-                p = CpuPricer(
-                    pricer.mix, pricer.traits, self.config, dram, self.caches,
-                    stream_tables=tables,
-                )
+                p = CpuPricer(pricer.mix, pricer.traits, self.config, dram, self.caches)
                 s1.append(p._agent_dram_s("cpu1"))
                 s2.append(p._agent_dram_s("cpu2"))
             found = self._dram_cache[dram.config] = (
@@ -686,19 +439,74 @@ class CpuConfigStack:
             )
         return found
 
+    def _serial_lanes(self, config: A15Config, idx, dram_s) -> tuple:
+        """Serial epilogue over the lanes ``idx``: ``(seconds,
+        compute_s, ipc)``.  The OoO window overlaps compute with
+        outstanding misses; the non-dominant component leaks past the
+        overlap by ``1 - mlp_overlap``."""
+        import numpy as np
+
+        clock = config.clock_hz
+        compute_s = self._cycles[idx] / clock
+        total = np.maximum(compute_s, dram_s) + (
+            (1.0 - config.mlp_overlap) * np.minimum(compute_s, dram_s)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = self._instructions[idx] / (total * clock)
+        return total, compute_s, np.where(total > 0, rate, 0.0)
+
+    def _openmp_lanes(self, config: A15Config, idx, dram_s) -> tuple:
+        """OpenMP epilogue over the lanes ``idx``: ``(seconds,
+        compute_s, overlapped_s, overhead_s, ipc)``, where
+        ``overlapped_s`` is the compute/DRAM overlap before the runtime
+        overhead is added (the memory-stall base).
+
+        Amdahl keeps the serial fraction on one core; the slower core
+        sets the finish time, its excess over the mean estimated as
+        ``cv * sqrt(2 ln cores / chunks)`` and floored for static
+        scheduling's few big chunks; fork/join and per-thread chunk
+        scheduling add per launch.
+        """
+        import numpy as np
+
+        clock = config.clock_hz
+        n_cores = config.cores
+        cyc = self._cycles[idx]
+        cv = self._cv[idx]
+        serial_cycles = cyc * self._sf[idx]
+        parallel_cycles = cyc - serial_cycles
+        chunks = np.maximum(self._n_f[idx] / n_cores, 1.0)
+        imbalance = np.where(
+            cv > 0.0,
+            1.0 + cv * np.sqrt((2.0 * math.log(max(n_cores, 2))) / chunks),
+            1.0,
+        )
+        imbalance = np.maximum(imbalance, 1.0 + (0.35 * cv) / math.sqrt(n_cores))
+        compute_s = (serial_cycles + (parallel_cycles / n_cores) * imbalance) / clock
+        overlapped = np.maximum(compute_s, dram_s) + (
+            (1.0 - config.mlp_overlap) * np.minimum(compute_s, dram_s)
+        )
+        overhead = self._launches[idx] * (
+            config.omp_region_overhead_s + n_cores * config.omp_chunk_overhead_s
+        )
+        total = overlapped + overhead
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = self._instructions[idx] / (total * clock * n_cores)
+        return total, compute_s, overlapped, overhead, np.where(total > 0, rate, 0.0)
+
     # ------------------------------------------------------------------
     def rows(self, config: A15Config, dram: DramModel) -> CpuStackRows:
         """Price every cell under one ``(config, dram)`` design point."""
         import numpy as np
 
+        if self._sig is None:
+            self._sig = _cpu_stack_signature(self.config)
         if _cpu_stack_signature(config) != self._sig:
             raise ValueError(
                 "config differs from the stack base outside the stacked axes "
                 f"({', '.join(sorted(_CPU_STACK_AXES))})"
             )
         ds_serial, ds_openmp = self._dram_for(dram)
-        clock = config.clock_hz
-        n_cores = config.cores
         width = len(self.cells)
         seconds = np.empty(width)
         ipc = np.empty(width)
@@ -706,51 +514,63 @@ class CpuConfigStack:
 
         si = self._serial
         if si.size:
-            cyc = self._cycles[si]
-            instr = self._instructions[si]
-            ds = ds_serial[si]
-            compute_s = cyc / clock
-            total = np.maximum(compute_s, ds) + (
-                (1.0 - config.mlp_overlap) * np.minimum(compute_s, ds)
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rate = instr / (total * clock)
-            seconds[si] = total
-            ipc[si] = np.where(total > 0, rate, 0.0)
+            seconds[si], _, ipc[si] = self._serial_lanes(config, si, ds_serial[si])
             active[si] = 1
 
         oi = self._openmp
         if oi.size:
-            cyc = self._cycles[oi]
-            instr = self._instructions[oi]
-            ds = ds_openmp[oi]
-            cv = self._cv[oi]
-            serial_cycles = cyc * self._sf[oi]
-            parallel_cycles = cyc - serial_cycles
-            log_cores = math.log(max(n_cores, 2))
-            sqrt_cores = math.sqrt(n_cores)
-            chunks = np.maximum(self._n_f[oi] / n_cores, 1.0)
-            imbalance = np.where(
-                cv > 0.0,
-                1.0 + cv * np.sqrt((2.0 * log_cores) / chunks),
-                1.0,
-            )
-            imbalance = np.maximum(imbalance, 1.0 + (0.35 * cv) / sqrt_cores)
-            compute_s = (serial_cycles + (parallel_cycles / n_cores) * imbalance) / clock
-            total = np.maximum(compute_s, ds) + (
-                (1.0 - config.mlp_overlap) * np.minimum(compute_s, ds)
-            )
-            overhead = self._launches[oi] * (
-                config.omp_region_overhead_s + n_cores * config.omp_chunk_overhead_s
-            )
-            total = total + overhead
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rate = instr / (total * clock * n_cores)
-            seconds[oi] = total
-            ipc[oi] = np.where(total > 0, rate, 0.0)
-            active[oi] = n_cores
+            seconds[oi], _, _, _, ipc[oi] = self._openmp_lanes(config, oi, ds_openmp[oi])
+            active[oi] = config.cores
 
         with np.errstate(divide="ignore", invalid="ignore"):
             bw = self._dram_bytes / seconds
         dram_bw = np.where(seconds > 0, bw, 0.0)
         return CpuStackRows(seconds, ipc, active, dram_bw, self._dram_bytes)
+
+    def timings(self) -> tuple[CpuTiming, ...]:
+        """One :class:`~repro.cpu.serial.CpuTiming` per cell at the
+        stack's own ``(config, dram)``, lanes read back as Python
+        floats (``dram_bytes`` and ``active_cores`` as the scalar model
+        states them)."""
+        config = self.config
+        ds_serial, ds_openmp = self._dram_for(self.dram)
+        group_bytes = [p._dram_bytes for p in self._group_pricers]
+        gidx = self._gidx.tolist()
+        out: list[CpuTiming | None] = [None] * len(self.cells)
+
+        si = self._serial
+        if si.size:
+            ds = ds_serial[si]
+            lanes = self._serial_lanes(config, si, ds)
+            for i, seconds, compute_s, ipc, dram_s in zip(
+                si.tolist(), *(lane.tolist() for lane in lanes), ds.tolist()
+            ):
+                out[i] = CpuTiming(
+                    seconds=seconds,
+                    compute_seconds=compute_s,
+                    mem_stall_seconds=seconds - compute_s,
+                    dram_seconds=dram_s,
+                    overhead_seconds=0.0,
+                    dram_bytes=group_bytes[gidx[i]],
+                    active_cores=1,
+                    ipc=ipc,
+                )
+
+        oi = self._openmp
+        if oi.size:
+            ds = ds_openmp[oi]
+            lanes = self._openmp_lanes(config, oi, ds)
+            for i, seconds, compute_s, overlapped, overhead, ipc, dram_s in zip(
+                oi.tolist(), *(lane.tolist() for lane in lanes), ds.tolist()
+            ):
+                out[i] = CpuTiming(
+                    seconds=seconds,
+                    compute_seconds=compute_s,
+                    mem_stall_seconds=overlapped - compute_s,
+                    dram_seconds=dram_s,
+                    overhead_seconds=overhead,
+                    dram_bytes=group_bytes[gidx[i]],
+                    active_cores=config.cores,
+                    ipc=ipc,
+                )
+        return tuple(out)  # type: ignore[arg-type]

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..ir.analysis import InstructionMix
-from ..ir.dtypes import scalar_bits
-from ..ir.nodes import AccessPattern, MemSpace
 from ..memory.cache import CacheHierarchy
 from ..memory.dram import DramModel
 from ..workload import WorkloadTraits
@@ -41,88 +39,6 @@ class CpuTiming:
         return self.dram_bytes / self.seconds if self.seconds > 0 else 0.0
 
 
-def _core_cycles(
-    totals: InstructionMix,
-    config: A15Config,
-    caches: CacheHierarchy,
-    traits: WorkloadTraits,
-) -> tuple[float, float]:
-    """(busy cycles on one core, instruction count) for the whole mix."""
-    fp_cycles = 0.0
-    int_cycles = 0.0
-    accum_cycles = 0.0
-    instructions = 0.0
-    for (op, base, width, accumulates), count in totals.arith.items():
-        if accumulates and base.startswith("f"):
-            # loop-carried FP dependency: no -funsafe-math-optimizations
-            # means GCC may not reassociate, so the chain advances one
-            # element per VFP result latency.  The chain is its own
-            # serialization resource: independent work (loads, index
-            # arithmetic, loop headers) executes underneath it.
-            per_lane = max(config.op_cycles[op], config.accum_latency(op))
-            if base == "f64":
-                per_lane *= config.fp64_cost_factor
-            accum_cycles += count * per_lane * width
-        else:
-            cycles = count * config.arith_cycles(op, base, width)
-            if base.startswith("f"):
-                fp_cycles += cycles
-            else:
-                int_cycles += cycles
-        instructions += count * width
-
-    ls_count = 0.0
-    irregular_ls = 0.0
-    for (kind, space, pattern, base, width, sequential, aligned), count in totals.mem.items():
-        if space == MemSpace.PRIVATE:
-            continue
-        ls_count += count * width  # scalar code: one instruction per lane
-        if pattern in (AccessPattern.STRIDED, AccessPattern.GATHER, AccessPattern.ATOMIC):
-            irregular_ls += count * width
-    l1_hit = caches.l1_hit_fraction(list(traits.streams))
-    ls_cycles = ls_count / config.ls_ops_per_cycle
-    # L1-miss latency only exposes on irregular accesses: the A15's
-    # prefetchers and OoO window hide it for unit-stride streams (their
-    # cost is the DRAM-bandwidth roofline, charged separately)
-    ls_cycles += irregular_ls * (1.0 - l1_hit) * config.l2_hit_penalty_cycles
-    # irregular accesses that miss the L2 stall the pipeline for a DRAM
-    # round trip the OoO window cannot hide (dependent-address chains:
-    # the naive dmmm column walk is the canonical victim)
-    irregular = [
-        st for st in traits.streams
-        if st.pattern in (AccessPattern.STRIDED, AccessPattern.GATHER, AccessPattern.ATOMIC)
-    ]
-    if irregular and irregular_ls > 0.0:
-        requested = sum(st.requested_bytes for st in irregular)
-        if requested > 0.0:
-            traffic = caches.dram_traffic(list(traits.streams))
-            irregular_dram = traffic.get(AccessPattern.STRIDED, 0.0) + traffic.get(
-                AccessPattern.GATHER, 0.0
-            ) + traffic.get(AccessPattern.ATOMIC, 0.0)
-            miss_frac = min(irregular_dram / requested, 1.0)
-            ls_cycles += irregular_ls * miss_frac * config.dram_miss_penalty_cycles
-    instructions += ls_count
-
-    branch_cycles = (
-        totals.branches * config.mispredict_rate
-        + totals.divergent_branches * (config.divergent_mispredict_rate - config.mispredict_rate)
-    ) * config.mispredict_penalty
-    loop_cycles = totals.loop_headers * config.loop_header_cycles
-    call_cycles = totals.calls * config.call_cycles
-    atomic_cycles = totals.atomic_ops() * config.atomic_cycles
-    instructions += totals.branches + totals.loop_headers + totals.calls + totals.atomic_ops()
-
-    # FP, integer, LS and the FP dependency chain overlap on an OoO
-    # core: the busiest resource dominates; a fraction of the rest
-    # leaks past the overlap; serialization costs (mispredicts, calls,
-    # atomics) add.  Loop headers overlap like integer work when a
-    # dependency chain dominates.
-    busy = max(fp_cycles, int_cycles + loop_cycles, ls_cycles, accum_cycles)
-    leak = 0.25 * (fp_cycles + int_cycles + loop_cycles + ls_cycles + accum_cycles - busy)
-    cycles = busy + leak + branch_cycles + call_cycles + atomic_cycles
-    return cycles, instructions
-
-
 def time_serial(
     mix: InstructionMix,
     n_elements: int,
@@ -137,53 +53,11 @@ def time_serial(
     analyzed as-is); ``n_elements`` is the element count of one timed
     iteration; ``traits.streams`` describe that iteration's footprints.
 
-    Thin shim over the batched :class:`~repro.cpu.pricing.CpuPricer`
-    (bitwise-identical to the scalar reference ``_time_serial_scalar``);
-    sweeps pricing many cells should hold a pricer or go through
-    :class:`~repro.cpu.pricing.CpuPricingModel` to amortize its tables.
+    A one-lane view over :class:`~repro.cpu.pricing.CpuConfigStack`
+    (through :class:`~repro.cpu.pricing.CpuPricer`); sweeps pricing many
+    cells should go through :class:`~repro.cpu.pricing.CpuPricingModel`,
+    which prices them as the lanes of one stack.
     """
     from .pricing import CpuPricer  # deferred: pricing imports CpuTiming
 
     return CpuPricer(mix, traits, config, dram, caches).price_serial((n_elements,))[0]
-
-
-def _time_serial_scalar(
-    mix: InstructionMix,
-    n_elements: int,
-    traits: WorkloadTraits,
-    config: A15Config,
-    dram: DramModel,
-    caches: CacheHierarchy,
-) -> CpuTiming:
-    """Scalar reference implementation (property-tested against the shim)."""
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
-    totals = mix.scaled(float(n_elements))
-    # the serial element loop itself
-    totals.loop_headers += float(n_elements)
-
-    cycles, instructions = _core_cycles(totals, config, caches, traits)
-    compute_s = cycles / config.clock_hz
-
-    traffic = caches.dram_traffic(list(traits.streams))
-    dram_bytes = sum(traffic.values())
-    dram_s = (
-        dram.transfer_seconds("cpu1", bytes_by_pattern=traffic) if dram_bytes > 0 else 0.0
-    )
-
-    # The OoO window overlaps compute with outstanding misses; the
-    # non-dominant component leaks past the overlap by (1 - mlp_overlap)
-    total = max(compute_s, dram_s) + (1.0 - config.mlp_overlap) * min(compute_s, dram_s)
-    stall = total - compute_s
-
-    ipc = instructions / (total * config.clock_hz) if total > 0 else 0.0
-    return CpuTiming(
-        seconds=total,
-        compute_seconds=compute_s,
-        mem_stall_seconds=stall,
-        dram_seconds=dram_s,
-        overhead_seconds=0.0,
-        dram_bytes=dram_bytes,
-        active_cores=1,
-        ipc=ipc,
-    )

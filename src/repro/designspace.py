@@ -16,9 +16,10 @@ evaluates the hypercube as *stacked* NumPy evaluations instead:
 * board power comes from :func:`~repro.power.rails.stack_watts` over the
   row arrays.
 
-Every lane is bitwise-identical to pricing the same cell through the
-facade of that config's platform (``facade_rows`` *is* that loop, kept
-as the reference engine and the benchmark baseline).
+The stacks are the only implementation of the launch and Serial/OpenMP
+formulas; the campaign's single-cell pricing entry points are views over
+them.  Every lane is checked bit for bit against scalar references that
+price each cell of each config one by one (``tests/pricing_oracle.py``).
 
 The **Opt** version of a (config, benchmark, precision) point is the
 feasible candidate minimizing ``seconds × launches`` — the autotuner's
@@ -59,12 +60,11 @@ from .benchmarks.base import Precision, cpu_pricing_inputs
 from .benchmarks.registry import PAPER_ORDER, create
 from .calibration.exynos5250 import ExynosPlatform, default_platform
 from .calibration.socspace import EXYNOS_5250, SoCConfig, default_space
-from .compiler.regalloc import fits_register_file
 from .errors import CLError, CompilerError
 from .experiments.trace import JsonlTraceSink, Tracer, TraceSink
 from .pareto import OnlineFrontier, point_key, skyline, skyline_reference
-from .power.rails import Activity, ActivityKind, gpu_floor_watts, stack_watts
-from .pricing.cells import MODE_OPENMP, MODE_SERIAL, CpuCell, GpuLaunchCell, TraceCell
+from .power.rails import ActivityKind, gpu_floor_watts, stack_watts
+from .pricing.cells import MODE_OPENMP, MODE_SERIAL, CpuCell, GpuLaunchCell
 
 #: version labels of a design point (Opt = best feasible GPU candidate)
 VERSIONS = ("Serial", "OpenMP", "Opt")
@@ -140,10 +140,7 @@ class DesignSpace:
     whose kernels cannot allocate at all — the hard
     ``CL_OUT_OF_RESOURCES`` limit — are dropped for every config, same
     as the tuner) and builds the GPU/CPU config stacks.
-    ``stacked_rows`` then prices one config in a few array passes;
-    ``facade_rows`` prices the identical cells through that config's
-    :class:`~repro.pricing.grid.PlatformPricing` facade, bitwise equal
-    lane for lane.
+    ``stacked_rows`` then prices one config in a few array passes.
     """
 
     def __init__(
@@ -287,106 +284,18 @@ class DesignSpace:
             cpu_energy=cpu_energy,
         )
 
-    def facade_rows(self, config: SoCConfig) -> SpaceRows:
-        """Row arrays of one config via its per-platform pricing facade.
-
-        The loop-over-facades reference engine: one
-        :class:`~repro.pricing.grid.PlatformPricing` per config, cells
-        pre-filtered by the same register-file predicate the stack uses,
-        power through the facade's batched trace pricing.
-        """
-        import numpy as np
-
-        platform = config.platform(self.base)
-        pricing = platform.pricing_model()
-        rf_scale = platform.mali.register_file_scale
-
-        cpu_rows = pricing.cpu.price(self.cpu_cells)
-        feasible = [
-            fits_register_file(cell.compiled.registers, rf_scale)
-            for cell in self.gpu_cells
-        ]
-        idx = [i for i, ok in enumerate(feasible) if ok]
-        timings = pricing.gpu.price([self.gpu_cells[i] for i in idx])
-
-        trace_cells = []
-        for i, t in zip(idx, timings):
-            duration = t.seconds * self.gpu_cells[i].traits.launches
-            trace_cells.append(
-                TraceCell(
-                    (
-                        Activity(
-                            kind=ActivityKind.GPU_KERNEL,
-                            duration_s=duration,
-                            gpu_alu_utilization=t.alu_utilization,
-                            gpu_ls_utilization=t.ls_utilization,
-                            dram_bandwidth=t.dram_bandwidth,
-                        ),
-                    )
-                )
-            )
-        for r in cpu_rows:
-            trace_cells.append(
-                TraceCell(
-                    (
-                        Activity(
-                            kind=ActivityKind.CPU,
-                            duration_s=r.seconds,
-                            active_cpu_cores=r.active_cores,
-                            cpu_ipc=r.ipc,
-                            dram_bandwidth=r.dram_bandwidth,
-                        ),
-                    )
-                )
-            )
-        traces = pricing.power.price(trace_cells)
-
-        width = len(self.gpu_cells)
-        gpu_feasible = np.asarray(feasible, dtype=bool)
-        gpu_seconds = np.full(width, np.inf)
-        gpu_iter = np.full(width, np.inf)
-        gpu_watts = np.zeros(width)
-        gpu_energy = np.full(width, np.inf)
-        for k, (i, t) in enumerate(zip(idx, timings)):
-            trace = traces[k]
-            gpu_seconds[i] = t.seconds
-            gpu_iter[i] = t.seconds * self.gpu_cells[i].traits.launches
-            gpu_watts[i] = trace.segments[0].watts
-            gpu_energy[i] = trace.energy_j
-        cpu_seconds = np.asarray([r.seconds for r in cpu_rows])
-        cpu_watts = np.asarray(
-            [traces[len(idx) + j].segments[0].watts for j in range(len(cpu_rows))]
-        )
-        cpu_energy = np.asarray(
-            [traces[len(idx) + j].energy_j for j in range(len(cpu_rows))]
-        )
-        return SpaceRows(
-            gpu_feasible=gpu_feasible,
-            gpu_seconds=gpu_seconds,
-            gpu_iter_seconds=gpu_iter,
-            gpu_watts=gpu_watts,
-            gpu_energy=gpu_energy,
-            cpu_seconds=cpu_seconds,
-            cpu_watts=cpu_watts,
-            cpu_energy=cpu_energy,
-        )
-
-    def rows(self, config: SoCConfig, engine: str = "stacked") -> SpaceRows:
-        if engine == "stacked":
-            return self.stacked_rows(config)
-        if engine == "facade":
-            return self.facade_rows(config)
-        raise ValueError(f"unknown engine {engine!r}; expected 'stacked' or 'facade'")
+    def rows(self, config: SoCConfig) -> SpaceRows:
+        """Row arrays of one config (:meth:`stacked_rows`)."""
+        return self.stacked_rows(config)
 
     # ------------------------------------------------------------------
     def points(self, config: SoCConfig, rows: SpaceRows) -> list[DesignPoint]:
         """Design points of one config from its row arrays.
 
-        Shared by both engines, so point equality reduces to row
-        identity.  Emits [Serial, OpenMP, Opt] per (benchmark,
-        precision) group, then per-precision aggregates (sums across
-        benchmarks; an aggregate Opt is infeasible if any benchmark's
-        is).
+        Point equality reduces to row identity.  Emits [Serial, OpenMP,
+        Opt] per (benchmark, precision) group, then per-precision
+        aggregates (sums across benchmarks; an aggregate Opt is
+        infeasible if any benchmark's is).
         """
         import numpy as np
 
@@ -456,13 +365,11 @@ class DesignSpace:
         return pts
 
     # ------------------------------------------------------------------
-    def evaluate(
-        self, configs, engine: str = "stacked"
-    ) -> tuple[DesignPoint, ...]:
+    def evaluate(self, configs) -> tuple[DesignPoint, ...]:
         """Points of many configs, in config order (single process)."""
         out: list[DesignPoint] = []
         for config in configs:
-            out.extend(self.points(config, self.rows(config, engine)))
+            out.extend(self.points(config, self.stacked_rows(config)))
         return tuple(out)
 
     # ------------------------------------------------------------------
@@ -507,8 +414,8 @@ class DesignSpace:
 
         Returns ``{precision: (seconds_lb, energy_lb)}`` — float64
         arrays aligned with ``configs`` — such that for every config
-        the ``(benchmark, precision, "Opt")`` point of *either* engine
-        satisfies ``seconds_lb <= point.seconds`` and ``energy_lb <=
+        the ``(benchmark, precision, "Opt")`` point satisfies
+        ``seconds_lb <= point.seconds`` and ``energy_lb <=
         point.energy_j`` rigorously in IEEE-754 (infeasible points are
         ``inf``, trivially above any bound).  This is the pruning
         oracle: if a bound is strictly dominated by a real evaluated
@@ -599,14 +506,14 @@ class DesignSpace:
 
 def _eval_worker(payload) -> tuple[DesignPoint, ...]:
     """Worker: rebuild the space locally, evaluate a config chunk."""
-    benchmarks, precision_values, scale, seed, engine, configs = payload
+    benchmarks, precision_values, scale, seed, configs = payload
     space = DesignSpace(
         benchmarks=benchmarks,
         precisions=tuple(Precision(v) for v in precision_values),
         scale=scale,
         seed=seed,
     )
-    return space.evaluate(configs, engine)
+    return space.evaluate(configs)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +534,6 @@ def _stream_shard(
     space: DesignSpace,
     configs,
     *,
-    engine: str,
     chunk_size: int,
     prune: bool,
     target_benchmark: str,
@@ -658,7 +564,7 @@ def _stream_shard(
 
     def _evaluate(config) -> int:
         nonlocal evaluated, n_kept
-        pts = space.points(config, space.rows(config, engine))
+        pts = space.points(config, space.stacked_rows(config))
         evaluated += 1
         if config.name in keep_names:
             kept_by_name[config.name] = pts
@@ -759,7 +665,6 @@ def _stream_worker(payload):
         precision_values,
         scale,
         seed,
-        engine,
         configs,
         chunk_size,
         prune,
@@ -776,7 +681,6 @@ def _stream_worker(payload):
     kept, frontiers, evaluated, pruned, peak = _stream_shard(
         space,
         configs,
-        engine=engine,
         chunk_size=chunk_size,
         prune=prune,
         target_benchmark=target_benchmark,
@@ -991,7 +895,6 @@ def evaluate_space(
     scale: float = 0.5,
     seed: int = 1234,
     jobs: int = 1,
-    engine: str = "stacked",
     stream: bool = False,
     chunk_size: int = 256,
     prune: bool = True,
@@ -1061,7 +964,6 @@ def evaluate_space(
                     tuple(p.value for p in precisions),
                     scale,
                     seed,
-                    engine,
                     chunk,
                 )
                 for chunk in chunks
@@ -1077,7 +979,7 @@ def evaluate_space(
                     benchmarks=benchmarks, precisions=precisions, scale=scale,
                     seed=seed,
                 )
-            points = space.evaluate(configs, engine)
+            points = space.evaluate(configs)
         digests = tuple(c.digest() for c in configs)
         return DesignSpaceResult(
             configs=configs,
@@ -1127,7 +1029,6 @@ def evaluate_space(
                     tuple(p.value for p in precisions),
                     scale,
                     seed,
-                    engine,
                     shard,
                     chunk_size,
                     prune,
@@ -1183,7 +1084,6 @@ def evaluate_space(
             kept, frontiers, evaluated, pruned, peak = _stream_shard(
                 space,
                 configs,
-                engine=engine,
                 chunk_size=chunk_size,
                 prune=prune,
                 target_benchmark=target_benchmark,

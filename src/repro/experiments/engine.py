@@ -21,8 +21,9 @@ used to be a serial triple loop; this module turns it into a planned
   failures, crashes, retries, wall time) of one ``Campaign.run()``.
 
 Every cell of the grid is a pure function of the spec (benchmarks
-consume their RNG only during setup), which is what makes both the
-process pool and the cache sound.
+consume their RNG only for their inputs — sizes during setup, the input
+arrays lazily on first use, always in the same order), which is what
+makes both the process pool and the cache sound.
 
 Execution is **crash-proof**: an unexpected exception inside a cell is
 captured as a failed :class:`RunResult` with ``failure_kind="crash"``
@@ -1145,8 +1146,9 @@ class Campaign:
     ) -> None:
         """In-process path: one shared benchmark instance per group,
         exactly like the classic serial loop — the RNG is consumed only
-        during setup, so this is observably identical to running each
-        cell on a fresh instance.  Cell crashes (including a failing
+        for the instance's inputs (sizes at setup, arrays once on first
+        use, in a fixed order), so this is observably identical to
+        running each cell on a fresh instance.  Cell crashes (including a failing
         ``setup``) are captured per task, mirroring the pool path.
 
         Budgets: the deadline is checked between cells (raising

@@ -57,6 +57,17 @@ class Occupancy:
         return self.threads_per_core / MAX_THREADS_PER_CORE
 
 
+def check_local_size(local_size: int) -> None:
+    """Raise ``CL_INVALID_WORK_GROUP_SIZE`` unless one work-group of
+    ``local_size`` threads fits on a shader core."""
+    if local_size < 1:
+        raise CLInvalidWorkGroupSize(f"local size must be >= 1, got {local_size}")
+    if local_size > MAX_THREADS_PER_CORE:
+        raise CLInvalidWorkGroupSize(
+            f"local size {local_size} exceeds device maximum {MAX_THREADS_PER_CORE}"
+        )
+
+
 def derive_occupancy(register_limited_threads: int, local_size: int) -> Occupancy:
     """Resident threads per core given register limits and the WG size.
 
@@ -66,14 +77,9 @@ def derive_occupancy(register_limited_threads: int, local_size: int) -> Occupanc
     kernels, and why the paper recommends tuning it by hand.
 
     Raises ``CL_INVALID_WORK_GROUP_SIZE`` semantics when a single
-    work-group cannot fit on a core at all.
+    work-group cannot fit on a core at all (:func:`check_local_size`).
     """
-    if local_size < 1:
-        raise CLInvalidWorkGroupSize(f"local size must be >= 1, got {local_size}")
-    if local_size > MAX_THREADS_PER_CORE:
-        raise CLInvalidWorkGroupSize(
-            f"local size {local_size} exceeds device maximum {MAX_THREADS_PER_CORE}"
-        )
+    check_local_size(local_size)
     groups = register_limited_threads // local_size
     if groups < 1:
         # a single work-group larger than the register-limited thread

@@ -1,7 +1,7 @@
 """Per-launch timing model for the Mali-T604.
 
-``time_launch`` prices one ``clEnqueueNDRangeKernel`` of a compiled
-kernel as a three-roofline model with explicit overheads:
+A launch of a compiled kernel is priced as a three-roofline model with
+explicit overheads:
 
 * **arithmetic roofline** — issued vector micro-ops across
   4 cores × 2 arithmetic pipes, scaled by latency hiding (occupancy);
@@ -15,6 +15,17 @@ plus atomic serialization, barrier costs, Job-Manager work-group
 scheduling, launch overhead, and an imbalance multiplier.  The largest
 roofline is the bottleneck; a calibrated fraction of the other two
 leaks past the overlap (threads cannot always cover both).
+
+The formula exists once, as the array epilogue of
+:class:`GpuConfigStack`: one float64 lane per launch.  Design-space
+sweeps evaluate it for thousands of lanes per SoC config
+(:meth:`GpuConfigStack.rows`); every other entry point is a view that
+builds a stack over its own launches and reads the lanes back as
+:class:`GpuLaunchTiming` rows — :func:`time_launch` and
+:class:`LaunchPricer` one lane at a time, :class:`GpuPricingModel` k
+lanes per call.  The config-invariant inputs (the instruction-mix
+slice, the DRAM traffic) come from per-kernel and per-stream-mix
+tables shared by all of them and by :func:`roofline_floor_seconds`.
 """
 
 from __future__ import annotations
@@ -26,43 +37,33 @@ from .. import perf
 from ..compiler.pipeline import CompiledKernel
 from ..compiler.regalloc import fits_register_file, threads_for_scale
 from ..errors import CLOutOfResources
-from ..ir.analysis import InstructionMix
-from ..ir.dtypes import scalar_bits
-from ..ir.nodes import AccessPattern, MemSpace
+from ..ir.dtypes import DType, scalar_bits
+from ..ir.nodes import MemSpace
 from ..memory.cache import CacheHierarchy
 from ..memory.dram import DramModel
+from ..pricing.cells import GpuLaunchCell
 from ..workload import WorkloadTraits
 from .config import MaliConfig
-from .job_manager import Distribution, distribute
 from .occupancy import (
     FULL_BANDWIDTH_THREADS,
     FULL_HIDING_THREADS,
     MIN_HIDING,
-    Occupancy,
-    derive_occupancy,
+    check_local_size,
 )
 
 
-def _threads_per_core(compiled: CompiledKernel, config: MaliConfig) -> int:
-    """Register-limited resident threads of a kernel on one config.
-
-    The baseline register file returns exactly the compile-time
-    ``threads_per_core`` (the historical bitwise path); a scaled file
-    recomputes the tier from the kernel's effective register demand, or
-    raises ``CL_OUT_OF_RESOURCES`` when the kernel no longer fits — the
-    launch-time failure mode design-space sweeps use to mark candidates
-    infeasible on leaner SoC variants.
-    """
+def _check_fits(compiled: CompiledKernel, config: MaliConfig) -> None:
+    """Raise ``CL_OUT_OF_RESOURCES`` when the kernel no longer fits the
+    config's scaled register file — the launch-time failure mode
+    design-space sweeps use to mark candidates infeasible on leaner SoC
+    variants (:meth:`GpuConfigStack.rows` masks those lanes instead)."""
     scale = config.register_file_scale
-    if scale == 1.0:
-        return compiled.registers.threads_per_core
     report = compiled.registers
     if not fits_register_file(report, scale):
         raise CLOutOfResources(
             f"kernel needs {report.registers_128} 128-bit registers, "
             f"exceeding the {scale}x-scaled register file"
         )
-    return threads_for_scale(report, scale)
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,6 @@ class GpuLaunchTiming:
     schedule_seconds: float
     launch_overhead_seconds: float
     imbalance_factor: float
-    occupancy: Occupancy
-    distribution: Distribution
     dram_bytes: float
     bottleneck: str
 
@@ -118,75 +117,6 @@ class GpuLaunchTiming:
         return min(max(1.0 - invariant / self.seconds, 0.0), 1.0)
 
 
-def _arith_cycles(mix: InstructionMix, config: MaliConfig, native_math: bool = False) -> float:
-    cycles = 0.0
-    for (op, base, width, accumulates), count in mix.arith.items():
-        cycles += count * config.arith_issue_cost(
-            op, base=base, width=width, scalar_bits=scalar_bits(base), native_math=native_math
-        )
-    cycles += mix.loop_headers * config.loop_header_cost
-    cycles += mix.branches * config.branch_cost
-    cycles += mix.calls * config.call_cost
-    return cycles
-
-
-def _ls_cycles(mix: InstructionMix, config: MaliConfig) -> float:
-    cycles = 0.0
-    for (kind, space, pattern, base, width, sequential, aligned), count in mix.mem.items():
-        if space == MemSpace.PRIVATE:
-            continue  # register-resident; spills are emitted as GLOBAL
-        cost = config.ls_issue_cost(width, scalar_bits=scalar_bits(base))
-        if width > 1 and not aligned:
-            # sliding-window vloads at arbitrary element offsets cross
-            # register boundaries: two LS issues each
-            cost *= 2.0
-        if space == MemSpace.CONSTANT:
-            # __constant data comes through the constant cache / uniform
-            # registers and barely touches the LS pipe; a broadcast from
-            # plain __global memory still pays the full LS transaction
-            cost *= config.uniform_load_cost_factor
-        cycles += count * cost
-    for (op, base, space), count in mix.atomics.items():
-        if space == MemSpace.LOCAL:
-            cycles += count * config.atomic_local_cycles
-        else:
-            cycles += count * config.atomic_cycles
-    return cycles
-
-
-def _access_width_efficiency(mix: InstructionMix, config: MaliConfig) -> float:
-    """Bandwidth efficiency from the average global-access width.
-
-    Midgard threads issue independent L2/DRAM transactions (no
-    warp-level coalescing), so a stream of 32-bit scalar accesses
-    sustains only ``scalar_access_dram_efficiency`` of the bandwidth a
-    128-bit ``vload4`` stream reaches.  Interpolates linearly in the
-    byte-weighted mean access width.
-    """
-    total_bytes = 0.0
-    weighted_bits = 0.0
-    for (kind, space, pattern, base, width, sequential, aligned), count in mix.mem.items():
-        if space != MemSpace.GLOBAL:
-            continue
-        from ..ir.dtypes import DType
-
-        nbytes = count * DType(base, width).bytes
-        total_bytes += nbytes
-        if sequential:
-            # a per-thread streaming walk consumes whole cache lines
-            # regardless of the instruction width
-            weighted_bits += nbytes * config.lane_bits
-        else:
-            weighted_bits += nbytes * min(width * scalar_bits(base), config.lane_bits)
-    if total_bytes <= 0.0:
-        return 1.0
-    mean_bits = weighted_bits / total_bytes
-    # 32-bit accesses -> the scalar floor; 128-bit accesses -> full rate
-    frac = min(max((mean_bits - 32.0) / (config.lane_bits - 32.0), 0.0), 1.0)
-    low = config.scalar_access_dram_efficiency
-    return low + (1.0 - low) * frac
-
-
 def time_launch(
     compiled: CompiledKernel,
     n_items: int,
@@ -206,7 +136,7 @@ def time_launch(
     campaign.  One-shot callers go through a throwaway
     :class:`LaunchPricer`; sweeps that price many ``(n_items,
     local_size)`` candidates of the same kernel should hold one pricer
-    and amortize its vectorized tables.
+    and amortize its memo-key hashing.
     """
     return LaunchPricer(
         compiled, traits, config, dram, caches, concurrent_agents=concurrent_agents
@@ -279,25 +209,16 @@ def _attached_key_part(obj) -> _HashedKey:
     return part
 
 
-#: distinct item counts below which the 2-D bulk slice pass costs more
-#: in ufunc dispatch than it saves (both paths are bitwise-identical)
-_BULK_THRESHOLD = 32
-
-
 class _MixColumns:
-    """Vectorized per-entry (count, cost) columns of one kernel's mix.
+    """Per-entry (count, cost) columns of one kernel's mix on one config.
 
-    Every column preserves the source dict's iteration order so
-    sequential summation over the elementwise products reproduces the
-    scalar accumulation loops of ``_arith_cycles`` / ``_ls_cycles`` /
-    ``_access_width_efficiency`` bit for bit.  Columns are plain Python
-    lists — small mixes price fastest through scalar loops — with NumPy
-    views materialized on demand for the 2-D bulk pass (:meth:`arrays`).
-
-    A pure derived constant of ``(compiled, config)``: built once and
-    cached on the compiled kernel (:func:`_columns_for`), shared by
-    every pricer of that kernel — batched grids and one-shot
-    ``time_launch`` calls alike.
+    Every column preserves the source dict's iteration order, and
+    :meth:`slice` accumulates sequentially in that order, so a slice is
+    the same IEEE-754 operation sequence as pricing ``mix.scaled(n)``
+    entry by entry.  A pure derived constant of ``(compiled, config)``:
+    built once and cached on the compiled kernel (:func:`_columns_for`),
+    shared — with the slices it has computed — by every stack, pricer
+    and roofline floor of that kernel.
     """
 
     __slots__ = (
@@ -308,12 +229,12 @@ class _MixColumns:
         "glb_counts",
         "glb_bytes",
         "glb_bits",
-        "_arrays",
+        "mix",
+        "config",
+        "slices",
     )
 
     def __init__(self, compiled: CompiledKernel, config: MaliConfig) -> None:
-        from ..ir.dtypes import DType
-
         mix = compiled.mix
         native_math = compiled.options.native_math
         arith_counts: list[float] = []
@@ -333,11 +254,15 @@ class _MixColumns:
         ls_costs: list[float] = []
         for (kind, space, pattern, base, width, sequential, aligned), count in mix.mem.items():
             if space == MemSpace.PRIVATE:
-                continue
+                continue  # register-resident; spills are emitted as GLOBAL
             cost = config.ls_issue_cost(width, scalar_bits=scalar_bits(base))
             if width > 1 and not aligned:
+                # sliding-window vloads at arbitrary element offsets cross
+                # register boundaries: two LS issues each
                 cost *= 2.0
             if space == MemSpace.CONSTANT:
+                # __constant data comes through the constant cache /
+                # uniform registers and barely touches the LS pipe
                 cost *= config.uniform_load_cost_factor
             ls_counts.append(count)
             ls_costs.append(cost)
@@ -356,6 +281,8 @@ class _MixColumns:
                 continue
             glb_counts.append(count)
             glb_bytes.append(float(DType(base, width).bytes))
+            # a per-thread streaming walk consumes whole cache lines
+            # regardless of the instruction width
             glb_bits.append(
                 float(config.lane_bits)
                 if sequential
@@ -368,26 +295,52 @@ class _MixColumns:
         self.glb_counts = glb_counts
         self.glb_bytes = glb_bytes
         self.glb_bits = glb_bits
-        self._arrays: tuple | None = None
+        self.mix = mix
+        self.config = config
+        self.slices: dict[int, tuple[float, float, float]] = {}
 
-    def arrays(self) -> tuple:
-        """float64 column views for the 2-D bulk pass, built on demand."""
-        if self._arrays is None:
-            import numpy as np
+    def slice(self, n_items: int) -> tuple[float, float, float]:
+        """(raw arith cycles, raw LS cycles, access efficiency) of
+        ``n_items`` work-items — the only mix-dependent launch inputs.
 
-            self._arrays = tuple(
-                np.asarray(col, dtype=np.float64)
-                for col in (
-                    self.arith_counts,
-                    self.arith_costs,
-                    self.ls_counts,
-                    self.ls_costs,
-                    self.glb_counts,
-                    self.glb_bytes,
-                    self.glb_bits,
-                )
-            )
-        return self._arrays
+        The access efficiency interpolates bandwidth efficiency in the
+        byte-weighted mean global-access width: Midgard threads issue
+        independent L2/DRAM transactions (no warp-level coalescing), so
+        a stream of 32-bit scalar accesses sustains only
+        ``scalar_access_dram_efficiency`` of what a 128-bit ``vload4``
+        stream reaches.
+        """
+        found = self.slices.get(n_items)
+        if found is not None:
+            return found
+        n = float(n_items)
+        config = self.config
+        mix = self.mix
+        arith = 0.0
+        for count, cost in zip(self.arith_counts, self.arith_costs):
+            arith += (count * n) * cost
+        arith += (mix.loop_headers * n) * config.loop_header_cost
+        arith += (mix.branches * n) * config.branch_cost
+        arith += (mix.calls * n) * config.call_cost
+        ls = 0.0
+        for count, cost in zip(self.ls_counts, self.ls_costs):
+            ls += (count * n) * cost
+        total_bytes = 0.0
+        weighted_bits = 0.0
+        for count, nbytes, bits in zip(self.glb_counts, self.glb_bytes, self.glb_bits):
+            b = (count * n) * nbytes
+            total_bytes += b
+            weighted_bits += b * bits
+        if total_bytes <= 0.0:
+            access_eff = 1.0
+        else:
+            mean_bits = weighted_bits / total_bytes
+            # 32-bit accesses -> the scalar floor; 128-bit -> full rate
+            frac = min(max((mean_bits - 32.0) / (config.lane_bits - 32.0), 0.0), 1.0)
+            low = config.scalar_access_dram_efficiency
+            access_eff = low + (1.0 - low) * frac
+        found = self.slices[n_items] = (arith, ls, access_eff)
+        return found
 
 
 def _columns_for(compiled: CompiledKernel, config: MaliConfig) -> _MixColumns:
@@ -408,12 +361,11 @@ def _columns_for(compiled: CompiledKernel, config: MaliConfig) -> _MixColumns:
     return entry[1]
 
 
-#: (l1 config, l2 config, dram config) -> {(streams, agents): (traffic
-#: items, dram bytes, transfer seconds)}.  DRAM traffic and its base
-#: transfer time are pure functions of the frozen configs and the
-#: traits' stream tuple; grids repeat the same few stream mixes across
-#: dozens of kernel groups, so the filtered traffic is derived once per
-#: distinct mix per process.
+#: (l1 config, l2 config, dram config) -> {(streams, agents): (dram
+#: bytes, base transfer seconds)}.  Both are pure functions of the
+#: frozen configs and the traits' stream tuple; grids repeat the same
+#: few stream mixes across dozens of kernel groups, so the filtered
+#: traffic is derived once per distinct mix per process.
 _TRAFFIC_TABLES: dict[tuple, dict] = {}
 
 
@@ -425,68 +377,38 @@ def _traffic_tables(dram: DramModel, caches: CacheHierarchy) -> dict:
     return found
 
 
-class _MixTables:
-    """Candidate-independent pricing state of one kernel instance.
-
-    The config-derived columns (shared per compiled kernel) plus the
-    traits-derived DRAM traffic and base transfer time (shared per
-    stream mix).  Built once per :class:`LaunchPricer`.
-    """
-
-    __slots__ = ("cols", "traffic", "dram_bytes", "transfer_s")
-
-    def __init__(
-        self,
-        compiled: CompiledKernel,
-        traits: WorkloadTraits,
-        config: MaliConfig,
-        dram: DramModel,
-        caches: CacheHierarchy,
-        concurrent_agents: int,
-        traffic_tables: dict | None = None,
-    ) -> None:
-        self.cols = _columns_for(compiled, config)
-        tables = traffic_tables if traffic_tables is not None else _traffic_tables(dram, caches)
-        tkey = (traits.streams, concurrent_agents)
-        entry = tables.get(tkey)
-        if entry is None:
-            traffic = caches.dram_traffic(list(traits.streams))
-            dram_bytes = sum(traffic.values())
-            transfer_s = (
-                dram.transfer_seconds(
-                    "gpu", bytes_by_pattern=traffic, concurrent_agents=concurrent_agents
-                )
-                if dram_bytes > 0
-                else 0.0
-            )
-            entry = tables[tkey] = (tuple(traffic.items()), dram_bytes, transfer_s)
-        items, self.dram_bytes, self.transfer_s = entry
-        self.traffic = dict(items)
+def _traffic_entry(
+    tables: dict, dram: DramModel, caches: CacheHierarchy, streams: tuple, agents: int
+) -> tuple:
+    """(DRAM bytes, base transfer seconds) of one stream mix: the bytes
+    that miss the L2 and their time at the pattern-dependent bandwidth
+    with ``agents`` sharing the interface (``0.0`` without traffic)."""
+    entry = tables.get((streams, agents))
+    if entry is None:
+        traffic = caches.dram_traffic(list(streams))
+        dram_bytes = sum(traffic.values())
+        transfer_s = (
+            dram.transfer_seconds("gpu", bytes_by_pattern=traffic, concurrent_agents=agents)
+            if dram_bytes > 0
+            else 0.0
+        )
+        entry = tables[(streams, agents)] = (dram_bytes, transfer_s)
+    return entry
 
 
 class LaunchPricer:
-    """Batched launch pricing of one compiled kernel across candidates.
+    """Memoized launch pricing of one compiled kernel across candidates.
 
     The autotuner sweeps many ``(n_items, local_size)`` points of the
-    same compiled kernel; the scalar path re-walks every
-    :class:`~repro.ir.analysis.InstructionMix` dict and re-derives the
-    DRAM traffic for each one.  A pricer hoists everything that does not
-    depend on the candidate — the memo-key prefix, the per-entry
-    (count, cost) columns, the cache-hierarchy traffic and its base
-    transfer time — and prices each candidate with one vectorized pass
-    plus a handful of scalar ops.  Cycle totals and the access-width
-    efficiency depend on ``n_items`` only, so they are computed once per
-    distinct item count (candidates sharing a rounded NDRange share the
-    slice).
-
-    Bitwise contract: elementwise numpy products over float64 columns
-    are IEEE-identical to the scalar ``(count*n) * cost`` expressions,
-    and every reduction is a sequential Python accumulation in source
-    dict order — *not* ``np.sum``, whose pairwise summation reorders the
-    additions — so ``price()`` returns exactly what the scalar reference
-    ``_time_launch_uncached`` returns (asserted over the full grid in
-    ``tests/unit/test_perf_persist.py``).  Both feed the same
-    ``gpu_timing`` memo, so sweeps and one-shot calls share entries.
+    same compiled kernel.  A pricer hoists the memo-key prefix (the
+    content keys of the kernel, traits and configs — the expensive part
+    of a lookup) and checks once that the kernel fits the config's
+    register file (``CL_OUT_OF_RESOURCES`` at construction otherwise).
+    Each memo miss is a one-lane :class:`GpuConfigStack` view; the
+    mix slices and traffic tables behind it are shared per kernel and
+    per stream mix, so only the epilogue runs per candidate.  Pricers,
+    :func:`time_launch` and :class:`GpuPricingModel` feed the same
+    ``gpu_timing`` memo slots.
     """
 
     def __init__(
@@ -498,17 +420,14 @@ class LaunchPricer:
         caches: CacheHierarchy,
         concurrent_agents: int = 1,
         fixed: tuple | None = None,
-        traffic_tables: dict | None = None,
-        occ_cache: dict | None = None,
     ) -> None:
+        _check_fits(compiled, config)
         self.compiled = compiled
         self.traits = traits
         self.config = config
         self.dram = dram
         self.caches = caches
         self.concurrent_agents = concurrent_agents
-        self._traffic_tables = traffic_tables
-        self._tpc = _threads_per_core(compiled, config)
         # hoisted memo-key prefix: content_key of a tuple is the tuple of
         # element content_keys, so assembling per-candidate keys from the
         # fixed parts yields keys equal to time_launch's historical ones
@@ -528,14 +447,6 @@ class LaunchPricer:
             )
         self._fixed = fixed
         self._memo = perf.cache("gpu_timing")
-        self._tables: _MixTables | None = None
-        self._slices: dict[int, tuple[float, float, float]] = {}
-        # (threads_per_core, local_size) -> (occupancy, hiding,
-        # bandwidth_hiding); shareable across the pricers of a grid — a
-        # few register tiers times a few local sizes cover every cell
-        self._occs: dict[tuple[int, int], tuple[Occupancy, float, float]] = (
-            occ_cache if occ_cache is not None else {}
-        )
 
     def key(self, n_items: int, local_size: int) -> tuple:
         """The ``gpu_timing`` memo key for one candidate."""
@@ -543,321 +454,23 @@ class LaunchPricer:
         return (f[0], n_items, local_size, f[1], f[2], f[3], f[4], f[5], self.concurrent_agents)
 
     def price(self, n_items: int, local_size: int) -> GpuLaunchTiming:
-        """Memoized candidate price (both tiers; computes on full miss)."""
-        if not perf.is_enabled():
-            return _time_launch_uncached(
-                self.compiled,
-                n_items,
-                local_size,
-                self.traits,
-                self.config,
-                self.dram,
-                self.caches,
-                self.concurrent_agents,
-            )
-        return self._memo.get_or_compute(
-            self.key(n_items, local_size), lambda: self._compute(n_items, local_size)
-        )
+        """Memoized candidate price (both tiers; one stack lane on a miss).
 
-    def price_many(
-        self, candidates: list[tuple[int, int]]
-    ) -> tuple[GpuLaunchTiming, ...]:
-        """Price many ``(n_items, local_size)`` candidates of this kernel.
-
-        The mix-dependent slices of every distinct item count are computed
-        in one 2-D vectorized pass (:meth:`warm_slices`); each candidate
-        then pays only the scalar epilogue (occupancy, distribution,
-        roofline max).  Results are bitwise-identical to ``price()`` one
-        at a time and flow through the same ``gpu_timing`` memo slots.
+        Raises ``ValueError`` for ``n_items < 1`` and
+        ``CL_INVALID_WORK_GROUP_SIZE`` for a local size no core can hold.
         """
-        candidates = list(candidates)
-        self.warm_slices([n for n, _ in candidates])
-        return tuple(self.price(n, local) for n, local in candidates)
 
-    # ------------------------------------------------------------------
-    def _ensure_tables(self) -> _MixTables:
-        t = self._tables
-        if t is None:
-            t = self._tables = _MixTables(
-                self.compiled,
-                self.traits,
-                self.config,
-                self.dram,
-                self.caches,
-                self.concurrent_agents,
-                self._traffic_tables,
+        def fresh() -> GpuLaunchTiming:
+            cell = GpuLaunchCell(
+                compiled=self.compiled,
+                traits=self.traits,
+                n_items=n_items,
+                local_size=local_size,
+                concurrent_agents=self.concurrent_agents,
             )
-        return t
+            return GpuConfigStack((cell,), self.config, self.dram, self.caches).timings()[0]
 
-    def _slice(self, n_items: int) -> tuple[float, float, float]:
-        """(raw arith cycles, raw LS cycles, access efficiency) at one
-        item count — the only mix-dependent quantities of a candidate.
-
-        Pure scalar Python over the hoisted columns: each ``(count*n) *
-        cost`` product and each sequential addition is the same IEEE-754
-        double operation the NumPy bulk pass performs lane-wise, so the
-        cached slices are bitwise-identical either way — and for one
-        item count the scalar loop beats the ufunc dispatch overhead.
-        """
-        found = self._slices.get(n_items)
-        if found is not None:
-            return found
-        cols = self._ensure_tables().cols
-        n = float(n_items)
-        config = self.config
-        mix = self.compiled.mix
-        arith = 0.0
-        for count, cost in zip(cols.arith_counts, cols.arith_costs):
-            arith += (count * n) * cost
-        arith += (mix.loop_headers * n) * config.loop_header_cost
-        arith += (mix.branches * n) * config.branch_cost
-        arith += (mix.calls * n) * config.call_cost
-        ls = 0.0
-        for count, cost in zip(cols.ls_counts, cols.ls_costs):
-            ls += (count * n) * cost
-        total_bytes = 0.0
-        weighted_bits = 0.0
-        for count, nbytes, bits in zip(cols.glb_counts, cols.glb_bytes, cols.glb_bits):
-            b = (count * n) * nbytes
-            total_bytes += b
-            weighted_bits += b * bits
-        if total_bytes <= 0.0:
-            access_eff = 1.0
-        else:
-            mean_bits = weighted_bits / total_bytes
-            frac = min(max((mean_bits - 32.0) / (config.lane_bits - 32.0), 0.0), 1.0)
-            low = config.scalar_access_dram_efficiency
-            access_eff = low + (1.0 - low) * frac
-        result = (arith, ls, access_eff)
-        self._slices[n_items] = result
-        return result
-
-    def warm_slices(self, n_values) -> None:
-        """Bulk-fill :meth:`_slice` for many item counts in one 2-D pass.
-
-        Instead of one 1-D product per item count, the whole grid of
-        (entry, item count) terms is materialized as a 2-D outer product
-        and reduced along the entry axis by sequential row accumulation —
-        each lane sees its additions in the exact order the scalar loop
-        performs them, so the cached slices are bitwise-identical to what
-        ``_slice`` would have produced one ``n`` at a time.
-
-        Below ``_BULK_THRESHOLD`` distinct item counts the ufunc
-        dispatch overhead of the 2-D pass exceeds its win, so the slices
-        fall through to the (equally bitwise) scalar :meth:`_slice`.
-        """
-        todo = sorted({int(n) for n in n_values} - self._slices.keys())
-        if not todo:
-            return
-        if len(todo) < _BULK_THRESHOLD:
-            for n_items in todo:
-                self._slice(n_items)
-            return
-        import numpy as np
-
-        (
-            arith_counts,
-            arith_costs,
-            ls_counts,
-            ls_costs,
-            glb_counts,
-            glb_bytes,
-            glb_bits,
-        ) = self._ensure_tables().cols.arrays()
-        config = self.config
-        mix = self.compiled.mix
-        ns = np.asarray([float(n) for n in todo], dtype=np.float64)
-        width = len(todo)
-
-        arith = np.zeros(width)
-        if arith_counts.size:
-            for row in (arith_counts[:, None] * ns[None, :]) * arith_costs[:, None]:
-                arith += row
-        arith += (mix.loop_headers * ns) * config.loop_header_cost
-        arith += (mix.branches * ns) * config.branch_cost
-        arith += (mix.calls * ns) * config.call_cost
-
-        ls = np.zeros(width)
-        if ls_counts.size:
-            for row in (ls_counts[:, None] * ns[None, :]) * ls_costs[:, None]:
-                ls += row
-
-        if glb_counts.size:
-            nbytes = (glb_counts[:, None] * ns[None, :]) * glb_bytes[:, None]
-            total_bytes = np.zeros(width)
-            for row in nbytes:
-                total_bytes += row
-            weighted_bits = np.zeros(width)
-            for row in nbytes * glb_bits[:, None]:
-                weighted_bits += row
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mean_bits = weighted_bits / total_bytes
-                frac = np.minimum(
-                    np.maximum((mean_bits - 32.0) / (config.lane_bits - 32.0), 0.0), 1.0
-                )
-                low = config.scalar_access_dram_efficiency
-                access_eff = np.where(total_bytes <= 0.0, 1.0, low + (1.0 - low) * frac)
-        else:
-            access_eff = np.ones(width)
-
-        for j, n_items in enumerate(todo):
-            self._slices[n_items] = (float(arith[j]), float(ls[j]), float(access_eff[j]))
-
-    def _compute(self, n_items: int, local_size: int) -> GpuLaunchTiming:
-        """Uncached vectorized price (the scalar model, batched)."""
-        if n_items < 1:
-            raise ValueError(f"n_items must be >= 1, got {n_items}")
-        arith_raw, ls_raw, access_eff = self._slice(n_items)
-        t = self._ensure_tables()
-        config = self.config
-        mix = self.compiled.mix
-        n = float(n_items)
-
-        # occupancy depends on (register tier, local size) alone; the
-        # hiding factors are sqrt-computing properties, so the cache
-        # holds the derived floats next to the frozen Occupancy
-        entry = self._occs.get((self._tpc, local_size))
-        if entry is None:
-            occ = derive_occupancy(self._tpc, local_size)
-            entry = self._occs[(self._tpc, local_size)] = (
-                occ,
-                occ.hiding,
-                occ.bandwidth_hiding,
-            )
-        occ, hiding, bandwidth_hiding = entry
-        dist, imbalance = distribute(n_items, local_size, config, self.traits.imbalance_cv)
-
-        clock = config.clock_hz
-        n_cores = config.shader_cores
-
-        arith_cycles = arith_raw / (n_cores * config.arith_pipes_per_core)
-        ls_cycles = ls_raw / (n_cores * config.ls_pipes_per_core)
-        arith_s = arith_cycles / clock / hiding
-        ls_s = ls_cycles / clock / hiding
-
-        dram_s = (
-            t.transfer_s / bandwidth_hiding / access_eff if t.dram_bytes > 0 else 0.0
-        )
-
-        atomic_s = (
-            (mix.atomic_contention_weight * n) * config.atomic_cycles
-            + (mix.atomic_contention_weight_local * n) * config.atomic_local_cycles / n_cores
-        ) / clock
-
-        barrier_instances = (mix.barriers * n) / max(local_size, 1)
-        barrier_s = barrier_instances * config.barrier_cycles / clock / n_cores
-
-        # unrolled twin of the reference's component-dict max: first
-        # maximum wins on ties (dict order arith, ls, dram, atomic) and
-        # the leak sums the components in that same insertion order
-        peak, bottleneck = arith_s, "arith"
-        if ls_s > peak:
-            peak, bottleneck = ls_s, "ls"
-        if dram_s > peak:
-            peak, bottleneck = dram_s, "dram"
-        if atomic_s > peak:
-            peak, bottleneck = atomic_s, "atomic"
-        leak = config.overlap_leak * ((((arith_s + ls_s) + dram_s) + atomic_s) - peak)
-        parallel_s = (peak + leak) * imbalance + barrier_s
-
-        total = parallel_s + dist.schedule_seconds + config.launch_overhead_s
-
-        # a grid builds hundreds of these; the frozen-dataclass __init__
-        # goes through object.__setattr__ per field, so fill the instance
-        # dict directly (same fields, same values, same pickle/eq/repr)
-        timing = object.__new__(GpuLaunchTiming)
-        timing.__dict__.update(
-            seconds=total,
-            arith_seconds=arith_s,
-            ls_seconds=ls_s,
-            dram_seconds=dram_s,
-            atomic_seconds=atomic_s,
-            barrier_seconds=barrier_s,
-            schedule_seconds=dist.schedule_seconds,
-            launch_overhead_seconds=config.launch_overhead_s,
-            imbalance_factor=imbalance,
-            occupancy=occ,
-            distribution=dist,
-            dram_bytes=t.dram_bytes,
-            bottleneck=bottleneck,
-        )
-        return timing
-
-
-def _time_launch_uncached(
-    compiled: CompiledKernel,
-    n_items: int,
-    local_size: int,
-    traits: WorkloadTraits,
-    config: MaliConfig,
-    dram: DramModel,
-    caches: CacheHierarchy,
-    concurrent_agents: int = 1,
-) -> GpuLaunchTiming:
-    if n_items < 1:
-        raise ValueError(f"n_items must be >= 1, got {n_items}")
-    mix = compiled.mix
-    totals = mix.scaled(float(n_items))
-
-    occ = derive_occupancy(_threads_per_core(compiled, config), local_size)
-    dist, imbalance = distribute(n_items, local_size, config, traits.imbalance_cv)
-
-    clock = config.clock_hz
-    n_cores = config.shader_cores
-
-    native_math = compiled.options.native_math
-    arith_cycles = _arith_cycles(totals, config, native_math) / (
-        n_cores * config.arith_pipes_per_core
-    )
-    ls_cycles = _ls_cycles(totals, config) / (n_cores * config.ls_pipes_per_core)
-    arith_s = arith_cycles / clock / occ.hiding
-    ls_s = ls_cycles / clock / occ.hiding
-
-    traffic = caches.dram_traffic(list(traits.streams))
-    dram_bytes = sum(traffic.values())
-    access_eff = _access_width_efficiency(totals, config)
-    dram_s = (
-        dram.transfer_seconds(
-            "gpu", bytes_by_pattern=traffic, concurrent_agents=concurrent_agents
-        )
-        / occ.bandwidth_hiding
-        / access_eff
-        if dram_bytes > 0
-        else 0.0
-    )
-
-    atomic_s = (
-        totals.atomic_contention_weight * config.atomic_cycles
-        # local atomics serialize only within one core: 1/n_cores weight
-        + totals.atomic_contention_weight_local * config.atomic_local_cycles / n_cores
-    ) / clock
-
-    barrier_instances = totals.barriers / max(local_size, 1)
-    barrier_s = barrier_instances * config.barrier_cycles / clock / n_cores
-
-    components = {"arith": arith_s, "ls": ls_s, "dram": dram_s, "atomic": atomic_s}
-    bottleneck = max(components, key=components.get)
-    peak = components[bottleneck]
-    leak = config.overlap_leak * (sum(components.values()) - peak)
-    parallel_s = (peak + leak) * imbalance + barrier_s
-
-    total = parallel_s + dist.schedule_seconds + config.launch_overhead_s
-
-    return GpuLaunchTiming(
-        seconds=total,
-        arith_seconds=arith_s,
-        ls_seconds=ls_s,
-        dram_seconds=dram_s,
-        atomic_seconds=atomic_s,
-        barrier_seconds=barrier_s,
-        schedule_seconds=dist.schedule_seconds,
-        launch_overhead_seconds=config.launch_overhead_s,
-        imbalance_factor=imbalance,
-        occupancy=occ,
-        distribution=dist,
-        dram_bytes=dram_bytes,
-        bottleneck=bottleneck,
-    )
+        return self._memo.get_or_compute(self.key(n_items, local_size), fresh)
 
 
 def roofline_floor_seconds(
@@ -873,39 +486,35 @@ def roofline_floor_seconds(
     The best case for any launch of this compiled kernel: perfect latency
     hiding (occupancy = 1), full access-width efficiency, no imbalance,
     no overlap leak, and zero barrier/schedule/launch overheads — just
-    ``max(arith, ls, dram)``.  Every penalty ``time_launch`` applies is a
-    multiplier ≥ 1 or an additive term ≥ 0 on top of these components,
-    so the bound holds for every local size; the pruned tuner strategy
-    uses it to discard candidates that cannot beat the incumbent.
+    ``max(arith, ls, dram)`` over the shared mix slice and traffic
+    table.  Every penalty the launch epilogue applies is a multiplier
+    ≥ 1 or an additive term ≥ 0 on top of these components, so the bound
+    holds for every local size; the pruned tuner strategy uses it to
+    discard candidates that cannot beat the incumbent.
     """
     if n_items < 1:
         raise ValueError(f"n_items must be >= 1, got {n_items}")
-    totals = compiled.mix.scaled(float(n_items))
+    arith, ls, _ = _columns_for(compiled, config).slice(n_items)
+    _, transfer_s = _traffic_entry(
+        _traffic_tables(dram, caches), dram, caches, traits.streams, 1
+    )
     clock = config.clock_hz
     n_cores = config.shader_cores
-    arith_s = (
-        _arith_cycles(totals, config, compiled.options.native_math)
-        / (n_cores * config.arith_pipes_per_core)
-        / clock
+    return max(
+        arith / (n_cores * config.arith_pipes_per_core) / clock,
+        ls / (n_cores * config.ls_pipes_per_core) / clock,
+        transfer_s,
     )
-    ls_s = _ls_cycles(totals, config) / (n_cores * config.ls_pipes_per_core) / clock
-    traffic = caches.dram_traffic(list(traits.streams))
-    dram_s = (
-        dram.transfer_seconds("gpu", bytes_by_pattern=traffic)
-        if sum(traffic.values()) > 0
-        else 0.0
-    )
-    return max(arith_s, ls_s, dram_s)
 
 
 class GpuPricingModel:
     """Batched :class:`~repro.pricing.PricingModel` over GPU launch cells.
 
-    Groups cells by (compiled kernel, traits, concurrent agents), holds
-    one :class:`LaunchPricer` per group, and bulk-computes the
-    mix-dependent slices of every distinct item count before pricing the
-    candidates.  Pricers persist across ``price`` calls so the tuner and
-    the campaign cold path share vectorized tables and memo slots.
+    Holds one :class:`LaunchPricer` per (compiled kernel, traits,
+    concurrent agents) group for the memo keys; ``price`` answers every
+    memo hit per cell and prices all misses as the k lanes of one
+    :class:`GpuConfigStack`.  Pricers persist across calls so the tuner
+    and the campaign cold path share hashed key parts and memo slots.
     """
 
     def __init__(self, config: MaliConfig, dram: DramModel, caches: CacheHierarchy):
@@ -915,13 +524,9 @@ class GpuPricingModel:
         self._pricers: dict[tuple[int, int, int], LaunchPricer] = {}
         # platform-level memo-key parts, hashed once for the whole grid
         self._platform_fixed: tuple | None = None
-        # shared per-stream-mix traffic tables, resolved once per facade
-        self._traffic = _traffic_tables(dram, caches)
-        # occupancy entries shared across every pricer of this facade
-        self._occ_entries: dict[tuple[int, int], tuple[Occupancy, float, float]] = {}
         # traits interning: cells built from distinct-but-equal traits
         # objects (one per grid row) collapse onto one canonical instance
-        # so they share a pricer, its tables, and its warmed slices
+        # so they share a pricer and its hashed key parts
         self._traits_by_id: dict[int, WorkloadTraits] = {}
         self._traits_canon: dict[WorkloadTraits, WorkloadTraits] = {}
 
@@ -966,25 +571,31 @@ class GpuPricingModel:
                 self.caches,
                 concurrent_agents=concurrent_agents,
                 fixed=self._fixed_for(compiled, traits),
-                traffic_tables=self._traffic,
-                occ_cache=self._occ_entries,
             )
         return found
 
     def price(self, cells) -> tuple[GpuLaunchTiming, ...]:
         """Timings for each :class:`~repro.pricing.GpuLaunchCell`."""
         cells = tuple(cells)
-        grouped: dict[tuple[int, int, int], tuple[LaunchPricer, list[int]]] = {}
-        for i, cell in enumerate(cells):
-            pricer = self.pricer(cell.compiled, cell.traits, cell.concurrent_agents)
-            gk = (id(cell.compiled), id(pricer.traits), cell.concurrent_agents)
-            grouped.setdefault(gk, (pricer, []))[1].append(i)
-        out: list[GpuLaunchTiming | None] = [None] * len(cells)
-        for pricer, idxs in grouped.values():
-            pricer.warm_slices([cells[i].n_items for i in idxs])
-            for i in idxs:
-                out[i] = pricer.price(cells[i].n_items, cells[i].local_size)
-        return tuple(out)  # type: ignore[arg-type]
+        if not cells:
+            return ()
+        pricers = [self.pricer(c.compiled, c.traits, c.concurrent_agents) for c in cells]
+        # built (and validated) before any memo traffic, so a bad cell
+        # raises here instead of being cached under another cell's key
+        stack = GpuConfigStack(cells, self.config, self.dram, self.caches)
+        fresh: list[GpuLaunchTiming] = []
+
+        def lane(i: int) -> GpuLaunchTiming:
+            if not fresh:
+                fresh.extend(stack.timings())
+            return fresh[i]
+
+        return tuple(
+            pricer._memo.get_or_compute(
+                pricer.key(cell.n_items, cell.local_size), lambda i=i: lane(i)
+            )
+            for i, (pricer, cell) in enumerate(zip(pricers, cells))
+        )
 
     def price_one(self, cell) -> GpuLaunchTiming:
         """Single-cell convenience (same memo slots as the batch path)."""
@@ -994,7 +605,7 @@ class GpuPricingModel:
 
 
 # ---------------------------------------------------------------------------
-# Config-axis stacking (design-space sweeps)
+# Config-axis stacking: the launch formula
 
 #: MaliConfig fields a :class:`GpuConfigStack` treats as sweepable axes.
 #: Everything else is baked into the stack's hoisted per-cell tables
@@ -1017,7 +628,7 @@ class GpuStackRows:
 
     One float64 lane per cell, aligned with the stack's cell order.
     ``feasible`` is False where the kernel no longer fits the config's
-    scaled register file (the facade path raises ``CL_OUT_OF_RESOURCES``
+    scaled register file (a single launch raises ``CL_OUT_OF_RESOURCES``
     there); infeasible lanes carry ``inf`` seconds and zero utilization.
     """
 
@@ -1042,26 +653,25 @@ class GpuStackRows:
 
 
 class GpuConfigStack:
-    """Config-axis vectorization of a fixed set of GPU launch cells.
+    """The Mali launch formula over a fixed set of launch cells.
 
-    A design-space sweep prices the *same* grid of cells under many SoC
-    variants.  Everything that does not depend on the swept config axes
+    Everything that does not depend on the swept config axes
     (:data:`_STACK_AXES`: core count, clock, register-file scale) — the
     instruction-mix slices, DRAM traffic, work-group counts, atomic and
-    barrier weights — is hoisted into per-cell NumPy columns once; each
-    :meth:`rows` call then prices one ``(config, dram)`` point with a
-    handful of whole-stack array passes instead of a per-cell Python walk.
+    barrier weights — is hoisted into per-cell NumPy lanes once, and
+    validated as a launch would be (``ValueError`` for ``n_items < 1``,
+    ``CL_INVALID_WORK_GROUP_SIZE`` for a local size no core holds).
+    :meth:`_seconds` is the launch epilogue over those lanes;
+    :meth:`rows` evaluates it for one ``(config, dram)`` design point
+    of a sweep, :meth:`timings` for the stack's own point as
+    :class:`GpuLaunchTiming` rows (the single-launch views).
 
-    Bitwise contract: every array expression is the elementwise twin of
-    the scalar model — same operand values, same IEEE-754 operation
-    order (``np.sqrt``/``np.ceil``/``np.maximum`` match their ``math``
-    counterparts lane-wise; the first-wins roofline max equals the
-    ``np.maximum`` chain by value) — so each lane equals the
-    corresponding :class:`GpuLaunchTiming` field from pricing that cell
-    through a per-config :class:`GpuPricingModel` facade (asserted in
-    ``tests/property/test_grid_pricing_identity.py``).  The stack and
-    the facades also share the process-global traffic tables, keyed by
-    cache/DRAM config values.
+    Occupancy (:func:`~repro.mali.occupancy.derive_occupancy`) and the
+    Job Manager's distribution (:func:`~repro.mali.job_manager.distribute`)
+    appear here in array form: ``np.sqrt``/``np.ceil``/``np.maximum``
+    are correctly rounded like their ``math`` counterparts, so every lane
+    is what the scalar formulation computes for that cell (asserted
+    against the scalar references in ``tests/pricing_oracle.py``).
     """
 
     def __init__(
@@ -1080,58 +690,43 @@ class GpuConfigStack:
         self.config = config
         self.dram = dram
         self.caches = caches
-        self._sig = _stack_signature(config)
-        self._model = GpuPricingModel(config, dram, caches)
+        self._sig: tuple | None = None  # rows()'s base signature, on first use
 
-        group_ord: dict[tuple[int, int, int], int] = {}
-        self._group_pricers: list[LaunchPricer] = []
-        self._group_streams: list[tuple[WorkloadTraits, int]] = []
-        self._group_regs = []
-        group_cells: list[list[int]] = []
+        tables = _traffic_tables(dram, caches)
+        group_ord: dict[tuple, int] = {}
+        self._group_kernels: list[CompiledKernel] = []
+        self._group_streams: list[tuple[tuple, int]] = []
+        self._group_bytes: list[float] = []
+        group_transfer: list[float] = []
         gidx: list[int] = []
-        for i, cell in enumerate(cells):
+        slices: list[tuple[float, float, float]] = []
+        for cell in cells:
             if cell.n_items < 1:
                 raise ValueError(f"n_items must be >= 1, got {cell.n_items}")
-            pricer = self._model.pricer(cell.compiled, cell.traits, cell.concurrent_agents)
-            gk = (id(cell.compiled), id(pricer.traits), cell.concurrent_agents)
+            check_local_size(cell.local_size)
+            streams = cell.traits.streams
+            gk = (id(cell.compiled), streams, cell.concurrent_agents)
             g = group_ord.get(gk)
             if g is None:
-                g = group_ord[gk] = len(self._group_pricers)
-                self._group_pricers.append(pricer)
-                self._group_streams.append((pricer.traits, cell.concurrent_agents))
-                self._group_regs.append(cell.compiled.registers)
-                group_cells.append([])
-            group_cells[g].append(i)
+                g = group_ord[gk] = len(self._group_kernels)
+                self._group_kernels.append(cell.compiled)
+                self._group_streams.append((streams, cell.concurrent_agents))
+                dram_bytes, transfer_s = _traffic_entry(
+                    tables, dram, caches, streams, cell.concurrent_agents
+                )
+                self._group_bytes.append(dram_bytes)
+                group_transfer.append(transfer_s)
             gidx.append(g)
+            slices.append(_columns_for(cell.compiled, config).slice(cell.n_items))
         self._gidx = np.asarray(gidx, dtype=np.intp)
 
-        # mix-dependent slices: one bulk pass per kernel group, gathered
-        # into per-cell columns (bitwise-identical by warm_slices' contract)
-        width = len(cells)
-        arith = np.empty(width)
-        ls = np.empty(width)
-        eff = np.empty(width)
-        dram_bytes = np.empty(width)
-        for g, pricer in enumerate(self._group_pricers):
-            idxs = group_cells[g]
-            pricer.warm_slices([cells[i].n_items for i in idxs])
-            group_bytes = float(pricer._ensure_tables().dram_bytes)
-            for i in idxs:
-                a, l, e = pricer._slice(cells[i].n_items)
-                arith[i] = a
-                ls[i] = l
-                eff[i] = e
-                dram_bytes[i] = group_bytes
-        self._arith_raw = arith
-        self._ls_raw = ls
-        self._access_eff = eff
-        self._dram_bytes = dram_bytes
-
+        self._arith_raw, self._ls_raw, self._access_eff = np.asarray(slices).T.copy()
+        self._dram_bytes = np.asarray(self._group_bytes, dtype=np.float64)[self._gidx]
         self._n_f = np.asarray([float(c.n_items) for c in cells])
         self._local = np.asarray([c.local_size for c in cells], dtype=np.int64)
-        self._maxlocal_f = np.asarray([float(max(c.local_size, 1)) for c in cells])
-        # work-group count is config-independent: same int the scalar
-        # distribute() computes, converted exactly to float64
+        self._local_f = self._local.astype(np.float64)
+        # work-group count is config-independent: the integer
+        # ceil(n_items / local_size), converted exactly to float64
         self._n_wg_f = np.asarray(
             [float(max(1, math.ceil(c.n_items / c.local_size))) for c in cells]
         )
@@ -1144,12 +739,13 @@ class GpuConfigStack:
         self._barriers = np.asarray([c.compiled.mix.barriers for c in cells])
         self._cv = np.asarray([c.traits.imbalance_cv for c in cells])
 
-        # per-scale (feasible, threads-per-core) group arrays; per-DRAM
-        # per-cell base transfer seconds; per-scale hiding factors for
-        # the floor_seconds pruning bound
+        # per-scale (feasible, threads-per-core) group arrays and hiding
+        # lanes; per-DRAM per-cell base transfer seconds
         self._tpc_cache: dict[float, tuple] = {}
-        self._transfer_cache: dict = {}
         self._hiding_cache: dict[float, tuple] = {}
+        self._transfer_cache: dict = {
+            dram.config: np.asarray(group_transfer, dtype=np.float64)[self._gidx]
+        }
 
     # ------------------------------------------------------------------
     def _tpc_for(self, scale: float) -> tuple:
@@ -1159,7 +755,8 @@ class GpuConfigStack:
         if found is None:
             feas = []
             tpcs = []
-            for report in self._group_regs:
+            for compiled in self._group_kernels:
+                report = compiled.registers
                 if fits_register_file(report, scale):
                     feas.append(True)
                     tpcs.append(threads_for_scale(report, scale))
@@ -1177,41 +774,28 @@ class GpuConfigStack:
 
         found = self._transfer_cache.get(dram.config)
         if found is None:
-            # same construction (and the same process-global table entry)
-            # as _MixTables on a facade for this DRAM config
             tables = _traffic_tables(dram, self.caches)
-            per_group = []
-            for traits, agents in self._group_streams:
-                tkey = (traits.streams, agents)
-                entry = tables.get(tkey)
-                if entry is None:
-                    traffic = self.caches.dram_traffic(list(traits.streams))
-                    nbytes = sum(traffic.values())
-                    transfer_s = (
-                        dram.transfer_seconds(
-                            "gpu", bytes_by_pattern=traffic, concurrent_agents=agents
-                        )
-                        if nbytes > 0
-                        else 0.0
-                    )
-                    entry = tables[tkey] = (tuple(traffic.items()), nbytes, transfer_s)
-                per_group.append(entry[2])
+            per_group = [
+                _traffic_entry(tables, dram, self.caches, streams, agents)[1]
+                for streams, agents in self._group_streams
+            ]
             found = self._transfer_cache[dram.config] = np.asarray(
                 per_group, dtype=np.float64
             )[self._gidx]
         return found
 
-    # ------------------------------------------------------------------
     def _hiding_for(self, scale: float) -> tuple:
-        """Per-cell (hiding, bandwidth hiding, dram seconds divisor) at
-        one register-file scale — exactly the :meth:`rows` occupancy
-        chain, which depends on the config only through the scale."""
+        """Per-cell (hiding, bandwidth hiding) at one register-file
+        scale: :func:`~repro.mali.occupancy.derive_occupancy` over the
+        lanes, which depends on the config only through the scale."""
         import numpy as np
 
         found = self._hiding_cache.get(scale)
         if found is None:
             _, tpc_g = self._tpc_for(scale)
             tpc = tpc_g[self._gidx]
+            # whole work-groups stay resident; a group larger than the
+            # register budget time-shares it (int(x) == floor, x > 0)
             wg_groups = tpc // self._local
             resident = np.where(
                 wg_groups >= 1,
@@ -1233,6 +817,56 @@ class GpuConfigStack:
             )
             found = self._hiding_cache[scale] = (hiding, bandwidth_hiding)
         return found
+
+    def _seconds(self, config: MaliConfig, transfer, hiding, bandwidth_hiding) -> tuple:
+        """The launch epilogue over every lane: ``(seconds, arith_s,
+        ls_s, dram_s, atomic_s, barrier_s, schedule_s, imbalance)``."""
+        import numpy as np
+
+        clock = config.clock_hz
+        n_cores = config.shader_cores
+        cores_f = float(n_cores)
+
+        # Job Manager distribution: quantization (the fullest core sets
+        # the finish time) times the extreme-value ragged-work estimate
+        # cv * sqrt(2 ln k / n) for k cores and n groups per core
+        # (per_core > 0 always: n_wg >= 1)
+        per_core = self._n_wg_f / cores_f
+        quantization = np.ceil(per_core) / per_core
+        ragged = np.where(
+            self._cv > 0.0,
+            1.0
+            + self._cv
+            * np.sqrt((2.0 * math.log(max(n_cores, 2))) / np.maximum(per_core, 1.0)),
+            1.0,
+        )
+        imbalance = quantization * ragged
+        schedule_s = self._n_wg_f * config.wg_schedule_cycles / clock
+
+        arith_s = (
+            self._arith_raw / float(n_cores * config.arith_pipes_per_core) / clock / hiding
+        )
+        ls_s = self._ls_raw / float(n_cores * config.ls_pipes_per_core) / clock / hiding
+        # transfer is 0.0 exactly where there is no DRAM traffic, so
+        # the division chain lands on a literal 0.0 there
+        dram_s = transfer / bandwidth_hiding / self._access_eff
+        # local atomics serialize only within one core: 1/n_cores weight
+        atomic_s = (
+            (self._atomic_w * self._n_f) * config.atomic_cycles
+            + (self._atomic_wl * self._n_f) * config.atomic_local_cycles / cores_f
+        ) / clock
+        barrier_s = (
+            (self._barriers * self._n_f) / self._local_f
+            * config.barrier_cycles
+            / clock
+            / cores_f
+        )
+
+        peak = np.maximum(np.maximum(np.maximum(arith_s, ls_s), dram_s), atomic_s)
+        leak = config.overlap_leak * ((((arith_s + ls_s) + dram_s) + atomic_s) - peak)
+        parallel_s = (peak + leak) * imbalance + barrier_s
+        seconds = parallel_s + schedule_s + config.launch_overhead_s
+        return seconds, arith_s, ls_s, dram_s, atomic_s, barrier_s, schedule_s, imbalance
 
     def floor_seconds(
         self, dram: DramModel, *, shader_cores, clock_hz, register_file_scale=None
@@ -1301,75 +935,19 @@ class GpuConfigStack:
         """Price every cell under one ``(config, dram)`` design point."""
         import numpy as np
 
+        if self._sig is None:
+            self._sig = _stack_signature(self.config)
         if _stack_signature(config) != self._sig:
             raise ValueError(
                 "config differs from the stack base outside the stacked axes "
                 f"({', '.join(sorted(_STACK_AXES))})"
             )
-        feas_g, tpc_g = self._tpc_for(config.register_file_scale)
-        feasible = feas_g[self._gidx]
-        tpc = tpc_g[self._gidx]
-        transfer = self._transfer_for(dram)
-
-        clock = config.clock_hz
-        n_cores = config.shader_cores
-        cores_f = float(n_cores)
-        log_cores = math.log(max(n_cores, 2))
-        arith_denom = float(n_cores * config.arith_pipes_per_core)
-        ls_denom = float(n_cores * config.ls_pipes_per_core)
-
-        # derive_occupancy, vectorized: resident threads then the two
-        # sqrt hiding factors (int(x) on a positive float == floor)
-        wg_groups = tpc // self._local
-        resident = np.where(
-            wg_groups >= 1,
-            wg_groups * self._local,
-            np.maximum((tpc * 0.6).astype(np.int64), 1),
+        scale = config.register_file_scale
+        feasible = self._tpc_for(scale)[0][self._gidx]
+        hiding, bandwidth_hiding = self._hiding_for(scale)
+        seconds, arith_s, ls_s, *_ = self._seconds(
+            config, self._transfer_for(dram), hiding, bandwidth_hiding
         )
-        res_f = resident.astype(np.float64)
-        hiding = np.where(
-            resident >= FULL_HIDING_THREADS,
-            1.0,
-            np.maximum(MIN_HIDING, np.sqrt(res_f / float(FULL_HIDING_THREADS))),
-        )
-        bandwidth_hiding = np.where(
-            resident >= FULL_BANDWIDTH_THREADS,
-            1.0,
-            np.maximum(MIN_HIDING, np.sqrt(res_f / float(FULL_BANDWIDTH_THREADS))),
-        )
-
-        # distribute(), vectorized (per_core > 0 always: n_wg >= 1)
-        per_core = self._n_wg_f / cores_f
-        quantization = np.ceil(per_core) / per_core
-        ragged = np.where(
-            self._cv > 0.0,
-            1.0 + self._cv * np.sqrt((2.0 * log_cores) / np.maximum(per_core, 1.0)),
-            1.0,
-        )
-        imbalance = quantization * ragged
-        schedule_s = self._n_wg_f * config.wg_schedule_cycles / clock
-
-        arith_s = self._arith_raw / arith_denom / clock / hiding
-        ls_s = self._ls_raw / ls_denom / clock / hiding
-        # transfer is 0.0 exactly where dram_bytes == 0, so the division
-        # chain lands on the scalar path's literal 0.0
-        dram_s = transfer / bandwidth_hiding / self._access_eff
-
-        atomic_s = (
-            (self._atomic_w * self._n_f) * config.atomic_cycles
-            + (self._atomic_wl * self._n_f) * config.atomic_local_cycles / cores_f
-        ) / clock
-        barrier_s = (
-            (self._barriers * self._n_f) / self._maxlocal_f
-            * config.barrier_cycles
-            / clock
-            / cores_f
-        )
-
-        peak = np.maximum(np.maximum(np.maximum(arith_s, ls_s), dram_s), atomic_s)
-        leak = config.overlap_leak * ((((arith_s + ls_s) + dram_s) + atomic_s) - peak)
-        parallel_s = (peak + leak) * imbalance + barrier_s
-        seconds = parallel_s + schedule_s + config.launch_overhead_s
 
         with np.errstate(divide="ignore", invalid="ignore"):
             pos = seconds > 0.0
@@ -1385,3 +963,49 @@ class GpuConfigStack:
             dram_bw = np.where(bad, 0.0, dram_bw)
 
         return GpuStackRows(feasible, seconds, alu, lsu, dram_bw, self._dram_bytes)
+
+    def timings(self) -> tuple[GpuLaunchTiming, ...]:
+        """One :class:`GpuLaunchTiming` per cell at the stack's own
+        ``(config, dram)``: the lanes :meth:`rows` reduces, read back as
+        Python floats.  Raises ``CL_OUT_OF_RESOURCES`` where a kernel
+        does not fit the register file (:meth:`rows` masks the lane)."""
+        config = self.config
+        for compiled in self._group_kernels:
+            _check_fits(compiled, config)
+        hiding, bandwidth_hiding = self._hiding_for(config.register_file_scale)
+        lanes = self._seconds(
+            config, self._transfer_for(self.dram), hiding, bandwidth_hiding
+        )
+        overhead = config.launch_overhead_s
+        out = []
+        for g, seconds, arith_s, ls_s, dram_s, atomic_s, barrier_s, schedule_s, imbalance in zip(
+            self._gidx.tolist(), *(lane.tolist() for lane in lanes)
+        ):
+            # the bottleneck is the first maximum in (arith, ls, dram,
+            # atomic) order — the order the leak sums the components
+            peak, bottleneck = arith_s, "arith"
+            if ls_s > peak:
+                peak, bottleneck = ls_s, "ls"
+            if dram_s > peak:
+                peak, bottleneck = dram_s, "dram"
+            if atomic_s > peak:
+                bottleneck = "atomic"
+            # fill the frozen instance dict directly instead of paying
+            # the dataclass __init__'s per-field object.__setattr__
+            # (same fields, same values, same pickle/eq/repr)
+            timing = object.__new__(GpuLaunchTiming)
+            timing.__dict__.update(
+                seconds=seconds,
+                arith_seconds=arith_s,
+                ls_seconds=ls_s,
+                dram_seconds=dram_s,
+                atomic_seconds=atomic_s,
+                barrier_seconds=barrier_s,
+                schedule_seconds=schedule_s,
+                launch_overhead_seconds=overhead,
+                imbalance_factor=imbalance,
+                dram_bytes=self._group_bytes[g],
+                bottleneck=bottleneck,
+            )
+            out.append(timing)
+        return tuple(out)

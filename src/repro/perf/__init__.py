@@ -14,11 +14,7 @@ while keeping results bit-identical:
 * ``gpu_timing`` / ``cpu_timing`` — :func:`repro.mali.timing.time_launch`
   and Serial/OpenMP pricing results;
 * ``functional`` — per-benchmark-instance functional results (reference
-  outputs, ``run_numpy`` executions, verification verdicts);
-* ``gpu_exec`` — content-addressed functional kernel executions (the
-  OpenCL and OpenCL-Opt versions of a benchmark run the same NumPy
-  kernel on the same staged inputs; the second launch replays the
-  first's outputs).
+  outputs, ``run_numpy`` executions, verification verdicts).
 
 Every cache is an LRU with hit/miss/evict counters; the campaign engine
 snapshots :func:`counters` around each run and threads the deltas into
@@ -31,28 +27,29 @@ in-process LRU sits an optional disk-backed
 workers share warm state
 through the filesystem and a fresh process starts hot.  Only the
 caches whose keys are content-addressed persist (``compile``,
-``analysis``, ``gpu_timing``, ``cpu_timing``, ``gpu_exec``); the
-per-instance ``functional`` memo stays in-process.  Disk activity is
+``analysis``, ``gpu_timing``, ``cpu_timing``); the per-instance
+``functional`` memo stays in-process.  Disk activity is
 accounted per cache as ``disk_hits`` / ``disk_misses`` /
 ``disk_writes`` / ``disk_invalidated`` keys in the same
 :func:`counters` snapshot.
 
 All cached functions are pure: a key is built only from frozen,
-content-hashable inputs (kernel IR trees, options, calibrated configs)
-or from content digests of NumPy arrays, so a cache hit returns exactly
-the object a fresh computation would have produced.  The whole lane can
-be switched off (``configure(config=PerfConfig(enabled=False))`` or the
-:func:`disabled`
-context manager) to fall back to the unmemoized path — the two paths
-produce byte-identical :class:`~repro.experiments.runner.ResultSet`
-JSON, which ``benchmarks/test_perf_hotpath.py`` asserts at paper scale.
+content-hashable inputs (kernel IR trees, options, calibrated configs),
+so a cache hit returns exactly the object a fresh computation would
+have produced.  The whole lane can be switched off
+(``configure(config=PerfConfig(enabled=False))`` or the :func:`disabled`
+context manager): every lookup then computes afresh through the same
+code, with no table or counter traffic and no disk tier — switching the
+memo off changes how often a value is computed, never how.  Both
+settings produce byte-identical
+:class:`~repro.experiments.runner.ResultSet` JSON, which
+``benchmarks/test_perf_hotpath.py`` asserts at paper scale.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -83,7 +80,6 @@ __all__ = [
     "disabled",
     "instance_memo",
     "is_enabled",
-    "memoized_kernel_func",
     "persistent_store",
     "reset",
 ]
@@ -93,13 +89,11 @@ DEFAULT_MAXSIZE = 512
 
 #: caches whose keys are content-addressed and therefore valid across
 #: processes — the only ones the persistent tier may back
-PERSISTED_CACHES = frozenset({"compile", "analysis", "gpu_timing", "cpu_timing", "gpu_exec"})
+PERSISTED_CACHES = frozenset({"compile", "analysis", "gpu_timing", "cpu_timing"})
 
 _ENABLED = True
 
 _STORE: PersistentStore | None = None
-
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -110,9 +104,8 @@ class PerfConfig:
     disk tier — a path, an attached :class:`PersistentStore` (so a
     caller can save and restore the store object, counters included), or
     ``None`` for memory-only.  Pass to ``configure(config=...)``; read
-    the current state back with :func:`current_config`.  The dataclass
-    replaces ``configure``'s grown keyword set with one value that can be
-    captured, compared, and restored atomically.
+    the current state back with :func:`current_config`.  One value that
+    can be captured, compared, and restored atomically.
     """
 
     enabled: bool = True
@@ -129,44 +122,20 @@ def current_config() -> PerfConfig:
     return PerfConfig(enabled=_ENABLED, persist_dir=_STORE)
 
 
-def configure(
-    config: PerfConfig | None = None, *, enabled: bool | None = None, persist_dir=_UNSET
-) -> None:
-    """Adjust the fast lane process-wide.
+def configure(config: PerfConfig) -> None:
+    """Apply a whole fast-lane configuration process-wide, atomically.
 
-    The one supported path is ``configure(config=PerfConfig(...))``,
-    which applies the *whole* configuration atomically.  The legacy
-    keywords remain as a shim — ``enabled`` switches both tiers on or
-    off, ``persist_dir`` attaches the disk tier (a path, an existing
-    :class:`PersistentStore`, or ``None`` to detach), and omitted
-    keywords leave their setting untouched — but they emit a single
-    :class:`DeprecationWarning` and cannot be mixed with ``config``.
+    ``configure(config=PerfConfig(...))`` sets both settings at once;
+    to change one, start from :func:`current_config` (e.g.
+    ``dataclasses.replace(perf.current_config(), persist_dir=path)``).
     """
     global _ENABLED, _STORE
-    if config is not None:
-        if enabled is not None or persist_dir is not _UNSET:
-            raise ValueError("pass either config= or the legacy keywords, not both")
-        _ENABLED = bool(config.enabled)
-        store = config.persist_dir
-        if store is None or isinstance(store, PersistentStore):
-            _STORE = store
-        else:
-            _STORE = PersistentStore(store)
-        return
-    if enabled is not None or persist_dir is not _UNSET:
-        warnings.warn(
-            "perf.configure(enabled=..., persist_dir=...) keywords are deprecated; "
-            "pass perf.configure(config=perf.PerfConfig(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if enabled is not None:
-        _ENABLED = bool(enabled)
-    if persist_dir is not _UNSET:
-        if persist_dir is None or isinstance(persist_dir, PersistentStore):
-            _STORE = persist_dir
-        else:
-            _STORE = PersistentStore(persist_dir)
+    _ENABLED = bool(config.enabled)
+    store = config.persist_dir
+    if store is None or isinstance(store, PersistentStore):
+        _STORE = store
+    else:
+        _STORE = PersistentStore(store)
 
 
 def persistent_store() -> PersistentStore | None:
@@ -181,7 +150,8 @@ def is_enabled() -> bool:
 
 @contextmanager
 def disabled() -> Iterator[None]:
-    """Run a block on the unmemoized path (byte-identical results)."""
+    """Run a block with the memo skipped: every lookup computes afresh
+    (same code, byte-identical results), touching no table or tier."""
     global _ENABLED
     previous = _ENABLED
     _ENABLED = False
@@ -287,6 +257,15 @@ class MemoCache:
         if store is not None:
             store.store(self.name, key, value)
         return value
+
+    def seed(self, key: Any, value: Any) -> bool:
+        """Enter a value computed elsewhere exactly as a fresh compute
+        would (both tiers, same counters); ``False``, storing nothing,
+        when the lane is disabled."""
+        if not _ENABLED:
+            return False
+        self.get_or_compute(key, lambda: value)
+        return True
 
     def clear(self) -> None:
         """Drop every entry and zero the counters."""
@@ -450,46 +429,3 @@ def instance_memo(obj: Any, tag: Any, compute: Callable[[], Any], *, counter: st
     value = compute()
     memo[tag] = value
     return value
-
-
-def memoized_kernel_func(tag: Any, func: Callable[..., None]) -> Callable[..., None]:
-    """Content-addressed replay wrapper for a kernel's functional body.
-
-    The mini-OpenCL queue executes a kernel's NumPy implementation on
-    the device views of its argument buffers.  The OpenCL and OpenCL-Opt
-    versions of a benchmark launch the same function on identically
-    staged inputs — the numeric outcome cannot differ — so the wrapper
-    keys on ``tag`` plus content digests of every argument, runs the
-    real function on a miss, records which arrays it changed, and on a
-    hit replays those outputs without recomputing.  Timing and power are
-    unaffected: the queue prices every launch through the architecture
-    model regardless.
-    """
-    exec_cache = cache("gpu_exec", maxsize=32)
-
-    def wrapper(*args: Any) -> None:
-        if not _ENABLED:
-            func(*args)
-            return
-        arrays = [a for a in args if isinstance(a, np.ndarray)]
-        pre = tuple(digest(a) for a in arrays)
-        scalars = tuple(repr(a) for a in args if not isinstance(a, np.ndarray))
-        key = (tag, pre, scalars)
-        entry = exec_cache.get(key)
-        if entry is _MISS and _STORE is not None and exec_cache.persist:
-            entry = _STORE.load(exec_cache.name, key)
-            if entry is not _MISS:
-                exec_cache.put(key, entry)
-        if entry is not _MISS:
-            for index, data in entry:
-                arrays[index][...] = data
-            return
-        func(*args)
-        changed = tuple(
-            (i, arr.copy()) for i, arr in enumerate(arrays) if digest(arr) != pre[i]
-        )
-        exec_cache.put(key, changed)
-        if _STORE is not None and exec_cache.persist:
-            _STORE.store(exec_cache.name, key, changed)
-
-    return wrapper

@@ -48,8 +48,9 @@ import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-#: bump to orphan every existing entry (key semantics or layout change)
-PERSIST_SCHEMA = 1
+#: bump to orphan every existing entry (key semantics or layout change);
+#: 2: ``GpuLaunchTiming`` lost its ``occupancy`` / ``distribution`` fields
+PERSIST_SCHEMA = 2
 
 #: module-level miss sentinel (never pickled, never a valid payload)
 MISS = object()

@@ -1,21 +1,22 @@
 """Batched grid pricing: one protocol, four layer implementations.
 
-A cold campaign used to price every (benchmark, version, precision,
-size, options) cell through per-cell Python in the mali, cpu, memory and
-power models.  This package generalizes the tuner's
-:class:`~repro.mali.timing.LaunchPricer` pattern to the whole grid: a
-planner describes its work as :mod:`~repro.pricing.cells` values, hands
-the list to a :class:`PricingModel`, and each layer answers with a small
-number of vectorized NumPy evaluations instead of a dict walk per cell.
+A planner describes its work as :mod:`~repro.pricing.cells` values,
+hands the list to a :class:`PricingModel`, and each layer answers with
+a small number of vectorized NumPy evaluations instead of a dict walk
+per cell.  The GPU and CPU layers price a call's cells as the lanes of
+one config-axis stack (:class:`~repro.mali.timing.GpuConfigStack`,
+:class:`~repro.cpu.pricing.CpuConfigStack`), the one implementation of
+their formulas.
 
 The contract every implementation honors is **bitwise identity**: the
 batched rows equal the scalar models' results bit for bit — elementwise
-float64 products match the scalar ``(count*n) * cost`` expressions,
-reductions accumulate sequentially in source dict order (never
-``np.sum``), and guarded-out terms are added as exact ``0.0``.  The
-scalar entry points (``time_launch``, ``time_serial``, ``time_openmp``,
-``transfer_seconds``, ``BoardPowerModel.trace``) remain as thin shims or
-single-cell conveniences, and memo/persist cache keys are unchanged.
+float64 operations match the scalar expressions, reductions accumulate
+sequentially in source dict order (never ``np.sum``), and guarded-out
+terms are added as exact ``0.0``.  The single-cell entry points
+(``time_launch``, ``time_serial``, ``time_openmp``,
+``transfer_seconds``, ``BoardPowerModel.trace``) are one-lane views or
+conveniences over the same code, and memo/persist cache keys are
+unchanged.
 
 Implementations:
 

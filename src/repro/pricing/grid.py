@@ -100,9 +100,9 @@ def seed_cpu_timing(bench, versions) -> int:
     timings are priced in one vectorized pass and seeded under the exact
     content keys ``run_cpu_version`` builds, so each cell's own lookup
     hits both tiers.  Values are bitwise what the per-cell path computes
-    (``time_serial``/``time_openmp`` shim through the same pricer), so
+    (the same stack epilogue, one lane at a time), so
     results are identical with seeding on or off.  Returns the number of
-    cells seeded; a no-op when the fast lane is disabled.
+    cells seeded: none when the memo is disabled.
     """
     from ..benchmarks.base import Version, cpu_pricing_inputs, cpu_pricing_key
 
@@ -111,7 +111,7 @@ def seed_cpu_timing(bench, versions) -> int:
     for version in versions:
         if version in modes and version not in wanted:
             wanted.append(version)
-    if not wanted or not perf.is_enabled():
+    if not wanted:
         return 0
     pricing = bench.platform.pricing_model()
     ir, mix, traits, n = cpu_pricing_inputs(bench)
@@ -121,10 +121,10 @@ def seed_cpu_timing(bench, versions) -> int:
     ]
     rows = pricing.cpu.price(cells)
     memo = perf.cache("cpu_timing")
-    for version, row in zip(wanted, rows):
-        key = cpu_pricing_key(bench, ir, version, n, traits, pricing)
-        memo.get_or_compute(key, lambda row=row: row)
-    return len(wanted)
+    return sum(
+        memo.seed(cpu_pricing_key(bench, ir, version, n, traits, pricing), row)
+        for version, row in zip(wanted, rows)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,14 @@ cells are priced through the vectorized ``repro.pricing`` models or
 through the scalar reference implementations cell by cell, and whether
 the engine runs in-process or on a worker pool.
 
-The scalar world is forced by (a) ``perf.disabled()``, which drops
-``LaunchPricer.price`` to the uncached scalar GPU path and bypasses
-every memo tier, and (b) monkeypatching ``CpuPricingModel`` to the
-scalar ``_time_serial_scalar``/``_time_openmp_scalar`` references.
+The scalar world is forced by (a) ``perf.disabled()``, which bypasses
+every memo tier, and (b) patching every launch and CPU pricing entry
+the campaign reaches — ``LaunchPricer.price``, ``GpuPricingModel``,
+``CpuPricingModel`` and the tuner's ``roofline_floor_seconds`` — onto
+the independent scalar references of ``tests/pricing_oracle.py``.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,31 +23,10 @@ from hypothesis import strategies as st
 from repro import perf
 from repro.benchmarks.base import Precision, Version
 from repro.benchmarks.registry import PAPER_ORDER
-from repro.cpu.openmp import _time_openmp_scalar
-from repro.cpu.serial import _time_serial_scalar
-from repro.cpu.pricing import CpuPricingModel
 from repro.experiments.runner import run_grid
-from repro.pricing import MODE_SERIAL
+from tests.pricing_oracle import facade_rows, scalar_pricing
 
 BOTH_PRECISIONS = (Precision.SINGLE, Precision.DOUBLE)
-
-
-def _scalar_price_one(self, cell):
-    fn = _time_serial_scalar if cell.mode == MODE_SERIAL else _time_openmp_scalar
-    return fn(cell.mix, cell.n_elements, cell.traits, self.config, self.dram, self.caches)
-
-
-def _scalar_price(self, cells):
-    return tuple(_scalar_price_one(self, cell) for cell in cells)
-
-
-@contextmanager
-def scalar_pricing():
-    """Every model evaluation through the scalar references, no caches."""
-    with perf.disabled():
-        with mock.patch.object(CpuPricingModel, "price_one", _scalar_price_one), \
-                mock.patch.object(CpuPricingModel, "price", _scalar_price):
-            yield
 
 
 @pytest.fixture(autouse=True)
@@ -111,7 +88,7 @@ def test_random_cell_subset_byte_identity(benchmarks, versions, precisions):
 
 
 # ---------------------------------------------------------------------------
-# design-space hypercube: stacked config axis vs loop-over-facades
+# design-space hypercube: stacked config axis vs the scalar references
 # ---------------------------------------------------------------------------
 
 
@@ -129,12 +106,12 @@ _SOC_KNOBS = st.fixed_dictionaries(
 )
 
 
-def _assert_rows_bitwise(stacked, facade):
+def _assert_rows_bitwise(stacked, reference):
     import numpy as np
 
     for field in stacked.__slots__:
         a = np.asarray(getattr(stacked, field))
-        b = np.asarray(getattr(facade, field))
+        b = np.asarray(getattr(reference, field))
         if a.dtype == np.float64:
             # bitwise, not tolerance: inf lanes and signed zeros included
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), field
@@ -146,8 +123,8 @@ def _assert_rows_bitwise(stacked, facade):
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_random_soc_configs_stacked_rows_match_facade(knob_sets):
     """Random SoCConfig subsets: every stacked row is bitwise the row the
-    per-config ``PlatformPricing`` facade computes — including configs
-    whose scaled register file makes candidates infeasible."""
+    scalar references compute cell by cell for that config — including
+    configs whose scaled register file makes candidates infeasible."""
     from repro.calibration.socspace import SoCConfig
     from repro.designspace import DesignSpace
 
@@ -155,31 +132,25 @@ def test_random_soc_configs_stacked_rows_match_facade(knob_sets):
     perf.reset()
     space = DesignSpace(benchmarks=("vecop", "red"), scale=0.1)
     for config in configs:
-        _assert_rows_bitwise(space.stacked_rows(config), space.facade_rows(config))
+        _assert_rows_bitwise(space.stacked_rows(config), facade_rows(space, config))
 
 
 def test_design_space_jobs_pool_matches_inline():
     """jobs=4 shards configs over a process pool; the reassembled points
-    are exactly the jobs=1 points (both engines)."""
+    are exactly the jobs=1 points, which are exactly the points of the
+    scalar reference rows."""
     from repro.calibration.socspace import config_grid
-    from repro.designspace import evaluate_space
+    from repro.designspace import DesignSpace, evaluate_space
 
     configs = config_grid(gpu_cores=(2, 4), register_file_scale=(0.25, 1.0))
-    for engine in ("stacked", "facade"):
-        perf.reset()
-        inline = evaluate_space(
-            configs, benchmarks=("vecop", "hist"), scale=0.1, jobs=1, engine=engine
-        )
-        perf.reset()
-        pooled = evaluate_space(
-            configs, benchmarks=("vecop", "hist"), scale=0.1, jobs=4, engine=engine
-        )
-        assert pooled.points == inline.points
+    perf.reset()
+    inline = evaluate_space(configs, benchmarks=("vecop", "hist"), scale=0.1, jobs=1)
+    perf.reset()
+    pooled = evaluate_space(configs, benchmarks=("vecop", "hist"), scale=0.1, jobs=4)
+    assert pooled.points == inline.points
 
-    perf.reset()
-    stacked = evaluate_space(configs, benchmarks=("vecop", "hist"), scale=0.1)
-    perf.reset()
-    facade = evaluate_space(
-        configs, benchmarks=("vecop", "hist"), scale=0.1, engine="facade"
+    space = DesignSpace(benchmarks=("vecop", "hist"), scale=0.1)
+    reference = tuple(
+        p for c in configs for p in space.points(c, facade_rows(space, c))
     )
-    assert stacked.points == facade.points
+    assert inline.points == reference

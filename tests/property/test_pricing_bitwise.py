@@ -6,7 +6,8 @@ computes for that cell — including the DP register-exhaustion occupancy
 collapse and the sequential-reduction accumulation order.  These tests
 compare full result dataclasses with ``==`` (no ``approx``) across the
 CPU, GPU, DRAM and power layers, with hypothesis driving randomized
-byte mixes and activity sequences.
+byte mixes and activity sequences.  The CPU and GPU references are the
+independent scalar models of ``tests/pricing_oracle.py``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from repro.benchmarks.registry import create
 from repro.calibration.exynos5250 import default_platform
 from repro.compiler.options import NAIVE, CompileOptions
 from repro.compiler.pipeline import compile_kernel
-from repro.cpu.openmp import _time_openmp_scalar
-from repro.cpu.serial import _time_serial_scalar
 from repro.ir.nodes import AccessPattern
-from repro.mali.timing import _time_launch_uncached
+from repro.mali.timing import roofline_floor_seconds
 from repro.ocl.driver import default_quirks
 from repro.power.rails import Activity, ActivityKind
 from repro.pricing import (
@@ -36,6 +35,12 @@ from repro.pricing import (
     GpuLaunchCell,
     TraceCell,
     TransferCell,
+)
+from tests.pricing_oracle import (
+    roofline_floor_reference,
+    time_launch_reference,
+    time_openmp_reference,
+    time_serial_reference,
 )
 
 CPU_PROBES = ("vecop", "hist", "dmmm", "nbody")
@@ -72,8 +77,8 @@ def test_cpu_batched_equals_scalar(name, precision):
     # cell-by-cell against the scalar reference
     ns = (n, max(1, n // 3), 2 * n + 1)
     for mode, scalar in (
-        (MODE_SERIAL, _time_serial_scalar),
-        (MODE_OPENMP, _time_openmp_scalar),
+        (MODE_SERIAL, time_serial_reference),
+        (MODE_OPENMP, time_openmp_reference),
     ):
         cells = [
             CpuCell(mix=mix, mode=mode, n_elements=k, traits=traits) for k in ns
@@ -141,7 +146,7 @@ def test_gpu_batched_equals_scalar(name, precision):
     assert cells, "no compilable GPU probe points"
     rows = pricing.gpu.price(cells)
     for cell, row in zip(cells, rows):
-        expected = _time_launch_uncached(
+        expected = time_launch_reference(
             cell.compiled,
             cell.n_items,
             cell.local_size,
@@ -151,6 +156,11 @@ def test_gpu_batched_equals_scalar(name, precision):
             pricing.gpu_caches,
         )
         assert row == expected  # full GpuLaunchTiming, bitwise
+        floor_args = (
+            cell.compiled, cell.n_items, cell.traits,
+            platform.mali, pricing.dram_model, pricing.gpu_caches,
+        )
+        assert roofline_floor_seconds(*floor_args) == roofline_floor_reference(*floor_args)
 
 
 def test_gpu_dp_wide_probe_compiles_somewhere():
@@ -256,8 +266,8 @@ def test_scalar_shims_match_references():
         bench = create("hist", precision=precision, scale=0.1, platform=platform)
         _, mix, traits, n = cpu_pricing_inputs(bench)
         args = (mix, n, traits, platform.cpu, pricing.dram_model, pricing.cpu_caches)
-        assert time_serial(*args) == _time_serial_scalar(*args)
-        assert time_openmp(*args) == _time_openmp_scalar(*args)
+        assert time_serial(*args) == time_serial_reference(*args)
+        assert time_openmp(*args) == time_openmp_reference(*args)
 
 
 def test_dp_register_collapse_survives_in_rows():

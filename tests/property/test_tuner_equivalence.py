@@ -9,11 +9,14 @@ register-exhaustion collapse of ``nbody`` and ``2dcon``, Figure 2(b))
 and over hypothesis-drawn scales and seeds.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import PAPER_ORDER, Precision, create, perf
 from repro.optimizations.autotune import sweep
+from tests.pricing_oracle import scalar_pricing
 
 GRID = [
     (name, precision)
@@ -80,7 +83,7 @@ def test_equivalence_with_persistent_tier(tmp_path):
     perturbing selection: cold-tier and warm-tier sweeps both match
     exhaustive search."""
     perf.reset()
-    perf.configure(persist_dir=tmp_path)
+    perf.configure(config=dataclasses.replace(perf.current_config(), persist_dir=tmp_path))
     try:
         for name in ("vecop", "dmmm"):
             assert_equivalent(create(name, precision=Precision.SINGLE, scale=0.25))
@@ -89,17 +92,17 @@ def test_equivalence_with_persistent_tier(tmp_path):
             assert_equivalent(create(name, precision=Precision.SINGLE, scale=0.25))
     finally:
         perf.reset()
-        perf.configure(persist_dir=None)
+        perf.configure(config=dataclasses.replace(perf.current_config(), persist_dir=None))
 
 
 def test_scalar_lane_selects_identically():
-    """With the memo lane disabled the tuner prices every candidate
-    through the scalar reference model; the batched vectorized path must
-    produce the same timings and pick the same winner."""
+    """With every launch priced through the scalar references of
+    ``tests/pricing_oracle.py`` the tuner produces the same timings and
+    picks the same winner as through the stack-backed pricers."""
     for name in ("vecop", "red"):
         bench = create(name, precision=Precision.SINGLE, scale=0.1)
         batched = sweep(bench, strategy="pruned")
-        with perf.disabled():
+        with scalar_pricing():
             scalar = sweep(bench, strategy="pruned")
         priced = lambda r: [
             (t.options, t.local_size, t.seconds, t.error is not None)

@@ -346,9 +346,6 @@ def test_evaluate_space_validates_inputs():
         evaluate_space(())
     with pytest.raises(ValueError):
         evaluate_space((EXYNOS_5250, SoCConfig(name="exynos5250", gpu_cores=8)))
-    space = DesignSpace(benchmarks=("vecop",), scale=0.1)
-    with pytest.raises(ValueError):
-        space.rows(EXYNOS_5250, engine="quantum")
 
 
 def test_opt_over_serial_matches_whatif_and_sensitivity():

@@ -19,10 +19,10 @@ from repro.optimizations.autotune import sweep
 def _cold_lane():
     """Every test starts and ends with empty caches and zero counters."""
     perf.reset()
-    perf.configure(enabled=True)
+    perf.configure(config=dataclasses.replace(perf.current_config(), enabled=True))
     yield
     perf.reset()
-    perf.configure(enabled=True)
+    perf.configure(config=dataclasses.replace(perf.current_config(), enabled=True))
 
 
 # ---------------------------------------------------------------------------

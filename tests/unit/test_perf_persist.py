@@ -3,8 +3,8 @@ corruption recovery, cross-process sharing, and the batched pricer.
 
 The correctness bar mirrors PR 2's: attaching, warming, or corrupting
 the disk tier must never change a single byte of ``ResultSet.to_json``
-output, and the vectorized :class:`~repro.mali.timing.LaunchPricer`
-must return bit-identical timings to the scalar reference model.
+output, and :class:`~repro.mali.timing.LaunchPricer` must return
+bit-identical timings to the scalar reference model.
 """
 
 import multiprocessing
@@ -18,16 +18,25 @@ from repro.experiments.engine import Campaign, CampaignSpec
 from repro.experiments.runner import run_grid
 from repro.experiments.trace import ListTraceSink
 from repro.perf.persist import PERSIST_SCHEMA, MISS, PersistentStore, key_digest
+from tests.pricing_oracle import time_launch_reference
+
+#: the enabled lane with no disk tier attached
+DETACHED = perf.PerfConfig(enabled=True, persist_dir=None)
+
+
+def attach(path) -> None:
+    """Attach the disk tier at ``path``, keeping the enabled switch."""
+    perf.configure(config=perf.PerfConfig(enabled=perf.is_enabled(), persist_dir=path))
 
 
 @pytest.fixture(autouse=True)
 def _cold_detached_lane():
     """Tests start and end cold, enabled, and with no store attached."""
     perf.reset()
-    perf.configure(enabled=True, persist_dir=None)
+    perf.configure(config=DETACHED)
     yield
     perf.reset()
-    perf.configure(enabled=True, persist_dir=None)
+    perf.configure(config=DETACHED)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +126,7 @@ class TestTwoTierIntegration:
         assert not perf.cache("functional").persist
 
     def test_disk_hit_after_memory_reset(self, tmp_path):
-        perf.configure(persist_dir=tmp_path)
+        attach(tmp_path)
         calls = []
         c = perf.cache("gpu_timing")
         assert c.get_or_compute(("k",), lambda: calls.append(1) or 42) == 42
@@ -127,7 +136,7 @@ class TestTwoTierIntegration:
         assert perf.counters()["gpu_timing"]["disk_hits"] == 1
 
     def test_negative_entry_survives_processes_worth_of_state(self, tmp_path):
-        perf.configure(persist_dir=tmp_path)
+        attach(tmp_path)
         c = perf.cache("compile")
         calls = []
 
@@ -148,7 +157,7 @@ class TestTwoTierIntegration:
         assert set(snap) == {"hits", "misses", "evictions"}
 
     def test_disk_counters_only_on_persisted_caches(self, tmp_path):
-        perf.configure(persist_dir=tmp_path)
+        attach(tmp_path)
         perf.cache("gpu_timing").get_or_compute(("k",), lambda: 1)
         perf.cache("functional").get_or_compute(("k",), lambda: 1)
         snap = perf.counters()
@@ -156,7 +165,7 @@ class TestTwoTierIntegration:
         assert set(snap["functional"]) == {"hits", "misses", "evictions"}
 
     def test_reset_zeroes_disk_stats_but_keeps_entries(self, tmp_path):
-        perf.configure(persist_dir=tmp_path)
+        attach(tmp_path)
         store = perf.persistent_store()
         perf.cache("gpu_timing").get_or_compute(("k",), lambda: 1)
         assert store.tier_stats("gpu_timing").writes == 1
@@ -172,7 +181,7 @@ class TestTwoTierIntegration:
         assert merged == {"a": {"hits": 3, "disk_hits": 2, "misses": 1}}
 
     def test_disabled_lane_bypasses_both_tiers(self, tmp_path):
-        perf.configure(persist_dir=tmp_path)
+        attach(tmp_path)
         with perf.disabled():
             assert perf.cache("gpu_timing").get_or_compute(("k",), lambda: 7) == 7
         assert perf.persistent_store().entries() == {}
@@ -303,7 +312,7 @@ class TestLaunchPricerBitwise:
     @pytest.mark.parametrize("precision", (Precision.SINGLE, Precision.DOUBLE))
     def test_vectorized_equals_scalar_reference(self, name, precision):
         from repro.compiler.pipeline import compile_kernel
-        from repro.mali.timing import LaunchPricer, _time_launch_uncached
+        from repro.mali.timing import LaunchPricer
         from repro.ocl.driver import default_quirks, driver_local_size
 
         bench = create(name, precision=precision, scale=0.05)
@@ -331,8 +340,9 @@ class TestLaunchPricerBitwise:
                 bench.platform.gpu_caches(),
             )
             pricer = LaunchPricer(compiled, *args)
-            got = pricer._compute(n_items, local)
-            ref = _time_launch_uncached(compiled, n_items, local, *args)
+            with perf.disabled():  # a fresh one-lane stack pass
+                got = pricer.price(n_items, local)
+            ref = time_launch_reference(compiled, n_items, local, *args)
             assert got == ref  # full dataclass equality: every float bitwise
             # the pricer's memo key is the historical time_launch key, so
             # both populate (and hit) the same memory/disk entries

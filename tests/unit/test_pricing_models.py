@@ -1,9 +1,10 @@
 """Unit surface of the ``repro.pricing`` redesign.
 
 Covers the ``PricingModel`` protocol conformance of every layer, the
-``PlatformPricing`` facade dispatch, the ``PerfConfig`` consolidation of
-``perf.configure``, the keyword-only signatures, campaign pre-pricing,
-and the model-only estimate helpers the what-if studies use.
+``PlatformPricing`` facade dispatch, the launch errors of every GPU
+pricing view, the ``PerfConfig`` form of ``perf.configure``, the
+keyword-only signatures, campaign pre-pricing, and the model-only
+estimate helpers the what-if studies use.
 """
 
 from __future__ import annotations
@@ -22,13 +23,18 @@ from repro.benchmarks.base import (
 from repro.benchmarks.registry import create
 from repro.calibration.exynos5250 import default_platform
 from repro.calibration.sensitivity import probe_speedups
+from repro.compiler.options import NAIVE
+from repro.compiler.pipeline import compile_kernel
+from repro.errors import CLInvalidWorkGroupSize
 from repro.ir.analysis import OpKind
+from repro.mali.timing import LaunchPricer, time_launch
 from repro.ir.nodes import AccessPattern
 from repro.power.rails import Activity, ActivityKind
 from repro.pricing import (
     MODE_OPENMP,
     MODE_SERIAL,
     CpuCell,
+    GpuLaunchCell,
     PricingModel,
     TraceCell,
     TransferCell,
@@ -43,9 +49,12 @@ from repro.pricing.grid import (
 
 @pytest.fixture(autouse=True)
 def _fresh_perf():
+    """Cold memo per test; the fast-lane configuration is restored."""
+    config = perf.current_config()
     perf.reset()
     yield
     perf.reset()
+    perf.configure(config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +97,28 @@ class TestPricingProtocol:
 
 
 # ---------------------------------------------------------------------------
+# launch errors: every GPU view validates the local size
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("local_size", [0, 512])
+def test_gpu_views_reject_work_group_sizes_no_core_holds(local_size):
+    platform = default_platform()
+    pricing = platform.pricing_model()
+    bench = create("vecop", scale=0.05, platform=platform)
+    compiled = compile_kernel(bench.kernel_ir(NAIVE), NAIVE, quirks=())
+    traits = bench.gpu_traits(NAIVE)
+    args = (traits, platform.mali, pricing.dram_model, pricing.gpu_caches)
+    with pytest.raises(CLInvalidWorkGroupSize):
+        time_launch(compiled, 1024, local_size, *args)
+    with pytest.raises(CLInvalidWorkGroupSize):
+        LaunchPricer(compiled, *args).price(1024, local_size)
+    cell = GpuLaunchCell(compiled=compiled, traits=traits, n_items=1024, local_size=local_size)
+    with pytest.raises(CLInvalidWorkGroupSize):
+        pricing.gpu.price([cell])
+
+
+# ---------------------------------------------------------------------------
 # perf.configure(config=PerfConfig(...))
 # ---------------------------------------------------------------------------
 
@@ -109,19 +140,6 @@ class TestPerfConfig:
     def test_frozen(self):
         with pytest.raises(Exception):
             perf.current_config().enabled = False
-
-    def test_legacy_keywords_still_work_but_warn(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            perf.configure(enabled=False)
-        assert not perf.is_enabled()
-        with pytest.warns(DeprecationWarning):
-            perf.configure(enabled=True, persist_dir=tmp_path)
-        assert perf.is_enabled()
-        assert perf.persistent_store() is not None
-
-    def test_config_and_keywords_are_exclusive(self):
-        with pytest.raises(ValueError):
-            perf.configure(config=perf.PerfConfig(), enabled=False)
 
     def test_exported(self):
         assert "PerfConfig" in perf.__all__

@@ -171,7 +171,9 @@ class TestResumeEquivalence:
             "                    scale=0.02)\n"
             f"Campaign(spec).run(jobs={jobs}, journal_dir={str(journal_dir)!r})\n"
         )
-        proc = subprocess.Popen([sys.executable, str(script)])
+        # its own process group, so the pool workers it leaves behind
+        # when SIGKILLed can be killed with it
+        proc = subprocess.Popen([sys.executable, str(script)], start_new_session=True)
         journal_path = journal_dir / "journal.jsonl"
         try:
             deadline = time.monotonic() + 120
@@ -187,6 +189,10 @@ class TestResumeEquivalence:
         finally:
             proc.kill()
             proc.wait()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # no orphaned workers left
         # regardless of where the kill landed (or whether the child won
         # the race and finished), the journal resumes to identical bytes
         resumed = Campaign.resume(journal_dir)
