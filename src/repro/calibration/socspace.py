@@ -22,6 +22,13 @@ Two invariants matter for the design-space driver:
   mean the same hardware share a digest and two that differ anywhere in
   the derived configs never collide — the token the perf-memo layer
   already picks up through its config-valued content keys.
+
+The derivation is split per platform part (Mali, A15, DRAM, rails), each
+a function of the few knobs it reads.  :class:`PlatformParts` composes
+them and caches each part per distinct knob value, so a sweep over
+thousands of configs derives (and, for digests, renders) a part once
+per distinct GPU, CPU, DRAM or rail setting; :meth:`SoCConfig.platform`
+and :meth:`SoCConfig.digest` are its one-config views.
 """
 
 from __future__ import annotations
@@ -80,41 +87,11 @@ class SoCConfig:
     # ------------------------------------------------------------------
     def platform(self, base: ExynosPlatform | None = None) -> ExynosPlatform:
         """The derived platform (``base`` defaults to the Exynos 5250)."""
-        if base is None:
-            base = default_platform()
-        mali = replace(
-            base.mali,
-            shader_cores=self.gpu_cores,
-            clock_hz=self.gpu_clock_hz,
-            register_file_scale=self.register_file_scale,
-        )
-        cpu = replace(base.cpu, cores=self.cpu_cores, clock_hz=self.cpu_clock_hz)
-        factor = (self.dram_gbps * 1e9) / base.dram.peak_bandwidth
-        dram = replace(
-            base.dram,
-            peak_bandwidth=base.dram.peak_bandwidth * factor,
-            cpu_single_core_cap=base.dram.cpu_single_core_cap * factor,
-            cpu_dual_core_cap=base.dram.cpu_dual_core_cap * factor,
-            gpu_cap=base.dram.gpu_cap * factor,
-        )
-        rails = replace(
-            base.rails,
-            cpu_core_base_w=base.rails.cpu_core_base_w * self.rail_scale,
-            cpu_core_ipc_w=base.rails.cpu_core_ipc_w * self.rail_scale,
-            gpu_base_w=base.rails.gpu_base_w * self.rail_scale,
-            gpu_alu_w=base.rails.gpu_alu_w * self.rail_scale,
-            gpu_ls_w=base.rails.gpu_ls_w * self.rail_scale,
-            host_polling_w=base.rails.host_polling_w * self.rail_scale,
-        )
-        return replace(base, mali=mali, cpu=cpu, dram=dram, rails=rails)
+        return PlatformParts(base).platform(self)
 
     def digest(self, base: ExynosPlatform | None = None) -> str:
         """Content digest of the *derived* hardware (name excluded)."""
-        platform = self.platform(base)
-        payload = repr(
-            (platform.mali, platform.cpu, platform.dram, platform.rails)
-        ).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
+        return PlatformParts(base).digest(self)
 
     def describe(self) -> str:
         return (
@@ -127,6 +104,128 @@ class SoCConfig:
 
 #: the measured board, as a point of the space
 EXYNOS_5250 = SoCConfig(name="exynos5250")
+
+
+# ---------------------------------------------------------------------------
+# per-part derivations
+# ---------------------------------------------------------------------------
+
+
+def _mali(base, gpu_cores, gpu_clock_hz, register_file_scale):
+    return replace(
+        base.mali,
+        shader_cores=gpu_cores,
+        clock_hz=gpu_clock_hz,
+        register_file_scale=register_file_scale,
+    )
+
+
+def _cpu(base, cpu_cores, cpu_clock_hz):
+    return replace(base.cpu, cores=cpu_cores, clock_hz=cpu_clock_hz)
+
+
+def _dram(base, dram_gbps):
+    factor = (dram_gbps * 1e9) / base.dram.peak_bandwidth
+    return replace(
+        base.dram,
+        peak_bandwidth=base.dram.peak_bandwidth * factor,
+        cpu_single_core_cap=base.dram.cpu_single_core_cap * factor,
+        cpu_dual_core_cap=base.dram.cpu_dual_core_cap * factor,
+        gpu_cap=base.dram.gpu_cap * factor,
+    )
+
+
+def _rails(base, rail_scale):
+    rails = base.rails
+    return replace(
+        rails,
+        cpu_core_base_w=rails.cpu_core_base_w * rail_scale,
+        cpu_core_ipc_w=rails.cpu_core_ipc_w * rail_scale,
+        gpu_base_w=rails.gpu_base_w * rail_scale,
+        gpu_alu_w=rails.gpu_alu_w * rail_scale,
+        gpu_ls_w=rails.gpu_ls_w * rail_scale,
+        host_polling_w=rails.host_polling_w * rail_scale,
+    )
+
+
+#: each derived part: (ExynosPlatform field, derivation from the base,
+#: the knob values passed to it).  A derivation reads nothing else,
+#: which is what lets :class:`PlatformParts` share one part between
+#: every config with the same values of those knobs.
+_PARTS = (
+    ("mali", _mali, lambda c: (c.gpu_cores, c.gpu_clock_hz, c.register_file_scale)),
+    ("cpu", _cpu, lambda c: (c.cpu_cores, c.cpu_clock_hz)),
+    ("dram", _dram, lambda c: (c.dram_gbps,)),
+    ("rails", _rails, lambda c: (c.rail_scale,)),
+)
+
+
+class PlatformParts:
+    """The derived platform parts of many configs over one base.
+
+    A call-local cache: build one per sweep.  Each part is derived (and,
+    for :meth:`digest`, rendered with ``repr``) once per distinct value
+    of the knobs it reads, and the same part object is returned to every
+    config sharing them.  Keys carry the knobs' types as well as their
+    values: ``4`` and ``4.0`` compare equal but render — and so digest —
+    differently.
+    """
+
+    def __init__(self, base: ExynosPlatform | None = None) -> None:
+        self.base = base if base is not None else default_platform()
+        self._cache: tuple[dict, ...] = tuple({} for _ in _PARTS)
+
+    def _entry(self, index: int, config: SoCConfig) -> list:
+        """``[part, repr or None]`` of one part of ``config``."""
+        _, derive, knobs = _PARTS[index]
+        values = knobs(config)
+        key = (values, tuple(map(type, values)))
+        cache = self._cache[index]
+        entry = cache.get(key)
+        if entry is None:
+            entry = cache[key] = [derive(self.base, *values), None]
+        return entry
+
+    def mali(self, config: SoCConfig):
+        """The config's :class:`~repro.mali.config.MaliConfig`."""
+        return self._entry(0, config)[0]
+
+    def cpu(self, config: SoCConfig):
+        """The config's :class:`~repro.cpu.config.A15Config`."""
+        return self._entry(1, config)[0]
+
+    def dram(self, config: SoCConfig):
+        """The config's :class:`~repro.memory.dram.DramConfig`."""
+        return self._entry(2, config)[0]
+
+    def rails(self, config: SoCConfig):
+        """The config's :class:`~repro.power.rails.PowerRailConfig`."""
+        return self._entry(3, config)[0]
+
+    def platform(self, config: SoCConfig) -> ExynosPlatform:
+        """The base with every derived part of ``config`` substituted."""
+        parts = {field: self._entry(i, config)[0] for i, (field, _, _) in enumerate(_PARTS)}
+        return replace(self.base, **parts)
+
+    def digest(self, config: SoCConfig) -> str:
+        """SHA-256 prefix of ``repr((mali, cpu, dram, rails))``, the
+        tuple's repr assembled from the cached per-part reprs."""
+        reprs = []
+        for i in range(len(_PARTS)):
+            entry = self._entry(i, config)
+            if entry[1] is None:
+                entry[1] = repr(entry[0])
+            reprs.append(entry[1])
+        payload = "(" + ", ".join(reprs) + ")"
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def config_digests(configs, base: ExynosPlatform | None = None) -> tuple[str, ...]:
+    """:meth:`SoCConfig.digest` of many configs through one
+    :class:`PlatformParts`, so each part renders once per distinct knob
+    value instead of once per config."""
+    parts = PlatformParts(base)
+    return tuple(parts.digest(config) for config in configs)
 
 
 def _axis_token(knob: str, value) -> str:

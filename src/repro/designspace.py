@@ -12,14 +12,26 @@ evaluates the hypercube as *stacked* NumPy evaluations instead:
   built a single time by :class:`DesignSpace`;
 * :class:`~repro.mali.timing.GpuConfigStack` and
   :class:`~repro.cpu.pricing.CpuConfigStack` hoist every config-invariant
-  quantity, so each SoC config costs a few whole-grid array passes;
-* board power comes from :func:`~repro.power.rails.stack_watts` over the
-  row arrays.
+  quantity;
+* configs are priced in blocks of :data:`BLOCK_SIZE`
+  (:meth:`DesignSpace.block_rows`): one launch-epilogue pass over the
+  block's ``(configs, lanes)`` GPU arrays, one CPU stack evaluation per
+  distinct (A15, DRAM) setting and one
+  :func:`~repro.power.rails.stack_watts` pass per distinct rail scale,
+  each platform part derived once per distinct knob value
+  (:class:`~repro.calibration.socspace.PlatformParts`, no
+  ``ExynosPlatform`` per config);
+* :meth:`DesignSpace.block_points` takes the Opt pick and the
+  per-precision aggregates as column operations over the block and
+  builds the points in one pass.
 
 The stacks are the only implementation of the launch and Serial/OpenMP
 formulas; the campaign's single-cell pricing entry points are views over
-them.  Every lane is checked bit for bit against scalar references that
-price each cell of each config one by one (``tests/pricing_oracle.py``).
+them, as :meth:`DesignSpace.stacked_rows` / :meth:`DesignSpace.points`
+are one-config views of the block pass.  Every lane is checked bit for
+bit against scalar references that price each cell of each config one
+by one, and every point against a group-by-group reference loop
+(``tests/pricing_oracle.py``).
 
 The **Opt** version of a (config, benchmark, precision) point is the
 feasible candidate minimizing ``seconds × launches`` — the autotuner's
@@ -38,7 +50,8 @@ On top sit deterministic Pareto helpers: :func:`dominates`,
 
 Large spaces run through **streaming evaluation**
 (``evaluate_space(stream=True)``): configs are priced in fixed-size
-chunks, each chunk's target-slice points feed per-precision
+chunks (each chunk's survivors priced as blocks), each chunk's
+target-slice points feed per-precision
 :class:`~repro.pareto.OnlineFrontier` accumulators, and dominated
 points are dropped immediately — peak memory is O(chunk + frontier)
 instead of O(space).  Before pricing, a vectorized roofline/rail
@@ -54,15 +67,23 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .benchmarks.base import Precision, cpu_pricing_inputs
 from .benchmarks.registry import PAPER_ORDER, create
 from .calibration.exynos5250 import ExynosPlatform, default_platform
-from .calibration.socspace import EXYNOS_5250, SoCConfig, default_space
+from .calibration.socspace import (
+    EXYNOS_5250,
+    PlatformParts,
+    SoCConfig,
+    config_digests,
+    default_space,
+)
 from .errors import CLError, CompilerError
 from .experiments.trace import JsonlTraceSink, Tracer, TraceSink
-from .pareto import OnlineFrontier, point_key, skyline, skyline_reference
+from .memory.dram import DramModel
+from .pareto import OnlineFrontier, point_key, skyline
 from .power.rails import ActivityKind, gpu_floor_watts, stack_watts
 from .pricing.cells import MODE_OPENMP, MODE_SERIAL, CpuCell, GpuLaunchCell
 
@@ -72,6 +93,12 @@ VERSIONS = ("Serial", "OpenMP", "Opt")
 AGGREGATE = "aggregate"
 
 _PRECISIONS_DEFAULT = (Precision.SINGLE, Precision.DOUBLE)
+
+#: configs priced per block pass.  It bounds the block's (configs x
+#: lanes) temporaries: over the full benchmark grid they peak near 2 MB
+#: at 64 configs per block, no more than pricing one config at a time
+#: did, and near 7 MB at 256.
+BLOCK_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -109,8 +136,10 @@ class _BenchCells:
 
 
 class SpaceRows:
-    """Aligned row arrays of one config over a :class:`DesignSpace` grid.
+    """Aligned row arrays of configs over a :class:`DesignSpace` grid.
 
+    ``(lanes,)`` arrays for one config (:meth:`DesignSpace.stacked_rows`),
+    ``(configs, lanes)`` for a block (:meth:`DesignSpace.block_rows`).
     GPU lanes follow the space's GPU cell order, CPU lanes its CPU cell
     order ([Serial, OpenMP] per group).  ``gpu_iter_seconds`` is
     ``seconds × launches`` (the Opt currency); infeasible GPU lanes are
@@ -140,7 +169,9 @@ class DesignSpace:
     whose kernels cannot allocate at all — the hard
     ``CL_OUT_OF_RESOURCES`` limit — are dropped for every config, same
     as the tuner) and builds the GPU/CPU config stacks.
-    ``stacked_rows`` then prices one config in a few array passes.
+    :meth:`block_rows` then prices a block of configs in a few array
+    passes and :meth:`block_points` turns the rows into design points;
+    :meth:`stacked_rows` / :meth:`points` are their one-config views.
     """
 
     def __init__(
@@ -237,139 +268,235 @@ class DesignSpace:
         self._bounds = None  # lazy opt_bounds tables
 
     # ------------------------------------------------------------------
-    def stacked_rows(self, config: SoCConfig) -> SpaceRows:
-        """Row arrays of one config via the config-axis stacks."""
+    def block_rows(self, configs, parts: PlatformParts | None = None) -> SpaceRows:
+        """Row arrays of a block of configs, ``(configs, lanes)`` each.
+
+        One GPU epilogue pass over the whole block
+        (:meth:`~repro.mali.timing.GpuConfigStack.block_rows`), one CPU
+        stack evaluation per distinct (A15, DRAM) part pair and one
+        :func:`~repro.power.rails.stack_watts` pass per distinct rail
+        part.  ``parts`` is the sweep's call-local part cache (a fresh
+        one over :attr:`base` when omitted), so each part is derived
+        once per distinct knob value, not once per config.
+        """
         import numpy as np
 
-        platform = config.platform(self.base)
-        dram = platform.dram_model()
-        rails = platform.rails
+        if parts is None:
+            parts = PlatformParts(self.base)
+        k = len(configs)
+        # parts are shared objects, so identities key the distinct settings
+        dram_models: dict[int, DramModel] = {}
+        drams = []
+        cpu_index: dict[tuple, int] = {}
+        cpu_rows = []
+        cpu_of = []
+        by_rails: dict[int, tuple] = {}
+        for i, config in enumerate(configs):
+            dram_part = parts.dram(config)
+            dram = dram_models.setdefault(id(dram_part), DramModel(dram_part))
+            drams.append(dram)
+            cpu = parts.cpu(config)
+            key = (id(cpu), id(dram_part))
+            if key not in cpu_index:
+                cpu_index[key] = len(cpu_rows)
+                cpu_rows.append(self._cpu_stack.rows(cpu, dram))
+            cpu_of.append(cpu_index[key])
+            rails = parts.rails(config)
+            by_rails.setdefault(id(rails), (rails, []))[1].append(i)
+        rail_groups = [(rails, np.asarray(idx)) for rails, idx in by_rails.values()]
 
-        c = self._cpu_stack.rows(platform.cpu, dram)
-        cpu_watts = stack_watts(
-            rails,
-            ActivityKind.CPU,
-            dram_bandwidth=c.dram_bandwidth,
-            active_cpu_cores=c.active_cores,
-            cpu_ipc=c.ipc,
-        )
-        cpu_energy = c.seconds * cpu_watts
+        def cpu_lanes(field):
+            return np.stack([getattr(r, field) for r in cpu_rows])[cpu_of]
+
+        cpu_seconds = cpu_lanes("seconds")
+        cpu_bw = cpu_lanes("dram_bandwidth")
+        cpu_active = cpu_lanes("active_cores")
+        cpu_ipc = cpu_lanes("ipc")
+        cpu_watts = np.empty(cpu_seconds.shape)
+        for rails, idx in rail_groups:
+            cpu_watts[idx] = stack_watts(
+                rails,
+                ActivityKind.CPU,
+                dram_bandwidth=cpu_bw[idx],
+                active_cpu_cores=cpu_active[idx],
+                cpu_ipc=cpu_ipc[idx],
+            )
 
         if self._gpu_stack is not None:
-            g = self._gpu_stack.rows(platform.mali, dram)
-            watts = stack_watts(
-                rails,
-                ActivityKind.GPU_KERNEL,
-                dram_bandwidth=g.dram_bandwidth,
-                gpu_alu_utilization=g.alu_utilization,
-                gpu_ls_utilization=g.ls_utilization,
-            )
-            gpu_watts = np.where(g.feasible, watts, 0.0)
-            gpu_iter = g.seconds * self._launches_f
-            with np.errstate(invalid="ignore"):
-                gpu_energy = np.where(g.feasible, gpu_iter * gpu_watts, np.inf)
-            gpu_feasible = g.feasible
+            g = self._gpu_stack.block_rows([parts.mali(c) for c in configs], drams)
+            watts = np.empty(g.seconds.shape)
+            for rails, idx in rail_groups:
+                watts[idx] = stack_watts(
+                    rails,
+                    ActivityKind.GPU_KERNEL,
+                    dram_bandwidth=g.dram_bandwidth[idx],
+                    gpu_alu_utilization=g.alu_utilization[idx],
+                    gpu_ls_utilization=g.ls_utilization[idx],
+                )
+            gpu_feasible, gpu_iter, gpu_watts, gpu_energy = self._gpu_lanes(g, watts)
             gpu_seconds = g.seconds
         else:
-            gpu_feasible = np.zeros(0, dtype=bool)
-            gpu_seconds = gpu_iter = gpu_watts = gpu_energy = np.zeros(0)
+            gpu_feasible = np.zeros((k, 0), dtype=bool)
+            gpu_seconds = gpu_iter = gpu_watts = gpu_energy = np.zeros((k, 0))
         return SpaceRows(
             gpu_feasible=gpu_feasible,
             gpu_seconds=gpu_seconds,
             gpu_iter_seconds=gpu_iter,
             gpu_watts=gpu_watts,
             gpu_energy=gpu_energy,
-            cpu_seconds=c.seconds,
+            cpu_seconds=cpu_seconds,
             cpu_watts=cpu_watts,
-            cpu_energy=cpu_energy,
+            cpu_energy=cpu_seconds * cpu_watts,
         )
 
-    def rows(self, config: SoCConfig) -> SpaceRows:
-        """Row arrays of one config (:meth:`stacked_rows`)."""
-        return self.stacked_rows(config)
+    def _gpu_lanes(self, g, watts) -> tuple:
+        """``(feasible, seconds × launches, watts, energy)`` of priced GPU
+        lanes and their board watts; infeasible lanes get zero watts and
+        ``inf`` energy."""
+        import numpy as np
+
+        gpu_watts = np.where(g.feasible, watts, 0.0)
+        gpu_iter = g.seconds * self._launches_f
+        with np.errstate(invalid="ignore"):
+            gpu_energy = np.where(g.feasible, gpu_iter * gpu_watts, np.inf)
+        return g.feasible, gpu_iter, gpu_watts, gpu_energy
+
+    def stacked_rows(self, config: SoCConfig) -> SpaceRows:
+        """Row arrays of one config: a one-config :meth:`block_rows`."""
+        rows = self.block_rows((config,))
+        return SpaceRows(**{name: getattr(rows, name)[0] for name in SpaceRows.__slots__})
 
     # ------------------------------------------------------------------
-    def points(self, config: SoCConfig, rows: SpaceRows) -> list[DesignPoint]:
-        """Design points of one config from its row arrays.
+    def block_points(self, configs, rows: SpaceRows) -> list[DesignPoint]:
+        """Design points of a block of configs from its row arrays.
 
-        Point equality reduces to row identity.  Emits [Serial, OpenMP,
-        Opt] per (benchmark, precision) group, then per-precision
-        aggregates (sums across benchmarks; an aggregate Opt is
-        infeasible if any benchmark's is).
+        Per config, in config order: [Serial, OpenMP, Opt] per
+        (benchmark, precision) group, then per-precision aggregates
+        (sums across benchmarks; an aggregate Opt is infeasible if any
+        benchmark's is).  Every pick and sum is a column over the
+        block; point equality reduces to row identity.
         """
         import numpy as np
 
-        pts: list[DesignPoint] = []
-        agg: dict[tuple[str, str], list] = {}  # (precision, version) -> [s, e, ok]
-        for bc in self.groups:
-            for version, lane in (("Serial", bc.cpu_start), ("OpenMP", bc.cpu_start + 1)):
-                seconds = float(rows.cpu_seconds[lane])
-                watts = float(rows.cpu_watts[lane])
-                energy = float(rows.cpu_energy[lane])
-                pts.append(
-                    DesignPoint(
-                        config_name=config.name,
-                        benchmark=bc.name,
-                        precision=bc.precision,
-                        version=version,
-                        seconds=seconds,
-                        watts=watts,
-                        energy_j=energy,
-                    )
+        feasible = np.ones(len(configs), dtype=bool)
+        picks = {
+            version: [
+                (
+                    rows.cpu_seconds[:, bc.cpu_start + lane],
+                    rows.cpu_watts[:, bc.cpu_start + lane],
+                    rows.cpu_energy[:, bc.cpu_start + lane],
+                    feasible,
                 )
-                acc = agg.setdefault((bc.precision, version), [0.0, 0.0, True])
-                acc[0] += seconds
-                acc[1] += energy
-            span = slice(bc.gpu_start, bc.gpu_stop)
-            feas = rows.gpu_feasible[span]
-            if feas.size and bool(feas.any()):
-                j = int(np.argmin(rows.gpu_iter_seconds[span]))
-                seconds = float(rows.gpu_iter_seconds[span][j])
-                watts = float(rows.gpu_watts[span][j])
-                energy = float(rows.gpu_energy[span][j])
-                ok = True
-            else:
-                seconds, watts, energy, ok = float("inf"), 0.0, float("inf"), False
-            pts.append(
-                DesignPoint(
-                    config_name=config.name,
-                    benchmark=bc.name,
-                    precision=bc.precision,
-                    version="Opt",
-                    seconds=seconds,
-                    watts=watts,
-                    energy_j=energy,
-                    feasible=ok,
+                for bc in self.groups
+            ]
+            for lane, version in enumerate(VERSIONS[:2])
+        }
+        picks["Opt"] = self._opt_picks(
+            rows.gpu_feasible, rows.gpu_iter_seconds, rows.gpu_watts, rows.gpu_energy
+        )
+        slots = []  # (benchmark, precision, version) of each point
+        columns = []
+        for g, bc in enumerate(self.groups):
+            for version in VERSIONS:
+                slots.append((bc.name, bc.precision, version))
+                columns.append(picks[version][g])
+        sums = {version: self._aggregates(picks[version]) for version in VERSIONS}
+        for precision in sums["Opt"]:
+            for version in VERSIONS:
+                slots.append((AGGREGATE, precision, version))
+                columns.append(sums[version][precision])
+        benchmarks, precisions, versions = zip(*slots)
+        out: list[DesignPoint] = []
+        for config, *values in zip(
+            configs,
+            *(np.stack([column[f] for column in columns], axis=1).tolist() for f in range(4)),
+        ):
+            out.extend(
+                map(
+                    DesignPoint,
+                    repeat(config.name, len(slots)),
+                    benchmarks,
+                    precisions,
+                    versions,
+                    *values,
                 )
             )
-            acc = agg.setdefault((bc.precision, "Opt"), [0.0, 0.0, True])
-            acc[0] += seconds
-            acc[1] += energy
-            acc[2] = acc[2] and ok
-        for precision in dict.fromkeys(bc.precision for bc in self.groups):
-            for version in VERSIONS:
-                seconds, energy, ok = agg[(precision, version)]
-                watts = energy / seconds if ok and seconds > 0 else 0.0
-                pts.append(
-                    DesignPoint(
-                        config_name=config.name,
-                        benchmark=AGGREGATE,
-                        precision=precision,
-                        version=version,
-                        seconds=seconds,
-                        watts=watts,
-                        energy_j=energy,
-                        feasible=ok,
-                    )
+        return out
+
+    def points(self, config: SoCConfig, rows: SpaceRows) -> list[DesignPoint]:
+        """Design points of one config: a one-config :meth:`block_points`."""
+        import numpy as np
+
+        block = SpaceRows(
+            **{name: np.asarray(getattr(rows, name))[None] for name in SpaceRows.__slots__}
+        )
+        return self.block_points((config,), block)
+
+    def _opt_picks(self, feasible, iter_seconds, watts, energy) -> list[tuple]:
+        """Each group's Opt candidate per row of ``(rows, lanes)`` GPU
+        arrays: ``(seconds, watts, energy, feasible)`` columns.
+
+        The pick is the first minimum of ``seconds × launches`` over the
+        group's candidate span (``argmin``'s tie rule), feasible iff any
+        candidate is; a group with no feasible candidate reads ``(inf,
+        0, inf, False)``.
+        """
+        import numpy as np
+
+        n = iter_seconds.shape[0]
+        rows = np.arange(n)
+        inf = np.full(n, np.inf)
+        none = np.zeros(n, dtype=bool)
+        picks = []
+        for bc in self.groups:
+            if bc.gpu_stop == bc.gpu_start:
+                picks.append((inf, np.zeros(n), inf, none))
+                continue
+            span = slice(bc.gpu_start, bc.gpu_stop)
+            ok = feasible[:, span].any(axis=1)
+            lane = bc.gpu_start + iter_seconds[:, span].argmin(axis=1)
+            picks.append(
+                (
+                    np.where(ok, iter_seconds[rows, lane], np.inf),
+                    np.where(ok, watts[rows, lane], 0.0),
+                    np.where(ok, energy[rows, lane], np.inf),
+                    ok,
                 )
-        return pts
+            )
+        return picks
+
+    def _aggregates(self, picks) -> dict:
+        """Per precision, the across-benchmark ``(seconds, watts, energy,
+        feasible)`` columns of one version's group picks."""
+        import numpy as np
+
+        sums: dict[str, list] = {}
+        for bc, (seconds, _, energy, ok) in zip(self.groups, picks):
+            acc = sums.get(bc.precision)
+            if acc is None:
+                zero = np.zeros(len(seconds))
+                acc = sums[bc.precision] = [zero, zero, np.ones(len(seconds), dtype=bool)]
+            # sequential adds in group order: np.sum/reduceat sum pairwise (other bits)
+            acc[0] = acc[0] + seconds
+            acc[1] = acc[1] + energy
+            acc[2] = acc[2] & ok
+        out = {}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for precision, (seconds, energy, ok) in sums.items():
+                watts = np.where(ok & (seconds > 0), energy / seconds, 0.0)
+                out[precision] = (seconds, watts, energy, ok)
+        return out
 
     # ------------------------------------------------------------------
     def evaluate(self, configs) -> tuple[DesignPoint, ...]:
-        """Points of many configs, in config order (single process)."""
+        """Points of many configs, in config order (single process),
+        priced :data:`BLOCK_SIZE` configs at a time."""
+        configs = tuple(configs)
+        parts = PlatformParts(self.base)
         out: list[DesignPoint] = []
-        for config in configs:
-            out.extend(self.points(config, self.stacked_rows(config)))
+        for start in range(0, len(configs), BLOCK_SIZE):
+            block = configs[start : start + BLOCK_SIZE]
+            out.extend(self.block_points(block, self.block_rows(block, parts)))
         return tuple(out)
 
     # ------------------------------------------------------------------
@@ -430,7 +557,7 @@ class DesignSpace:
         feasible subset; the rail floor
         (:func:`~repro.power.rails.gpu_floor_watts` of the rail-scaled
         config) bounds its watts; per-precision aggregates accumulate
-        in the exact group order :meth:`points` uses, so the same-order
+        in the exact group order :meth:`block_points` uses, so the same-order
         float sums stay monotone term for term.
         """
         import numpy as np
@@ -442,14 +569,15 @@ class DesignSpace:
             inf = np.full(n, np.inf)
             return {prec: (inf, inf.copy()) for prec in by_prec}
 
-        rails = self.base.rails
-        rail_scale = np.asarray([c.rail_scale for c in configs])
-        # gpu_floor_watts over the rail-scaled configs, vectorized in
-        # the same operation order socspace's replace() + the scalar
-        # helper produce (board_idle stays unscaled)
-        wfloor = (
-            rails.board_idle_w + rails.host_polling_w * rail_scale
-        ) + rails.gpu_base_w * rail_scale
+        parts = PlatformParts(self.base)
+        # the rail floor of each config's derived rails, once per
+        # distinct rail scale
+        wfloor = np.empty(n)
+        by_rails: dict[float, list[int]] = {}
+        for i, c in enumerate(configs):
+            by_rails.setdefault(c.rail_scale, []).append(i)
+        for idxs in by_rails.values():
+            wfloor[idxs] = gpu_floor_watts(parts.rails(configs[idxs[0]]))
 
         cores = np.asarray([float(c.gpu_cores) for c in configs])
         clock = np.asarray([c.gpu_clock_hz for c in configs])
@@ -460,9 +588,7 @@ class DesignSpace:
         for (gbps, rf_scale), idxs in by_dram.items():
             dram = dram_cache.get(gbps)
             if dram is None:
-                dram = dram_cache[gbps] = (
-                    configs[idxs[0]].platform(self.base).dram_model()
-                )
+                dram = dram_cache[gbps] = DramModel(parts.dram(configs[idxs[0]]))
             floor = self._gpu_stack.floor_seconds(
                 dram,
                 shader_cores=cores[idxs],
@@ -562,17 +688,29 @@ def _stream_shard(
     inf = float("inf")
     n_kept = 0
 
-    def _evaluate(config) -> int:
+    def _evaluate(batch) -> int:
+        """Price ``batch`` in blocks, feed the frontiers in config order;
+        returns the number of points priced."""
         nonlocal evaluated, n_kept
-        pts = space.points(config, space.stacked_rows(config))
-        evaluated += 1
-        if config.name in keep_names:
-            kept_by_name[config.name] = pts
-            n_kept += len(pts)
-        for p in pts:
-            if p.benchmark == target_benchmark and p.version == target_version:
-                frontiers[p.precision].add(p)
-        return len(pts)
+        # one part cache per batch keeps memory O(chunk) however many
+        # distinct knob values the whole space holds
+        parts = PlatformParts(space.base)
+        priced = 0
+        for start in range(0, len(batch), BLOCK_SIZE):
+            block = batch[start : start + BLOCK_SIZE]
+            pts = space.block_points(block, space.block_rows(block, parts))
+            width = len(pts) // len(block)
+            for i, config in enumerate(block):
+                config_pts = pts[i * width : (i + 1) * width]
+                evaluated += 1
+                if config.name in keep_names:
+                    kept_by_name[config.name] = config_pts
+                    n_kept += width
+                for p in config_pts:
+                    if p.benchmark == target_benchmark and p.version == target_version:
+                        frontiers[p.precision].add(p)
+            priced += len(pts)
+        return priced
 
     # bound-only first pass: cache each chunk's bounds and seed the
     # frontier with the most promising configs (per precision, the
@@ -597,7 +735,7 @@ def _stream_shard(
                     if value < inf and value < best.get((prec, axis), (inf,))[0]:
                         best[(prec, axis)] = (value, start + i)
         probe_idx = sorted({i for _, i in best.values()})
-        probe_points = sum(_evaluate(configs[i]) for i in probe_idx)
+        probe_points = _evaluate([configs[i] for i in probe_idx])
         peak = probe_points + sum(len(f) for f in frontiers.values())
     probes = set(probe_idx)
 
@@ -631,7 +769,9 @@ def _stream_shard(
                     survivors.append(config)
         else:
             survivors = list(chunk)
-        chunk_points = sum(_evaluate(config) for config in survivors)
+        # every pruning decision above is taken before any survivor is
+        # priced, so pricing them as one batch leaves the counts alone
+        chunk_points = _evaluate(survivors)
         resident = chunk_points + n_kept + sum(len(f) for f in frontiers.values())
         peak = max(peak, resident)
         if tracer is not None:
@@ -727,7 +867,7 @@ def _stream_result(
     )
     return DesignSpaceResult(
         configs=retained,
-        digests=tuple(c.digest() for c in retained),
+        digests=config_digests(retained),
         points=tuple(points),
         benchmarks=tuple(benchmarks),
         precisions=tuple(p.value for p in precisions),
@@ -888,6 +1028,49 @@ class DesignSpaceResult:
         }
 
 
+def _materialize(
+    configs, benchmarks, precisions, *, scale, seed, jobs, space
+) -> DesignSpaceResult:
+    """Every point of every config, in config order (``stream=False``)."""
+    if jobs > 1 and len(configs) > 1:
+        shards = min(jobs, len(configs))
+        size = -(-len(configs) // shards)
+        chunks = [configs[i : i + size] for i in range(0, len(configs), size)]
+        payloads = [
+            (
+                benchmarks,
+                tuple(p.value for p in precisions),
+                scale,
+                seed,
+                chunk,
+            )
+            for chunk in chunks
+        ]
+        points: list[DesignPoint] = []
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            for chunk_points in pool.map(_eval_worker, payloads):
+                points.extend(chunk_points)
+        points = tuple(points)
+    else:
+        if space is None:
+            space = DesignSpace(
+                benchmarks=benchmarks, precisions=precisions, scale=scale,
+                seed=seed,
+            )
+        points = space.evaluate(configs)
+    return DesignSpaceResult(
+        configs=configs,
+        digests=config_digests(configs),
+        points=tuple(points),
+        benchmarks=benchmarks,
+        precisions=tuple(p.value for p in precisions),
+        scale=scale,
+        seed=seed,
+        evaluated=len(configs),
+        peak_resident=len(points),
+    )
+
+
 def evaluate_space(
     configs=None,
     benchmarks=PAPER_ORDER,
@@ -927,8 +1110,8 @@ def evaluate_space(
     ``frontier()`` over a materialized run — pruned and discarded
     points are all strictly dominated.  ``trace`` (a
     :class:`~repro.experiments.trace.TraceSink` or a JSONL path) gets
-    ``space_started`` / ``space_chunk_finished`` / ``space_finished``
-    progress events.
+    ``space_started`` / ``space_finished`` progress events, with a
+    ``space_chunk_finished`` per streamed chunk in between.
 
     ``space`` optionally reuses a prebuilt :class:`DesignSpace` (same
     benchmarks/precisions/scale/seed) so repeated sweeps over one grid
@@ -953,60 +1136,36 @@ def evaluate_space(
             "prebuilt space does not match the requested grid "
             "(benchmarks/precisions/scale/seed)"
         )
-    if not stream:
-        if jobs > 1 and len(configs) > 1:
-            shards = min(jobs, len(configs))
-            size = -(-len(configs) // shards)
-            chunks = [configs[i : i + size] for i in range(0, len(configs), size)]
-            payloads = [
-                (
-                    benchmarks,
-                    tuple(p.value for p in precisions),
-                    scale,
-                    seed,
-                    chunk,
-                )
-                for chunk in chunks
-            ]
-            points: list[DesignPoint] = []
-            with ProcessPoolExecutor(max_workers=shards) as pool:
-                for chunk_points in pool.map(_eval_worker, payloads):
-                    points.extend(chunk_points)
-            points = tuple(points)
-        else:
-            if space is None:
-                space = DesignSpace(
-                    benchmarks=benchmarks, precisions=precisions, scale=scale,
-                    seed=seed,
-                )
-            points = space.evaluate(configs)
-        digests = tuple(c.digest() for c in configs)
-        return DesignSpaceResult(
-            configs=configs,
-            digests=digests,
-            points=tuple(points),
-            benchmarks=benchmarks,
-            precisions=tuple(p.value for p in precisions),
-            scale=scale,
-            seed=seed,
-            evaluated=len(configs),
-            peak_resident=len(points),
-        )
-
-    # ---- streaming mode ---------------------------------------------
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if target_version not in VERSIONS:
-        raise ValueError(f"target_version must be one of {VERSIONS}")
-    if target_benchmark != AGGREGATE and target_benchmark not in benchmarks:
-        raise ValueError(
-            f"target_benchmark {target_benchmark!r} not in the evaluated "
-            f"benchmarks (or {AGGREGATE!r})"
-        )
+    if stream:
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        if target_version not in VERSIONS:
+            raise ValueError(f"target_version must be one of {VERSIONS}")
+        if target_benchmark != AGGREGATE and target_benchmark not in benchmarks:
+            raise ValueError(
+                f"target_benchmark {target_benchmark!r} not in the evaluated "
+                f"benchmarks (or {AGGREGATE!r})"
+            )
     keep_names = frozenset(keep_configs or ())
     sink, owns_sink = _resolve_trace(trace)
     tracer = Tracer(sink)
     try:
+        if not stream:
+            tracer.emit("space_started", detail={"configs": len(configs), "jobs": jobs})
+            result = _materialize(
+                configs, benchmarks, precisions, scale=scale, seed=seed, jobs=jobs,
+                space=space,
+            )
+            tracer.emit(
+                "space_finished",
+                detail={
+                    "evaluated": result.evaluated,
+                    "pruned": result.pruned,
+                    "peak_resident": result.peak_resident,
+                },
+            )
+            return result
+
         tracer.emit(
             "space_started",
             detail={
@@ -1148,14 +1307,10 @@ def frontier(points) -> tuple[DesignPoint, ...]:
     Sorted by (seconds, energy, config name, version); duplicate
     (seconds, energy) pairs all survive (none strictly dominates the
     other), so equal designs stay visible.  O(n log n) sort-based
-    skyline, same point set as :func:`frontier_reference`.
+    skyline, checked against the all-pairs oracle
+    ``frontier_reference`` in ``tests/pricing_oracle.py``.
     """
     return skyline(points, key=_sort_key)
-
-
-def frontier_reference(points) -> tuple[DesignPoint, ...]:
-    """The O(n²) all-pairs frontier — oracle and benchmark baseline."""
-    return skyline_reference(points, key=_sort_key)
 
 
 def dominated(points) -> tuple[DesignPoint, ...]:
@@ -1326,62 +1481,58 @@ def _dvfs_key(p: DvfsDesignPoint):
     return (p.seconds, p.energy_j, p.config_name, p.governor)
 
 
-def _dvfs_opp_slices(space: DesignSpace, platform, dram, table, opp, benchmark):
-    """Per-precision ``(seconds, watts, energy, feasible)`` of the target
-    slice at one GPU operating point.
+def _dvfs_opp_slices(space: DesignSpace, mali, rails, dram, table, benchmark) -> dict:
+    """Per OPP of ``table``, the per-precision ``(seconds, watts, energy,
+    feasible)`` of the target slice.
 
-    Exactly the stacked engine's Opt selection (same argmin over
-    ``seconds × launches``, same accumulation order for the aggregate),
-    over a Mali config moved to the OPP's clock and rails scaled by the
-    OPP's ``f · V²`` factor.  At the table's nominal OPP both are the
-    base objects, so the slice is bitwise the fixed-frequency Opt point
-    of :meth:`DesignSpace.points`.
+    The OPPs are priced as one block — the Mali config moved to each
+    OPP's clock, the rails scaled by its ``f · V²`` factor — through the
+    stacked engine's Opt selection and aggregate
+    (:meth:`DesignSpace._opt_picks`, :meth:`DesignSpace._aggregates`).
+    At the table's nominal OPP both are the config's own parts, so that
+    slice is bitwise the fixed-frequency Opt point of
+    :meth:`DesignSpace.block_points`.
     """
     import numpy as np
     from dataclasses import replace as _replace
 
     from .power import dvfs
 
-    mali = platform.mali
-    if opp.frequency_hz != mali.clock_hz:
-        mali = _replace(mali, clock_hz=opp.frequency_hz)
-    rails = dvfs.rails_at(platform.rails, gpu_table=table, gpu_opp=opp)
-    g = space._gpu_stack.rows(mali, dram)
-    watts = stack_watts(
-        rails,
-        ActivityKind.GPU_KERNEL,
-        dram_bandwidth=g.dram_bandwidth,
-        gpu_alu_utilization=g.alu_utilization,
-        gpu_ls_utilization=g.ls_utilization,
+    opps = table.points
+    g = space._gpu_stack.block_rows(
+        [
+            mali
+            if opp.frequency_hz == mali.clock_hz
+            else _replace(mali, clock_hz=opp.frequency_hz)
+            for opp in opps
+        ],
+        [dram] * len(opps),
     )
-    gpu_iter = g.seconds * space._launches_f
-    masked_watts = np.where(g.feasible, watts, 0.0)
-    agg: dict[str, list] = {}
-    per_bench: dict[str, tuple] = {}
-    for bc in space.groups:
-        span = slice(bc.gpu_start, bc.gpu_stop)
-        feas = g.feasible[span]
-        if feas.size and bool(feas.any()):
-            j = int(np.argmin(gpu_iter[span]))
-            seconds = float(gpu_iter[span][j])
-            lane_watts = float(masked_watts[span][j])
-            energy = seconds * lane_watts
-            ok = True
-        else:
-            seconds, lane_watts, energy, ok = float("inf"), 0.0, float("inf"), False
-        if bc.name == benchmark:
-            per_bench[bc.precision] = (seconds, lane_watts, energy, ok)
-        acc = agg.setdefault(bc.precision, [0.0, 0.0, True])
-        acc[0] += seconds
-        acc[1] += energy
-        acc[2] = acc[2] and ok
-    if benchmark != AGGREGATE:
-        return per_bench
-    out = {}
-    for precision, (seconds, energy, ok) in agg.items():
-        watts_p = energy / seconds if ok and seconds > 0 else 0.0
-        out[precision] = (seconds, watts_p, energy, ok)
-    return out
+    watts = np.empty(g.seconds.shape)
+    for i, opp in enumerate(opps):
+        watts[i] = stack_watts(
+            dvfs.rails_at(rails, gpu_table=table, gpu_opp=opp),
+            ActivityKind.GPU_KERNEL,
+            dram_bandwidth=g.dram_bandwidth[i],
+            gpu_alu_utilization=g.alu_utilization[i],
+            gpu_ls_utilization=g.ls_utilization[i],
+        )
+    picks = space._opt_picks(*space._gpu_lanes(g, watts))
+    if benchmark == AGGREGATE:
+        slices = space._aggregates(picks)
+    else:
+        slices = {
+            bc.precision: pick
+            for bc, pick in zip(space.groups, picks)
+            if bc.name == benchmark
+        }
+    return {
+        opp: {
+            precision: (float(s[i]), float(w[i]), float(e[i]), bool(ok[i]))
+            for precision, (s, w, e, ok) in slices.items()
+        }
+        for i, opp in enumerate(opps)
+    }
 
 
 @dataclass(frozen=True)
@@ -1542,16 +1693,15 @@ def evaluate_dvfs(
     if space._gpu_stack is None:
         raise ValueError("the DVFS sweep needs at least one GPU cell")
 
+    parts = PlatformParts(space.base)
     points: list[DvfsDesignPoint] = []
     for config in configs:
-        platform = config.platform(space.base)
-        dram = platform.dram_model()
-        table = dvfs.MALI_T604_OPPS.rescaled(platform.mali.clock_hz)
-        slices = {
-            opp: _dvfs_opp_slices(space, platform, dram, table, opp, benchmark)
-            for opp in table.points
-        }
-        idle_w = platform.rails.board_idle_w
+        mali = parts.mali(config)
+        rails = parts.rails(config)
+        dram = DramModel(parts.dram(config))
+        table = dvfs.MALI_T604_OPPS.rescaled(mali.clock_hz)
+        slices = _dvfs_opp_slices(space, mali, rails, dram, table, benchmark)
+        idle_w = rails.board_idle_w
         for governor in governors:
             for precision in (p.value for p in precisions):
                 def at(opp):

@@ -18,9 +18,10 @@ leaks past the overlap (threads cannot always cover both).
 
 The formula exists once, as the array epilogue of
 :class:`GpuConfigStack`: one float64 lane per launch.  Design-space
-sweeps evaluate it for thousands of lanes per SoC config
-(:meth:`GpuConfigStack.rows`); every other entry point is a view that
-builds a stack over its own launches and reads the lanes back as
+sweeps evaluate it for thousands of lanes over a block of SoC configs
+at once (:meth:`GpuConfigStack.block_rows`); every other entry point
+is a view that builds a stack over its own launches and reads the
+lanes back as
 :class:`GpuLaunchTiming` rows — :func:`time_launch` and
 :class:`LaunchPricer` one lane at a time, :class:`GpuPricingModel` k
 lanes per call.  The config-invariant inputs (the instruction-mix
@@ -56,7 +57,8 @@ def _check_fits(compiled: CompiledKernel, config: MaliConfig) -> None:
     """Raise ``CL_OUT_OF_RESOURCES`` when the kernel no longer fits the
     config's scaled register file — the launch-time failure mode
     design-space sweeps use to mark candidates infeasible on leaner SoC
-    variants (:meth:`GpuConfigStack.rows` masks those lanes instead)."""
+    variants (:meth:`GpuConfigStack.block_rows` masks those lanes
+    instead)."""
     scale = config.register_file_scale
     report = compiled.registers
     if not fits_register_file(report, scale):
@@ -624,9 +626,10 @@ def _stack_signature(config: MaliConfig) -> tuple:
 
 
 class GpuStackRows:
-    """Row arrays of one (config, dram) design point over a cell stack.
+    """Row arrays of a block of k design points over a cell stack.
 
-    One float64 lane per cell, aligned with the stack's cell order.
+    ``(k, cells)`` float64 lanes, one column per cell in the stack's
+    cell order (``dram_bytes`` is per cell only).
     ``feasible`` is False where the kernel no longer fits the config's
     scaled register file (a single launch raises ``CL_OUT_OF_RESOURCES``
     there); infeasible lanes carry ``inf`` seconds and zero utilization.
@@ -662,9 +665,10 @@ class GpuConfigStack:
     validated as a launch would be (``ValueError`` for ``n_items < 1``,
     ``CL_INVALID_WORK_GROUP_SIZE`` for a local size no core holds).
     :meth:`_seconds` is the launch epilogue over those lanes;
-    :meth:`rows` evaluates it for one ``(config, dram)`` design point
-    of a sweep, :meth:`timings` for the stack's own point as
-    :class:`GpuLaunchTiming` rows (the single-launch views).
+    :meth:`block_rows` evaluates it for a block of ``(config, dram)``
+    design points of a sweep in one pass, :meth:`timings` for the
+    stack's own point as :class:`GpuLaunchTiming` rows (the
+    single-launch views).
 
     Occupancy (:func:`~repro.mali.occupancy.derive_occupancy`) and the
     Job Manager's distribution (:func:`~repro.mali.job_manager.distribute`)
@@ -690,7 +694,7 @@ class GpuConfigStack:
         self.config = config
         self.dram = dram
         self.caches = caches
-        self._sig: tuple | None = None  # rows()'s base signature, on first use
+        self._sig: tuple | None = None  # block_rows()'s base signature, on first use
 
         tables = _traffic_tables(dram, caches)
         group_ord: dict[tuple, int] = {}
@@ -818,14 +822,36 @@ class GpuConfigStack:
             found = self._hiding_cache[scale] = (hiding, bandwidth_hiding)
         return found
 
-    def _seconds(self, config: MaliConfig, transfer, hiding, bandwidth_hiding) -> tuple:
+    def _seconds(self, clock_hz, shader_cores, transfer, hiding, bandwidth_hiding) -> tuple:
         """The launch epilogue over every lane: ``(seconds, arith_s,
-        ls_s, dram_s, atomic_s, barrier_s, schedule_s, imbalance)``."""
+        ls_s, dram_s, atomic_s, barrier_s, schedule_s, imbalance)``.
+
+        ``clock_hz`` / ``shader_cores`` are one design point's scalars
+        (``(cells,)`` lanes) or ``(k,)`` arrays over a block of configs
+        (``(k, cells)`` lanes, with ``(k, cells)`` hiding and transfer);
+        every other config field is the stack's own.  Broadcasting keeps
+        each lane's operation chain, so a block row is bitwise the
+        scalar evaluation.  ``math.log`` of the core count stays on
+        ``math`` (``np.log`` need not round the same), once per count.
+        """
         import numpy as np
 
-        clock = config.clock_hz
-        n_cores = config.shader_cores
-        cores_f = float(n_cores)
+        config = self.config
+        if isinstance(shader_cores, np.ndarray):
+            listed = shader_cores.tolist()
+            ln = {n: math.log(max(n, 2)) for n in set(listed)}
+            two_ln_k = np.asarray([2.0 * ln[n] for n in listed])[:, None]
+            cores = shader_cores[:, None]
+            cores_f = cores.astype(np.float64)
+            arith_div = (cores * config.arith_pipes_per_core).astype(np.float64)
+            ls_div = (cores * config.ls_pipes_per_core).astype(np.float64)
+            clock = np.asarray(clock_hz, dtype=np.float64)[:, None]
+        else:
+            two_ln_k = 2.0 * math.log(max(shader_cores, 2))
+            cores_f = float(shader_cores)
+            arith_div = float(shader_cores * config.arith_pipes_per_core)
+            ls_div = float(shader_cores * config.ls_pipes_per_core)
+            clock = clock_hz
 
         # Job Manager distribution: quantization (the fullest core sets
         # the finish time) times the extreme-value ragged-work estimate
@@ -835,18 +861,14 @@ class GpuConfigStack:
         quantization = np.ceil(per_core) / per_core
         ragged = np.where(
             self._cv > 0.0,
-            1.0
-            + self._cv
-            * np.sqrt((2.0 * math.log(max(n_cores, 2))) / np.maximum(per_core, 1.0)),
+            1.0 + self._cv * np.sqrt(two_ln_k / np.maximum(per_core, 1.0)),
             1.0,
         )
         imbalance = quantization * ragged
         schedule_s = self._n_wg_f * config.wg_schedule_cycles / clock
 
-        arith_s = (
-            self._arith_raw / float(n_cores * config.arith_pipes_per_core) / clock / hiding
-        )
-        ls_s = self._ls_raw / float(n_cores * config.ls_pipes_per_core) / clock / hiding
+        arith_s = self._arith_raw / arith_div / clock / hiding
+        ls_s = self._ls_raw / ls_div / clock / hiding
         # transfer is 0.0 exactly where there is no DRAM traffic, so
         # the division chain lands on a literal 0.0 there
         dram_s = transfer / bandwidth_hiding / self._access_eff
@@ -871,7 +893,7 @@ class GpuConfigStack:
     def floor_seconds(
         self, dram: DramModel, *, shader_cores, clock_hz, register_file_scale=None
     ):
-        """Rigorous per-cell lower bound on :meth:`rows` ``seconds``.
+        """Rigorous per-cell lower bound on :meth:`block_rows` ``seconds``.
 
         The roofline floor along the config axis (the stacked twin of
         :func:`roofline_floor_seconds`'s idea):
@@ -881,7 +903,7 @@ class GpuConfigStack:
         barrier additions (non-negative) and the imbalance multiplier
         (>= 1).  With ``register_file_scale`` given, the arith/LS/DRAM
         terms carry the *exact* occupancy-hiding and access-efficiency
-        divisors of :meth:`rows` (they depend on the config only
+        divisors of :meth:`block_rows` (they depend on the config only
         through the register-file scale); without it they assume
         perfect hiding (divisors of one, still a valid floor since
         every divisor is <= 1) and the additive tail is skipped.
@@ -889,9 +911,9 @@ class GpuConfigStack:
         ``shader_cores`` / ``clock_hz`` may be scalars (returns a
         ``(cells,)`` array) or aligned arrays of k configs (returns
         ``(k, cells)``).  Bitwise rigor: each term is an exact
-        operation-prefix of the :meth:`rows` chain for the same lane
+        operation-prefix of the :meth:`block_rows` chain for the same lane
         (same operand order), the omissions are monotone under IEEE-754
-        rounding, so ``floor <= rows(...).seconds`` holds lane for
+        rounding, so ``floor <= block_rows(...).seconds`` holds lane for
         lane, including infeasible lanes (their seconds are ``inf``).
         """
         import numpy as np
@@ -918,7 +940,7 @@ class GpuConfigStack:
         else:
             hiding, bandwidth_hiding = self._hiding_for(register_file_scale)
             # transfer is 0.0 exactly where there is no DRAM traffic,
-            # so the division chain matches rows()'s literal 0.0 lane
+            # so the division chain matches block_rows()'s literal 0.0 lane
             dram_s = transfer / bandwidth_hiding / self._access_eff
             floor = np.maximum(
                 np.maximum(arith / hiding[None, :], ls / hiding[None, :]),
@@ -931,23 +953,38 @@ class GpuConfigStack:
         return floor[0] if scalar else floor
 
     # ------------------------------------------------------------------
-    def rows(self, config: MaliConfig, dram: DramModel) -> GpuStackRows:
-        """Price every cell under one ``(config, dram)`` design point."""
+    def block_rows(self, configs, drams) -> GpuStackRows:
+        """Price every cell under ``k`` design points at once.
+
+        ``configs`` / ``drams`` are aligned sequences of Mali configs
+        (equal to the stack's base outside :data:`_STACK_AXES`) and DRAM
+        models; row ``i`` of the ``(k, cells)`` lanes is the
+        ``(configs[i], drams[i])`` design point.  Feasibility, hiding and
+        transfer lanes come from the per-scale and per-DRAM caches; core
+        counts and clocks enter :meth:`_seconds` as columns, so the
+        block is one epilogue pass.
+        """
         import numpy as np
 
         if self._sig is None:
             self._sig = _stack_signature(self.config)
-        if _stack_signature(config) != self._sig:
-            raise ValueError(
-                "config differs from the stack base outside the stacked axes "
-                f"({', '.join(sorted(_STACK_AXES))})"
-            )
-        scale = config.register_file_scale
-        feasible = self._tpc_for(scale)[0][self._gidx]
-        hiding, bandwidth_hiding = self._hiding_for(scale)
-        seconds, arith_s, ls_s, *_ = self._seconds(
-            config, self._transfer_for(dram), hiding, bandwidth_hiding
-        )
+        for config in {id(c): c for c in configs}.values():
+            if _stack_signature(config) != self._sig:
+                raise ValueError(
+                    "config differs from the stack base outside the stacked axes "
+                    f"({', '.join(sorted(_STACK_AXES))})"
+                )
+        hiding = [self._hiding_for(c.register_file_scale) for c in configs]
+        seconds, arith_s, ls_s = self._seconds(
+            np.asarray([c.clock_hz for c in configs]),
+            np.asarray([c.shader_cores for c in configs]),
+            np.stack([self._transfer_for(dram) for dram in drams]),
+            np.stack([h for h, _ in hiding]),
+            np.stack([b for _, b in hiding]),
+        )[:3]
+        feasible = np.stack(
+            [self._tpc_for(c.register_file_scale)[0] for c in configs]
+        )[:, self._gidx]
 
         with np.errstate(divide="ignore", invalid="ignore"):
             pos = seconds > 0.0
@@ -966,15 +1003,16 @@ class GpuConfigStack:
 
     def timings(self) -> tuple[GpuLaunchTiming, ...]:
         """One :class:`GpuLaunchTiming` per cell at the stack's own
-        ``(config, dram)``: the lanes :meth:`rows` reduces, read back as
-        Python floats.  Raises ``CL_OUT_OF_RESOURCES`` where a kernel
-        does not fit the register file (:meth:`rows` masks the lane)."""
+        ``(config, dram)``: the lanes :meth:`block_rows` reduces, read
+        back as Python floats.  Raises ``CL_OUT_OF_RESOURCES`` where a kernel
+        does not fit the register file (:meth:`block_rows` masks the lane)."""
         config = self.config
         for compiled in self._group_kernels:
             _check_fits(compiled, config)
         hiding, bandwidth_hiding = self._hiding_for(config.register_file_scale)
         lanes = self._seconds(
-            config, self._transfer_for(self.dram), hiding, bandwidth_hiding
+            config.clock_hz, config.shader_cores, self._transfer_for(self.dram),
+            hiding, bandwidth_hiding,
         )
         overhead = config.launch_overhead_s
         out = []

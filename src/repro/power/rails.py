@@ -168,7 +168,7 @@ def gpu_floor_watts(rails: PowerRailConfig) -> float:
     terms (DRAM traffic, ALU/LS utilization) are all non-negative and
     float rounding is monotone, so every real lane is >= this floor bit
     for bit.  The design-space pruning bound
-    (:meth:`repro.designspace.DesignSpace.opt_bounds`) vectorizes this
-    chain over rail-scaled configs.
+    (:meth:`repro.designspace.DesignSpace.opt_bounds`) takes it of each
+    distinct rail-scaled config.
     """
     return (rails.board_idle_w + rails.host_polling_w) + rails.gpu_base_w

@@ -16,12 +16,20 @@ the reference bit for bit (full dataclass ``==``, never ``approx``).
 * :func:`facade_rows` — a :class:`~repro.designspace.DesignSpace` row
   set of one SoC config, every cell priced through the references above
   (the loop a stacked sweep replaces);
+* :func:`points_reference` — one config's design points from its rows,
+  picked and summed with Python floats one group at a time (the loop
+  the block pass replaces);
+* :func:`digest_reference` — a config digest hashed from the whole
+  derived platform;
+* :func:`skyline_reference` / :func:`frontier_reference` — the O(n²)
+  all-pairs Pareto scans :func:`repro.pareto.skyline` replaced;
 * :func:`scalar_pricing` — patches every launch and CPU pricing entry a
   campaign or tuner reaches onto the references, memo off.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from contextlib import contextmanager
 from unittest import mock
@@ -39,6 +47,7 @@ from repro.mali import timing
 from repro.mali.job_manager import distribute
 from repro.mali.occupancy import derive_occupancy
 from repro.mali.timing import GpuLaunchTiming, GpuPricingModel, LaunchPricer
+from repro.pareto import point_key, strictly_dominates
 from repro.power.rails import Activity, ActivityKind
 from repro.pricing.cells import MODE_SERIAL, TraceCell
 
@@ -438,6 +447,89 @@ def facade_rows(space, config):
         cpu_watts=np.asarray([t.segments[0].watts for t in cpu_traces]),
         cpu_energy=np.asarray([t.energy_j for t in cpu_traces]),
     )
+
+
+def points_reference(space, config, rows):
+    """Design points of one config from its row arrays, one group at a
+    time: [Serial, OpenMP, Opt] per (benchmark, precision) group, then
+    the per-precision aggregates, summed term by term in group order."""
+    from repro.designspace import AGGREGATE, VERSIONS, DesignPoint
+
+    pts = []
+    agg = {}  # (precision, version) -> [seconds, energy, ok]
+    for bc in space.groups:
+        for version, lane in (("Serial", bc.cpu_start), ("OpenMP", bc.cpu_start + 1)):
+            seconds = float(rows.cpu_seconds[lane])
+            energy = float(rows.cpu_energy[lane])
+            pts.append(
+                DesignPoint(
+                    config.name, bc.name, bc.precision, version, seconds,
+                    float(rows.cpu_watts[lane]), energy,
+                )
+            )
+            acc = agg.setdefault((bc.precision, version), [0.0, 0.0, True])
+            acc[0] += seconds
+            acc[1] += energy
+        span = slice(bc.gpu_start, bc.gpu_stop)
+        feas = rows.gpu_feasible[span]
+        if feas.size and bool(feas.any()):
+            j = int(np.argmin(rows.gpu_iter_seconds[span]))
+            seconds = float(rows.gpu_iter_seconds[span][j])
+            watts = float(rows.gpu_watts[span][j])
+            energy = float(rows.gpu_energy[span][j])
+            ok = True
+        else:
+            seconds, watts, energy, ok = math.inf, 0.0, math.inf, False
+        pts.append(
+            DesignPoint(
+                config.name, bc.name, bc.precision, "Opt", seconds, watts, energy, ok
+            )
+        )
+        acc = agg.setdefault((bc.precision, "Opt"), [0.0, 0.0, True])
+        acc[0] += seconds
+        acc[1] += energy
+        acc[2] = acc[2] and ok
+    for precision in dict.fromkeys(bc.precision for bc in space.groups):
+        for version in VERSIONS:
+            seconds, energy, ok = agg[(precision, version)]
+            watts = energy / seconds if ok and seconds > 0 else 0.0
+            pts.append(
+                DesignPoint(
+                    config.name, AGGREGATE, precision, version, seconds, watts, energy, ok
+                )
+            )
+    return pts
+
+
+def digest_reference(config, base=None) -> str:
+    """SHA-256 prefix of ``repr((mali, cpu, dram, rails))`` of the whole
+    derived platform."""
+    p = config.platform(base)
+    return hashlib.sha256(repr((p.mali, p.cpu, p.dram, p.rails)).encode()).hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# Pareto frontiers
+# ---------------------------------------------------------------------------
+
+
+def skyline_reference(points, key=point_key) -> tuple:
+    """The O(n²) all-pairs frontier: every feasible point no feasible
+    point strictly dominates, sorted by ``key``."""
+    feasible = [p for p in points if getattr(p, "feasible", True)]
+    keys = [key(p) for p in feasible]
+    front = [
+        p
+        for p, kp in zip(feasible, keys)
+        if not any(strictly_dominates(kq[0], kq[1], kp[0], kp[1]) for kq in keys)
+    ]
+    return tuple(sorted(front, key=key))
+
+
+def frontier_reference(points) -> tuple:
+    """:func:`skyline_reference` over design points (the oracle of
+    :func:`repro.designspace.frontier`)."""
+    return skyline_reference(points, key=point_key)
 
 
 # ---------------------------------------------------------------------------

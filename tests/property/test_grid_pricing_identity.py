@@ -16,15 +16,17 @@ the independent scalar references of ``tests/pricing_oracle.py``.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import perf
 from repro.benchmarks.base import Precision, Version
 from repro.benchmarks.registry import PAPER_ORDER
 from repro.experiments.runner import run_grid
-from tests.pricing_oracle import facade_rows, scalar_pricing
+from tests.pricing_oracle import facade_rows, points_reference, scalar_pricing
 
 BOTH_PRECISIONS = (Precision.SINGLE, Precision.DOUBLE)
 
@@ -119,20 +121,55 @@ def _assert_rows_bitwise(stacked, reference):
             assert np.array_equal(a, b), field
 
 
-@given(knob_sets=st.lists(_SOC_KNOBS, min_size=1, max_size=4, unique_by=repr))
+def _row(rows, i):
+    """Row ``i`` of a block's :class:`~repro.designspace.SpaceRows`."""
+    from repro.designspace import SpaceRows
+
+    return SpaceRows(**{name: getattr(rows, name)[i] for name in SpaceRows.__slots__})
+
+
+#: an unsorted list mixing every knob the block pass groups by
+_MIXED_KNOBS = [
+    {"register_file_scale": 2.0, "dram_gbps": 16.5, "rail_scale": 0.5},
+    {"cpu_cores": 4, "register_file_scale": 0.125},
+    {},
+    {"dram_gbps": 6.4, "cpu_cores": 1, "rail_scale": 2.0, "gpu_cores": 8},
+    {"register_file_scale": 0.5, "dram_gbps": 16.5, "cpu_cores": 4, "rail_scale": 0.5},
+]
+
+
+@given(knob_sets=st.lists(_SOC_KNOBS, min_size=1, max_size=5, unique_by=repr))
+@example(knob_sets=_MIXED_KNOBS)
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_random_soc_configs_stacked_rows_match_facade(knob_sets):
-    """Random SoCConfig subsets: every stacked row is bitwise the row the
-    scalar references compute cell by cell for that config — including
-    configs whose scaled register file makes candidates infeasible."""
+    """Random, unsorted SoCConfig lists priced in blocks, at the block
+    constant and with it patched small so the list crosses block
+    boundaries: every block row is bitwise the row the scalar references
+    compute cell by cell for that config — including configs whose
+    scaled register file makes candidates infeasible — and every
+    config's points equal the group-by-group reference loop."""
+    from repro import designspace
     from repro.calibration.socspace import SoCConfig
     from repro.designspace import DesignSpace
 
     configs = [SoCConfig(name=f"p{i}", **knobs) for i, knobs in enumerate(knob_sets)]
     perf.reset()
     space = DesignSpace(benchmarks=("vecop", "red"), scale=0.1)
-    for config in configs:
-        _assert_rows_bitwise(space.stacked_rows(config), facade_rows(space, config))
+    reference = [facade_rows(space, config) for config in configs]
+    expected = [
+        points_reference(space, config, rows) for config, rows in zip(configs, reference)
+    ]
+    for config, rows, pts in zip(configs, reference, expected):
+        _assert_rows_bitwise(space.stacked_rows(config), rows)
+        assert space.points(config, rows) == pts
+    for block in (designspace.BLOCK_SIZE, 2):
+        for start in range(0, len(configs), block):
+            rows = space.block_rows(configs[start : start + block])
+            for i, ref in enumerate(reference[start : start + block]):
+                _assert_rows_bitwise(_row(rows, i), ref)
+        with mock.patch.object(designspace, "BLOCK_SIZE", block):
+            points = space.evaluate(configs)
+        assert list(points) == [p for pts in expected for p in pts]
 
 
 def test_design_space_jobs_pool_matches_inline():
@@ -151,6 +188,6 @@ def test_design_space_jobs_pool_matches_inline():
 
     space = DesignSpace(benchmarks=("vecop", "hist"), scale=0.1)
     reference = tuple(
-        p for c in configs for p in space.points(c, facade_rows(space, c))
+        p for c in configs for p in points_reference(space, c, facade_rows(space, c))
     )
     assert inline.points == reference

@@ -4,9 +4,9 @@ Three families of hypothesis proofs back the streaming design-space
 driver (see ``repro.pareto`` / ``repro.designspace``):
 
 * :func:`repro.pareto.skyline` returns exactly the same tuple as the
-  O(n^2) all-pairs :func:`repro.pareto.skyline_reference` for any point
-  cloud — ties on one or both coordinates, duplicated points, infeasible
-  entries, single points, empty clouds;
+  O(n^2) all-pairs ``skyline_reference`` of ``tests/pricing_oracle.py``
+  for any point cloud — ties on one or both coordinates, duplicated
+  points, infeasible entries, single points, empty clouds;
 * :class:`repro.pareto.OnlineFrontier` is arrival-order independent:
   any shuffle, any chunking, incremental ``add`` or bulk ``update``,
   the final frontier is byte-for-byte the batch skyline;
@@ -29,13 +29,8 @@ from hypothesis import strategies as st
 
 from repro import perf
 from repro.designspace import AGGREGATE, DesignPoint
-from repro.pareto import (
-    OnlineFrontier,
-    point_key,
-    skyline,
-    skyline_reference,
-    strictly_dominates,
-)
+from repro.pareto import OnlineFrontier, point_key, skyline, strictly_dominates
+from tests.pricing_oracle import skyline_reference
 
 # small value pools => dense ties and exact duplicates
 _COORDS = st.sampled_from((0.25, 0.5, 1.0, 1.0, 2.0, 3.0, 5.0))

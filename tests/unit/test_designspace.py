@@ -14,6 +14,7 @@ from repro.calibration.exynos5250 import default_platform
 from repro.calibration.socspace import (
     EXYNOS_5250,
     SoCConfig,
+    config_digests,
     config_grid,
     default_space,
     load_configs,
@@ -34,11 +35,11 @@ from repro.designspace import (
     evaluate_space,
     export_frontier,
     frontier,
-    frontier_reference,
     opt_over_serial,
 )
 from repro.errors import CalibrationError, CLOutOfResources
 from repro.perf.persist import key_digest
+from tests.pricing_oracle import digest_reference, frontier_reference
 
 
 @pytest.fixture(autouse=True)
@@ -88,6 +89,41 @@ def test_soc_digest_is_content_addressed():
         d = SoCConfig(name="x", **{knob: value}).digest()
         assert d not in digests, knob
         digests.add(d)
+
+
+def test_soc_digest_bytes_are_pinned():
+    """A digest is the SHA-256 prefix of ``repr((mali, cpu, dram,
+    rails))`` of the derived platform: pinned for the board, equal to
+    the whole-platform reference over a knob sample (per config and
+    batched), and moved by a base that differs outside the knobs."""
+    import dataclasses
+
+    assert EXYNOS_5250.digest() == "95063a522cb7122f"
+    configs = config_grid(
+        gpu_cores=(1, 8),
+        gpu_clock_hz=(416e6, 700e6),
+        cpu_cores=(1, 4),
+        cpu_clock_hz=(1.0e9, 1.7e9),
+        dram_gbps=(6.4, 16.5),
+        register_file_scale=(0.5, 2.0),
+        rail_scale=(0.5, 1.0),
+    ) + (
+        # equal to the board's knobs but rendered as ints
+        SoCConfig(name="int-clock", gpu_clock_hz=533000000),
+        SoCConfig(name="int-cores", gpu_cores=4.0, register_file_scale=1),
+        EXYNOS_5250,
+    )
+    expected = tuple(digest_reference(c) for c in configs)
+    assert tuple(c.digest() for c in configs) == expected
+    assert config_digests(configs) == expected
+    assert len(set(expected[-3:])) == 3
+
+    base = default_platform()
+    idle = dataclasses.replace(
+        base, rails=dataclasses.replace(base.rails, board_idle_w=base.rails.board_idle_w + 0.5)
+    )
+    assert EXYNOS_5250.digest(idle) != EXYNOS_5250.digest()
+    assert config_digests(configs, idle) == tuple(digest_reference(c, idle) for c in configs)
 
 
 def test_config_grid_names_and_exynos_rename():
@@ -392,6 +428,16 @@ def test_stream_matches_materialize_and_reports_counts():
     assert st.evaluated + st.pruned == len(configs)
     assert st.pruned > 0  # this grid has dominated / rf-infeasible configs
     assert st.chunk_size == 4
+    # a chunk's survivors priced across several blocks: same result bytes
+    from unittest import mock
+
+    from repro import designspace
+
+    with mock.patch.object(designspace, "BLOCK_SIZE", 1):
+        small = evaluate_space(
+            configs, benchmarks=("vecop",), scale=0.1, stream=True, chunk_size=4
+        )
+    assert json.dumps(small.to_dict()) == json.dumps(st.to_dict())
     assert st.target_benchmark == AGGREGATE and st.target_version == "Opt"
     # memory-model witness: far below the materialized space, never zero
     assert 0 < st.peak_resident < mat.peak_resident
@@ -484,6 +530,22 @@ def test_stream_trace_events(tmp_path):
     events = read_trace(trace_path)
     assert [e.event for e in events][0] == "space_started"
     assert events[-1].event == "space_finished"
+
+
+def test_materialize_trace_path_gets_start_and_finish(tmp_path):
+    """``trace`` is honoured without ``stream``: a JSONL path gets the
+    space_started / space_finished envelope (no per-chunk events)."""
+    from repro.experiments.trace import read_trace
+
+    configs = _stream_grid()[:3]
+    path = tmp_path / "space.jsonl"
+    result = evaluate_space(configs, benchmarks=("vecop",), scale=0.1, trace=path)
+    events = read_trace(path)
+    assert [e.event for e in events] == ["space_started", "space_finished"]
+    assert events[0].detail["configs"] == 3
+    finished = events[-1].detail
+    assert finished["evaluated"] == 3 and finished["pruned"] == 0
+    assert finished["peak_resident"] == len(result.points)
 
 
 def test_evaluate_space_reuses_a_prebuilt_space():
