@@ -27,12 +27,13 @@ makes both the process pool and the cache sound.
 
 Execution is **crash-proof**: an unexpected exception inside a cell is
 captured as a failed :class:`RunResult` with ``failure_kind="crash"``
-instead of aborting the campaign, and a pool worker death
-(``BrokenProcessPool``) triggers a pool rebuild plus a retry ladder at
+instead of aborting the campaign, and a worker death — of the local
+process pool or a remote worker, both driven by one recovery loop
+(:meth:`Campaign._run_chunks`) — feeds one retry ladder at
 progressively finer granularity — family, then version-group, then
-single task — until the faulty cell is isolated on a dedicated probe
-pool and, if it keeps killing workers, demoted to a crashed result
-while every other cell still completes.  Even a terminal error (e.g.
+single task — until the faulty cell is isolated on a probe run and, if
+it keeps killing workers, demoted to a crashed result while every other
+cell still completes.  Even a terminal error (e.g.
 ``KeyboardInterrupt``) leaves behind a salvaged partial ``ResultSet``
 (:attr:`Campaign.salvage`), a fresh report, and a ``campaign_failed``
 trace event.
@@ -45,12 +46,12 @@ Since PR 5 the engine is also **kill-proof and budget-aware**:
   :meth:`Campaign.resume` (or the ``repro resume`` CLI verb) — replayed
   cells are skipped, the rest execute, and the final ``ResultSet`` is
   byte-identical to an uninterrupted run;
-* ``cell_timeout_s`` / ``deadline_s`` arm a **deadline watchdog**: on
-  the pool path a monitor thread (:class:`_Watchdog`) kills workers
-  whose chunk overran its budget, the retry ladder narrows the hang to
-  a single cell, and that cell is demoted to a
-  ``failure_kind="timeout"`` result; in-process runs guard each cell
-  with a SIGALRM timer.  A campaign that overruns ``deadline_s``
+* ``cell_timeout_s`` / ``deadline_s`` arm **budgets**: the recovery
+  loop reads chunk budgets on the campaign :class:`Clock` once per
+  turn and kills workers whose chunk overran (a remote link enforces
+  its own), the timeout ladder narrows the hang to a single cell, and
+  that cell is demoted to a ``failure_kind="timeout"`` result;
+  in-process runs guard each cell with a SIGALRM timer.  A campaign that overruns ``deadline_s``
   terminates with :class:`DeadlineExceeded` — through the salvage path,
   so the journal + partial results make the remainder resumable;
 * on-disk tiers that hit resource exhaustion (ENOSPC / EACCES)
@@ -75,6 +76,7 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -99,6 +101,7 @@ from ..power import dvfs
 from . import faults
 from .cache import RunCache, run_key
 from .journal import CampaignJournal
+from .remote import PoolExhausted, RemoteWorkerPool
 from .runner import ResultSet
 from .trace import JsonlTraceSink, Tracer, TraceSink
 
@@ -123,7 +126,7 @@ class _CellTimeout(BaseException):
 
 @dataclass(frozen=True)
 class Clock:
-    """Injectable time source for retries, budgets and the watchdog.
+    """Injectable time source for retries and budgets.
 
     The engine only ever reads time through one of these, so
     fault-tolerance tests substitute a fake (whose ``sleep`` advances
@@ -135,95 +138,15 @@ class Clock:
     sleep: Callable[[float], None] = time.sleep
 
 
-def _kill_pool_processes(pool: ProcessPoolExecutor | None) -> None:
+def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
     """Forcibly kill a pool's worker processes (stuck workers ignore
     ``shutdown``; only SIGKILL unblocks their futures)."""
-    if pool is None:
-        return
     processes = getattr(pool, "_processes", None) or {}
     for process in list(processes.values()):
         try:
             process.kill()
         except Exception:  # noqa: BLE001 — already-dead workers etc.
             pass
-
-
-class _Watchdog:
-    """Monitor thread enforcing wall-clock budgets on pool execution.
-
-    The dispatcher registers every in-flight future with the budget of
-    its chunk (``cell_timeout_s`` × tasks); the thread polls the
-    campaign :class:`Clock` and, when a watch expires or the campaign
-    deadline passes, kills the active pool's workers — which breaks the
-    blocked ``wait()`` in the dispatcher and routes the expired chunk
-    into the timeout ladder.  All state is lock-guarded; the thread is
-    a daemon and is joined by :meth:`stop`.
-    """
-
-    POLL_S = 0.05
-
-    def __init__(
-        self,
-        clock: Clock,
-        deadline_at: float | None,
-        kill: Callable[[], None],
-    ) -> None:
-        self._clock = clock
-        self._deadline_at = deadline_at
-        self._kill = kill
-        self._lock = threading.Lock()
-        self._watches: dict[object, float] = {}
-        self._expired: set[object] = set()
-        self.deadline_hit = False
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-campaign-watchdog", daemon=True
-        )
-        self._thread.start()
-
-    def watch(self, future: object, budget_s: float | None) -> None:
-        if budget_s is None:
-            return
-        with self._lock:
-            self._watches[future] = self._clock.monotonic() + budget_s
-
-    def unwatch(self, future: object) -> None:
-        with self._lock:
-            self._watches.pop(future, None)
-
-    def expired(self, future: object) -> bool:
-        """Whether this future's chunk overran its budget (one-shot)."""
-        with self._lock:
-            if future in self._expired:
-                self._expired.discard(future)
-                return True
-            return False
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            now = self._clock.monotonic()
-            fire = False
-            with self._lock:
-                if (
-                    self._deadline_at is not None
-                    and now >= self._deadline_at
-                    and not self.deadline_hit
-                ):
-                    self.deadline_hit = True
-                    fire = True
-                overran = [f for f, at in self._watches.items() if now >= at]
-                for future in overran:
-                    self._expired.add(future)
-                    del self._watches[future]
-                if overran:
-                    fire = True
-            if fire:
-                self._kill()
-            self._clock.sleep(self.POLL_S)
 
 
 @dataclass(frozen=True)
@@ -430,6 +353,110 @@ def _execute_family(
     return tuple(out), family_delta, prepriced
 
 
+def _probe_locally(campaign: "Campaign", task: RunTask, preprice: bool) -> tuple:
+    """Run one task alone on a dedicated one-worker pool.
+
+    Budgeted by ``cell_timeout_s``: an overrun kills the probe worker
+    and raises ``concurrent.futures.TimeoutError``; a run that kills its
+    worker raises the pool's error.
+    """
+    probe = campaign._new_pool(1)
+    try:
+        future = probe.submit(_execute_family, ((task,),), preprice)
+        try:
+            return future.result(timeout=campaign.cell_timeout_s)
+        except FuturesTimeout:
+            _kill_pool_processes(probe)
+            raise
+    finally:
+        probe.shutdown(wait=True, cancel_futures=True)
+
+
+class _LocalPool:
+    """The process pool as an executor of :meth:`Campaign._run_chunks`.
+
+    Chunk budgets (``cell_timeout_s`` × tasks) are read on the campaign
+    :class:`Clock` by :meth:`drain`, once per loop turn (every 0.05 s
+    while a budget or deadline is armed): an overrun kills the pool's
+    processes and marks its chunk for the timeout ladder.  The pool is
+    rebuilt once per break, when a future of the *current* pool fails
+    with ``BrokenExecutor``; futures of a replaced pool settle as plain
+    failures, so ``pool_restarts`` counts breaks exactly.
+    """
+
+    def __init__(self, campaign: "Campaign", max_workers: int) -> None:
+        self._campaign = campaign
+        self._max_workers = max_workers
+        self._pool = campaign._new_pool(max_workers)
+        #: futures of the current pool → Clock time their budget ends
+        self._inflight: dict[Future, float | None] = {}
+        self._expired: set[Future] = set()
+        self._restarts: list[dict] = []
+        armed = campaign.cell_timeout_s is not None or campaign._deadline_at is not None
+        self.poll_s = 0.05 if armed else None
+
+    def submit(self, payload: tuple, preprice: bool) -> Future:
+        try:
+            future = self._pool.submit(_execute_family, payload, preprice)
+        except BrokenExecutor as exc:  # died between batches
+            self._rebuild(exc)
+            future = self._pool.submit(_execute_family, payload, preprice)
+        budget = self._campaign.cell_timeout_s
+        if budget is not None:
+            # a chunk's budget scales with its task count — only once
+            # the ladder narrows to a single task does overrunning it
+            # convict the cell
+            budget = self._campaign.clock.monotonic() + budget * sum(map(len, payload))
+        self._inflight[future] = budget
+        return future
+
+    def drain(self, tracer: Tracer) -> None:
+        now = self._campaign.clock.monotonic()
+        overran = [
+            f for f, at in self._inflight.items()
+            if at is not None and now >= at and not f.done()
+        ]
+        for future in overran:
+            self._inflight[future] = None
+            self._expired.add(future)
+        if overran:
+            _kill_pool_processes(self._pool)
+        for detail in self._restarts:
+            tracer.emit("pool_restarted", detail=detail)
+        self._restarts.clear()
+
+    def settle(self, future: Future) -> bool:
+        if future in self._inflight:
+            del self._inflight[future]
+            if isinstance(future.exception(), BrokenExecutor):
+                self._rebuild(future.exception())
+        expired = future in self._expired
+        self._expired.discard(future)
+        return expired
+
+    def probe(self, task: RunTask, preprice: bool) -> tuple:
+        return _probe_locally(self._campaign, task, preprice)
+
+    @staticmethod
+    def exhausted() -> bool:
+        return False
+
+    def close(self) -> None:
+        # stuck workers ignore shutdown(); kill them so the join is finite
+        if not all(f.done() for f in self._inflight):
+            _kill_pool_processes(self._pool)
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def _rebuild(self, exc: BaseException) -> None:
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._campaign._pool_restarts += 1
+        self._restarts.append(
+            {"error": f"{type(exc).__name__}: {exc}", "restarts": self._campaign._pool_restarts}
+        )
+        self._pool = self._campaign._new_pool(self._max_workers)
+        self._inflight = {}
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """Frozen description of one experimental campaign.
@@ -588,7 +615,7 @@ class CampaignReport:
     pool_restarts: int = 0
     #: terminal error text when the campaign did not finish, else ``None``
     error: str | None = None
-    #: cells the watchdog demoted to ``failure_kind="timeout"`` results
+    #: cells demoted to ``failure_kind="timeout"`` results for overrunning a budget
     #: (a subset of ``failed_runs``)
     timeout_runs: tuple[tuple[str, Version, Precision], ...] = ()
     #: cells replayed from the journal instead of executed (resume)
@@ -685,17 +712,18 @@ class Campaign:
     the spec, so a campaign's backoff schedule is reproducible.
 
     ``workers`` switches execution to remote distribution: a tuple of
-    ``"host:port"`` addresses of ``repro worker`` processes.  Uncached
-    chunks are scheduled onto a :class:`repro.experiments.remote.
-    RemoteWorkerPool` (cache-affinity family placement preserved); lost
-    connections feed the same recovery ladder as pool worker deaths,
-    and when *every* remote worker is gone the campaign degrades
-    gracefully to local execution (``tier_degraded`` event + warning)
-    instead of failing.  Results are byte-identical to local runs.
+    ``"host:port"`` addresses of ``repro worker`` processes (default
+    platform only).  Uncached chunks are scheduled onto a
+    :class:`repro.experiments.remote.RemoteWorkerPool` (cache-affinity
+    family placement preserved); lost connections feed the same
+    recovery ladder as pool worker deaths, and when *every* remote
+    worker is gone the campaign degrades gracefully to local execution
+    (``tier_degraded`` event + warning) instead of failing.  Results
+    are byte-identical to local runs.
 
     ``cell_timeout_s`` budgets each cell's wall clock: a pool chunk
-    gets ``cell_timeout_s × tasks`` before the watchdog kills its
-    worker and the retry ladder narrows the hang down to the stuck
+    gets ``cell_timeout_s × tasks`` before its worker is killed and
+    the retry ladder narrows the hang down to the stuck
     cell, which is demoted to a ``failure_kind="timeout"`` result; the
     in-process path arms a per-cell SIGALRM timer instead.
     ``deadline_s`` budgets the whole campaign — overrunning it raises
@@ -753,6 +781,8 @@ class Campaign:
             raise ValueError("cell_timeout_s must be positive")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
+        if workers and spec.platform is not None:  # a platform has no data form
+            raise ValueError("remote workers run the default platform only; spec.platform must be None")
         self.spec = spec
         self.cache = RunCache(Path(cache_dir).expanduser()) if cache_dir is not None else None
         self.perf_dir = Path(perf_dir).expanduser() if perf_dir is not None else None
@@ -774,7 +804,6 @@ class Campaign:
         self._journal: CampaignJournal | None = None
         self._replay: dict[tuple, RunResult] = {}
         self._deadline_at: float | None = None
-        self._active_pool: ProcessPoolExecutor | None = None
         self._worker_deltas: list[dict] = []
         self._hits = 0
         self._replayed = 0
@@ -832,7 +861,7 @@ class Campaign:
         :meth:`resume` continues after the orchestrating process died).
 
         A terminal error (anything the recovery machinery does not
-        absorb — e.g. ``KeyboardInterrupt``, or the watchdog's
+        absorb — e.g. ``KeyboardInterrupt``, or
         :class:`DeadlineExceeded`) still leaves the campaign accounted
         for: the completed cells are salvaged into :attr:`salvage`,
         :attr:`report` is set fresh with the error text, a
@@ -1249,11 +1278,25 @@ class Campaign:
                     max(prev_delay - (time.monotonic() - start), 0.001),
                 )
 
-    # A pool *chunk* is a tuple of groups, each group a tuple of
-    # (task, cache key) pairs.  Chunks start as whole families; the
-    # retry ladder splits a failed chunk into its groups, a failed
-    # group into single tasks, so the faulty cell is isolated while its
-    # innocent neighbours are simply re-executed.
+    # A *chunk* is a tuple of groups, each group a tuple of (task, cache
+    # key) pairs.  Chunks start as whole families; the retry ladder
+    # splits a failed chunk into its groups, a failed group into single
+    # tasks, so the faulty cell is isolated while its innocent
+    # neighbours are simply re-executed.
+    def _queue_families(
+        self,
+        families: dict[str, list[list[tuple[RunTask, str | None]]]],
+        tracer: Tracer,
+    ) -> deque:
+        """Announce every pending task and queue one chunk per family."""
+        queue: deque = deque()
+        for family in families.values():
+            for group in family:
+                for task, _ in group:
+                    self._dispatch(task, tracer)
+            queue.append(tuple(tuple(group) for group in family))
+        return queue
+
     def _run_pool(
         self,
         families: dict[str, list[list[tuple[RunTask, str | None]]]],
@@ -1261,88 +1304,12 @@ class Campaign:
         tracer: Tracer,
         results: dict[tuple, RunResult],
     ) -> None:
-        max_workers = min(jobs, len(families))
-        queue: deque = deque()
-        for family in families.values():
-            for group in family:
-                for task, _ in group:
-                    self._dispatch(task, tracer)
-            queue.append(tuple(tuple(group) for group in family))
-        failures: dict[tuple, int] = {}
-        pool = self._new_pool(max_workers)
-        self._active_pool = pool
-        # The watchdog kills *whatever pool is currently active* — after
-        # a restart the hung chunk is resubmitted to the new pool, so
-        # the indirection through the attribute is load-bearing.
-        watchdog: _Watchdog | None = None
-        if self.cell_timeout_s is not None or self._deadline_at is not None:
-            watchdog = _Watchdog(
-                self.clock,
-                self._deadline_at,
-                lambda: _kill_pool_processes(self._active_pool),
-            )
-        futures: dict = {}
+        pool = _LocalPool(self, min(jobs, len(families)))
         try:
-            while queue or futures:
-                while queue:
-                    chunk = queue.popleft()
-                    payload = tuple(tuple(t for t, _ in group) for group in chunk)
-                    try:
-                        future = pool.submit(_execute_family, payload, self.preprice)
-                    except BrokenExecutor as exc:  # died between batches
-                        pool = self._restart_pool(pool, max_workers, tracer, exc)
-                        future = pool.submit(_execute_family, payload, self.preprice)
-                    futures[future] = chunk
-                    if watchdog is not None and self.cell_timeout_s is not None:
-                        # a chunk's budget scales with its task count —
-                        # only once the ladder narrows to a single task
-                        # does overrunning it convict the cell
-                        n_tasks = sum(len(group) for group in chunk)
-                        watchdog.watch(future, self.cell_timeout_s * n_tasks)
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                broken: BaseException | None = None
-                for future in done:
-                    if watchdog is not None:
-                        watchdog.unwatch(future)
-                    exc = self._resolve(
-                        future,
-                        futures.pop(future),
-                        failures,
-                        queue,
-                        tracer,
-                        results,
-                        timed_out=watchdog.expired(future) if watchdog else False,
-                    )
-                    if isinstance(exc, BrokenExecutor):
-                        broken = exc
-                if watchdog is not None and watchdog.deadline_hit:
-                    raise DeadlineExceeded(
-                        f"campaign exceeded its {self.deadline_s:g}s deadline"
-                    )
-                if broken is not None:
-                    # The executor is dead and every outstanding future
-                    # resolves (exceptionally) right away: fold them all
-                    # into the retry queue, then rebuild the pool once.
-                    for future in list(futures):
-                        if watchdog is not None:
-                            watchdog.unwatch(future)
-                        self._resolve(
-                            future,
-                            futures.pop(future),
-                            failures,
-                            queue,
-                            tracer,
-                            results,
-                            timed_out=watchdog.expired(future) if watchdog else False,
-                        )
-                    pool = self._restart_pool(pool, max_workers, tracer, broken)
+            self._run_chunks(pool, self._queue_families(families, tracer), tracer, results)
         finally:
-            if watchdog is not None:
-                watchdog.stop()
-                # stuck workers ignore shutdown(); make the join finite
-                _kill_pool_processes(pool)
-            self._active_pool = None
-            pool.shutdown(wait=True, cancel_futures=True)
+            pool.close()
+            pool.drain(tracer)
 
     def _run_remote(
         self,
@@ -1352,17 +1319,12 @@ class Campaign:
     ) -> None:
         """Distribute family chunks onto the remote worker tier.
 
-        Mirrors :meth:`_run_pool`: chunks start as whole families and a
-        failed chunk is fed to the remote retry ladder
-        (:meth:`_requeue_remote`) at progressively finer granularity.  A
-        chunk whose budget expired on the wire goes through the same
-        timeout ladder as a watchdog kill.  The method returns normally
-        with work left undone only when the whole remote tier is gone —
-        the caller falls back to local execution for the remainder
-        (graceful degradation, traced as ``tier_degraded``).
+        The remote pool runs through the same :meth:`_run_chunks` loop
+        as the local one.  The method returns normally with work left
+        undone only when the whole remote tier is gone — the caller
+        falls back to local execution for the remainder (graceful
+        degradation, traced as ``tier_degraded``).
         """
-        from .remote import PoolExhausted, RemoteWorkerPool, WorkerLost
-
         pool = RemoteWorkerPool(
             self.workers,
             task_fields=self._task_fields,
@@ -1371,197 +1333,101 @@ class Campaign:
             reconnect_attempts=self.retries,
             backoff=self._backoff_delay,
         )
-        queue: deque = deque()
-        for family in families.values():
-            for group in family:
-                for task, _ in group:
-                    self._dispatch(task, tracer)
-            queue.append(tuple(tuple(group) for group in family))
-        failures: dict[tuple, int] = {}
-        futures: dict = {}
+        queue = self._queue_families(families, tracer)
         try:
             joined = pool.connect()
-            pool.drain_events(tracer)
+            pool.drain(tracer)
             if joined == 0 and pool.exhausted():
                 self._remote_degraded(tracer, "no remote workers joined")
                 return
-            while queue or futures:
-                self._check_deadline()
-                if pool.exhausted() and not futures:
-                    break  # leftovers degrade to local execution
-                while queue and not pool.exhausted():
-                    chunk = queue.popleft()
-                    payload = tuple(tuple(t for t, _ in group) for group in chunk)
-                    futures[pool.submit(payload, self.preprice)] = chunk
-                # Finite wait: worker events must drain into the trace
-                # and the campaign deadline stays live even when every
-                # in-flight chunk is slow.
-                done, _ = wait(futures, timeout=0.2, return_when=FIRST_COMPLETED)
-                pool.drain_events(tracer)
-                for future in done:
-                    chunk = futures.pop(future)
-                    try:
-                        group_runs, family_delta, prepriced = future.result()
-                    except PoolExhausted:
-                        # Not the chunk's fault — it never ran.  Requeue
-                        # un-counted; the loop head notices exhaustion.
-                        queue.append(chunk)
-                    except WorkerLost as exc:
-                        if exc.timed_out:
-                            self._handle_timeout(chunk, queue, tracer, results)
-                        else:
-                            self._requeue_remote(
-                                chunk, exc, failures, queue, pool, tracer, results
-                            )
-                    else:
-                        self._worker_deltas.append(family_delta)
-                        self._prepriced += prepriced
-                        for group, runs in zip(chunk, group_runs):
-                            for (task, key), (run, delta) in zip(group, runs):
-                                self._finish(
-                                    task, key, run, results, tracer, perf_delta=delta
-                                )
-            if queue:
+            if self._run_chunks(pool, queue, tracer, results):
                 self._remote_degraded(tracer, "every remote worker was lost")
         finally:
             pool.close()
-            pool.drain_events(tracer)
+            pool.drain(tracer)
 
-    def _requeue_remote(
-        self,
-        chunk,
-        exc: BaseException,
-        failures: dict[tuple, int],
-        queue: deque,
-        pool,
-        tracer: Tracer,
-        results: dict[tuple, RunResult],
-    ) -> None:
-        """Remote retry ladder: the exact shape of :meth:`_requeue`.
+    def _run_chunks(self, executor, queue: deque, tracer: Tracer, results: dict) -> deque:
+        """The recovery loop over a :class:`_LocalPool` or a
+        :class:`~repro.experiments.remote.RemoteWorkerPool`, which offer:
+        ``submit(payload, preprice) -> Future`` (of :func:`_execute_family`'s
+        return), ``settle(future) -> bool`` (did that chunk overrun its
+        budget), ``drain(tracer)`` (enforce budgets, emit queued events),
+        ``probe(task, preprice)`` (one isolated run), ``exhausted()``,
+        ``poll_s`` (the wait timeout; ``None`` blocks) and ``close()``.
 
-        A lost connection fails one chunk, not the whole tier, so most
-        failures here are collateral of a dying worker rather than a
-        poisonous cell — which is why conviction still requires an
-        isolated probe (:meth:`_probe_remote`), now on whichever worker
-        is currently alive, before a cell is demoted.
+        Each turn checks the deadline, submits queued chunks, waits for
+        one to finish, drains, and resolves every finished chunk.
+        Returns the chunks still queued when the executor is exhausted.
         """
-        self._retries += 1
-        for group in chunk:
-            for task, _ in group:
-                failures[task.cell] = failures.get(task.cell, 0) + 1
-        if len(chunk) > 1:  # family → its version groups
-            for group in chunk:
-                queue.append((group,))
-            return
-        group = chunk[0]
-        if len(group) > 1:  # version group → single tasks
-            for entry in group:
-                queue.append(((entry,),))
-            return
-        task, key = group[0]
-        attempts = failures[task.cell]
-        if attempts <= self.retries:
-            delay = self._backoff_delay(attempts)
-            if delay > 0:
-                self.clock.sleep(delay)
-            queue.append(chunk)
-            return
-        self._probe_remote(task, key, failures, pool, tracer, results)
-
-    def _probe_remote(
-        self,
-        task: RunTask,
-        key: str | None,
-        failures: dict[tuple, int],
-        pool,
-        tracer: Tracer,
-        results: dict[tuple, RunResult],
-    ) -> None:
-        """Verdict for a suspect cell: one isolated run on a live worker.
-
-        The pool schedules onto currently-connected workers only (dead
-        links hold no queue slots), so surviving the probe proves the
-        cell was collateral damage; dying again on a different, known
-        -good connection convicts it.  If no remote worker is left to
-        probe on, the verdict falls back to the local probe pool —
-        degradation must not skip the conviction protocol.
-        """
-        from .remote import PoolExhausted, WorkerLost
-
-        future = pool.submit(((task,),), self.preprice)
-        try:
-            group_runs, family_delta, prepriced = future.result()
-        except PoolExhausted:
-            self._probe(task, key, failures, tracer, results)
-            return
-        except WorkerLost as exc:
-            if exc.timed_out:
-                run = RunResult.timeout(
-                    task.benchmark,
-                    task.version,
-                    task.precision,
-                    self.cell_timeout_s,
-                    governor=task.result_governor,
-                )
-            else:
-                failures[task.cell] += 1
-                run = _worker_loss_result(task, exc, failures[task.cell])
-            self._finish(task, key, run, results, tracer)
-            return
-        self._worker_deltas.append(family_delta)
-        self._prepriced += prepriced
-        ((run, delta),) = group_runs[0]
-        self._finish(task, key, run, results, tracer, perf_delta=delta)
-
-    def _remote_degraded(self, tracer: Tracer, reason: str) -> None:
-        """Record the loss of the whole remote tier (warn-once).
-
-        Mirrors the on-disk tier degradations: a ``tier_degraded``
-        trace event, a ``DEGRADED`` line in the report, one Python
-        warning — and the campaign carries on locally.
-        """
-        self._remote_degraded_reason = reason
-        if "remote_workers" in self._degraded_traced:
-            return
-        self._degraded_traced.add("remote_workers")
-        tracer.emit(
-            "tier_degraded",
-            detail={"tier": "remote_workers", "reason": reason},
-        )
-        warnings.warn(
-            f"remote workers degraded ({reason}); continuing with local execution",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        failures: dict[tuple, int] = {}
+        futures: dict = {}
+        while queue or futures:
+            self._check_deadline()
+            if executor.exhausted() and not futures:
+                break  # leftovers degrade to local execution
+            while queue and not executor.exhausted():
+                chunk = queue.popleft()
+                payload = tuple(tuple(t for t, _ in group) for group in chunk)
+                futures[executor.submit(payload, self.preprice)] = chunk
+            done, _ = wait(futures, timeout=executor.poll_s, return_when=FIRST_COMPLETED)
+            executor.drain(tracer)
+            for future in done:
+                self._resolve(executor, future, futures.pop(future), failures, queue, tracer, results)
+        return queue
 
     def _resolve(
         self,
-        future,
+        executor,
+        future: Future,
         chunk,
         failures: dict[tuple, int],
         queue: deque,
         tracer: Tracer,
         results: dict[tuple, RunResult],
-        timed_out: bool = False,
-    ) -> BaseException | None:
-        """Harvest one finished future, or feed its chunk to the retry
-        ladder (timeout ladder when the watchdog expired it); returns
-        the failure exception, if any.  An expired future that actually
-        completed keeps its real result — the kill raced a finish."""
+    ) -> None:
+        """Harvest one finished chunk, or feed it to a ladder: the
+        timeout ladder when it overran its budget, the retry ladder
+        when its worker died.  An overrun chunk that completed anyway
+        keeps its real result — the kill raced a finish."""
+        timed_out = executor.settle(future)
         try:
-            group_runs, family_delta, prepriced = future.result()
+            outcome = future.result()
+        except PoolExhausted:
+            # not the chunk's fault — it never ran; requeue it uncounted,
+            # the loop head notices the exhaustion
+            queue.append(chunk)
         except Exception as exc:  # noqa: BLE001 — worker-death recovery
             if timed_out:
                 self._handle_timeout(chunk, queue, tracer, results)
             else:
-                self._requeue(chunk, exc, failures, queue, tracer, results)
-            return exc
+                self._requeue(executor, chunk, exc, failures, queue, tracer, results)
+        else:
+            self._harvest(chunk, *outcome, tracer, results)
+
+    def _harvest(
+        self,
+        chunk,
+        group_runs: tuple,
+        family_delta: dict,
+        prepriced: int,
+        tracer: Tracer,
+        results: dict[tuple, RunResult],
+    ) -> None:
+        """Record the runs of one chunk executed out of process."""
         self._worker_deltas.append(family_delta)
         self._prepriced += prepriced
         for group, runs in zip(chunk, group_runs):
             for (task, key), (run, delta) in zip(group, runs):
                 self._finish(task, key, run, results, tracer, perf_delta=delta)
-        return None
+
+    def _timeout_result(self, task: RunTask) -> RunResult:
+        return RunResult.timeout(
+            task.benchmark,
+            task.version,
+            task.precision,
+            self.cell_timeout_s,
+            governor=task.result_governor,
+        )
 
     def _handle_timeout(
         self,
@@ -1591,17 +1457,11 @@ class Campaign:
                 queue.append(((entry,),))
             return
         task, key = group[0]
-        run = RunResult.timeout(
-            task.benchmark,
-            task.version,
-            task.precision,
-            self.cell_timeout_s,
-            governor=task.result_governor,
-        )
-        self._finish(task, key, run, results, tracer)
+        self._finish(task, key, self._timeout_result(task), results, tracer)
 
     def _requeue(
         self,
+        executor,
         chunk,
         exc: BaseException,
         failures: dict[tuple, int],
@@ -1611,12 +1471,12 @@ class Campaign:
     ) -> None:
         """Retry ladder: split a failed chunk finer, or judge the cell.
 
-        A pool break fails *every* in-flight future, so a chunk seen
-        here may be an innocent bystander of another chunk's worker
-        kill — which is why demotion is never decided from these
-        failures alone: once a single task exhausts ``retries`` it gets
-        one isolated run on a dedicated probe pool, where the verdict
-        is unambiguous.
+        A pool break fails *every* in-flight future, and a lost
+        connection fails one chunk of a dying worker, so a chunk seen
+        here may be an innocent bystander — which is why demotion is
+        never decided from these failures alone: once a single task
+        exhausts ``retries`` it gets one isolated probe run
+        (:meth:`_probe`), where the verdict is unambiguous.
         """
         self._retries += 1
         for group in chunk:
@@ -1639,7 +1499,7 @@ class Campaign:
                 self.clock.sleep(delay)
             queue.append(chunk)
             return
-        self._probe(task, key, failures, tracer, results)
+        self._probe(executor, task, key, failures, tracer, results)
 
     def _backoff_delay(self, attempt: int) -> float:
         """Seconds to back off before retry number ``attempt`` (1-based).
@@ -1662,47 +1522,55 @@ class Campaign:
 
     def _probe(
         self,
+        executor,
         task: RunTask,
         key: str | None,
         failures: dict[tuple, int],
         tracer: Tracer,
         results: dict[tuple, RunResult],
     ) -> None:
-        """Final verdict for a suspect cell: run it alone on a one-worker
-        pool.  If it kills that worker too it is certainly the culprit
-        and is demoted to a crashed result; an innocent collateral
-        victim of other cells' pool breaks simply completes here.  With
-        ``cell_timeout_s`` armed the probe itself is budgeted — a probe
-        that hangs is killed and demoted to a timeout result."""
-        probe = self._new_pool(1)
+        """Final verdict for a suspect cell: one isolated run, on a
+        one-worker probe pool or a live remote worker (the local probe
+        pool when none is left — degradation must not skip the verdict).
+        If it kills that worker too it is the culprit and is demoted to
+        a crashed result; an innocent collateral victim simply completes
+        here.  A probe that overruns ``cell_timeout_s`` is demoted to a
+        timeout result."""
         try:
-            future = probe.submit(_execute_family, ((task,),), self.preprice)
             try:
-                group_runs, family_delta, prepriced = future.result(
-                    timeout=self.cell_timeout_s
-                )
-            except FuturesTimeout:
-                _kill_pool_processes(probe)
-                run = RunResult.timeout(
-                    task.benchmark,
-                    task.version,
-                    task.precision,
-                    self.cell_timeout_s,
-                    governor=task.result_governor,
-                )
-                self._finish(task, key, run, results, tracer)
-                return
-            except Exception as exc:  # noqa: BLE001 — the verdict
-                failures[task.cell] += 1
-                run = _worker_loss_result(task, exc, failures[task.cell])
-                self._finish(task, key, run, results, tracer)
-                return
-            self._worker_deltas.append(family_delta)
-            self._prepriced += prepriced
-            ((run, delta),) = group_runs[0]
-            self._finish(task, key, run, results, tracer, perf_delta=delta)
-        finally:
-            probe.shutdown(wait=True, cancel_futures=True)
+                outcome = executor.probe(task, self.preprice)
+            except PoolExhausted:
+                outcome = _probe_locally(self, task, self.preprice)
+        except FuturesTimeout:
+            run = self._timeout_result(task)
+        except Exception as exc:  # noqa: BLE001 — the verdict
+            failures[task.cell] += 1
+            run = _worker_loss_result(task, exc, failures[task.cell])
+        else:
+            self._harvest((((task, key),),), *outcome, tracer, results)
+            return
+        self._finish(task, key, run, results, tracer)
+
+    def _remote_degraded(self, tracer: Tracer, reason: str) -> None:
+        """Record the loss of the whole remote tier (warn-once).
+
+        Mirrors the on-disk tier degradations: a ``tier_degraded``
+        trace event, a ``DEGRADED`` line in the report, one Python
+        warning — and the campaign carries on locally.
+        """
+        self._remote_degraded_reason = reason
+        if "remote_workers" in self._degraded_traced:
+            return
+        self._degraded_traced.add("remote_workers")
+        tracer.emit(
+            "tier_degraded",
+            detail={"tier": "remote_workers", "reason": reason},
+        )
+        warnings.warn(
+            f"remote workers degraded ({reason}); continuing with local execution",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     def _new_pool(self, max_workers: int) -> ProcessPoolExecutor:
         perf_dir = str(self.perf_dir) if self.perf_dir is not None else None
@@ -1711,26 +1579,6 @@ class Campaign:
             initializer=_worker_init,
             initargs=(perf_dir,),
         )
-
-    def _restart_pool(
-        self,
-        pool: ProcessPoolExecutor,
-        max_workers: int,
-        tracer: Tracer,
-        exc: BaseException,
-    ) -> ProcessPoolExecutor:
-        pool.shutdown(wait=False, cancel_futures=True)
-        self._pool_restarts += 1
-        tracer.emit(
-            "pool_restarted",
-            detail={
-                "error": f"{type(exc).__name__}: {exc}",
-                "restarts": self._pool_restarts,
-            },
-        )
-        fresh = self._new_pool(max_workers)
-        self._active_pool = fresh
-        return fresh
 
     def _dispatch(self, task: RunTask, tracer: Tracer) -> None:
         # Once per run: a task that falls back to local execution after

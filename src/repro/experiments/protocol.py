@@ -6,13 +6,12 @@ frame protocol over TCP:
 
 ``[kind:1][length:4][crc32:4][payload:length]``
 
-* ``kind`` is ``b"J"`` (JSON payload — control messages: hello, ping,
-  pong, bye) or ``b"P"`` (pickle payload — chunk dispatches and result
-  rows, which carry :class:`~repro.experiments.engine.RunTask` /
-  :class:`~repro.benchmarks.base.RunResult` objects);
+* ``kind`` is ``b"J"``: every payload is JSON data.  Any other kind —
+  including protocol 1's ``b"P"`` pickle frames — is refused on its
+  header, before a payload byte is read (:class:`FrameError`);
 * ``length`` and ``crc32`` are big-endian unsigned 32-bit integers;
   the CRC covers the payload bytes, so a corrupted frame is detected
-  on receive (:class:`FrameError`) instead of being deserialized into
+  on receive (:class:`FrameError`) instead of being parsed into
   garbage — the receiving side treats it as a protocol violation and
   drops the connection, which routes the in-flight chunk into the
   coordinator's redistribution ladder.
@@ -25,7 +24,9 @@ replies with its own, and the coordinator rejects mismatches
 (:func:`Handshake.reject_reason`) — a stale worker would price cells
 with different calibrated constants and silently poison the campaign's
 byte-identity, so it is turned away at the door with a
-``worker_rejected`` trace event instead.
+``worker_rejected`` trace event instead.  Then ``chunk`` messages flow
+one way, ``ping`` heartbeats and ``result`` rows the other (see
+:mod:`repro.experiments.remote`).
 
 Deterministic network faults (:mod:`repro.experiments.faults`, modes
 ``net_drop`` / ``net_stall`` / ``net_garble``) hook the *send* path:
@@ -39,7 +40,6 @@ byte-identical output.
 from __future__ import annotations
 
 import json
-import pickle
 import socket
 import struct
 import zlib
@@ -49,7 +49,7 @@ from ..errors import ReproError
 from . import faults
 
 #: bump when the frame layout or message vocabulary changes
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: frame header: kind byte, payload length, payload CRC32
 _HEADER = struct.Struct("!cII")
@@ -59,7 +59,6 @@ _HEADER = struct.Struct("!cII")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _KIND_JSON = b"J"
-_KIND_PICKLE = b"P"
 
 
 class ProtocolError(ReproError):
@@ -138,22 +137,16 @@ class Handshake:
 
 
 def send_message(sock: socket.socket, message: dict, *, endpoint: str | None = None) -> None:
-    """Serialize and send one message as a single CRC-framed frame.
+    """Serialize and send one message as a single CRC-framed JSON frame.
 
-    Messages whose values are all JSON-safe ship as JSON (control
-    traffic stays human-greppable in packet dumps); anything else —
-    chunk payloads with tasks, result rows — falls back to pickle.
-    ``endpoint`` names the sending side for the deterministic network
-    fault hook (``"worker"`` / ``"coordinator"``); ``None`` skips the
-    hook entirely.
+    A message that is not JSON-safe is a programming error and raises
+    ``TypeError``: the wire carries data only.  ``endpoint`` names the
+    sending side for the deterministic network fault hook
+    (``"worker"`` / ``"coordinator"``); ``None`` skips the hook
+    entirely.
     """
     kind = message.get("kind")
-    try:
-        payload = json.dumps(message, sort_keys=True).encode()
-        frame_kind = _KIND_JSON
-    except (TypeError, ValueError):
-        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        frame_kind = _KIND_PICKLE
+    payload = json.dumps(message, sort_keys=True).encode()
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
     # The CRC is taken over the *clean* payload before the fault hook so
@@ -164,7 +157,7 @@ def send_message(sock: socket.socket, message: dict, *, endpoint: str | None = N
         action = faults.maybe_net(endpoint, kind)
         if action is not None:
             payload = _apply_net_fault(action, endpoint, kind, payload)
-    header = _HEADER.pack(frame_kind, len(payload), crc)
+    header = _HEADER.pack(_KIND_JSON, len(payload), crc)
     sock.sendall(header + payload)
 
 
@@ -209,17 +202,18 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def recv_message(sock: socket.socket) -> dict:
-    """Receive one frame, verify its CRC, deserialize its message.
+    """Receive one frame, verify its CRC, parse its JSON message.
 
-    Raises :class:`FrameError` on a corrupt or malformed frame,
+    Raises :class:`FrameError` on a corrupt or malformed frame — a
+    frame of any kind but JSON is refused before its payload is read —
     :class:`ConnectionClosed` when the peer went away, and lets the
     socket's own timeout exception propagate (the caller's liveness
     watchdog owns that clock).
     """
     header = _recv_exact(sock, _HEADER.size)
     frame_kind, length, crc = _HEADER.unpack(header)
-    if frame_kind not in (_KIND_JSON, _KIND_PICKLE):
-        raise FrameError(f"unknown frame kind {frame_kind!r}")
+    if frame_kind != _KIND_JSON:
+        raise FrameError(f"unknown frame kind {frame_kind!r} (only JSON frames are accepted)")
     if length > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
     payload = _recv_exact(sock, length)
@@ -228,10 +222,7 @@ def recv_message(sock: socket.socket) -> dict:
             f"CRC mismatch on {length}-byte frame (corrupted in flight?)"
         )
     try:
-        if frame_kind == _KIND_JSON:
-            message = json.loads(payload.decode())
-        else:
-            message = pickle.loads(payload)
+        message = json.loads(payload.decode())
     except Exception as exc:  # noqa: BLE001 — any undecodable payload
         raise FrameError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(message, dict) or "kind" not in message:

@@ -6,31 +6,33 @@ Two halves, one contract:
   remote worker.  It binds a TCP port, attaches its *own* persistent
   perf tier, and executes whole benchmark-family chunks through the
   same :func:`repro.experiments.engine._execute_family` entry the
-  local process pool uses — which is exactly why results flow back as
-  the same ``(run, perf-delta)`` rows and the campaign's
-  ``ResultSet.to_json()`` stays byte-identical to local execution.
-  While a chunk executes, the worker sends a heartbeat frame every
-  :data:`HEARTBEAT_INTERVAL_S` so the coordinator can tell "slow" from
-  "dead".
+  local process pool uses.  The wire carries data only: a chunk holds
+  task fields, a result holds ``run_to_row`` rows (plus perf deltas and
+  crash tracebacks), rebuilt with ``run_from_row`` as the run cache
+  does — so ``ResultSet.to_json()`` stays byte-identical to local
+  execution.  Workers run the default platform only: a platform object
+  has no data form.  While a chunk executes, the worker sends a
+  heartbeat frame every :data:`HEARTBEAT_INTERVAL_S` so the
+  coordinator can tell "slow" from "dead".
 
-* :class:`RemoteWorkerPool` — the coordinator side the
-  :class:`~repro.experiments.engine.Campaign` engine schedules chunks
-  onto.  One dispatcher thread per worker pulls jobs from a shared
-  queue (preferring chunks of benchmark families the worker has
-  already priced — the remote mirror of the local pool's
-  cache-affinity placement), frames them over the wire, and enforces
-  two watchdogs per in-flight chunk: a **heartbeat timeout** (silence
-  means the link or the worker died) and the **chunk deadline**
-  (``cell_timeout_s × tasks``, the same budget the local watchdog
-  arms).  A failed chunk resolves its future with :class:`WorkerLost`
-  and the engine feeds it to the PR-4 recovery ladder: redistribute
-  (family → group → single task), retry with jittered exponential
-  backoff, probe a suspect cell on a known-good worker, convict only
-  on an unambiguous verdict.  A lost connection is retried with the
-  campaign's backoff policy; a worker whose reconnects are exhausted
-  retires, and when the *last* worker retires every queued job fails
-  with :class:`PoolExhausted` so the engine can degrade gracefully to
-  local execution instead of failing the campaign.
+* :class:`RemoteWorkerPool` — an executor of the engine's recovery
+  loop, like the local process pool.  One dispatcher thread per worker
+  pulls jobs from a shared queue (preferring chunks of benchmark
+  families the worker has already priced — the remote mirror of the
+  local pool's cache-affinity placement), frames them over the wire,
+  and enforces two watchdogs per in-flight chunk: a **heartbeat
+  timeout** (silence means the link or the worker died) and the
+  **chunk deadline** (``cell_timeout_s × tasks``, the local pool's
+  budget).  A failed chunk — lost link, overrun, unparseable result —
+  resolves its future with :class:`WorkerLost` and the engine's one
+  retry ladder takes over: redistribute (family → group → single task),
+  retry with jittered exponential backoff, probe a suspect cell on a
+  known-good worker, convict only on an unambiguous verdict.  A lost
+  connection is retried with the campaign's backoff policy; a worker
+  whose reconnects are exhausted retires, and when the *last* worker
+  retires every queued job fails with :class:`PoolExhausted` so the
+  engine can degrade gracefully to local execution instead of failing
+  the campaign.  Closing the pool cuts chunks still in flight.
 
 Every state transition is surfaced through the campaign's JSONL trace
 vocabulary: ``worker_joined`` / ``worker_rejected`` (handshake),
@@ -46,14 +48,15 @@ import queue as queue_mod
 import socket
 import threading
 import time
-import warnings
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FuturesTimeout
 from pathlib import Path
 from typing import Callable, Sequence
 
 from ..errors import ReproError
 from .protocol import (
     ConnectionClosed,
+    FrameError,
     Handshake,
     ProtocolError,
     recv_message,
@@ -101,6 +104,97 @@ def parse_address(text: str) -> tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
+# the chunk and result codec: JSON data both ways
+# ---------------------------------------------------------------------------
+
+
+def _groups_to_wire(groups: tuple) -> list:
+    """A chunk's ``RunTask`` groups as lists of task-field dicts."""
+    return [
+        [
+            {
+                "benchmark": task.benchmark,
+                "version": task.version.value,
+                "precision": task.precision.value,
+                "scale": task.scale,
+                "seed": task.seed,
+                "governor": task.governor,
+                "energy_deadline_s": task.energy_deadline_s,
+            }
+            for task in group
+        ]
+        for group in groups
+    ]
+
+
+def _groups_from_wire(groups: list) -> tuple:
+    """Task-field dicts back into ``RunTask`` groups (worker side)."""
+    from ..benchmarks.base import Precision, Version
+    from .engine import RunTask
+
+    return tuple(
+        tuple(
+            RunTask(
+                benchmark=fields["benchmark"],
+                version=Version(fields["version"]),
+                precision=Precision(fields["precision"]),
+                scale=fields["scale"],
+                seed=fields["seed"],
+                governor=fields["governor"],
+                energy_deadline_s=fields["energy_deadline_s"],
+            )
+            for fields in group
+        )
+        for group in groups
+    )
+
+
+def _result_to_wire(group_runs: tuple, family_delta: dict, prepriced: int) -> dict:
+    """``_execute_family``'s return as run rows; only crashes carry a
+    traceback."""
+    from .runner import run_to_row
+
+    def _row(run, delta: dict) -> dict:
+        row = {"run": run_to_row(run), "perf": delta}
+        if run.crashed and run.diagnostics.get("traceback"):
+            row["traceback"] = run.diagnostics["traceback"]
+        return row
+
+    return {
+        "groups": [[_row(run, delta) for run, delta in runs] for runs in group_runs],
+        "perf": family_delta,
+        "prepriced": prepriced,
+    }
+
+
+def _perf_from_wire(delta: dict) -> dict:
+    return {name: {k: int(v) for k, v in stats.items()} for name, stats in delta.items()}
+
+
+def _result_from_wire(message: dict, groups: tuple) -> tuple:
+    """A result message back into ``_execute_family``'s return shape.
+
+    Runs are rebuilt with ``run_from_row``, as the run cache rebuilds
+    them.  Raises on a result that does not answer its chunk cell for
+    cell — the link turns that into :class:`WorkerLost`.
+    """
+    from .runner import result_key, run_from_row
+
+    out = []
+    for tasks, rows in zip(groups, message["groups"], strict=True):
+        runs = []
+        for task, row in zip(tasks, rows, strict=True):
+            run = run_from_row(row["run"])
+            if result_key(run) != task.cell:
+                raise ValueError(f"a row for {result_key(run)} answers {task.cell}")
+            if row.get("traceback"):
+                run.diagnostics["traceback"] = str(row["traceback"])
+            runs.append((run, _perf_from_wire(row["perf"])))
+        out.append(tuple(runs))
+    return tuple(out), _perf_from_wire(message["perf"]), int(message["prepriced"])
+
+
+# ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
 
@@ -144,7 +238,7 @@ class WorkerServer:
         self._stop.set()
 
     def serve_forever(self) -> None:
-        """Serve coordinators until :meth:`stop` (or ``shutdown``)."""
+        """Serve coordinators until :meth:`stop`."""
         from .. import perf
 
         prior = perf.current_config()
@@ -182,33 +276,34 @@ class WorkerServer:
         conn.settimeout(None)
         while not self._stop.is_set():
             message = recv_message(conn)
-            kind = message.get("kind")
-            if kind == "chunk":
-                self._run_chunk(conn, message)
-            elif kind == "ping":
-                send_message(conn, {"kind": "pong"}, endpoint="worker")
-            elif kind == "shutdown":
-                self._stop.set()
-                return
-            else:  # "bye" (rejection or clean close), or a violation
-                return
+            if message.get("kind") != "chunk":
+                return  # "bye" (rejection or clean close), or a violation
+            self._run_chunk(conn, message)
 
     def _run_chunk(self, conn: socket.socket, message: dict) -> None:
         """Execute one family chunk, heartbeating while it runs.
 
-        The execution itself is :func:`engine._execute_family` — the
-        exact pool entry local workers run, so rows coming off the wire
-        are byte-for-byte what a local campaign would have produced.
-        The heartbeat loop runs in *this* thread so a chunk that takes
-        seconds never leaves the coordinator guessing.
+        The tasks run through :func:`engine._execute_family` — the exact
+        pool entry local workers run.  A chunk that does not parse (or
+        has no integer ``id``) is a protocol violation: the connection
+        drops, the server keeps serving.  The heartbeat loop runs in
+        *this* thread so a chunk that takes seconds never leaves the
+        coordinator guessing.
         """
         from .engine import _execute_family
 
+        try:
+            job_id, preprice = message["id"], bool(message["preprice"])
+            groups = _groups_from_wire(message["groups"])
+            if not isinstance(job_id, int):
+                raise TypeError(f"chunk id {job_id!r} is not an integer")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FrameError(f"malformed chunk: {exc!r}") from None
         box: dict = {}
 
         def _work() -> None:
             try:
-                box["value"] = _execute_family(message["groups"], message["preprice"])
+                box["value"] = _result_to_wire(*_execute_family(groups, preprice))
             except BaseException as exc:  # noqa: BLE001 — shipped, not raised
                 box["error"] = f"{type(exc).__name__}: {exc}"
 
@@ -220,17 +315,10 @@ class WorkerServer:
                 send_message(conn, {"kind": "ping"}, endpoint="worker")
         self.chunks_served += 1
         if "error" in box:
-            send_message(
-                conn,
-                {"kind": "chunk_error", "id": message["id"], "error": box["error"]},
-                endpoint="worker",
-            )
+            reply = {"kind": "chunk_error", "id": job_id, "error": box["error"]}
         else:
-            send_message(
-                conn,
-                {"kind": "result", "id": message["id"], "value": box["value"]},
-                endpoint="worker",
-            )
+            reply = {"kind": "result", "id": job_id, **box["value"]}
+        send_message(conn, reply, endpoint="worker")
 
 
 def serve_worker(
@@ -291,6 +379,9 @@ class RemoteWorkerPool:
     the campaign's trace sink needs no locking.
     """
 
+    #: how long the engine waits on chunk futures before draining events
+    poll_s = 0.2
+
     def __init__(
         self,
         addrs: Sequence[str],
@@ -348,9 +439,13 @@ class RemoteWorkerPool:
         return all(w.state == "dead" for w in self._workers)
 
     def close(self) -> None:
+        """Stop every link.  A chunk still in flight is cut, not
+        awaited: its link's socket is shut, and no link reconnects."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()
+        for worker in self._workers:
+            worker.cut()
         for worker in self._workers:
             worker.join(timeout=self.connect_timeout_s + 5.0)
         self._fail_queued(PoolExhausted("remote worker pool closed"))
@@ -372,7 +467,25 @@ class RemoteWorkerPool:
             self._cond.notify_all()
         return job.future
 
-    def drain_events(self, tracer) -> None:
+    def settle(self, future: Future) -> bool:
+        """Whether a finished chunk overran its budget."""
+        exc = future.exception()
+        return isinstance(exc, WorkerLost) and exc.timed_out
+
+    def probe(self, task, preprice: bool) -> tuple:
+        """Run one task alone on a live worker and wait for its rows.
+
+        An overrun raises ``concurrent.futures.TimeoutError``, as the
+        local probe pool does; a lost link raises :class:`WorkerLost`.
+        """
+        try:
+            return self.submit(((task,),), preprice).result()
+        except WorkerLost as exc:
+            if exc.timed_out:
+                raise FuturesTimeout(str(exc)) from exc
+            raise
+
+    def drain(self, tracer) -> None:
         """Emit queued worker events into the campaign trace (engine
         thread only)."""
         while True:
@@ -472,6 +585,8 @@ class _WorkerLink(threading.Thread):
         self.addr = addr
         self.state = "connecting"
         self.settled = threading.Event()
+        #: the open connection, shut by :meth:`cut` when the pool closes
+        self.sock: socket.socket | None = None
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -487,10 +602,10 @@ class _WorkerLink(threading.Thread):
                 )
                 self._retire()
                 return
-            except (OSError, ProtocolError) as exc:
+            except (OSError, ProtocolError):
                 self.settled.set()
                 attempt += 1
-                if attempt > pool.reconnect_attempts:
+                if attempt > pool.reconnect_attempts or pool._closed:
                     self._retire()
                     return
                 pool._sleep(pool.backoff(attempt))
@@ -510,6 +625,8 @@ class _WorkerLink(threading.Thread):
                 self._serve(sock)
                 return  # clean pool shutdown
             except _LinkDead as exc:
+                if pool._closed:
+                    return  # cut by close(): nobody waits for a reconnect
                 self.state = "connecting"
                 pool._drop_affinity(self.addr)
                 pool._emit(
@@ -550,9 +667,19 @@ class _WorkerLink(threading.Thread):
             raise
         return sock, theirs
 
+    def cut(self) -> None:
+        """Shut this link's connection, so a chunk in flight ends now."""
+        sock = self.sock
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
     def _serve(self, sock: socket.socket) -> None:
         """Pull chunks until shutdown; raise :class:`_LinkDead` on any
         connection trouble (the current job's future is failed first)."""
+        self.sock = sock
         try:
             while True:
                 job = self.pool._next_job(self)
@@ -561,15 +688,11 @@ class _WorkerLink(threading.Thread):
                         send_message(sock, {"kind": "bye"}, endpoint="coordinator")
                     except OSError:
                         pass
-                    sock.close()
                     return
                 self._run_job(sock, job)
-        except _LinkDead:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            raise
+        finally:
+            self.sock = None
+            sock.close()
 
     def _run_job(self, sock: socket.socket, job: _Job) -> None:
         pool = self.pool
@@ -592,7 +715,7 @@ class _WorkerLink(threading.Thread):
                 {
                     "kind": "chunk",
                     "id": job.id,
-                    "groups": job.payload,
+                    "groups": _groups_to_wire(job.payload),
                     "preprice": job.preprice,
                 },
                 endpoint="coordinator",
@@ -621,8 +744,12 @@ class _WorkerLink(threading.Thread):
                 if kind == "ping":
                     continue  # liveness only; budget still applies
                 if kind == "result" and message.get("id") == job.id:
+                    try:
+                        value = _result_from_wire(message, job.payload)
+                    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                        raise _LinkDead(f"protocol violation: malformed result ({exc!r})") from None
                     pool._record_affinity(job.family, self.addr)
-                    job.future.set_result(message["value"])
+                    job.future.set_result(value)
                     return
                 if kind == "chunk_error" and message.get("id") == job.id:
                     raise _LinkDead(f"worker-side error: {message.get('error')}")

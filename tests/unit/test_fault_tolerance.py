@@ -420,6 +420,29 @@ class TestDeadlineWatchdog:
         )
         assert resumed.report.replayed == salvaged_ok
 
+    @pytest.mark.timeout_guard(120)
+    def test_pool_deadline_terminates_and_salvages(self, tmp_path):
+        """The pool twin of the deadline test: the hung worker is killed,
+        the finished family is salvaged, and no pool is rebuilt."""
+        spec = CampaignSpec(**GRID)
+        sink = ListTraceSink()
+        deadline_s = 3.0
+        campaign = Campaign(spec, deadline_s=deadline_s, trace=sink)
+        with injected(
+            FaultSpec(benchmark="red", mode="hang", times=-1, seconds=30.0),
+            state_dir=tmp_path,
+        ):
+            t0 = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                campaign.run(jobs=4)
+            elapsed = time.monotonic() - t0
+        assert elapsed < deadline_s + 5.0
+        assert set(campaign.salvage.results) == {
+            ("vecop", version, Precision.SINGLE) for version in TWO_VERSIONS
+        }
+        assert campaign.report.pool_restarts == 0
+        assert sink.events[-1].event == "campaign_failed"
+
 
 class TestTierDegradation:
     """Mode "enospc": resource exhaustion disables a tier, not the run."""

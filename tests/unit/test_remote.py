@@ -6,21 +6,32 @@ and the coordinator-side robustness guarantees: stale-worker rejection
 with graceful degradation, frame-drop redistribution, and the
 all-workers-gone fallback to local execution — each asserting the
 campaign's ``ResultSet.to_json()`` stays byte-identical to a local run.
+It also covers hostile and broken peers: a pickle frame is refused
+unread, a malformed chunk or result drops one connection and nothing
+else, and a campaign deadline is not held up by a busy worker.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
 import socket
+import struct
 import threading
+import time
 import warnings
+import zlib
 
 import pytest
 
-from repro.benchmarks.base import Version
+from repro.benchmarks.base import Precision, Version
+from repro.calibration import default_platform
 from repro.experiments import (
     Campaign,
     CampaignSpec,
     Clock,
+    DeadlineExceeded,
     Handshake,
     ListTraceSink,
     PROTOCOL_VERSION,
@@ -30,6 +41,7 @@ from repro.experiments import faults
 from repro.experiments.protocol import (
     ConnectionClosed,
     FrameError,
+    ProtocolError,
     recv_message,
     send_message,
 )
@@ -57,6 +69,36 @@ def local_json() -> str:
     return Campaign(CampaignSpec(**GRID)).run(jobs=1).to_json()
 
 
+class _Mkdir:
+    """Unpickling this object creates a directory: hostile code."""
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def _pickle_frame(marker) -> bytes:
+    """A protocol-1 ``P`` frame whose payload would create ``marker``."""
+    payload = pickle.dumps(_Mkdir(marker))
+    return struct.pack("!cII", b"P", len(payload), zlib.crc32(payload)) + payload
+
+
+def _handshaken(server: WorkerServer) -> socket.socket:
+    """A raw connection to ``server`` that has passed the handshake."""
+    conn = socket.create_connection((server.host, server.port), timeout=10)
+    send_message(conn, Handshake.local().to_message())
+    assert recv_message(conn)["kind"] == "hello"
+    return conn
+
+
+def _assert_dropped(conn: socket.socket) -> None:
+    """The peer closed ``conn`` (a reset if it left bytes unread)."""
+    with conn, contextlib.suppress(ConnectionResetError):
+        assert conn.recv(1) == b""
+
+
 # ---------------------------------------------------------------------------
 # framing
 # ---------------------------------------------------------------------------
@@ -68,16 +110,22 @@ class TestFraming:
         send_message(a, {"kind": "ping", "n": 3})
         assert recv_message(b) == {"kind": "ping", "n": 3}
 
-    def test_pickle_fallback_roundtrip(self):
-        """Messages with non-JSON values (tuples of objects) survive the
-        wire bit-exactly — the tuple/list distinction matters because
-        chunk payloads are tuples of RunTask groups."""
-        a, b = _sockpair()
-        payload = {"kind": "chunk", "groups": ((Version.SERIAL, 1.5),)}
-        send_message(a, payload)
-        received = recv_message(b)
-        assert received == payload
-        assert isinstance(received["groups"], tuple)
+    def test_pickle_frame_refused_unread(self, tmp_path):
+        """A pickle frame is refused on its header: its payload is never
+        read, so the code it carries never runs."""
+        marker = tmp_path / "marker"
+        frame = _pickle_frame(marker)
+        c, d = _sockpair()
+        c.sendall(frame)
+        with pytest.raises(FrameError, match="unknown frame kind"):
+            recv_message(d)
+        assert not marker.exists()
+        assert d.recv(len(frame)) == frame[9:]  # still queued, unread
+
+    def test_non_json_message_is_a_type_error(self):
+        a, _b = _sockpair()
+        with pytest.raises(TypeError):
+            send_message(a, {"kind": "chunk", "groups": ((Version.SERIAL, 1.5),)})
 
     def test_crc_corruption_detected(self):
         a, b = _sockpair()
@@ -478,3 +526,162 @@ class TestRemoteExecution:
         assert out.to_json() == local_json
         assert resumed.report.replayed == 4
         assert resumed.report.executed == 0
+
+
+# ---------------------------------------------------------------------------
+# hostile and broken peers, budgets and the data-only codec
+# ---------------------------------------------------------------------------
+
+
+def _garbling_worker() -> socket.socket:
+    """A peer that passes the handshake, then answers every chunk with
+    a result that does not parse.  Close the returned listener to stop
+    it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve() -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            with conn, contextlib.suppress(ProtocolError, OSError):
+                recv_message(conn)
+                send_message(conn, Handshake.local().to_message())
+                while (message := recv_message(conn))["kind"] == "chunk":
+                    send_message(
+                        conn,
+                        {"kind": "result", "id": message["id"], "groups": [[{"run": {}}]],
+                         "perf": {}, "prepriced": 0},
+                    )
+
+    threading.Thread(target=serve, daemon=True).start()
+    return listener
+
+
+class TestHostilePeers:
+    @pytest.mark.timeout_guard(300)
+    def test_pickle_frame_never_runs_on_worker(self, tmp_path, local_json):
+        """A pickle frame sent after the handshake is refused unread; the
+        worker drops that connection and serves the next campaign."""
+        server = WorkerServer()
+        _serve(server)
+        marker = tmp_path / "marker"
+        try:
+            conn = _handshaken(server)
+            conn.sendall(_pickle_frame(marker))
+            _assert_dropped(conn)
+            campaign = Campaign(CampaignSpec(**GRID), workers=[server.address])
+            out = campaign.run(jobs=1).to_json()
+        finally:
+            server.stop()
+        assert not marker.exists()
+        assert out == local_json
+        assert campaign.report.degraded == ()
+
+    @pytest.mark.timeout_guard(300)
+    def test_malformed_chunk_drops_one_connection(self, local_json):
+        """A chunk frame without an ``id`` is a protocol violation: the
+        worker drops that connection and keeps serving."""
+        server = WorkerServer()
+        _serve(server)
+        try:
+            conn = _handshaken(server)
+            send_message(conn, {"kind": "chunk", "preprice": True, "groups": []})
+            _assert_dropped(conn)
+            campaign = Campaign(CampaignSpec(**GRID), workers=[server.address])
+            out = campaign.run(jobs=1).to_json()
+        finally:
+            server.stop()
+        assert out == local_json
+        assert campaign.report.degraded == ()
+        assert server.chunks_served >= 1
+
+    @pytest.mark.timeout_guard(300)
+    def test_malformed_result_is_a_lost_worker(self):
+        """Results that do not parse fail the link, never the engine:
+        every cell goes down the retry ladder and its probe, on the same
+        broken peer, convicts it."""
+        listener = _garbling_worker()
+        sink = ListTraceSink()
+        spec = CampaignSpec(**GRID)
+        campaign = Campaign(
+            spec,
+            trace=sink,
+            retries=1,
+            workers=["127.0.0.1:%d" % listener.getsockname()[1]],
+        )
+        try:
+            results = campaign.run(jobs=1)
+        finally:
+            listener.close()
+        assert len(results.results) == spec.size
+        for run in results.results.values():
+            assert run.crashed
+            assert "malformed result" in run.diagnostics["traceback"]
+        lost = [e for e in sink.events if e.event == "worker_lost"]
+        assert lost
+        assert all("malformed result" in e.detail["reason"] for e in lost)
+
+    @pytest.mark.timeout_guard(300)
+    def test_remote_crash_keeps_traceback(self, tmp_path):
+        """A crash on a worker comes back with its traceback, on the run
+        and on the ``run_crashed`` trace event."""
+        server = WorkerServer()
+        _serve(server)
+        sink = ListTraceSink()
+        campaign = Campaign(CampaignSpec(**GRID), trace=sink, workers=[server.address])
+        with faults.injected(
+            faults.FaultSpec(benchmark="vecop", version="OpenCL", mode="raise", times=-1),
+            state_dir=tmp_path / "state",
+        ):
+            try:
+                results = campaign.run(jobs=1)
+            finally:
+                server.stop()
+        run = results.results[("vecop", Version.OPENCL, Precision.SINGLE)]
+        assert run.crashed
+        assert "InjectedCrash" in run.diagnostics["traceback"]
+        crashed = [e for e in sink.events if e.event == "run_crashed"]
+        assert len(crashed) == 1
+        assert "InjectedCrash" in crashed[0].detail["traceback"]
+        assert campaign.report.degraded == ()
+
+    @pytest.mark.timeout_guard(120)
+    def test_deadline_not_held_up_by_busy_workers(self, tmp_path):
+        """At the deadline the pool cuts the chunk a worker is still
+        busy with instead of waiting it out."""
+        servers = [WorkerServer(), WorkerServer()]
+        _serve(*servers)
+        sink = ListTraceSink()
+        deadline_s = 3.0
+        campaign = Campaign(
+            CampaignSpec(**GRID),
+            deadline_s=deadline_s,
+            trace=sink,
+            workers=[s.address for s in servers],
+        )
+        with faults.injected(
+            faults.FaultSpec(benchmark="red", mode="hang", times=-1, seconds=20.0),
+            state_dir=tmp_path / "state",
+        ):
+            t0 = time.monotonic()
+            try:
+                with pytest.raises(DeadlineExceeded):
+                    campaign.run(jobs=1)
+            finally:
+                for s in servers:
+                    s.stop()
+            elapsed = time.monotonic() - t0
+        assert elapsed < deadline_s + 5.0
+        assert set(campaign.salvage.results) == {
+            ("vecop", version, Precision.SINGLE) for version in GRID["versions"]
+        }
+        assert sink.events[-1].event == "campaign_failed"
+
+    def test_platform_spec_refused_with_workers(self):
+        """Workers run the default platform only: a platform object has
+        no data form for the wire."""
+        spec = CampaignSpec(**GRID, platform=default_platform())
+        with pytest.raises(ValueError, match="default platform"):
+            Campaign(spec, workers=["127.0.0.1:1"])
