@@ -11,7 +11,7 @@ Commands:
 * ``describe``  — print the simulated platform inventory
 * ``whatif``    — next-generation-hardware and fixed-driver studies
 * ``designspace`` — batch-price a SoC design space, print Pareto frontiers
-* ``cache``     — inspect or clear the run cache and persistent perf tier
+* ``cache``     — inspect or clear the run cache
 * ``resume``    — finish a journaled campaign whose process was killed
 * ``worker``    — serve as a remote campaign worker (``--workers`` target)
 """
@@ -59,7 +59,6 @@ def cmd_figures(args) -> int:
     campaign = Campaign(
         spec,
         cache_dir=None if args.no_cache else args.cache_dir,
-        perf_dir=None if args.no_cache else _perf_dir(args),
         trace=args.trace,
         retries=args.retries,
         cell_timeout_s=args.cell_timeout,
@@ -383,47 +382,32 @@ def _workers(args) -> tuple[str, ...] | None:
     return tuple(addr.strip() for addr in raw.split(",") if addr.strip())
 
 
-def _perf_dir(args) -> str | None:
-    """Resolve the persistent perf-tier root from CLI arguments.
-
-    Defaults to ``<cache-dir>/perf`` so one ``--cache-dir`` governs
-    both on-disk caches; ``--perf-dir`` overrides the location.
-    """
-    from pathlib import Path
-
-    if getattr(args, "perf_dir", None):
-        return args.perf_dir
-    return str(Path(args.cache_dir) / "perf")
-
-
 def cmd_cache(args) -> int:
     import json as _json
 
-    from . import perf
     from .experiments.cache import RunCache
-    from .perf.persist import PersistentStore
 
     run_cache = RunCache(args.cache_dir)
-    store = PersistentStore(_perf_dir(args))
 
     if args.action == "path":
-        payload = {"run_cache": str(run_cache.root), "perf_tier": str(store.root)}
         if args.json:
-            print(_json.dumps(payload, indent=2, sort_keys=True))
+            print(_json.dumps({"run_cache": str(run_cache.root)}, indent=2, sort_keys=True))
         else:
-            print(f"run cache: {payload['run_cache']}")
-            print(f"perf tier: {payload['perf_tier']}")
+            print(f"run cache: {run_cache.root}")
         return 0
 
     if args.action == "clear":
-        removed_runs = run_cache.clear()
-        removed_perf = store.clear()
-        payload = {"run_cache_removed": removed_runs, "perf_tier_removed": removed_perf}
+        payload = {
+            "run_cache_removed": run_cache.clear(),
+            "legacy_perf_tier_removed": run_cache.clear_legacy_perf_tier(),
+        }
         if args.json:
             print(_json.dumps(payload, indent=2, sort_keys=True))
         else:
-            print(f"run cache: removed {removed_runs} entries")
-            print(f"perf tier: removed {removed_perf} entries")
+            print(f"run cache: removed {payload['run_cache_removed']} entries")
+            if payload["legacy_perf_tier_removed"]:
+                print(f"legacy perf tier: removed "
+                      f"{payload['legacy_perf_tier_removed']} files")
         return 0
 
     # stats
@@ -433,14 +417,6 @@ def cmd_cache(args) -> int:
             "entries": run_cache.entry_count(),
             "size_bytes": run_cache.size_bytes(),
         },
-        "perf_tier": {
-            "path": str(store.root),
-            "namespace": store.namespace,
-            "entries": store.entries(),
-            "size_bytes": store.size_bytes(),
-            "stale_namespaces": store.stale_namespaces(),
-            "persisted_caches": sorted(perf.PERSISTED_CACHES),
-        },
     }
     if args.json:
         print(_json.dumps(payload, indent=2, sort_keys=True))
@@ -448,14 +424,6 @@ def cmd_cache(args) -> int:
     rc = payload["run_cache"]
     print(f"run cache: {rc['path']}")
     print(f"  entries: {rc['entries']}, size: {rc['size_bytes']} bytes")
-    pt = payload["perf_tier"]
-    print(f"perf tier: {pt['path']} (namespace {pt['namespace']})")
-    total = sum(pt["entries"].values())
-    per_cache = ", ".join(f"{name} {n}" for name, n in pt["entries"].items()) or "none"
-    print(f"  entries: {total} ({per_cache}), size: {pt['size_bytes']} bytes")
-    if pt["stale_namespaces"]:
-        print(f"  stale namespaces: {', '.join(pt['stale_namespaces'])} "
-              f"(run `repro cache clear` to reclaim)")
     return 0
 
 
@@ -467,7 +435,6 @@ def cmd_resume(args) -> int:
     campaign = Campaign.resume(
         args.journal_dir,
         cache_dir=None if args.no_cache else args.cache_dir,
-        perf_dir=None if args.no_cache else _perf_dir(args),
         trace=args.trace,
         retries=args.retries,
         cell_timeout_s=args.cell_timeout,
@@ -489,7 +456,6 @@ def cmd_worker(args) -> int:
         serve_worker(
             args.host,
             args.port,
-            perf_dir=args.perf_dir,
             announce=lambda line: print(line, flush=True),
         )
     except KeyboardInterrupt:
@@ -522,10 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=".repro_cache", metavar="DIR",
                    help="content-addressed run cache directory")
     p.add_argument("--no-cache", action="store_true",
-                   help="disable the run cache and the persistent perf tier")
-    p.add_argument("--perf-dir", default=None, metavar="DIR",
-                   help="persistent perf-cache tier root "
-                        "(default: <cache-dir>/perf)")
+                   help="disable the run cache")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write per-run trace events to a JSONL file")
     p.add_argument("--retries", type=int, default=2, metavar="N",
@@ -658,15 +621,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "deadline-constrained min-energy query")
     p.set_defaults(func=cmd_designspace)
 
-    p = sub.add_parser("cache", help="inspect or clear the on-disk caches")
+    p = sub.add_parser("cache", help="inspect or clear the run cache")
     p.add_argument("action", choices=("stats", "clear", "path"),
-                   help="stats: entry counts and sizes; clear: delete every "
-                        "entry of both caches; path: print the cache roots")
+                   help="stats: entry count and size; clear: delete every "
+                        "entry (and a perf/ tree left by older versions); "
+                        "path: print the cache root")
     p.add_argument("--cache-dir", default=".repro_cache", metavar="DIR",
                    help="content-addressed run cache directory")
-    p.add_argument("--perf-dir", default=None, metavar="DIR",
-                   help="persistent perf-cache tier root "
-                        "(default: <cache-dir>/perf)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable JSON output")
     p.set_defaults(func=cmd_cache)
@@ -688,10 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=".repro_cache", metavar="DIR",
                    help="content-addressed run cache directory")
     p.add_argument("--no-cache", action="store_true",
-                   help="disable the run cache and the persistent perf tier")
-    p.add_argument("--perf-dir", default=None, metavar="DIR",
-                   help="persistent perf-cache tier root "
-                        "(default: <cache-dir>/perf)")
+                   help="disable the run cache")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write per-run trace events to a JSONL file")
     p.add_argument("--retries", type=int, default=2, metavar="N",
@@ -711,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve as a remote campaign worker",
         description="Runs a persistent remote worker that coordinators "
                     "target with --workers HOST:PORT.  The worker "
-                    "advertises its protocol version, perf-tier schema "
+                    "advertises its protocol version, result-row schema "
                     "namespace and repro version at handshake; stale "
                     "workers are rejected by the coordinator.  Announces "
                     "'worker listening on HOST:PORT' once bound "
@@ -721,8 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interface to bind (default: loopback)")
     p.add_argument("--port", type=int, default=0, metavar="PORT",
                    help="port to bind (default: 0 = ephemeral)")
-    p.add_argument("--perf-dir", default=None, metavar="DIR",
-                   help="this worker's own persistent perf-cache tier")
     p.set_defaults(func=cmd_worker)
     return parser
 

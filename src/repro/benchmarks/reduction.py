@@ -65,13 +65,11 @@ class Reduction(Benchmark):
         return np.asarray([self.data.astype(np.float64).sum()], dtype=self.ftype)
 
     def verify(self, result: np.ndarray) -> bool:
-        def check() -> bool:
-            ref = float(self.reference()[0])
-            scale = float(np.abs(self.data).sum()) or 1.0
-            tol = (1e-5 if self.ftype == np.float32 else 1e-12) * scale
-            return bool(abs(float(np.ravel(result)[0]) - ref) <= tol)
-
-        return perf.instance_memo(self, ("verify", perf.digest(result)), check)
+        ref = float(self.reference()[0])
+        # the input never changes, so its magnitude is summed once
+        scale = perf.instance_memo(self, "abs_sum", lambda: float(np.abs(self.data).sum()) or 1.0)
+        tol = (1e-5 if self.ftype == np.float32 else 1e-12) * scale
+        return bool(abs(float(np.ravel(result)[0]) - ref) <= tol)
 
     def run_numpy(self) -> np.ndarray:
         return np.asarray([self.data.sum(dtype=np.float64)], dtype=self.ftype)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -204,8 +205,15 @@ class RunCache:
         )
 
     def size_bytes(self) -> int:
-        """Total bytes of every entry (and stray temp file) in the root."""
-        return sum(p.stat().st_size for p in self.root.rglob("*") if p.is_file())
+        """Total bytes of the cached runs (``*.json``) and of stray
+        ``*.tmp`` staging files; other files under the root are not the
+        cache's and are not counted."""
+        return sum(
+            p.stat().st_size
+            for pattern in ("*.json", "*.tmp")
+            for p in self.root.rglob(pattern)
+            if p.is_file()
+        )
 
     def clear(self) -> int:
         """Delete every cached run; returns the number removed.
@@ -226,6 +234,16 @@ class RunCache:
                 tmp.unlink()
             except OSError:  # pragma: no cover - concurrent eviction
                 pass
+        return removed
+
+    def clear_legacy_perf_tier(self) -> int:
+        """Delete the ``perf/`` tree that older versions' persistent perf
+        tier left under the root; returns the number of files removed."""
+        legacy = self.root / "perf"
+        if not legacy.is_dir():
+            return 0
+        removed = sum(1 for p in legacy.rglob("*") if p.is_file())
+        shutil.rmtree(legacy, ignore_errors=True)
         return removed
 
     # ------------------------------------------------------------------

@@ -54,10 +54,9 @@ Since PR 5 the engine is also **kill-proof and budget-aware**:
   in-process runs guard each cell with a SIGALRM timer.  A campaign that overruns ``deadline_s``
   terminates with :class:`DeadlineExceeded` — through the salvage path,
   so the journal + partial results make the remainder resumable;
-* on-disk tiers that hit resource exhaustion (ENOSPC / EACCES)
-  *degrade* instead of failing the run — see
-  :meth:`repro.experiments.cache.RunCache.store` and
-  :meth:`repro.perf.persist.PersistentStore.store` — and the campaign
+* a run cache that hits resource exhaustion (ENOSPC / EACCES)
+  *degrades* instead of failing the run — see
+  :meth:`repro.experiments.cache.RunCache.store` — and the campaign
   surfaces it as a ``tier_degraded`` trace event plus a
   ``DEGRADED`` report line.
 """
@@ -206,20 +205,11 @@ class RunTask:
         )
 
 
-def _worker_init(perf_dir: str | None) -> None:
-    """Pool initializer: attach the persistent perf tier in the worker.
-
-    Explicit (rather than relying on fork inheritance) so the spawn
-    start method gets the same two-tier lane, and harmlessly redundant
-    under fork.  Also marks the process as a worker so injected
+def _worker_init() -> None:
+    """Pool initializer: mark the process as a worker so injected
     ``mode="exit"`` faults (:mod:`repro.experiments.faults`) know they
-    may kill it.
-    """
+    may kill it."""
     faults.mark_worker()
-    if perf_dir is not None:
-        perf.configure(
-            config=perf.PerfConfig(enabled=perf.is_enabled(), persist_dir=perf_dir)
-        )
 
 
 def _crash_result(task: RunTask, exc: BaseException) -> RunResult:
@@ -620,8 +610,8 @@ class CampaignReport:
     timeout_runs: tuple[tuple[str, Version, Precision], ...] = ()
     #: cells replayed from the journal instead of executed (resume)
     replayed: int = 0
-    #: on-disk cache tiers that degraded after resource exhaustion
-    #: (``"run_cache: ..."`` / ``"perf_store: ..."`` reason strings)
+    #: tiers that degraded during the run (``"run_cache: ..."`` /
+    #: ``"remote_workers: ..."`` reason strings)
     degraded: tuple[str, ...] = ()
     #: CPU timings batch-priced into the memo ahead of dispatch
     prepriced: int = 0
@@ -665,13 +655,6 @@ class CampaignReport:
                 for name, stats in sorted(self.perf.items())
             )
             lines.append(f"  memo (hits/misses): {memo}")
-            disk = ", ".join(
-                f"{name} {stats.get('disk_hits', 0)}/{stats.get('disk_misses', 0)}"
-                for name, stats in sorted(self.perf.items())
-                if any(key.startswith("disk_") for key in stats)
-            )
-            if disk:
-                lines.append(f"  disk tier (hits/misses): {disk}")
         crashed = set(self.crashed_runs)
         timed_out = set(self.timeout_runs)
         for bench, version, precision in self.failed_runs:
@@ -689,11 +672,9 @@ class Campaign:
     """Plans a :class:`CampaignSpec` and executes it.
 
     ``cache_dir`` enables the content-addressed run cache (``None``
-    disables it); ``perf_dir`` attaches the persistent perf-cache tier
-    (:class:`repro.perf.PersistentStore`) for the duration of
-    :meth:`run` — in this process *and* in every pool worker, which is
-    what lets ``jobs=N`` workers share compile/pricing state through
-    the filesystem; ``trace`` accepts a :class:`TraceSink` or a JSONL
+    disables it); ``perf_dir`` is deprecated and ignored — the memo
+    caches live in process memory only, and passing it warns once and
+    creates nothing; ``trace`` accepts a :class:`TraceSink` or a JSONL
     path; ``progress`` is the classic per-run callback and receives
     ``"<bench> [<SP|DP>] <Version>"`` before each non-cached run is
     dispatched.
@@ -784,8 +765,15 @@ class Campaign:
         if workers and spec.platform is not None:  # a platform has no data form
             raise ValueError("remote workers run the default platform only; spec.platform must be None")
         self.spec = spec
+        if perf_dir is not None:
+            warnings.warn(
+                "Campaign(perf_dir=...) is deprecated and ignored: the "
+                "persistent perf tier was removed (the run cache serves "
+                "warm reruns)",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self.cache = RunCache(Path(cache_dir).expanduser()) if cache_dir is not None else None
-        self.perf_dir = Path(perf_dir).expanduser() if perf_dir is not None else None
         self._trace = trace
         self.progress = progress
         self.retries = retries
@@ -888,7 +876,6 @@ class Campaign:
             "runs": len(tasks),
             "jobs": jobs,
             "cache": str(self.cache.root) if self.cache else "off",
-            "perf_cache": str(self.perf_dir) if self.perf_dir else "off",
             "retries": self.retries,
             "preprice": self.preprice,
         }
@@ -902,13 +889,6 @@ class Campaign:
         if self.workers:
             detail["workers"] = list(self.workers)
         tracer.emit("campaign_started", detail=detail)
-        prior_config = perf.current_config()
-        if self.perf_dir is not None:
-            perf.configure(
-                config=perf.PerfConfig(
-                    enabled=prior_config.enabled, persist_dir=self.perf_dir
-                )
-            )
         perf_before = perf.counters()
         self._worker_deltas: list[dict] = []
         self._hits = 0
@@ -984,8 +964,6 @@ class Campaign:
             self._deadline_at = None
             if journal is not None:
                 journal.close()
-            if self.perf_dir is not None:
-                perf.configure(config=prior_config)
             if owns_sink:
                 sink.close()
 
@@ -1029,14 +1007,12 @@ class Campaign:
         )
 
     def _degraded_tiers(self) -> tuple[str, ...]:
-        """``"<tier>: <reason>"`` for every on-disk tier that disabled
-        its writes after resource exhaustion during this run."""
+        """``"<tier>: <reason>"`` for every tier that degraded during this
+        run: a run cache that disabled its writes after resource
+        exhaustion, or remote workers that all went away."""
         out: list[str] = []
         if self.cache is not None and self.cache.degraded_reason:
             out.append(f"run_cache: {self.cache.degraded_reason}")
-        store = perf.persistent_store()
-        if store is not None and getattr(store, "degraded_reason", None):
-            out.append(f"perf_store: {store.degraded_reason}")
         if self._remote_degraded_reason:
             out.append(f"remote_workers: {self._remote_degraded_reason}")
         return tuple(out)
@@ -1135,8 +1111,7 @@ class Campaign:
         # bundled into per-benchmark *families* (cache-affinity
         # scheduling): both precisions of a benchmark price largely the
         # same kernel space, so keeping a family on one worker keeps its
-        # in-process memo hit rate high even before the persistent tier
-        # warms.  Dicts preserve plan order.
+        # in-process memo hit rate high.  Dicts preserve plan order.
         families = self._plan_families(pending)
 
         if self.workers and pending:
@@ -1573,12 +1548,7 @@ class Campaign:
         )
 
     def _new_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        perf_dir = str(self.perf_dir) if self.perf_dir is not None else None
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_worker_init,
-            initargs=(perf_dir,),
-        )
+        return ProcessPoolExecutor(max_workers=max_workers, initializer=_worker_init)
 
     def _dispatch(self, task: RunTask, tracer: Tracer) -> None:
         # Once per run: a task that falls back to local execution after

@@ -19,11 +19,11 @@ driven on purpose.  This module injects failures into exact grid cells:
   ``failure_kind="timeout"`` result.  Without a watchdog the cell
   simply finishes late — the fault never corrupts a result;
 * ``mode="enospc"`` — not matched against grid cells but against the
-  on-disk cache *tiers* (``benchmark`` holds the tier name,
-  ``"run_cache"`` or ``"perf_store"``): :func:`maybe_disk_full` raises
-  ``OSError(ENOSPC)`` inside the tier's write path, driving the
-  resource-exhaustion degradation (the tier disables itself for the
-  rest of the campaign instead of failing the run);
+  on-disk run cache (``benchmark`` holds the tier name,
+  ``"run_cache"``): :func:`maybe_disk_full` raises ``OSError(ENOSPC)``
+  inside the cache's write path, driving the resource-exhaustion
+  degradation (the cache disables its writes for the rest of the
+  campaign instead of failing the run);
 * ``mode="net_drop"`` / ``"net_stall"`` / ``"net_garble"`` — frame-level
   network faults for distributed execution
   (:mod:`repro.experiments.protocol`): ``benchmark`` names the *sending
@@ -90,8 +90,8 @@ class FaultSpec:
     ``-1`` means every attempt (a persistent crasher).  ``seconds``
     only matters to ``mode="hang"`` / ``"net_stall"`` (how long the
     cell or frame stalls).  For ``mode="enospc"`` the ``benchmark``
-    field names the targeted cache tier (``"run_cache"`` /
-    ``"perf_store"``) instead of a grid cell; for the ``net_*`` modes
+    field names the targeted cache tier (``"run_cache"``) instead of a
+    grid cell; for the ``net_*`` modes
     it names the sending endpoint (``"worker"`` / ``"coordinator"``)
     and ``version`` optionally narrows to one message kind.
     """
@@ -189,11 +189,10 @@ def maybe_crash(benchmark: str, version=None, precision=None) -> None:
 def maybe_disk_full(tier: str) -> None:
     """Tier fault hook: simulate resource exhaustion on a cache write.
 
-    Called by :meth:`repro.experiments.cache.RunCache.store` and
-    :meth:`repro.perf.persist.PersistentStore.store` before the real
-    write.  Raises ``OSError(ENOSPC)`` when an ``enospc`` fault is
-    installed for ``tier`` (``"run_cache"`` / ``"perf_store"``); a
-    no-op otherwise, so production campaigns pay one env lookup.
+    Called by :meth:`repro.experiments.cache.RunCache.store` before the
+    real write.  Raises ``OSError(ENOSPC)`` when an ``enospc`` fault is
+    installed for ``tier`` (``"run_cache"``); a no-op otherwise, so
+    production campaigns pay one env lookup.
     """
     config = _config()
     if config is None:

@@ -18,7 +18,7 @@ frame protocol over TCP:
 
 Every message is a dict with a ``"kind"`` key.  The first exchange on
 a fresh connection is the **handshake**: the coordinator sends its
-:class:`Handshake` (protocol version, perf-tier schema namespace
+:class:`Handshake` (protocol version, result-row schema namespace
 ``v<schema>-<version>``, and the repro library version), the worker
 replies with its own, and the coordinator rejects mismatches
 (:func:`Handshake.reject_reason`) — a stale worker would price cells
@@ -80,10 +80,10 @@ class ConnectionClosed(ProtocolError):
 class Handshake:
     """What each side advertises before any work flows.
 
-    ``protocol`` is :data:`PROTOCOL_VERSION`; ``namespace`` is the
-    persistent perf tier's ``v<schema>-<version>`` namespace (see
-    :func:`repro.perf.persist._namespace`), which already encodes both
-    the persisted-entry schema and the library version — two processes
+    ``protocol`` is :data:`PROTOCOL_VERSION`; ``namespace`` is
+    ``v<schema>-<version>``, the run-row schema
+    (:data:`repro.experiments.cache.CACHE_SCHEMA` — result rows travel
+    in the run cache's format) plus the library version — two processes
     in the same namespace price cells bitwise-identically; ``version``
     is ``repro.__version__``, carried separately so a rejection can name
     the human-readable culprit.
@@ -96,9 +96,13 @@ class Handshake:
     @classmethod
     def local(cls) -> "Handshake":
         from .. import __version__
-        from ..perf.persist import _namespace
+        from .cache import CACHE_SCHEMA
 
-        return cls(protocol=PROTOCOL_VERSION, namespace=_namespace(), version=__version__)
+        return cls(
+            protocol=PROTOCOL_VERSION,
+            namespace=f"v{CACHE_SCHEMA}-{__version__}",
+            version=__version__,
+        )
 
     def reject_reason(self, theirs: "Handshake") -> str | None:
         """Why ``theirs`` cannot join a campaign run by us (or ``None``).
@@ -111,7 +115,7 @@ class Handshake:
         if theirs.protocol != self.protocol:
             return f"protocol {theirs.protocol} != {self.protocol}"
         if theirs.namespace != self.namespace:
-            return f"perf namespace {theirs.namespace!r} != {self.namespace!r}"
+            return f"schema namespace {theirs.namespace!r} != {self.namespace!r}"
         if theirs.version != self.version:
             return f"repro version {theirs.version!r} != {self.version!r}"
         return None

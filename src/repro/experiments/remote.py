@@ -3,8 +3,8 @@
 Two halves, one contract:
 
 * :class:`WorkerServer` (the ``repro worker`` CLI verb) — a persistent
-  remote worker.  It binds a TCP port, attaches its *own* persistent
-  perf tier, and executes whole benchmark-family chunks through the
+  remote worker.  It binds a TCP port and executes whole
+  benchmark-family chunks through the
   same :func:`repro.experiments.engine._execute_family` entry the
   local process pool uses.  The wire carries data only: a chunk holds
   task fields, a result holds ``run_to_row`` rows (plus perf deltas and
@@ -50,7 +50,6 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeout
-from pathlib import Path
 from typing import Callable, Sequence
 
 from ..errors import ReproError
@@ -206,9 +205,7 @@ class WorkerServer:
     simply returns the server to its accept loop, so the same worker
     survives coordinator restarts, reconnects after injected link
     faults, and serves consecutive campaigns.  ``handshake`` overrides
-    the advertised identity (tests use it to stage a stale worker);
-    ``perf_dir`` attaches the worker's own persistent perf tier for the
-    lifetime of :meth:`serve_forever`.
+    the advertised identity (tests use it to stage a stale worker).
     """
 
     def __init__(
@@ -216,12 +213,10 @@ class WorkerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        perf_dir: str | Path | None = None,
         handshake: Handshake | None = None,
         hb_interval_s: float = HEARTBEAT_INTERVAL_S,
     ) -> None:
         self.handshake = handshake or Handshake.local()
-        self.perf_dir = Path(perf_dir).expanduser() if perf_dir is not None else None
         self.hb_interval_s = hb_interval_s
         self._sock = socket.create_server((host, port))
         self.host, self.port = self._sock.getsockname()[:2]
@@ -239,13 +234,6 @@ class WorkerServer:
 
     def serve_forever(self) -> None:
         """Serve coordinators until :meth:`stop`."""
-        from .. import perf
-
-        prior = perf.current_config()
-        if self.perf_dir is not None:
-            perf.configure(
-                config=perf.PerfConfig(enabled=prior.enabled, persist_dir=self.perf_dir)
-            )
         self._sock.settimeout(0.25)
         try:
             while not self._stop.is_set():
@@ -263,8 +251,6 @@ class WorkerServer:
                     conn.close()
         finally:
             self._sock.close()
-            if self.perf_dir is not None:
-                perf.configure(config=prior)
 
     # ------------------------------------------------------------------
     def _handle(self, conn: socket.socket) -> None:
@@ -325,7 +311,6 @@ def serve_worker(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    perf_dir: str | Path | None = None,
     announce: Callable[[str], None] | None = None,
 ) -> None:
     """Run a remote worker until interrupted (the CLI entry).
@@ -338,7 +323,7 @@ def serve_worker(
     from . import faults
 
     faults.mark_worker()
-    server = WorkerServer(host, port, perf_dir=perf_dir)
+    server = WorkerServer(host, port)
     if announce is not None:
         announce(f"worker listening on {server.address}")
     server.serve_forever()

@@ -279,8 +279,8 @@ def run_grid(
     proportionally (the shape of the results is scale-robust above the
     overhead floor; the default tests run at reduced scale for speed).
     ``jobs`` parallelizes across processes, ``cache_dir`` enables the
-    content-addressed run cache, ``perf_dir`` attaches the persistent
-    perf-cache tier (shared by all workers), ``trace`` accepts a
+    content-addressed run cache, ``perf_dir`` is deprecated and ignored
+    (forwarded to ``Campaign``, which warns), ``trace`` accepts a
     :class:`~repro.experiments.trace.TraceSink` or JSONL path, and
     ``retries`` / ``retry_backoff_s`` bound the engine's worker-death
     recovery (see :class:`~repro.experiments.engine.Campaign`).

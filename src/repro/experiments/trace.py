@@ -63,10 +63,8 @@ class TraceEvent:
     ``detail`` carries event-specific extras (grid size, hit counters,
     failure text ...).  ``detail["perf"]`` on ``finished`` /
     ``campaign_finished`` events is the memo-counter delta of the run
-    (or campaign) window — per cache ``hits``/``misses``/``evictions``,
-    plus ``disk_hits``/``disk_misses``/``disk_writes``/
-    ``disk_invalidated`` when the persistent tier is attached; for
-    pool runs it is measured inside the worker process.
+    (or campaign) window — per cache ``hits``/``misses``/``evictions``;
+    for pool runs it is measured inside the worker process.
     """
 
     event: str

@@ -134,8 +134,7 @@ def time_launch(
     Pure in all arguments (the mutable model objects are keyed by their
     frozen configs), so results are memoized content-addressed: the
     autotuner prices each distinct (kernel, options, local size) point
-    once per process — and, with a persistent tier attached, once per
-    campaign.  One-shot callers go through a throwaway
+    once per process.  One-shot callers go through a throwaway
     :class:`LaunchPricer`; sweeps that price many ``(n_items,
     local_size)`` candidates of the same kernel should hold one pricer
     and amortize its memo-key hashing.
@@ -152,9 +151,8 @@ class _HashedKey:
     (compiled kernel, traits, configs); hashing them from scratch on
     every table lookup dominates the batched cold path.  This wrapper is
     transparent in equality and ``repr`` — keys assembled from wrapped
-    parts occupy the same memo slots and produce the same persistent
-    ``sha256(repr(key))`` digests as the historical raw tuples — but the
-    hash is computed once, at pricer construction.
+    parts occupy the same memo slots as the historical raw tuples — but
+    the hash is computed once, at pricer construction.
     """
 
     __slots__ = ("value", "_hash")
@@ -433,7 +431,7 @@ class LaunchPricer:
         # hoisted memo-key prefix: content_key of a tuple is the tuple of
         # element content_keys, so assembling per-candidate keys from the
         # fixed parts yields keys equal to time_launch's historical ones
-        # (same memo slots, same disk digests).  ``fixed`` lets
+        # (same memo slots).  ``fixed`` lets
         # :class:`GpuPricingModel` inject hash-cached parts, sharing the
         # platform-level ones across every kernel group of a grid;
         # wrapped and raw parts are equal and hash alike, so both forms

@@ -61,7 +61,7 @@ class Buffer:
                 self._storage = np.array(hostbuf, copy=True)
             else:
                 # shape/dtype template only; contents undefined
-                self._storage = np.zeros_like(hostbuf)
+                self._storage = np.empty_like(hostbuf)
         else:
             self._storage = np.zeros(shape, dtype=dtype)
 

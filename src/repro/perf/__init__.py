@@ -14,24 +14,14 @@ while keeping results bit-identical:
 * ``gpu_timing`` / ``cpu_timing`` — :func:`repro.mali.timing.time_launch`
   and Serial/OpenMP pricing results;
 * ``functional`` — per-benchmark-instance functional results (reference
-  outputs, ``run_numpy`` executions, verification verdicts).
+  outputs, ``run_numpy`` executions, the Serial/OpenMP verdict).
 
 Every cache is an LRU with hit/miss/evict counters; the campaign engine
 snapshots :func:`counters` around each run and threads the deltas into
 :class:`~repro.experiments.engine.CampaignReport` and the JSONL trace.
-
-Since PR 3 the content-keyed caches are **two-tier**: below the
-in-process LRU sits an optional disk-backed
-:class:`~repro.perf.persist.PersistentStore`
-(``configure(config=PerfConfig(persist_dir=...))``), so campaign
-workers share warm state
-through the filesystem and a fresh process starts hot.  Only the
-caches whose keys are content-addressed persist (``compile``,
-``analysis``, ``gpu_timing``, ``cpu_timing``); the per-instance
-``functional`` memo stays in-process.  Disk activity is
-accounted per cache as ``disk_hits`` / ``disk_misses`` /
-``disk_writes`` / ``disk_invalidated`` keys in the same
-:func:`counters` snapshot.
+The caches live in process memory only: a fresh process starts cold,
+and a warm rerun is served whole by the campaign's run cache
+(:mod:`repro.experiments.cache`) instead.
 
 All cached functions are pure: a key is built only from frozen,
 content-hashable inputs (kernel IR trees, options, calibrated configs),
@@ -39,9 +29,9 @@ so a cache hit returns exactly the object a fresh computation would
 have produced.  The whole lane can be switched off
 (``configure(config=PerfConfig(enabled=False))`` or the :func:`disabled`
 context manager): every lookup then computes afresh through the same
-code, with no table or counter traffic and no disk tier — switching the
-memo off changes how often a value is computed, never how.  Both
-settings produce byte-identical
+code, with no table or counter traffic — switching the memo off changes
+how often a value is computed, never how.  Both settings produce
+byte-identical
 :class:`~repro.experiments.runner.ResultSet` JSON, which
 ``benchmarks/test_perf_hotpath.py`` asserts at paper scale.
 """
@@ -58,16 +48,11 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from ..errors import ReproError
-from .persist import MISS as _MISS
-from .persist import PersistentStore, TierStats
 
 __all__ = [
     "CacheStats",
     "MemoCache",
-    "PERSISTED_CACHES",
     "PerfConfig",
-    "PersistentStore",
-    "TierStats",
     "cache",
     "caches",
     "configure",
@@ -80,67 +65,41 @@ __all__ = [
     "disabled",
     "instance_memo",
     "is_enabled",
-    "persistent_store",
     "reset",
 ]
 
 #: default LRU capacity per cache (entries, not bytes)
 DEFAULT_MAXSIZE = 512
 
-#: caches whose keys are content-addressed and therefore valid across
-#: processes — the only ones the persistent tier may back
-PERSISTED_CACHES = frozenset({"compile", "analysis", "gpu_timing", "cpu_timing"})
+#: module-level miss sentinel (never a valid cached value)
+_MISS = object()
 
 _ENABLED = True
-
-_STORE: PersistentStore | None = None
 
 
 @dataclass(frozen=True)
 class PerfConfig:
     """The whole fast-lane configuration as one frozen value.
 
-    ``enabled`` switches both tiers on or off; ``persist_dir`` is the
-    disk tier — a path, an attached :class:`PersistentStore` (so a
-    caller can save and restore the store object, counters included), or
-    ``None`` for memory-only.  Pass to ``configure(config=...)``; read
-    the current state back with :func:`current_config`.  One value that
-    can be captured, compared, and restored atomically.
+    ``enabled`` switches the memo on or off.  Pass to
+    ``configure(config=...)``; read the current state back with
+    :func:`current_config`, so a caller can capture, compare and restore
+    it atomically.
     """
 
     enabled: bool = True
-    persist_dir: Any = None
 
 
 def current_config() -> PerfConfig:
-    """Snapshot of the live fast-lane state as a :class:`PerfConfig`.
-
-    ``persist_dir`` is the attached :class:`PersistentStore` object (not
-    the original path), so ``configure(config=current_config())`` is an
-    exact save/restore round trip.
-    """
-    return PerfConfig(enabled=_ENABLED, persist_dir=_STORE)
+    """Snapshot of the live fast-lane state as a :class:`PerfConfig`;
+    ``configure(config=current_config())`` is an exact round trip."""
+    return PerfConfig(enabled=_ENABLED)
 
 
 def configure(config: PerfConfig) -> None:
-    """Apply a whole fast-lane configuration process-wide, atomically.
-
-    ``configure(config=PerfConfig(...))`` sets both settings at once;
-    to change one, start from :func:`current_config` (e.g.
-    ``dataclasses.replace(perf.current_config(), persist_dir=path)``).
-    """
-    global _ENABLED, _STORE
+    """Apply a whole fast-lane configuration process-wide."""
+    global _ENABLED
     _ENABLED = bool(config.enabled)
-    store = config.persist_dir
-    if store is None or isinstance(store, PersistentStore):
-        _STORE = store
-    else:
-        _STORE = PersistentStore(store)
-
-
-def persistent_store() -> PersistentStore | None:
-    """The attached disk tier, or ``None`` when running memory-only."""
-    return _STORE
 
 
 def is_enabled() -> bool:
@@ -151,7 +110,7 @@ def is_enabled() -> bool:
 @contextmanager
 def disabled() -> Iterator[None]:
     """Run a block with the memo skipped: every lookup computes afresh
-    (same code, byte-identical results), touching no table or tier."""
+    (same code, byte-identical results), touching no table."""
     global _ENABLED
     previous = _ENABLED
     _ENABLED = False
@@ -188,16 +147,11 @@ class MemoCache:
     Values are stored as-is (cached functions return immutable/frozen
     objects); :class:`ReproError` exceptions are cached too, so an
     infeasible compile is rejected instantly on every re-attempt.
-
-    A cache created with ``persist=True`` additionally consults the
-    attached :class:`PersistentStore` (if any) on an in-memory miss and
-    writes every fresh compute — positive or negative — through to it.
     """
 
-    def __init__(self, name: str, maxsize: int = DEFAULT_MAXSIZE, persist: bool = False):
+    def __init__(self, name: str, maxsize: int = DEFAULT_MAXSIZE):
         self.name = name
         self.maxsize = maxsize
-        self.persist = persist
         self.stats = CacheStats()
         self._data: OrderedDict[Any, Any] = OrderedDict()
 
@@ -237,31 +191,18 @@ class MemoCache:
             if isinstance(entry, _CachedError):
                 raise entry.error
             return entry
-        store = _STORE if self.persist else None
-        if store is not None:
-            entry = store.load(self.name, key)
-            if entry is not _MISS:
-                self.put(key, entry)
-                if isinstance(entry, _CachedError):
-                    raise entry.error
-                return entry
         try:
             value = compute()
         except ReproError as exc:
-            cached = _CachedError(exc)
-            self.put(key, cached)
-            if store is not None:
-                store.store(self.name, key, cached)
+            self.put(key, _CachedError(exc))
             raise
         self.put(key, value)
-        if store is not None:
-            store.store(self.name, key, value)
         return value
 
     def seed(self, key: Any, value: Any) -> bool:
         """Enter a value computed elsewhere exactly as a fresh compute
-        would (both tiers, same counters); ``False``, storing nothing,
-        when the lane is disabled."""
+        would (same counters); ``False``, storing nothing, when the lane
+        is disabled."""
         if not _ENABLED:
             return False
         self.get_or_compute(key, lambda: value)
@@ -277,17 +218,10 @@ _REGISTRY: dict[str, MemoCache] = {}
 
 
 def cache(name: str, maxsize: int = DEFAULT_MAXSIZE) -> MemoCache:
-    """The process-wide cache registered under ``name`` (created lazily).
-
-    Caches named in :data:`PERSISTED_CACHES` are two-tier: they consult
-    and fill the attached :class:`PersistentStore` whenever one is
-    configured.
-    """
+    """The process-wide cache registered under ``name`` (created lazily)."""
     found = _REGISTRY.get(name)
     if found is None:
-        found = _REGISTRY[name] = MemoCache(
-            name, maxsize=maxsize, persist=name in PERSISTED_CACHES
-        )
+        found = _REGISTRY[name] = MemoCache(name, maxsize=maxsize)
     return found
 
 
@@ -297,22 +231,8 @@ def caches() -> dict[str, MemoCache]:
 
 
 def counters() -> dict[str, dict[str, int]]:
-    """Snapshot of every cache's counters (stable, JSON-able).
-
-    With a persistent tier attached, each persisted cache's dict gains
-    ``disk_hits`` / ``disk_misses`` / ``disk_writes`` /
-    ``disk_invalidated`` keys alongside the in-memory trio — one
-    snapshot, two tiers, so every existing consumer of the PR-2 shape
-    (report deltas, traces) carries the disk breakdown for free.
-    """
-    out: dict[str, dict[str, int]] = {}
-    for name, c in sorted(_REGISTRY.items()):
-        stats = c.stats.as_dict()
-        if c.persist and _STORE is not None:
-            for key, value in _STORE.tier_stats(name).as_dict().items():
-                stats[f"disk_{key}"] = value
-        out[name] = stats
-    return out
+    """Snapshot of every cache's counters (stable, JSON-able)."""
+    return {name: c.stats.as_dict() for name, c in sorted(_REGISTRY.items())}
 
 
 def counters_delta(
@@ -349,16 +269,9 @@ def counters_merge(*deltas: dict[str, dict[str, int]]) -> dict[str, dict[str, in
 
 
 def reset() -> None:
-    """Clear every cache and zero every counter (a cold fast lane).
-
-    The persistent tier's *counters* are zeroed too, but its on-disk
-    entries survive — dropping those is an explicit
-    :meth:`PersistentStore.clear` (the ``repro cache clear`` CLI).
-    """
+    """Clear every cache and zero every counter (a cold fast lane)."""
     for c in _REGISTRY.values():
         c.clear()
-    if _STORE is not None:
-        _STORE.reset_stats()
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ sequentially in source dict order (never ``np.sum``), and guarded-out
 terms are added as exact ``0.0``.  The single-cell entry points
 (``time_launch``, ``time_serial``, ``time_openmp``,
 ``transfer_seconds``, ``BoardPowerModel.trace``) are one-lane views or
-conveniences over the same code, and memo/persist cache keys are
-unchanged.
+conveniences over the same code, and memo cache keys are unchanged.
 
 Implementations:
 

@@ -9,8 +9,6 @@ register-exhaustion collapse of ``nbody`` and ``2dcon``, Figure 2(b))
 and over hypothesis-drawn scales and seeds.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,23 +74,6 @@ def test_pruning_actually_prunes():
         bench = create(name, precision=Precision.SINGLE, scale=0.25)
         skipped += sweep(bench, strategy="pruned").n_skipped
     assert skipped > 0
-
-
-def test_equivalence_with_persistent_tier(tmp_path):
-    """The batched pricer writes and replays the disk tier without
-    perturbing selection: cold-tier and warm-tier sweeps both match
-    exhaustive search."""
-    perf.reset()
-    perf.configure(config=dataclasses.replace(perf.current_config(), persist_dir=tmp_path))
-    try:
-        for name in ("vecop", "dmmm"):
-            assert_equivalent(create(name, precision=Precision.SINGLE, scale=0.25))
-        perf.reset()  # cold memory, warm disk: every price replays from disk
-        for name in ("vecop", "dmmm"):
-            assert_equivalent(create(name, precision=Precision.SINGLE, scale=0.25))
-    finally:
-        perf.reset()
-        perf.configure(config=dataclasses.replace(perf.current_config(), persist_dir=None))
 
 
 def test_scalar_lane_selects_identically():

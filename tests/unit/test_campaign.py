@@ -64,29 +64,17 @@ class TestParallelEquivalence:
         parallel = Campaign(spec).run(jobs=4)
         assert parallel.to_json() == serial.to_json()
 
-    def test_jobs4_with_perf_tier_byte_identical(self, tmp_path):
-        """Affinity-scheduled workers sharing a disk tier change nothing:
-        cold and warm pool runs both match the in-process grid."""
-        spec = CampaignSpec(benchmarks=("vecop", "red"), versions=TWO_VERSIONS,
-                            scale=0.02)
-        serial = Campaign(spec).run(jobs=1)
-        cold = Campaign(spec, perf_dir=tmp_path / "perf").run(jobs=4)
-        warm = Campaign(spec, perf_dir=tmp_path / "perf").run(jobs=4)
-        assert cold.to_json() == serial.to_json()
-        assert warm.to_json() == serial.to_json()
-
-    def test_pool_report_includes_worker_perf_deltas(self, tmp_path):
+    def test_pool_report_includes_worker_perf_deltas(self):
         """Memo work done inside workers lands in CampaignReport.perf."""
         from repro import perf
 
         perf.reset()  # forked workers must start memory-cold
         spec = CampaignSpec(benchmarks=("vecop", "red"), versions=TWO_VERSIONS,
                             scale=0.02)
-        campaign = Campaign(spec, perf_dir=tmp_path / "perf")
+        campaign = Campaign(spec)
         campaign.run(jobs=2)
         perf_delta = campaign.report.perf or {}
         assert sum(s.get("misses", 0) for s in perf_delta.values()) > 0
-        assert sum(s.get("disk_writes", 0) for s in perf_delta.values()) > 0
 
     def test_failed_runs_cross_the_pool(self):
         """The DP amcd driver failure must survive worker pickling."""
@@ -103,6 +91,40 @@ class TestParallelEquivalence:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             Campaign(CampaignSpec(**SMALL)).run(jobs=0)
+
+
+class TestDeprecatedPerfDir:
+    """``perf_dir=`` survives as a no-op: one warning, nothing on disk,
+    the same rows as a run without it."""
+
+    @pytest.mark.parametrize("entry", ["Campaign", "run_grid", "resume"])
+    def test_warns_once_and_changes_nothing(self, tmp_path, entry):
+        import warnings
+
+        spec = CampaignSpec(benchmarks=("vecop",), versions=TWO_VERSIONS, scale=0.02)
+        journal = tmp_path / "journal"
+        if entry == "resume":
+            Campaign(spec).run(journal_dir=journal)
+
+        def run(**kwargs) -> str:
+            if entry == "Campaign":
+                return Campaign(spec, **kwargs).run().to_json()
+            if entry == "run_grid":
+                return run_grid(
+                    spec.benchmarks, versions=spec.versions, scale=spec.scale, **kwargs
+                ).to_json()
+            return Campaign.resume(journal, **kwargs).run().to_json()
+
+        expected = run()
+        tier = tmp_path / "perf"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = run(perf_dir=tier)
+        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
+        assert len(deprecations) == 1
+        assert "perf_dir" in str(deprecations[0].message)
+        assert not tier.exists()
+        assert out == expected
 
 
 class TestRunCacheEngine:
@@ -181,6 +203,40 @@ class TestRunCacheEngine:
         assert removed == spec.size  # tmp removed but not counted
         assert not stray.exists()
         assert cache.entry_count() == 0
+
+    def test_size_bytes_ignores_foreign_files(self, tmp_path):
+        """Only run entries and staging files are run-cache bytes; a
+        ``perf/`` tree that older versions left under the root is not."""
+        spec = CampaignSpec(benchmarks=("vecop",), versions=TWO_VERSIONS, scale=0.02)
+        campaign = Campaign(spec, cache_dir=tmp_path)
+        campaign.run()
+        cache = campaign.cache
+        own = sum(p.stat().st_size for p in tmp_path.rglob("*.json"))
+        assert own > 0 and cache.size_bytes() == own
+        foreign = tmp_path / "perf" / "v2-1.0.0" / "compile" / "ab" / f"{'a' * 64}.pkl"
+        foreign.parent.mkdir(parents=True)
+        foreign.write_bytes(b"x" * 4096)
+        assert cache.size_bytes() == own
+
+    def test_cli_clear_removes_a_legacy_perf_tree(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        spec = CampaignSpec(benchmarks=("vecop",), versions=TWO_VERSIONS, scale=0.02)
+        Campaign(spec, cache_dir=tmp_path).run()
+        legacy = tmp_path / "perf" / "v2-1.0.0" / "compile" / "ab"
+        legacy.mkdir(parents=True)
+        for i in range(3):
+            (legacy / f"{i}.pkl").write_bytes(b"x")
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "run_cache_removed": spec.size,
+            "legacy_perf_tier_removed": 3,
+        }
+        assert not (tmp_path / "perf").exists()
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "run_cache": {"path": str(tmp_path), "entries": 0, "size_bytes": 0}
+        }
 
     def test_open_sweeps_stale_tmp_files(self, tmp_path):
         """Crash litter: tmp files of dead writers vanish on cache open;

@@ -38,7 +38,6 @@ from repro.designspace import (
     opt_over_serial,
 )
 from repro.errors import CalibrationError, CLOutOfResources
-from repro.perf.persist import key_digest
 from tests.pricing_oracle import digest_reference, frontier_reference
 
 
@@ -208,8 +207,8 @@ def test_launch_pricer_raises_on_register_exhaustion():
 
 
 def test_soc_configs_sharing_a_kernel_get_distinct_memo_keys():
-    """Satellite regression: the perf memo and persistent tier never mix
-    two SoC configs' entries for the same compiled kernel."""
+    """Satellite regression: the perf memo never mixes two SoC configs'
+    entries for the same compiled kernel."""
     from repro.compiler.options import NAIVE
     from repro.compiler.pipeline import compile_kernel
     from repro.mali.timing import LaunchPricer
@@ -228,7 +227,6 @@ def test_soc_configs_sharing_a_kernel_get_distinct_memo_keys():
         )
         keys.append(pricer.key(1024, 64))
     assert len(set(keys)) == 3
-    assert len({key_digest(k) for k in keys}) == 3
 
     # CPU side: distinct A15 clocks -> distinct cpu_timing keys
     from repro.benchmarks.base import Version
@@ -245,7 +243,6 @@ def test_soc_configs_sharing_a_kernel_get_distinct_memo_keys():
             )
         )
     assert keys[0] != keys[1]
-    assert key_digest(keys[0]) != key_digest(keys[1])
 
 
 # ---------------------------------------------------------------------------

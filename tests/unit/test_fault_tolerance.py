@@ -487,24 +487,3 @@ class TestTierDegradation:
         assert len([w for w in caught if "degraded" in str(w.message)]) == 1
         # the injection counter shows only the first write hit the disk
         assert attempts(tmp_path / "s", "run_cache", "disk", "enospc") == 1
-
-    @pytest.mark.timeout_guard(120)
-    def test_perf_store_degrades_without_failing_runs(self, tmp_path):
-        from repro import perf
-
-        # cold memo lane: warm in-process caches would satisfy every
-        # lookup and the persistent tier would never be written at all
-        perf.reset()
-        spec = CampaignSpec(**GRID)
-        sink = ListTraceSink()
-        campaign = Campaign(spec, perf_dir=tmp_path / "perf", trace=sink)
-        with injected(
-            FaultSpec(benchmark="perf_store", mode="enospc", times=-1),
-            state_dir=tmp_path / "s",
-        ):
-            with pytest.warns(UserWarning, match="persistent perf tier .* degraded"):
-                results = campaign.run(jobs=1)
-        assert all(run.ok for run in results.results.values())
-        assert any(d.startswith("perf_store:") for d in campaign.report.degraded)
-        degraded = [e for e in sink.events if e.event == "tier_degraded"]
-        assert [e.detail["tier"] for e in degraded] == ["perf_store"]

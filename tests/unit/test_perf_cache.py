@@ -94,6 +94,14 @@ def test_counters_delta_drops_idle_caches():
     assert "idle" not in delta
 
 
+def test_counters_merge_sums_and_drops_zero():
+    merged = perf.counters_merge(
+        {"a": {"hits": 1, "evictions": 2}},
+        {"a": {"hits": 2, "misses": 1}, "b": {"hits": 0}},
+    )
+    assert merged == {"a": {"hits": 3, "evictions": 2, "misses": 1}}
+
+
 # ---------------------------------------------------------------------------
 # content keys & digests
 # ---------------------------------------------------------------------------

@@ -124,16 +124,14 @@ def test_gpu_views_reject_work_group_sizes_no_core_holds(local_size):
 
 
 class TestPerfConfig:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         before = perf.current_config()
-        assert before == perf.PerfConfig(enabled=True, persist_dir=None)
-        perf.configure(config=perf.PerfConfig(enabled=False, persist_dir=tmp_path))
+        assert before == perf.PerfConfig(enabled=True)
+        perf.configure(config=perf.PerfConfig(enabled=False))
         assert not perf.is_enabled()
-        assert perf.persistent_store() is not None
         snapshot = perf.current_config()
         perf.configure(config=before)
         assert perf.current_config() == before
-        # the snapshot restores the exact store object, not a re-open
         perf.configure(config=snapshot)
         assert perf.current_config() == snapshot
 
