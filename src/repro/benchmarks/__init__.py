@@ -3,6 +3,7 @@
 from .amcd import Amcd, simulate_chains
 from .base import (
     Benchmark,
+    Draws,
     MIN_METER_SAMPLES,
     Precision,
     RunResult,
@@ -30,6 +31,7 @@ __all__ = [
     "Benchmark",
     "Conv2D",
     "Dmmm",
+    "Draws",
     "Histogram",
     "MIN_METER_SAMPLES",
     "NBody",

@@ -58,7 +58,7 @@ def simulate_chains(
     Shared by the reference, the CPU versions and the GPU kernel
     function, so all versions produce bit-identical trajectories.
     """
-    x = x0.astype(ftype).copy()
+    x = np.array(x0, dtype=ftype)
     state = seeds.astype(np.uint64)
     for _ in range(steps):
         state = lcg_next(state)
@@ -86,15 +86,18 @@ class Amcd(SingleKernelMixin, Benchmark):
 
     def setup(self) -> None:
         self.chains = max(512, int(self.DEFAULT_CHAINS * self.scale))
-        self.x0 = self.rng.standard_normal(self.chains).astype(self.ftype)
-        self.seeds = self.rng.integers(1, 1 << 32, size=self.chains, dtype=np.uint64)
+        x0 = self.take("x0", lambda rng: rng.standard_normal(self.chains))
+        self.x0 = x0.astype(self.ftype, copy=False)
+        self.seeds = self.take(
+            "seeds", lambda rng: rng.integers(1, 1 << 32, size=self.chains, dtype=np.uint64)
+        )
         self.acceptance_rate = self._measure_acceptance_rate()
 
     def _measure_acceptance_rate(self, probe_steps: int = 12) -> float:
         """Expected Metropolis acceptance, measured from the actual
         chains (feeds the IR's divergent-branch probability the same way
         spmv's imbalance comes from its generated matrix)."""
-        x = self.x0.astype(np.float64).copy()
+        x = np.array(self.x0, dtype=np.float64)
         state = self.seeds.astype(np.uint64)
         accepts = 0
         for _ in range(probe_steps):

@@ -219,6 +219,71 @@ class RunResult:
         )
 
 
+class Draws:
+    """The input draws of one benchmark *family*.
+
+    A family is one (benchmark, scale, seed) with all its precisions.
+    Every input is drawn as a precision-independent float64 or integer
+    array, which each instance then casts to its own dtype, so the
+    family draws each input once, from one ``np.random.default_rng(seed)``,
+    and hands the same read-only array to every precision.
+
+    Arrays are recorded by name in draw order, and every reader must
+    take them in that order: a precision-dependent draw sequence raises
+    :class:`ReproError` instead of drawing SP and DP from different
+    generator states.  ``readers`` is the number of instances that will
+    take each array; after the last of them the record forgets it, so a
+    one-reader record (a standalone instance) holds nothing of its own.
+    """
+
+    def __init__(self, seed: int, readers: int = 1):
+        self.seed = seed
+        self.readers = readers
+        self.rng = np.random.default_rng(seed)
+        self._names: list[str] = []
+        self._held: dict[str, np.ndarray] = {}
+        self._takes: dict[str, int] = {}
+
+    def take(
+        self, name: str, draw: Callable[[np.random.Generator], np.ndarray], at: int
+    ) -> np.ndarray:
+        """The family's array ``name``, as the ``at``-th take of one reader.
+
+        The family's first take of a name calls ``draw(self.rng)`` and
+        records the result read-only; later readers get that array.
+        """
+        if at < len(self._names):
+            if self._names[at] != name:
+                raise ReproError(
+                    f"draw {name!r} asked for where the family drew "
+                    f"{self._names[at]!r}: every precision must draw the same "
+                    "inputs in the same order"
+                )
+            if name not in self._held:
+                raise ReproError(
+                    f"draw {name!r} taken more often than the family's "
+                    f"{self.readers} reader(s)"
+                )
+            array = self._held[name]
+        elif name in self._takes:
+            raise ReproError(f"draw {name!r} asked for twice by one reader")
+        else:
+            state = self.rng.bit_generator.state
+            try:
+                array = draw(self.rng)
+            except BaseException:
+                # a retried draw must start where this one started
+                self.rng.bit_generator.state = state
+                raise
+            array.flags.writeable = False
+            self._names.append(name)
+            self._held[name] = array
+        self._takes[name] = self._takes.get(name, 0) + 1
+        if self._takes[name] >= self.readers:
+            del self._held[name]
+        return array
+
+
 class Benchmark(abc.ABC):
     """Base class for the nine HPC benchmarks.
 
@@ -229,6 +294,14 @@ class Benchmark(abc.ABC):
     The remaining input arrays, named in :attr:`lazy_inputs`, are drawn
     by :meth:`draw_inputs` on the first access to any of them — only
     functional execution and verification pay for them.
+
+    Every draw goes through :meth:`take` into the family record
+    ``draws`` (:class:`Draws`), which the instances of one (benchmark,
+    scale, seed) can share so each input is drawn once for all
+    precisions; without one the instance is a family of one.  Arrays
+    the record hands out are read-only, and float inputs are cast with
+    ``astype(self.ftype, copy=False)``, so a double-precision instance
+    holds the family's array itself.
     """
 
     #: short paper name ("spmv", "vecop", ...)
@@ -244,14 +317,19 @@ class Benchmark(abc.ABC):
         scale: float = 1.0,
         seed: int = 1234,
         platform: ExynosPlatform | None = None,
+        *,
+        draws: Draws | None = None,
     ):
         if scale <= 0:
             raise ValueError("scale must be positive")
+        if draws is not None and draws.seed != seed:
+            raise ValueError(f"draw record of seed {draws.seed} given to seed {seed}")
         self.precision = precision
         self.scale = scale
         self.seed = seed
         self.platform = platform or default_platform()
-        self.rng = np.random.default_rng(seed)
+        self.draws = draws if draws is not None else Draws(seed)
+        self._taken = 0
         self.setup()
 
     # ------------------------------------------------------------------
@@ -267,6 +345,17 @@ class Benchmark(abc.ABC):
         """IR float dtype of this instance."""
         return self.precision.ir_float
 
+    def take(self, name: str, draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
+        """The family's read-only array ``name`` (see :meth:`Draws.take`).
+
+        ``draw`` computes the precision-independent values from the
+        family generator; the caller casts float arrays with
+        ``astype(self.ftype, copy=False)``.
+        """
+        array = self.draws.take(name, draw, self._taken)
+        self._taken += 1
+        return array
+
     # ------------------------------------------------------------------
     # problem definition (abstract)
     # ------------------------------------------------------------------
@@ -275,13 +364,13 @@ class Benchmark(abc.ABC):
         """Derive the problem shape and the trait-feeding draws (untimed)."""
 
     def draw_inputs(self) -> dict[str, np.ndarray]:
-        """Draw the :attr:`lazy_inputs` arrays from ``self.rng``.
+        """Take the :attr:`lazy_inputs` arrays from the family record.
 
-        Called once, on the first access to any lazy input; the draws
-        continue ``self.rng`` right where :meth:`setup` left it and run
-        in a fixed order, so every array is bit for bit what an eager
-        ``setup()`` drawing the same sequence would have produced.
-        Nothing else may consume ``self.rng`` after :meth:`setup`.
+        Called once, on the first access to any lazy input.  The takes
+        continue the family's draw order right where :meth:`setup` left
+        it, so every array is bit for bit what an eager ``setup()``
+        drawing the same sequence would have produced, whichever
+        precision of the family draws first.
         """
         return {}
 
@@ -619,14 +708,21 @@ def run_gpu_version(
     ctx = Context(device)
     queue = CommandQueue(ctx, device)
     try:
-        state = bench.gpu_setup(ctx, queue, options)
-        queue.reset_timeline()
-        bench.gpu_iteration(queue, state, local_size)
-    except (CLBuildProgramFailure, CLOutOfResources) as exc:
-        return RunResult.failed(bench.name, version, bench.precision, str(exc))
+        try:
+            state = bench.gpu_setup(ctx, queue, options)
+            queue.reset_timeline()
+            bench.gpu_iteration(queue, state, local_size)
+        except (CLBuildProgramFailure, CLOutOfResources) as exc:
+            return RunResult.failed(bench.name, version, bench.precision, str(exc))
+
+        activities = tuple(queue.timeline)
+        result = bench.gpu_result(queue, state)
+    finally:
+        # finalization frees the buffers now, not at the next garbage
+        # collection (each buffer and its context reference each other)
+        ctx.release()
 
     pricing = platform.pricing_model()
-    activities = tuple(queue.timeline)
     work_s = 0.0
     for a in activities:
         work_s += a.duration_s
@@ -634,7 +730,6 @@ def run_gpu_version(
         activities += (Activity(kind=ActivityKind.IDLE, duration_s=idle_tail_s),)
     trace = pricing.power.price_one(TraceCell(activities=activities))
     report = measure_trace(trace, platform, seed=bench.seed)
-    result = bench.gpu_result(queue, state)
     return RunResult(
         benchmark=bench.name,
         version=version,
@@ -854,9 +949,9 @@ def execute_run(
     a ``ProcessPoolExecutor`` worker can execute it by reference — this
     is the unit of work the campaign engine
     (:mod:`repro.experiments.engine`) fans out.  Because benchmarks
-    consume their RNG only in :meth:`Benchmark.setup` and in the one
-    fixed-order :meth:`Benchmark.draw_inputs`, the result is identical
-    to running the same version on a shared instance.
+    draw only in :meth:`Benchmark.setup` and in the one fixed-order
+    :meth:`Benchmark.draw_inputs`, the result is identical to running
+    the same version on a shared instance or family record.
     """
     from .registry import create  # deferred: registry imports this module
 
@@ -886,8 +981,10 @@ def execute_runs(
     of a cell at paper scale, and it is identical across the four
     versions — so workers run whole version groups against a single
     benchmark instance, which draws its lazy inputs once for all of
-    them, exactly like the classic serial loop.  Results are returned
-    in ``versions`` order.
+    them, exactly like the classic serial loop.  The instance is a
+    family of one: it draws for its own precision only (the campaign
+    engine shares one draw across a family's precisions).  Results are
+    returned in ``versions`` order.
     """
     from .registry import create  # deferred: registry imports this module
 

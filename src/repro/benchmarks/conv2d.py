@@ -48,7 +48,7 @@ def correlate_same(image: np.ndarray, filt: np.ndarray) -> np.ndarray:
     h, w = image.shape
     padded = np.zeros((h + 2 * pad, w + 2 * pad))
     padded[pad : pad + h, pad : pad + w] = image
-    weights = filt.astype(np.float64)
+    weights = filt.astype(np.float64, copy=False)
     out = np.zeros((h, w))
     tap = np.empty((h, w))
     for u in reversed(range(k)):
@@ -72,16 +72,23 @@ class Conv2D(SingleKernelMixin, Benchmark):
         self.dim = max(64, int(self.DEFAULT_DIM * np.sqrt(self.scale)))
 
     def draw_inputs(self) -> dict[str, np.ndarray]:
-        image = self.rng.standard_normal((self.dim, self.dim)).astype(self.ftype)
-        filt = self.rng.random((self.K, self.K))
-        return {"image": image, "filter": (filt / filt.sum()).astype(self.ftype)}
+        def normalised_filter(rng: np.random.Generator) -> np.ndarray:
+            filt = rng.random((self.K, self.K))
+            return filt / filt.sum()
+
+        image = self.take("image", lambda rng: rng.standard_normal((self.dim, self.dim)))
+        filt = self.take("filter", normalised_filter)
+        return {
+            "image": image.astype(self.ftype, copy=False),
+            "filter": filt.astype(self.ftype, copy=False),
+        }
 
     def elements(self) -> int:
         return self.dim**2
 
     def _convolve(self) -> np.ndarray:
         def compute() -> np.ndarray:
-            return correlate_same(self.image, self.filter).astype(self.ftype)
+            return correlate_same(self.image, self.filter).astype(self.ftype, copy=False)
 
         # reference, run_numpy and the GPU kernel all evaluate exactly
         # this convolution of the staged instance data: share one result

@@ -49,15 +49,16 @@ class Dmmm(SingleKernelMixin, Benchmark):
         self.n = max(64, int(self.DEFAULT_N * self.scale ** (1 / 3)))
 
     def draw_inputs(self) -> dict[str, np.ndarray]:
-        A = self.rng.standard_normal((self.n, self.n)).astype(self.ftype)
-        B = self.rng.standard_normal((self.n, self.n)).astype(self.ftype)
-        return {"A": A, "B": B}
+        A = self.take("A", lambda rng: rng.standard_normal((self.n, self.n)))
+        B = self.take("B", lambda rng: rng.standard_normal((self.n, self.n)))
+        return {"A": A.astype(self.ftype, copy=False), "B": B.astype(self.ftype, copy=False)}
 
     def elements(self) -> int:
         return self.n**2
 
     def reference_result(self) -> np.ndarray:
-        return (self.A.astype(np.float64) @ self.B.astype(np.float64)).astype(self.ftype)
+        wide = self.A.astype(np.float64, copy=False) @ self.B.astype(np.float64, copy=False)
+        return wide.astype(self.ftype, copy=False)
 
     def verify(self, result: np.ndarray) -> bool:
         rtol = 2e-3 if self.ftype == np.float32 else 1e-9

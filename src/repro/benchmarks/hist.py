@@ -48,8 +48,8 @@ class Histogram(Benchmark):
     def setup(self) -> None:
         self.n = max(4096, int(self.DEFAULT_N * self.scale))
         # mildly skewed distribution: hot buckets exist but don't dominate
-        raw = self.rng.beta(2.0, 3.0, size=self.n)
-        self.values = raw.astype(self.ftype)
+        raw = self.take("values", lambda rng: rng.beta(2.0, 3.0, size=self.n))
+        self.values = raw.astype(self.ftype, copy=False)
         counts = np.bincount(
             np.minimum((raw * self.BUCKETS).astype(np.int64), self.BUCKETS - 1),
             minlength=self.BUCKETS,

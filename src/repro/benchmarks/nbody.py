@@ -44,9 +44,9 @@ def nbody_step(bodies: np.ndarray, ftype) -> np.ndarray:
     Accumulates in float64 internally so that verification tolerances
     stay meaningful for the float32 instance.
     """
-    pos = bodies[:, 0:3].astype(np.float64)
-    mass = bodies[:, 3].astype(np.float64)
-    vel = bodies[:, 4:7].astype(np.float64)
+    pos = bodies[:, 0:3].astype(np.float64, copy=False)
+    mass = bodies[:, 3].astype(np.float64, copy=False)
+    vel = bodies[:, 4:7].astype(np.float64, copy=False)
     n = len(bodies)
     px, py, pz = pos[:, 0], pos[:, 1], pos[:, 2]
     # Row-blocked per-axis evaluation: each i-row's interactions are
@@ -71,10 +71,10 @@ def nbody_step(bodies: np.ndarray, ftype) -> np.ndarray:
         acc[i0:i1, 0] = (dx * w).sum(axis=1)
         acc[i0:i1, 1] = (dy * w).sum(axis=1)
         acc[i0:i1, 2] = (dz * w).sum(axis=1)
-    new = bodies.astype(np.float64).copy()
+    new = np.array(bodies, dtype=np.float64)
     new[:, 4:7] = vel + DT * acc
     new[:, 0:3] = pos + DT * new[:, 4:7]
-    return new.astype(ftype)
+    return new.astype(ftype, copy=False)
 
 
 class NBody(SingleKernelMixin, Benchmark):
@@ -90,11 +90,14 @@ class NBody(SingleKernelMixin, Benchmark):
         self.n_bodies = max(256, int(self.DEFAULT_BODIES * np.sqrt(self.scale)))
 
     def draw_inputs(self) -> dict[str, np.ndarray]:
-        bodies = np.zeros((self.n_bodies, FIELDS), dtype=self.ftype)
-        bodies[:, 0:3] = self.rng.standard_normal((self.n_bodies, 3))
-        bodies[:, 3] = self.rng.random(self.n_bodies) + 0.1
-        bodies[:, 4:7] = 0.05 * self.rng.standard_normal((self.n_bodies, 3))
-        return {"bodies": bodies}
+        def draw_bodies(rng: np.random.Generator) -> np.ndarray:
+            bodies = np.zeros((self.n_bodies, FIELDS))
+            bodies[:, 0:3] = rng.standard_normal((self.n_bodies, 3))
+            bodies[:, 3] = rng.random(self.n_bodies) + 0.1
+            bodies[:, 4:7] = 0.05 * rng.standard_normal((self.n_bodies, 3))
+            return bodies
+
+        return {"bodies": self.take("bodies", draw_bodies).astype(self.ftype, copy=False)}
 
     def elements(self) -> int:
         return self.n_bodies

@@ -49,7 +49,8 @@ class Reduction(Benchmark):
         self.n = max(self.STAGE1_ITEMS * 4, int(self.DEFAULT_N * self.scale))
 
     def draw_inputs(self) -> dict[str, np.ndarray]:
-        return {"data": self.rng.standard_normal(self.n).astype(self.ftype)}
+        data = self.take("data", lambda rng: rng.standard_normal(self.n))
+        return {"data": data.astype(self.ftype, copy=False)}
 
     def elements(self) -> int:
         return self.n
@@ -62,7 +63,7 @@ class Reduction(Benchmark):
         # sum in float64 then cast: the GPU tree sum is far more accurate
         # than a naive serial left-fold, so compare against the well-
         # conditioned value
-        return np.asarray([self.data.astype(np.float64).sum()], dtype=self.ftype)
+        return np.asarray([self.data.astype(np.float64, copy=False).sum()], dtype=self.ftype)
 
     def verify(self, result: np.ndarray) -> bool:
         ref = float(self.reference()[0])
@@ -206,7 +207,7 @@ class Reduction(Benchmark):
         items = self.STAGE1_ITEMS
 
         def red_stage1(data, partials):
-            wide = data.astype(np.float64)
+            wide = data.astype(np.float64, copy=False)
             if len(data) % items == 0:
                 # equal chunks: one reshaped row-sum, same per-chunk
                 # contiguous pairwise reduction as summing each split
@@ -219,7 +220,7 @@ class Reduction(Benchmark):
 
     def _stage2_func(self):
         def red_stage2(partials, result):
-            result[...] = partials.astype(np.float64).sum()
+            result[...] = partials.astype(np.float64, copy=False).sum()
 
         return red_stage2
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Type
 
 from .amcd import Amcd
-from .base import Benchmark, Precision
+from .base import Benchmark, Draws, Precision
 from .conv2d import Conv2D
 from .dmmm import Dmmm
 from .hist import Histogram
@@ -42,13 +42,19 @@ def create(
     scale: float = 1.0,
     seed: int = 1234,
     platform=None,
+    *,
+    draws: Draws | None = None,
 ) -> Benchmark:
-    """Instantiate a benchmark by its paper name."""
+    """Instantiate a benchmark by its paper name.
+
+    ``draws`` is the family's shared draw record (one per benchmark,
+    scale and seed); without it the instance draws for itself alone.
+    """
     try:
         cls = BENCHMARKS[name]
     except KeyError:
         raise KeyError(f"unknown benchmark {name!r}; expected one of {PAPER_ORDER}") from None
-    return cls(precision=precision, scale=scale, seed=seed, platform=platform)
+    return cls(precision=precision, scale=scale, seed=seed, platform=platform, draws=draws)
 
 
 def all_benchmarks(

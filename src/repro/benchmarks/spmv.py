@@ -53,7 +53,10 @@ class SpMV(SingleKernelMixin, Benchmark):
         self.rows = max(256, int(self.DEFAULT_ROWS * self.scale))
         self.cols = self.rows
         # log-normal row lengths: a few heavy rows, many light ones
-        lengths = self.rng.lognormal(mean=np.log(self.MEAN_NNZ_PER_ROW), sigma=0.9, size=self.rows)
+        mean = np.log(self.MEAN_NNZ_PER_ROW)
+        lengths = self.take(
+            "row_lengths", lambda rng: rng.lognormal(mean=mean, sigma=0.9, size=self.rows)
+        )
         lengths = np.maximum(lengths.astype(np.int64), 1)
         lengths = np.minimum(lengths, self.cols)
         self.row_lengths = lengths
@@ -62,25 +65,29 @@ class SpMV(SingleKernelMixin, Benchmark):
         np.cumsum(lengths, out=self.indptr[1:])
 
     def draw_inputs(self) -> dict[str, np.ndarray]:
-        indices = self._draw_columns()
-        data = self.rng.standard_normal(self.nnz).astype(self.ftype)
-        x = self.rng.standard_normal(self.cols).astype(self.ftype)
-        return {"indices": indices, "data": data, "x": x}
+        indices = self.take("indices", self._draw_columns)
+        data = self.take("data", lambda rng: rng.standard_normal(self.nnz))
+        x = self.take("x", lambda rng: rng.standard_normal(self.cols))
+        return {
+            "indices": indices,
+            "data": data.astype(self.ftype, copy=False),
+            "x": x.astype(self.ftype, copy=False),
+        }
 
-    def _draw_columns(self) -> np.ndarray:
+    def _draw_columns(self, rng: np.random.Generator) -> np.ndarray:
         """Distinct column indices within every row, in CSR order.
 
         One draw covers all nonzeros; one sort of ``row * cols + col``
         finds the rows holding a repeated column, and only those rows
         are redrawn without replacement, in ascending row order.
         """
-        cols = self.rng.integers(0, self.cols, size=self.nnz)
+        cols = rng.integers(0, self.cols, size=self.nnz)
         row_of = np.repeat(np.arange(self.rows, dtype=np.int64), self.row_lengths)
         keys = np.sort(row_of * self.cols + cols)
         repeated = np.unique(keys[1:][keys[1:] == keys[:-1]] // self.cols)
         for row in repeated:
             start, stop = self.indptr[row], self.indptr[row + 1]
-            cols[start:stop] = self.rng.choice(self.cols, size=stop - start, replace=False)
+            cols[start:stop] = rng.choice(self.cols, size=stop - start, replace=False)
         return cols.astype(np.int32)
 
     def elements(self) -> int:
@@ -97,9 +104,12 @@ class SpMV(SingleKernelMixin, Benchmark):
 
     def reference_result(self) -> np.ndarray:
         wide = csr_matvec(
-            self.data.astype(np.float64), self.indices, self.indptr, self.x.astype(np.float64)
+            self.data.astype(np.float64, copy=False),
+            self.indices,
+            self.indptr,
+            self.x.astype(np.float64, copy=False),
         )
-        return wide.astype(self.ftype)
+        return wide.astype(self.ftype, copy=False)
 
     def verify(self, result: np.ndarray) -> bool:
         rtol = 1e-3 if self.ftype == np.float32 else 1e-8

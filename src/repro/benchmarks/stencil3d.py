@@ -42,7 +42,8 @@ class Stencil3D(SingleKernelMixin, Benchmark):
 
     def draw_inputs(self) -> dict[str, np.ndarray]:
         d = self.dim
-        return {"grid": self.rng.standard_normal((d, d, d)).astype(self.ftype)}
+        grid = self.take("grid", lambda rng: rng.standard_normal((d, d, d)))
+        return {"grid": grid.astype(self.ftype, copy=False)}
 
     def elements(self) -> int:
         return self.dim**3

@@ -37,9 +37,9 @@ class VecOp(SingleKernelMixin, Benchmark):
         self.n = max(1024, int(self.DEFAULT_N * self.scale))
 
     def draw_inputs(self) -> dict[str, np.ndarray]:
-        a = self.rng.random(self.n).astype(self.ftype)
-        b = self.rng.random(self.n).astype(self.ftype)
-        return {"a": a, "b": b}
+        a = self.take("a", lambda rng: rng.random(self.n))
+        b = self.take("b", lambda rng: rng.random(self.n))
+        return {"a": a.astype(self.ftype, copy=False), "b": b.astype(self.ftype, copy=False)}
 
     def elements(self) -> int:
         return self.n

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .benchmarks.base import Precision, cpu_pricing_inputs
+from .benchmarks.base import Draws, Precision, cpu_pricing_inputs
 from .benchmarks.registry import PAPER_ORDER, create
 from .calibration.exynos5250 import ExynosPlatform, default_platform
 from .calibration.socspace import (
@@ -206,9 +206,16 @@ class DesignSpace:
         gpu_cells: list[GpuLaunchCell] = []
         launches: list[int] = []
         for name in self.benchmarks:
+            # the precisions of one benchmark share its set-up draws
+            draws = Draws(seed, readers=len(self.precisions))
             for precision in self.precisions:
                 bench = create(
-                    name, precision=precision, scale=scale, seed=seed, platform=self.base
+                    name,
+                    precision=precision,
+                    scale=scale,
+                    seed=seed,
+                    platform=self.base,
+                    draws=draws,
                 )
                 _, mix, traits, n = cpu_pricing_inputs(bench)
                 cpu_start = len(cpu_cells)

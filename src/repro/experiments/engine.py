@@ -21,9 +21,10 @@ used to be a serial triple loop; this module turns it into a planned
   failures, crashes, retries, wall time) of one ``Campaign.run()``.
 
 Every cell of the grid is a pure function of the spec (benchmarks
-consume their RNG only for their inputs — sizes during setup, the input
-arrays lazily on first use, always in the same order), which is what
-makes both the process pool and the cache sound.
+draw only their inputs — sizes during setup, the input arrays lazily on
+first use, always in the same order, and once per family for all its
+precisions), which is what makes both the process pool and the cache
+sound.
 
 Execution is **crash-proof**: an unexpected exception inside a cell is
 captured as a failed :class:`RunResult` with ``failure_kind="crash"``
@@ -87,6 +88,7 @@ from typing import Callable, Sequence
 from .. import perf
 from ..benchmarks.base import (
     Benchmark,
+    Draws,
     Precision,
     RunResult,
     Version,
@@ -262,6 +264,31 @@ def _preprice_group(bench: Benchmark, tasks: tuple[RunTask, ...]) -> int:
         return 0
 
 
+def _group_instance(
+    tasks: tuple[RunTask, ...], draws: Draws, preprice: bool
+) -> tuple[Benchmark | None, Exception | None, int]:
+    """Build a version group's shared instance on its family's record.
+
+    Returns ``(instance, None, prepriced)``, or ``(None, exc, 0)`` when
+    ``setup`` raised: the group's cells then report ``exc`` as crashes.
+    With ``preprice`` on, the group's CPU timings are batch-priced
+    (:func:`_preprice_group`) before any cell runs.
+    """
+    first = tasks[0]
+    try:
+        bench = create(
+            first.benchmark,
+            precision=first.precision,
+            scale=first.scale,
+            seed=first.seed,
+            platform=first.platform,
+            draws=draws,
+        )
+    except Exception as exc:  # noqa: BLE001 — setup crash capture
+        return None, exc, 0
+    return bench, None, _preprice_group(bench, tasks) if preprice else 0
+
+
 def _safe_run(bench: Benchmark, task: RunTask) -> RunResult:
     """Execute one cell, capturing unexpected exceptions as crashes.
 
@@ -296,7 +323,10 @@ def _execute_family(
     precisions instead of being rebuilt cold in whichever worker a
     group happened to land on.  Within a group all versions share one
     benchmark instance (setup dominates a cell at paper scale), exactly
-    like the classic serial loop.  With ``preprice`` on, each group's
+    like the classic serial loop, and the groups share one
+    :class:`~repro.benchmarks.base.Draws` record, so each input is drawn
+    once for all the family's precisions.  One group's instance is alive
+    at a time.  With ``preprice`` on, each group's
     Serial/OpenMP timings are batch-priced into the ``cpu_timing`` memo
     (one vectorized pass) before its cells dispatch.
 
@@ -314,22 +344,11 @@ def _execute_family(
     family_before = perf.counters()
     out: list[tuple[tuple[RunResult, dict], ...]] = []
     prepriced = 0
+    draws = Draws(groups[0][0].seed, readers=len(groups))
     for tasks in groups:
-        first = tasks[0]
-        bench: Benchmark | None = None
-        bench_exc: Exception | None = None
-        try:
-            bench = create(
-                first.benchmark,
-                precision=first.precision,
-                scale=first.scale,
-                seed=first.seed,
-                platform=first.platform,
-            )
-        except Exception as exc:  # noqa: BLE001 — setup crash capture
-            bench_exc = exc
-        if bench is not None and preprice:
-            prepriced += _preprice_group(bench, tasks)
+        bench = None  # the previous group's instance goes before the next set-up
+        bench, bench_exc, seeded = _group_instance(tasks, draws, preprice)
+        prepriced += seeded
         runs: list[tuple[RunResult, dict]] = []
         for task in tasks:
             before = perf.counters()
@@ -1125,7 +1144,7 @@ class Campaign:
             families = self._plan_families(pending)
 
         if jobs == 1 or len(families) <= 1:
-            self._run_inline(pending, tracer, results)
+            self._run_inline(families, tracer, results)
         else:
             self._run_pool(families, jobs, tracer, results)
 
@@ -1144,61 +1163,51 @@ class Campaign:
 
     def _run_inline(
         self,
-        pending: list[tuple[RunTask, str | None]],
+        families: dict[str, list[list[tuple[RunTask, str | None]]]],
         tracer: Tracer,
         results: dict[tuple, RunResult],
     ) -> None:
         """In-process path: one shared benchmark instance per group,
-        exactly like the classic serial loop — the RNG is consumed only
-        for the instance's inputs (sizes at setup, arrays once on first
-        use, in a fixed order), so this is observably identical to
-        running each cell on a fresh instance.  Cell crashes (including a failing
-        ``setup``) are captured per task, mirroring the pool path.
+        exactly like the classic serial loop, and one
+        :class:`~repro.benchmarks.base.Draws` record per family, so the
+        family's precisions draw each input once.  Inputs are drawn in a
+        fixed order (sizes at setup, arrays once on first use), so this
+        is observably identical to running each cell on a fresh
+        instance.  Memory follows the largest group, not the grid: a
+        group's instance is dropped when the next group starts and the
+        family's record when the next family starts.  Cell crashes
+        (including a failing ``setup``) are captured per task, mirroring
+        the pool path.
 
         Budgets: the deadline is checked between cells (raising
         :class:`DeadlineExceeded` through the salvage path) and each
         cell runs under a SIGALRM guard — :meth:`_guarded_run` — when
         ``cell_timeout_s`` or a deadline is armed."""
-        benches: dict[tuple[str, Precision], Benchmark] = {}
-        bench_exc: dict[tuple[str, Precision], Exception] = {}
-        for task, key in pending:
-            self._check_deadline()
-            self._dispatch(task, tracer)
-            bkey = (task.benchmark, task.precision)
-            if bkey not in benches and bkey not in bench_exc:
-                try:
-                    benches[bkey] = create(
-                        task.benchmark,
-                        precision=task.precision,
-                        scale=task.scale,
-                        seed=task.seed,
-                        platform=task.platform,
-                    )
-                except Exception as exc:  # noqa: BLE001 — setup crash capture
-                    bench_exc[bkey] = exc
-                else:
-                    if self.preprice:
-                        self._prepriced += _preprice_group(
-                            benches[bkey],
-                            tuple(
-                                t
-                                for t, _ in pending
-                                if (t.benchmark, t.precision) == bkey
-                            ),
+        for family in families.values():
+            draws = Draws(family[0][0][0].seed, readers=len(family))
+            for group in family:
+                bench: Benchmark | None = None  # frees the previous group's instance
+                for i, (task, key) in enumerate(group):
+                    self._check_deadline()
+                    self._dispatch(task, tracer)
+                    if i == 0:
+                        bench, bench_exc, seeded = _group_instance(
+                            tuple(t for t, _ in group), draws, self.preprice
                         )
-            before = perf.counters()
-            if bkey in benches:
-                run = self._guarded_run(benches[bkey], task)
-            else:
-                run = _crash_result(task, bench_exc[bkey])
-            self._finish(
-                task,
-                key,
-                run,
-                results,
-                tracer,
-                perf_delta=perf.counters_delta(before, perf.counters()),
-            )
+                        self._prepriced += seeded
+                    before = perf.counters()
+                    if bench is not None:
+                        run = self._guarded_run(bench, task)
+                    else:
+                        run = _crash_result(task, bench_exc)
+                    self._finish(
+                        task,
+                        key,
+                        run,
+                        results,
+                        tracer,
+                        perf_delta=perf.counters_delta(before, perf.counters()),
+                    )
 
     def _check_deadline(self) -> None:
         if self._deadline_at is not None and self.clock.monotonic() >= self._deadline_at:

@@ -32,6 +32,13 @@ class Context:
     def register_buffer(self, buffer) -> None:
         self._buffers.append(buffer)
 
+    def release(self) -> None:
+        """``clReleaseContext``: release and forget every memory object
+        created against this context."""
+        for buffer in self._buffers:
+            buffer.release()
+        self._buffers.clear()
+
     @property
     def allocated_bytes(self) -> int:
         return sum(b.size for b in self._buffers if not b.released)

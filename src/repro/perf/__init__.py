@@ -132,13 +132,28 @@ class CacheStats:
         return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
 
 
+def _unraised(error: ReproError) -> ReproError:
+    """A copy of ``error`` that was never raised: same type, args and
+    attributes, no traceback."""
+    copy = type(error).__new__(type(error), *error.args)
+    copy.__dict__.update(error.__dict__)
+    return copy
+
+
 class _CachedError:
-    """A memoized *negative* result (the computation raised)."""
+    """A memoized *negative* result (the computation raised).
+
+    It keeps an unraised copy of the error and raises a new copy on
+    every hit.  A raised exception holds its traceback, and the frames
+    on it hold the arguments of every call it passed through (a whole
+    benchmark instance with its arrays), so the memo never keeps an
+    exception that has been raised.
+    """
 
     __slots__ = ("error",)
 
     def __init__(self, error: ReproError):
-        self.error = error
+        self.error = _unraised(error)
 
 
 class MemoCache:
@@ -189,7 +204,7 @@ class MemoCache:
         entry = self.get(key)
         if entry is not _MISS:
             if isinstance(entry, _CachedError):
-                raise entry.error
+                raise _unraised(entry.error)
             return entry
         try:
             value = compute()

@@ -304,7 +304,6 @@ class TestLaunchPricerBitwise:
         from repro.ocl.driver import driver_local_size
 
         bench = create(name, precision=precision, scale=0.05)
-        bench.setup()
         quirks = (
             bench.platform.driver_quirks
             if bench.platform.driver_quirks is not None
@@ -356,7 +355,6 @@ class TestLaunchPricerBitwise:
         from repro.mali.timing import LaunchPricer
 
         bench = create("vecop", scale=0.02)
-        bench.setup()
         compiled = compile_kernel(bench.kernel_ir(NAIVE), NAIVE, quirks=())
         pricer = LaunchPricer(
             compiled,

@@ -5,25 +5,31 @@ or the traits; every other input array is drawn on first use.  These
 tests pin the split: pricing, tuning and the design-space build never
 draw an input, the lazily drawn arrays are bit for bit the arrays the
 former eager ``setup()`` drew, and the NumPy replacements for SciPy's
-convolution and CSR product compute what they claim.
+convolution and CSR product compute what they claim.  They also pin the
+family draw record: the precisions of one (benchmark, scale, seed) share
+one read-only draw, in one order, forgotten after its last reader.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.benchmarks import BENCHMARKS, PAPER_ORDER, Precision, create
+from repro.benchmarks import BENCHMARKS, PAPER_ORDER, Draws, Precision, create
 from repro.benchmarks.base import cpu_pricing_inputs
 from repro.benchmarks.conv2d import correlate_same
 from repro.benchmarks.spmv import csr_matvec
+from repro.benchmarks.vecop import VecOp
 from repro.designspace import DesignSpace
+from repro.errors import ReproError
 from repro.optimizations.autotune import _candidates, tune
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -59,6 +65,15 @@ def _undrawn(bench) -> bool:
     return not set(type(bench).lazy_inputs) & set(vars(bench))
 
 
+def _assert_eager_digests(bench) -> None:
+    """Every ``EAGER_DIGESTS`` entry of ``bench``'s benchmark and precision."""
+    for (name, precision, attr), (dtype, shape, digest) in EAGER_DIGESTS.items():
+        if (name, precision) == (bench.name, bench.precision.value):
+            arr = getattr(bench, attr)
+            assert (str(arr.dtype), arr.shape) == (dtype, shape)
+            assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, (name, precision, attr)
+
+
 def test_import_repro_leaves_scipy_unloaded():
     code = "import sys, repro; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
@@ -76,14 +91,14 @@ class TestShapeOnlyPaths:
     @pytest.mark.parametrize("name", PAPER_ORDER)
     def test_pricing_and_tuning_draw_no_input(self, name, precision):
         bench = create(name, precision=precision, scale=0.05)
-        state = bench.rng.bit_generator.state
+        state = bench.draws.rng.bit_generator.state
         cpu_pricing_inputs(bench)
         for options, _ in _candidates(bench, include_naive=True):
             bench.kernel_ir(options)
             bench.gpu_traits(options)
         tune(bench)
         assert _undrawn(bench)
-        assert bench.rng.bit_generator.state == state
+        assert bench.draws.rng.bit_generator.state == state
 
     def test_design_space_build_draws_no_input(self, monkeypatch):
         def refuse(bench):
@@ -98,9 +113,9 @@ class TestShapeOnlyPaths:
         bench = create("2dcon", scale=0.05)
         image = bench.image
         assert set(bench.lazy_inputs) <= set(vars(bench))
-        state = bench.rng.bit_generator.state
+        state = bench.draws.rng.bit_generator.state
         assert bench.filter is not None and bench.image is image
-        assert bench.rng.bit_generator.state == state
+        assert bench.draws.rng.bit_generator.state == state
 
     def test_unknown_attribute_still_raises(self):
         bench = create("vecop", scale=0.02)
@@ -130,6 +145,130 @@ class TestLazyInputsMatchEagerDraws:
         for row in range(bench.rows):
             cols = bench.indices[bench.indptr[row] : bench.indptr[row + 1]]
             assert len(np.unique(cols)) == len(cols)
+
+
+class _SwappedVecOp(VecOp):
+    """vecop whose double instance draws ``b`` before ``a``."""
+
+    def draw_inputs(self):
+        names = ("a", "b") if self.precision is Precision.SINGLE else ("b", "a")
+        return {name: self.take(name, lambda rng: rng.random(self.n)) for name in names}
+
+
+class _ExtraDrawVecOp(VecOp):
+    """vecop whose double instance draws an extra input between ``a`` and ``b``."""
+
+    def draw_inputs(self):
+        names = ("a", "b") if self.precision is Precision.SINGLE else ("a", "noise", "b")
+        return {name: self.take(name, lambda rng: rng.random(self.n)) for name in names}
+
+
+class TestFamilyDraws:
+    """One family, one draw: the precisions of a (benchmark, scale, seed)
+    share each input array instead of drawing it again."""
+
+    @pytest.mark.parametrize("first", list(Precision), ids=lambda p: p.label)
+    @pytest.mark.parametrize("name", sorted(SEEDS))
+    def test_shared_record_keeps_eager_digests(self, name, first):
+        draws = Draws(SEEDS[name], readers=2)
+        order = [first, *(p for p in Precision if p is not first)]
+        benches = [
+            create(name, precision=p, scale=0.05, seed=SEEDS[name], draws=draws) for p in order
+        ]
+        for bench in benches:  # the first-created instance draws first
+            _assert_eager_digests(bench)
+
+    @pytest.mark.parametrize("name", PAPER_ORDER)
+    def test_sibling_after_first_drew_takes_without_drawing(self, name):
+        seed = SEEDS.get(name, 1234)
+        draws = Draws(seed, readers=2)
+        sp = create(name, precision=Precision.SINGLE, scale=0.05, seed=seed, draws=draws)
+        for attr in sp.lazy_inputs:
+            getattr(sp, attr)
+        state = draws.rng.bit_generator.state
+        dp = create(name, precision=Precision.DOUBLE, scale=0.05, seed=seed, draws=draws)
+        for attr in dp.lazy_inputs:
+            getattr(dp, attr)
+        assert draws.rng.bit_generator.state == state
+        _assert_eager_digests(dp)
+        alone = create(name, precision=Precision.DOUBLE, scale=0.05, seed=seed)
+        for attr in ("hot_fraction", "acceptance_rate", "row_lengths", *dp.lazy_inputs):
+            if hasattr(alone, attr):
+                assert np.array_equal(getattr(dp, attr), getattr(alone, attr)), attr
+
+    @pytest.mark.parametrize("name", PAPER_ORDER)
+    def test_handed_out_arrays_are_read_only(self, name, monkeypatch):
+        handed = []
+        take = Draws.take
+
+        def spy(self, *args):
+            array = take(self, *args)
+            handed.append(array)
+            return array
+
+        monkeypatch.setattr(Draws, "take", spy)
+        draws = Draws(1234, readers=2)
+        for precision in Precision:
+            bench = create(name, precision=precision, scale=0.05, draws=draws)
+            for attr in bench.lazy_inputs:
+                getattr(bench, attr)
+        assert handed
+        for array in handed:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        if bench.lazy_inputs:  # the double instance holds the family's arrays
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(bench, bench.lazy_inputs[0])[...] = 0
+
+    @pytest.mark.parametrize("first", list(Precision), ids=lambda p: p.label)
+    @pytest.mark.parametrize("cls", [_SwappedVecOp, _ExtraDrawVecOp])
+    def test_precision_dependent_draw_order_raises(self, cls, first):
+        draws = Draws(3, readers=2)
+        order = [first, *(p for p in Precision if p is not first)]
+        benches = [cls(precision=p, scale=0.02, seed=3, draws=draws) for p in order]
+        benches[0].a
+        with pytest.raises(ReproError, match="same order"):
+            benches[1].a
+
+    def test_record_forgets_an_array_after_its_last_reader(self):
+        draws = Draws(5, readers=2)
+        sp = create("vecop", precision=Precision.SINGLE, scale=0.02, seed=5, draws=draws)
+        dp = create("vecop", precision=Precision.DOUBLE, scale=0.02, seed=5, draws=draws)
+        sp.a
+        wide = weakref.ref(dp.a)  # the double instance holds the drawn float64 array
+        assert sp.a.dtype == np.float32 and wide().dtype == np.float64
+        del sp
+        gc.collect()
+        assert wide() is not None
+        del dp
+        gc.collect()
+        assert wide() is None and draws.readers == 2
+
+    def test_one_reader_record_keeps_nothing(self):
+        draws = Draws(5)
+        drawn = draws.take("x", lambda rng: rng.random(16), 0)
+        ref = weakref.ref(drawn)
+        del drawn
+        gc.collect()
+        assert ref() is None
+        with pytest.raises(ReproError, match="more often"):
+            draws.take("x", lambda rng: rng.random(16), 0)
+
+    def test_failed_draw_leaves_the_generator_where_it_was(self):
+        draws = Draws(7)
+
+        def broken(rng):
+            rng.random(100)
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            draws.take("x", broken, 0)
+        got = draws.take("x", lambda rng: rng.random(4), 0)
+        assert np.array_equal(got, np.random.default_rng(7).random(4))
+
+    def test_record_of_another_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed"):
+            create("vecop", scale=0.02, seed=2, draws=Draws(1))
 
 
 class TestNumpyKernels:

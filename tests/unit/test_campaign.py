@@ -1,8 +1,10 @@
 """Tests for the campaign engine: specs, parallel execution, cache, trace."""
 
+import gc
 import json
 import os
 import time
+import weakref
 
 import pytest
 
@@ -369,6 +371,62 @@ class TestResultSetComposition:
         loaded = ResultSet.from_json(json.dumps(data))
         assert loaded.fingerprint is None
         assert set(loaded.results) == set(rs.results)
+
+
+class TestBoundedLifetime:
+    """While a cell runs, the only live benchmark instance is its group's."""
+
+    @staticmethod
+    def _track(monkeypatch):
+        """Record, at the start of every cell, the running instance and
+        every instance ``create`` returned that is still alive."""
+        from repro.experiments import engine
+
+        made = []
+        seen = []
+        create, run_version = engine.create, engine.run_version
+
+        def tracking_create(*args, **kwargs):
+            bench = create(*args, **kwargs)
+            made.append(weakref.ref(bench))
+            return bench
+
+        def checking_run_version(bench, **kwargs):
+            gc.collect()
+            live = [ref() for ref in made]
+            seen.append(
+                ((bench.name, bench.precision), [(b.name, b.precision) for b in live if b])
+            )
+            del live
+            return run_version(bench, **kwargs)
+
+        monkeypatch.setattr(engine, "create", tracking_create)
+        monkeypatch.setattr(engine, "run_version", checking_run_version)
+        return seen
+
+    def test_inline_grid_holds_one_group(self, monkeypatch):
+        seen = self._track(monkeypatch)
+        spec = CampaignSpec(precisions=(Precision.SINGLE, Precision.DOUBLE), scale=0.05)
+        Campaign(spec).run(jobs=1)
+        assert len(seen) == spec.size
+        for running, live in seen:
+            assert live == [running]
+
+    def test_family_entry_holds_one_group(self, monkeypatch):
+        from repro.experiments.engine import _execute_family
+
+        seen = self._track(monkeypatch)
+        tasks = CampaignSpec(
+            benchmarks=("vecop",), precisions=(Precision.SINGLE, Precision.DOUBLE), scale=0.05
+        ).tasks()
+        groups = tuple(
+            tuple(t for t in tasks if t.precision is p) for p in (Precision.SINGLE, Precision.DOUBLE)
+        )
+        out, _, _ = _execute_family(groups, True)
+        assert all(run.ok for group in out for run, _ in group)
+        assert len(seen) == len(tasks)
+        for running, live in seen:
+            assert live == [running]
 
 
 class TestWorkerEntry:

@@ -1,5 +1,8 @@
 """Unit tests for the mini-OpenCL runtime."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -135,6 +138,37 @@ class TestBuffers:
     def test_context_tracks_allocations(self, ctx):
         Buffer(ctx, MemFlag.READ_WRITE, shape=256, dtype=np.float32)
         assert ctx.allocated_bytes == 1024
+
+    def test_context_release_frees_buffers_without_a_collection(self, ctx):
+        buf = Buffer(ctx, MemFlag.READ_WRITE, shape=256, dtype=np.float32)
+        ref = weakref.ref(buf)
+        ctx.release()
+        assert buf.released and ctx.allocated_bytes == 0
+        gc.disable()
+        try:
+            del buf
+            assert ref() is None  # no buffer-context cycle is left to collect
+        finally:
+            gc.enable()
+
+    def test_gpu_run_frees_its_buffers_without_a_collection(self, monkeypatch):
+        from repro.benchmarks import Version, create, run_version
+
+        made = []
+        register = Context.register_buffer
+
+        def tracking(self, buffer):
+            made.append(weakref.ref(buffer))
+            register(self, buffer)
+
+        monkeypatch.setattr(Context, "register_buffer", tracking)
+        bench = create("vecop", scale=0.02)
+        gc.disable()
+        try:
+            assert run_version(bench, version=Version.OPENCL).verified
+            assert made and all(ref() is None for ref in made)
+        finally:
+            gc.enable()
 
 
 class TestTransferCosts:

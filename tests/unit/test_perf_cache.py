@@ -1,6 +1,8 @@
 """The memoization fast lane: cache mechanics, identity, transparency."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from repro import Precision, Version, create, perf
 from repro.compiler import CompileOptions, compile_kernel
 from repro.compiler.options import NAIVE
-from repro.errors import ReproError
+from repro.errors import RegisterAllocationError, ReproError
 from repro.experiments.engine import Campaign, CampaignSpec
 from repro.experiments.runner import run_grid
 from repro.ir.analysis import analyze
@@ -66,6 +68,35 @@ def test_exceptions_are_memoized_and_reraised():
         c.get_or_compute("k", boom)
     assert len(calls) == 1  # second raise came from the cache
     assert c.stats.hits == 1
+
+
+def test_cached_error_keeps_no_caller_alive():
+    """A memoized error must not pin the frames (and arguments) of the
+    calls it was raised through, on the first raise or on a cached one."""
+    c = perf.MemoCache("t")
+
+    class Payload:
+        pass
+
+    def boom():
+        raise RegisterAllocationError("too many registers", 80, 64)
+
+    def caller(payload):
+        try:
+            c.get_or_compute("k", boom)
+        except RegisterAllocationError as exc:
+            return exc
+
+    for _ in range(2):  # the computing raise, then the cached one
+        payload = Payload()
+        ref = weakref.ref(payload)
+        exc = caller(payload)
+        assert (str(exc), exc.registers_required, exc.register_limit) == (
+            "too many registers", 80, 64,
+        )
+        del payload, exc
+        gc.collect()
+        assert ref() is None
 
 
 def test_disabled_bypasses_cache_entirely():
