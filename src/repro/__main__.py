@@ -307,8 +307,15 @@ def cmd_designspace(args) -> int:
     for precision in result.precisions:
         pool = result.select(benchmark=benchmark, precision=precision, version="Opt")
         front = frontier(pool)
+        # a streamed result keeps only the kept and frontier configs'
+        # points, so its frontier counts against the whole swept space
+        out_of = (
+            f"{result.evaluated + result.pruned} swept configs"
+            if result.mode == "stream"
+            else f"{len(pool)} configs"
+        )
         print(f"\nPareto frontier — {benchmark} [{precision}], Opt "
-              f"({len(front)} of {len(pool)} configs):")
+              f"({len(front)} of {out_of}):")
         print(f"  {'config':28s} {'seconds':>10s} {'watts':>7s} {'energy J':>9s}")
         for p in front:
             print(f"  {p.config_name:28s} {p.seconds:10.4f} {p.watts:7.2f} "

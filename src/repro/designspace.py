@@ -67,8 +67,10 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, compress, repeat
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .benchmarks.base import Draws, Precision, cpu_pricing_inputs
 from .benchmarks.registry import PAPER_ORDER, create
@@ -100,15 +102,20 @@ _PRECISIONS_DEFAULT = (Precision.SINGLE, Precision.DOUBLE)
 #: did, and near 7 MB at 256.
 BLOCK_SIZE = 64
 
+#: the knobs the roofline floor of :meth:`DesignSpace.opt_bounds` reads
+_floor_knobs = attrgetter("dram_gbps", "register_file_scale", "gpu_cores", "gpu_clock_hz")
 
-@dataclass(frozen=True)
-class DesignPoint:
+
+class DesignPoint(NamedTuple):
     """One (config, benchmark, precision, version) cell of the hypercube.
 
     ``seconds`` is one timed iteration (``× launches`` for GPU
     versions); ``energy_j`` is ``seconds × watts`` of the meterless
     board-power model.  Infeasible points (no Opt candidate fits the
     config) carry ``inf`` seconds/energy and zero watts.
+
+    An immutable named tuple: it hashes and compares equal like the
+    plain tuple of its fields, and ``_replace`` derives a changed copy.
     """
 
     config_name: str
@@ -259,6 +266,17 @@ class DesignSpace:
                     )
                 )
         self.groups = groups
+        #: (benchmark, precision, version) of each of a config's points,
+        #: in :meth:`block_points` order: [Serial, OpenMP, Opt] per group,
+        #: then per precision the aggregate's
+        self.slots = tuple(
+            [(bc.name, bc.precision, version) for bc in groups for version in VERSIONS]
+            + [
+                (AGGREGATE, precision, version)
+                for precision in dict.fromkeys(bc.precision for bc in groups)
+                for version in VERSIONS
+            ]
+        )
         self.cpu_cells = tuple(cpu_cells)
         self.gpu_cells = tuple(gpu_cells)
         self._launches_f = np.asarray([float(l) for l in launches])
@@ -377,11 +395,12 @@ class DesignSpace:
     def block_points(self, configs, rows: SpaceRows) -> list[DesignPoint]:
         """Design points of a block of configs from its row arrays.
 
-        Per config, in config order: [Serial, OpenMP, Opt] per
-        (benchmark, precision) group, then per-precision aggregates
-        (sums across benchmarks; an aggregate Opt is infeasible if any
-        benchmark's is).  Every pick and sum is a column over the
-        block; point equality reduces to row identity.
+        Per config, in config order, one point per :attr:`slots` entry:
+        [Serial, OpenMP, Opt] per (benchmark, precision) group, then
+        per-precision aggregates (sums across benchmarks; an aggregate
+        Opt is infeasible if any benchmark's is).  Every pick and sum
+        is a column over the block; point equality reduces to row
+        identity.
         """
         import numpy as np
 
@@ -401,34 +420,33 @@ class DesignSpace:
         picks["Opt"] = self._opt_picks(
             rows.gpu_feasible, rows.gpu_iter_seconds, rows.gpu_watts, rows.gpu_energy
         )
-        slots = []  # (benchmark, precision, version) of each point
-        columns = []
-        for g, bc in enumerate(self.groups):
-            for version in VERSIONS:
-                slots.append((bc.name, bc.precision, version))
-                columns.append(picks[version][g])
         sums = {version: self._aggregates(picks[version]) for version in VERSIONS}
-        for precision in sums["Opt"]:
-            for version in VERSIONS:
-                slots.append((AGGREGATE, precision, version))
-                columns.append(sums[version][precision])
-        benchmarks, precisions, versions = zip(*slots)
-        out: list[DesignPoint] = []
-        for config, *values in zip(
-            configs,
-            *(np.stack([column[f] for column in columns], axis=1).tolist() for f in range(4)),
-        ):
-            out.extend(
-                map(
-                    DesignPoint,
-                    repeat(config.name, len(slots)),
-                    benchmarks,
-                    precisions,
-                    versions,
+        columns = [picks[version][g] for g in range(len(self.groups)) for version in VERSIONS]
+        columns += [
+            sums[version][precision]
+            for _, precision, version in self.slots[len(columns) :]
+        ]
+        k, width = len(configs), len(self.slots)
+        benchmarks, precisions, versions = zip(*self.slots)
+        # (config, slot)-major value lists; the points are then built by
+        # tuple.__new__ in C, without a Python frame per point
+        values = (
+            np.stack([column[f] for column in columns], axis=1).ravel().tolist()
+            for f in range(4)
+        )
+        return list(
+            map(
+                tuple.__new__,
+                repeat(DesignPoint),
+                zip(
+                    chain.from_iterable(repeat(c.name, width) for c in configs),
+                    benchmarks * k,
+                    precisions * k,
+                    versions * k,
                     *values,
-                )
+                ),
             )
-        return out
+        )
 
     def points(self, config: SoCConfig, rows: SpaceRows) -> list[DesignPoint]:
         """Design points of one config: a one-config :meth:`block_points`."""
@@ -566,58 +584,73 @@ class DesignSpace:
         config) bounds its watts; per-precision aggregates accumulate
         in the exact group order :meth:`block_points` uses, so the same-order
         float sums stay monotone term for term.
+
+        The floor depends on a config only through its DRAM bandwidth,
+        register-file scale, GPU cores and GPU clock, so it is priced
+        once per distinct tuple of those knobs (one ``floor_seconds``
+        call per distinct DRAM and register-file setting) and gathered
+        per config; the rail floor likewise once per rail scale.  Every
+        config's bound is therefore the same whichever configs share
+        the call, and a sweep bounds a whole shard in one call.
         """
         import numpy as np
 
         configs = tuple(configs)
-        starts, empty, by_prec, dram_cache, _ = self._bound_tables()
+        starts, _, by_prec, dram_cache, _ = self._bound_tables()
         n = len(configs)
         if self._gpu_stack is None or not n:
             inf = np.full(n, np.inf)
             return {prec: (inf, inf.copy()) for prec in by_prec}
 
         parts = PlatformParts(self.base)
-        # the rail floor of each config's derived rails, once per
-        # distinct rail scale
-        wfloor = np.empty(n)
-        by_rails: dict[float, list[int]] = {}
-        for i, c in enumerate(configs):
-            by_rails.setdefault(c.rail_scale, []).append(i)
-        for idxs in by_rails.values():
-            wfloor[idxs] = gpu_floor_watts(parts.rails(configs[idxs[0]]))
+        # each config's row among the distinct floor-knob tuples and
+        # rail scales (first-seen order), and each row's first config;
+        # generators rather than per-config key lists, so the pass
+        # leaves no per-config object for the garbage collector to track
+        knob_rows: dict[tuple, int] = {}
+        knob_of = np.fromiter(
+            (knob_rows.setdefault(key, len(knob_rows)) for key in map(_floor_knobs, configs)),
+            np.intp,
+            n,
+        )
+        rail_rows: dict[float, int] = {}
+        rail_of = np.fromiter(
+            (rail_rows.setdefault(c.rail_scale, len(rail_rows)) for c in configs), np.intp, n
+        )
+        first = np.unique(knob_of, return_index=True)[1]
+        wfloor = np.asarray(
+            [
+                gpu_floor_watts(parts.rails(configs[i]))
+                for i in np.unique(rail_of, return_index=True)[1]
+            ]
+        )[rail_of]
 
-        cores = np.asarray([float(c.gpu_cores) for c in configs])
-        clock = np.asarray([c.gpu_clock_hz for c in configs])
-        gmin = np.empty((n, len(self.groups)))
-        by_dram: dict[tuple, list[int]] = {}
-        for i, c in enumerate(configs):
-            by_dram.setdefault((c.dram_gbps, c.register_file_scale), []).append(i)
-        for (gbps, rf_scale), idxs in by_dram.items():
+        floors = np.empty((len(knob_rows), len(self.groups)))
+        by_dram: dict[tuple, list[tuple]] = {}
+        for key in knob_rows:
+            by_dram.setdefault(key[:2], []).append(key)
+        for (gbps, rf_scale), group in by_dram.items():
+            rows = [knob_rows[key] for key in group]
             dram = dram_cache.get(gbps)
             if dram is None:
-                dram = dram_cache[gbps] = DramModel(parts.dram(configs[idxs[0]]))
+                dram = dram_cache[gbps] = DramModel(parts.dram(configs[first[rows[0]]]))
             floor = self._gpu_stack.floor_seconds(
                 dram,
-                shader_cores=cores[idxs],
-                clock_hz=clock[idxs],
+                shader_cores=np.asarray([float(key[2]) for key in group]),
+                clock_hz=np.asarray([key[3] for key in group]),
                 register_file_scale=rf_scale,
             )
             iter_floor = floor * self._launches_f[None, :]
             # groups tile the gpu-cell axis contiguously in order, so a
             # reduceat over the starts is the per-group min; empty
             # groups (reduceat would alias the next span) are masked
-            gmin[idxs, :] = np.minimum.reduceat(iter_floor, starts, axis=1)
-        if empty.any():
-            gmin[:, empty] = np.inf
-        # provable register-file infeasibility: the group's Opt point
-        # is exactly infeasible (inf seconds), not merely bounded
-        by_rf: dict[float, list[int]] = {}
-        for i, c in enumerate(configs):
-            by_rf.setdefault(c.register_file_scale, []).append(i)
-        for rf_scale, idxs in by_rf.items():
+            # below with the infeasible ones
+            floors[rows, :] = np.minimum.reduceat(iter_floor, starts, axis=1)
+            # provable register-file infeasibility: the group's Opt
+            # point is exactly infeasible (inf seconds), not merely bounded
             infeasible = self._group_infeasible(rf_scale)
             if infeasible.any():
-                gmin[np.ix_(idxs, np.flatnonzero(infeasible))] = np.inf
+                floors[np.ix_(rows, np.flatnonzero(infeasible))] = np.inf
 
         out: dict[str, tuple] = {}
         for prec, gids in by_prec.items():
@@ -626,8 +659,9 @@ class DesignSpace:
             t = np.zeros(n)
             e = np.zeros(n)
             for g in gids:
-                t = t + gmin[:, g]
-                e = e + gmin[:, g] * wfloor
+                gmin = floors[:, g][knob_of]
+                t = t + gmin
+                e = e + gmin * wfloor
             out[prec] = (t, e)
         return out
 
@@ -672,7 +706,6 @@ def _stream_shard(
     target_benchmark: str,
     target_version: str,
     keep_names: frozenset,
-    frontiers: dict | None = None,
     tracer: Tracer | None = None,
 ):
     """Stream one config shard through chunked pricing + online reduction.
@@ -685,8 +718,9 @@ def _stream_shard(
     resident :class:`DesignPoint` objects (chunk + kept + frontier) —
     the O(chunk + frontier) memory-model witness.
     """
-    if frontiers is None:
-        frontiers = {p.value: OnlineFrontier(key=_sort_key) for p in space.precisions}
+    import numpy as np
+
+    frontiers = {p.value: OnlineFrontier(key=_sort_key) for p in space.precisions}
     evaluated = 0
     pruned = 0
     peak = 0
@@ -694,6 +728,13 @@ def _stream_shard(
     can_prune = prune and target_version == "Opt"
     inf = float("inf")
     n_kept = 0
+    # the target slice sits at the same slots of every config's points
+    width = len(space.slots)
+    targets = [
+        (slot, precision)
+        for slot, (benchmark, precision, version) in enumerate(space.slots)
+        if benchmark == target_benchmark and version == target_version
+    ]
 
     def _evaluate(batch) -> int:
         """Price ``batch`` in blocks, feed the frontiers in config order;
@@ -706,75 +747,53 @@ def _stream_shard(
         for start in range(0, len(batch), BLOCK_SIZE):
             block = batch[start : start + BLOCK_SIZE]
             pts = space.block_points(block, space.block_rows(block, parts))
-            width = len(pts) // len(block)
+            evaluated += len(block)
             for i, config in enumerate(block):
-                config_pts = pts[i * width : (i + 1) * width]
-                evaluated += 1
                 if config.name in keep_names:
-                    kept_by_name[config.name] = config_pts
+                    kept_by_name[config.name] = pts[i * width : (i + 1) * width]
                     n_kept += width
-                for p in config_pts:
-                    if p.benchmark == target_benchmark and p.version == target_version:
-                        frontiers[p.precision].add(p)
+            for slot, precision in targets:
+                frontiers[precision].update(pts[slot::width])
             priced += len(pts)
         return priced
 
-    # bound-only first pass: cache each chunk's bounds and seed the
-    # frontier with the most promising configs (per precision, the
-    # bound-time and bound-energy argmins), so the main sweep prunes
-    # against a near-final frontier from its very first chunk.  Probe
-    # choice only affects *which* dominated configs get skipped — the
-    # frontier itself is order-independent and pruning is sound — so
-    # any probe set yields the same result points.
-    chunk_starts = range(0, len(configs), chunk_size)
-    chunk_bounds: list[dict] = []
-    probe_idx: list[int] = []
+    # bound-only first pass: one bound call over the whole shard, then
+    # seed the frontier with the most promising configs (per precision,
+    # the bound-time and bound-energy argmins), so the main sweep
+    # prunes against a near-final frontier from its very first chunk.
+    # Probe choice only affects *which* dominated configs get skipped —
+    # the frontier itself is order-independent and pruning is sound —
+    # so any probe set yields the same result points.
     if can_prune:
-        best: dict[tuple, tuple] = {}  # (precision, axis) -> (value, index)
-        for start in chunk_starts:
-            chunk = configs[start : start + chunk_size]
-            bounds = space.opt_bounds(chunk, benchmark=target_benchmark)
-            chunk_bounds.append(bounds)
-            for prec, (t, e) in bounds.items():
-                for axis, arr in (("t", t), ("e", e)):
-                    i = int(arr.argmin())
-                    value = float(arr[i])
-                    if value < inf and value < best.get((prec, axis), (inf,))[0]:
-                        best[(prec, axis)] = (value, start + i)
-        probe_idx = sorted({i for _, i in best.values()})
+        bounds = space.opt_bounds(configs, benchmark=target_benchmark)
+        probe_idx = sorted(
+            {int(axis.argmin()) for bound in bounds.values() for axis in bound if axis.min() < inf}
+        )
+        probe = np.zeros(len(configs), dtype=bool)
+        probe[probe_idx] = True
         probe_points = _evaluate([configs[i] for i in probe_idx])
         peak = probe_points + sum(len(f) for f in frontiers.values())
-    probes = set(probe_idx)
+        keep = np.fromiter((c.name in keep_names for c in configs), bool, len(configs))
 
-    for chunk_no, start in enumerate(chunk_starts):
-        chunk = configs[start : start + chunk_size]
-        chunk_pruned = 0
+    for start in range(0, len(configs), chunk_size):
+        stop = start + chunk_size
+        chunk = configs[start:stop]
         if can_prune:
-            bounds = chunk_bounds[chunk_no]
-            survivors = []
-            for i, config in enumerate(chunk):
-                if start + i in probes:
-                    continue  # already evaluated while seeding
-                # skippable iff, for every precision, the config's
-                # target point provably cannot join the frontier:
-                # either its bound is exactly infeasible, or a real
-                # frontier member strictly dominates the bound (and by
-                # transitivity the actual point, bound <= actual)
-                if config.name not in keep_names and all(
-                    t[i] == inf
-                    or (
-                        len(frontiers[prec])
-                        and frontiers[prec].strictly_dominates(
-                            float(t[i]), float(e[i])
-                        )
-                    )
-                    for prec, (t, e) in bounds.items()
-                ):
-                    pruned += 1
-                    chunk_pruned += 1
-                else:
-                    survivors.append(config)
+            # skippable iff, for every precision, the config's target
+            # point provably cannot join the frontier: either its bound
+            # is exactly infeasible, or a real frontier member strictly
+            # dominates the bound (and by transitivity the actual point,
+            # bound <= actual).  Probes were evaluated while seeding,
+            # keep configs are never skipped.
+            skip = ~(keep[start:stop] | probe[start:stop])
+            for precision, (t, e) in bounds.items():
+                t, e = t[start:stop], e[start:stop]
+                skip &= (t == inf) | frontiers[precision].strictly_dominates(t, e)
+            chunk_pruned = int(skip.sum())
+            pruned += chunk_pruned
+            survivors = list(compress(chunk, (~(skip | probe[start:stop])).tolist()))
         else:
+            chunk_pruned = 0
             survivors = list(chunk)
         # every pruning decision above is taken before any survivor is
         # priced, so pricing them as one batch leaves the counts alone
@@ -1801,7 +1820,9 @@ def opt_over_serial(
     platform (comparable speedups across variants, the what-if
     convention); ``serial="each"`` re-prices it per platform (the
     sensitivity convention, where the CPU side is perturbed too).
-    ``None`` marks a variant with no feasible Opt candidate.
+    ``None`` marks a variant with no feasible Opt candidate.  The
+    platforms' instances share one :class:`~repro.benchmarks.base.Draws`
+    record, so the benchmark's inputs are drawn once, not per platform.
     """
     from .pricing.grid import estimate_cpu_seconds, estimate_opt_seconds
 
@@ -1811,9 +1832,11 @@ def opt_over_serial(
         raise ValueError(f"serial must be 'first' or 'each', got {serial!r}")
     out: dict = {}
     serial_seconds = None
+    draws = Draws(seed, readers=len(platforms))
     for name, platform in platforms.items():
         bench = create(
-            benchmark, precision=precision, scale=scale, seed=seed, platform=platform
+            benchmark, precision=precision, scale=scale, seed=seed, platform=platform,
+            draws=draws,
         )
         if serial == "each" or serial_seconds is None:
             serial_seconds = estimate_cpu_seconds(bench)

@@ -116,18 +116,30 @@ class OnlineFrontier:
         """The current frontier, sorted by the key (a fresh tuple)."""
         return tuple(self._points)
 
-    def strictly_dominates(self, seconds, energy) -> bool:
+    def strictly_dominates(self, seconds, energy):
         """Is ``(seconds, energy)`` strictly dominated by the frontier?
 
-        Bisecting with the bare 2-tuple lands on the first member with
-        ``(s', e') >= (seconds, energy)`` lexicographically (a 2-tuple
-        prefix compares below any 4-tuple key extending it), so the
-        predecessor is lex-smaller; lex-smaller plus ``e' <= energy``
-        is exactly strict domination.
+        Scalars give a ``bool``; aligned arrays give a boolean array,
+        one answer per pair, from one ``searchsorted`` over the
+        staircase.  Members sharing a ``seconds`` value also share the
+        energy (a lower one would dominate the rest), so the last member
+        with ``s' <= seconds`` has the least energy of all of them, and
+        the pair is dominated iff that member dominates it.
         """
+        import numpy as np
+
         keys = self._keys
-        i = bisect_left(keys, (seconds, energy))
-        return i > 0 and keys[i - 1][1] <= energy
+        stair_s = np.fromiter((k[0] for k in keys), np.float64, len(keys))
+        stair_e = np.fromiter((k[1] for k in keys), np.float64, len(keys))
+        seconds = np.asarray(seconds, dtype=np.float64)
+        energy = np.asarray(energy, dtype=np.float64)
+        i = np.searchsorted(stair_s, seconds, side="right") - 1
+        if keys:
+            s, e = stair_s[i], stair_e[i]
+            out = (i >= 0) & (s <= seconds) & (e <= energy) & ((s < seconds) | (e < energy))
+        else:
+            out = np.zeros(np.broadcast(seconds, energy).shape, dtype=bool)
+        return out if out.ndim else bool(out)
 
     def add(self, p) -> bool:
         """Offer one point; returns True iff it joined the frontier.

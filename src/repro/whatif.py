@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .benchmarks.base import Precision, RunResult, Version, run_version
+from .benchmarks.base import Draws, Precision, RunResult, Version, run_version
 from .benchmarks.registry import create
 from .calibration.exynos5250 import ExynosPlatform, default_platform
 from .memory.dram import DramConfig
@@ -98,14 +98,18 @@ def compare_platforms(
 
     The Serial baseline (the A15 cluster, identical across these
     variants) is taken from the first platform so speedups compare.
+    The platforms' instances share one :class:`Draws` record, so the
+    benchmark's inputs are drawn once, not per platform.
     """
     if not platforms:
         raise ValueError("need at least one platform")
     runs: dict[str, RunResult] = {}
     serial_seconds = None
+    draws = Draws(seed, readers=len(platforms))
     for name, platform in platforms.items():
         bench = create(
-            benchmark, precision=precision, scale=scale, seed=seed, platform=platform
+            benchmark, precision=precision, scale=scale, seed=seed, platform=platform,
+            draws=draws,
         )
         if serial_seconds is None:
             serial_seconds = run_version(bench, version=Version.SERIAL).elapsed_s

@@ -177,7 +177,7 @@ def test_design_space_jobs_pool_matches_inline():
     are exactly the jobs=1 points, which are exactly the points of the
     scalar reference rows."""
     from repro.calibration.socspace import config_grid
-    from repro.designspace import DesignSpace, evaluate_space
+    from repro.designspace import DesignPoint, DesignSpace, evaluate_space
 
     configs = config_grid(gpu_cores=(2, 4), register_file_scale=(0.25, 1.0))
     perf.reset()
@@ -185,6 +185,8 @@ def test_design_space_jobs_pool_matches_inline():
     perf.reset()
     pooled = evaluate_space(configs, benchmarks=("vecop", "hist"), scale=0.1, jobs=4)
     assert pooled.points == inline.points
+    # points compare equal to plain tuples: pickled ones must stay records
+    assert all(type(p) is DesignPoint for p in pooled.points)
 
     space = DesignSpace(benchmarks=("vecop", "hist"), scale=0.1)
     reference = tuple(

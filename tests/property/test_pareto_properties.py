@@ -21,10 +21,12 @@ thousand.
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import perf
@@ -110,6 +112,37 @@ def test_online_dominance_query_matches_definition(points, probe):
         strictly_dominates(p.seconds, p.energy_j, s, e) for p in frontier.points()
     )
     assert frontier.strictly_dominates(s, e) == expect
+
+
+_COORDS_INF = st.sampled_from((0.25, 0.5, 1.0, 1.0, 2.0, 3.0, 5.0, math.inf))
+_CLOUDS_INF = st.lists(
+    st.tuples(_COORDS_INF, _COORDS_INF, st.booleans()), min_size=0, max_size=40
+).map(lambda rows: tuple(_pt(i, s, e, f) for i, (s, e, f) in enumerate(rows)))
+
+
+@given(
+    points=_CLOUDS_INF,
+    probes=st.lists(st.tuples(_COORDS_INF, _COORDS_INF), min_size=0, max_size=30),
+)
+@example(points=(), probes=[(1.0, 1.0), (math.inf, math.inf)])
+@settings(max_examples=200, deadline=None)
+def test_online_dominance_query_over_arrays(points, probes):
+    """The array form of ``strictly_dominates`` (the pruning test of a
+    whole chunk) answers each probe as a scan over every member does:
+    ties, duplicated members, ``inf`` coordinates and an empty
+    frontier included."""
+    frontier = OnlineFrontier(points)
+    seconds = np.array([s for s, _ in probes], dtype=np.float64)
+    energy = np.array([e for _, e in probes], dtype=np.float64)
+    got = frontier.strictly_dominates(seconds, energy)
+    expect = [
+        any(strictly_dominates(p.seconds, p.energy_j, s, e) for p in frontier.points())
+        for s, e in probes
+    ]
+    assert got.dtype == bool and got.shape == (len(probes),)
+    assert got.tolist() == expect
+    for (s, e), want in zip(probes, expect):
+        assert frontier.strictly_dominates(s, e) is want
 
 
 @given(points=_CLOUDS)
@@ -208,6 +241,40 @@ def test_stream_frontier_invariant_to_chunking_and_jobs(
         assert result.frontier_points(precision) == materialized.frontier_points(
             precision
         )
+
+
+@pytest.mark.parametrize("target", (AGGREGATE, "nbody"))
+def test_opt_bounds_are_independent_of_chunking(target):
+    """A config's bound does not depend on which configs share the call:
+    one call over the whole list equals the concatenated calls over any
+    chunking, bit for bit and ``inf`` for ``inf``."""
+    from repro.calibration.socspace import config_grid
+    from repro.designspace import DesignSpace
+
+    configs = config_grid(
+        gpu_cores=(2, 4, 8),
+        gpu_clock_hz=(416e6, 533e6),
+        dram_gbps=(6.4, 12.8),
+        rail_scale=(0.5, 2.0),
+        register_file_scale=(0.125, 1.0),
+    )
+    space = DesignSpace(benchmarks=("vecop", "nbody"), scale=0.1)
+    whole = space.opt_bounds(configs, benchmark=target)
+    # nbody DP fits no candidate in an eighth of the register file
+    assert np.isinf(whole["double"][0]).any() and np.isfinite(whole["double"][0]).any()
+    for size in (1, 5, 7, 16, len(configs)):
+        parts = [
+            space.opt_bounds(configs[i : i + size], benchmark=target)
+            for i in range(0, len(configs), size)
+        ]
+        for precision, (t, e) in whole.items():
+            assert np.array_equal(t, np.concatenate([b[precision][0] for b in parts]))
+            assert np.array_equal(e, np.concatenate([b[precision][1] for b in parts]))
+    # a reversed order gathers the same per-config bounds
+    back = space.opt_bounds(configs[::-1], benchmark=target)
+    for precision, (t, e) in whole.items():
+        assert np.array_equal(t, back[precision][0][::-1])
+        assert np.array_equal(e, back[precision][1][::-1])
 
 
 def test_opt_bounds_are_true_lower_bounds(small_space_results):

@@ -263,6 +263,28 @@ def _pt(name, seconds, energy, feasible=True, version="Opt"):
     )
 
 
+def test_design_point_is_an_immutable_named_tuple():
+    p = DesignPoint(
+        config_name="a",
+        benchmark=AGGREGATE,
+        precision="single",
+        version="Opt",
+        seconds=1.0,
+        watts=2.0,
+        energy_j=2.0,
+    )
+    assert p.feasible is True  # the default
+    fields = ("a", AGGREGATE, "single", "Opt", 1.0, 2.0, 2.0, True)
+    assert p == fields and tuple(p) == fields and hash(p) == hash(fields)
+    assert repr(p) == "DesignPoint(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(DesignPoint._fields, fields)
+    ) + ")"
+    with pytest.raises(AttributeError):
+        p.seconds = 3.0
+    moved = p._replace(seconds=3.0)
+    assert type(moved) is DesignPoint and moved.seconds == 3.0 and p.seconds == 1.0
+
+
 def test_dominates_is_strict_pareto():
     assert dominates(_pt("a", 1.0, 1.0), _pt("b", 2.0, 2.0))
     assert dominates(_pt("a", 1.0, 2.0), _pt("b", 2.0, 2.0))
@@ -399,6 +421,56 @@ def test_opt_over_serial_matches_whatif_and_sensitivity():
     assert probes["vecop"] > 0
 
 
+def _count_draws(monkeypatch):
+    """Count, per input name, how often a family record really draws."""
+    from collections import Counter
+
+    from repro.benchmarks.base import Draws
+
+    drawn = Counter()
+    take = Draws.take
+
+    def counting_take(self, name, draw, at):
+        def counted(rng):
+            drawn[name] += 1
+            return draw(rng)
+
+        return take(self, name, counted, at)
+
+    monkeypatch.setattr(Draws, "take", counting_take)
+    return drawn
+
+
+def test_platforms_share_one_draw_record(monkeypatch):
+    """The platform variants of one benchmark draw its inputs once, and
+    price exactly as fresh per-platform instances do."""
+    from repro.pricing.grid import estimate_cpu_seconds, estimate_opt_seconds
+    from repro.whatif import compare_platforms, estimate_speedups, mali_t628_platform
+
+    drawn = _count_draws(monkeypatch)
+    platforms = {"t604": default_platform(), "t628": mali_t628_platform()}
+    speedups = estimate_speedups("hist", platforms, scale=0.1)
+    assert drawn and set(drawn.values()) == {1}
+
+    drawn.clear()
+    perf.reset()
+    fresh = {name: create("hist", scale=0.1, platform=p) for name, p in platforms.items()}
+    serial = estimate_cpu_seconds(fresh["t604"])
+    assert speedups == {
+        name: serial / estimate_opt_seconds(bench) for name, bench in fresh.items()
+    }
+    assert set(drawn.values()) == {len(platforms)}  # fresh instances redraw
+
+    drawn.clear()
+    perf.reset()
+    shared = compare_platforms("hist", platforms, scale=0.05)
+    assert drawn and set(drawn.values()) == {1}
+    for name, platform in platforms.items():
+        perf.reset()
+        alone = compare_platforms("hist", {name: platform}, scale=0.05)
+        assert shared.runs[name] == alone.runs[name]
+
+
 # ---------------------------------------------------------------------------
 # streaming evaluation: chunking, pruning, export, trace
 # ---------------------------------------------------------------------------
@@ -455,6 +527,24 @@ def test_stream_matches_materialize_and_reports_counts():
         assert key in data
 
 
+def test_stream_bounds_each_shard_in_one_call():
+    """The bound pass runs once over the shard, not once per chunk."""
+    from unittest import mock
+
+    configs = _stream_grid()
+    space = DesignSpace(benchmarks=("vecop",), scale=0.1)
+    with mock.patch.object(
+        DesignSpace, "opt_bounds", autospec=True, side_effect=DesignSpace.opt_bounds
+    ) as spy:
+        st = evaluate_space(
+            configs, benchmarks=("vecop",), scale=0.1, stream=True, chunk_size=4,
+            space=space,
+        )
+    assert st.pruned > 0 and len(configs) > 2 * 4  # several chunks, pruning on
+    assert spy.call_count == 1
+    assert tuple(spy.call_args.args[1]) == configs
+
+
 def test_stream_jobs_pool_matches_inline_bytes():
     configs = _stream_grid()
     perf.reset()
@@ -473,6 +563,8 @@ def test_stream_jobs_pool_matches_inline_bytes():
     for precision in ("single", "double"):
         assert pooled.frontier_points(precision) == inline.frontier_points(precision)
     assert pooled.evaluated + pooled.pruned == len(configs)
+    # points compare equal to plain tuples: pickled ones must stay records
+    assert pooled.points and all(type(p) is DesignPoint for p in pooled.points)
 
 
 def test_stream_single_benchmark_target_and_keep_override():
@@ -628,6 +720,8 @@ def test_cli_designspace_stream_and_export(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "mode=stream" in out and "Pareto frontier" in out
+    # the frontier counts against every swept config, not the retained ones
+    assert "of 64 swept configs):" in out
     assert "wrote" in out and "frontier rows" in out
     assert front_csv.exists() and trace.exists()
     data = json.loads(out_json.read_text())
