@@ -1,8 +1,9 @@
 """Design-space hypercube throughput: stacked config axis vs facade loop.
 
 Builds the full SP+DP cell grid once (every benchmark × precision CPU
-Serial/OpenMP cell plus every compilable autotuner candidate as a GPU
-launch cell) and prices a 64-point SoC design space two ways:
+Serial/OpenMP cell plus every distinct launch of every compilable
+autotuner candidate's declared iteration as a GPU launch cell) and
+prices a 64-point SoC design space two ways:
 
 * **stacked** — :meth:`repro.designspace.DesignSpace.stacked_rows` per
   config: the GPU/CPU config stacks hoist every config-invariant
@@ -10,7 +11,8 @@ launch cell) and prices a 64-point SoC design space two ways:
   passes plus :func:`repro.power.rails.stack_watts`;
 * **facade loop** — ``facade_rows`` of ``tests/pricing_oracle.py`` per
   config: every cell of every SoC priced one by one through the scalar
-  reference models, the loop the stacks replace.
+  reference models, and every Opt candidate's declared launches and
+  fills summed in enqueue order, the loop the stacks replace.
 
 Every row is bitwise-identical between the two (asserted below and in
 ``tests/property/test_grid_pricing_identity.py``, including the

@@ -34,14 +34,15 @@ def main() -> None:
     rows = []
     for name in PAPER_ORDER:
         bench = create(name, scale=SCALE)
-        ir = bench.kernel_ir(NAIVE)
+        launch = bench.main_launch(NAIVE)
+        ir = launch.ir
         raw = operational_intensity(analyze(ir))
         cached = dram_intensity(
-            ir, bench.gpu_traits(NAIVE), bench.platform.gpu_caches(), bench.gpu_work_items()
+            ir, launch.traits, bench.platform.gpu_caches(), launch.elements
         )
         placements.append(
-            place(ir, gpu, traits=bench.gpu_traits(NAIVE),
-                  caches=bench.platform.gpu_caches(), n_items=bench.gpu_work_items())
+            place(ir, gpu, traits=launch.traits,
+                  caches=bench.platform.gpu_caches(), n_items=launch.elements)
         )
         ceiling = speedup_ceiling(ir, gpu, cpu)
         serial = run_cpu_version(bench, Version.SERIAL)

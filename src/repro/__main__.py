@@ -220,14 +220,14 @@ def cmd_roofline(args) -> int:
     placements = []
     for name in PAPER_ORDER:
         bench = create(name, precision=_precision(args), scale=args.scale)
-        ir = bench.kernel_ir(NAIVE)
+        launch = bench.main_launch(NAIVE)
         placements.append(
             place(
-                ir,
+                launch.ir,
                 gpu,
-                traits=bench.gpu_traits(NAIVE),
+                traits=launch.traits,
                 caches=bench.platform.gpu_caches(),
-                n_items=bench.gpu_work_items(),
+                n_items=launch.elements,
             )
         )
     print(format_roofline_chart(placements))

@@ -4,6 +4,8 @@ from .amcd import Amcd, simulate_chains
 from .base import (
     Benchmark,
     Draws,
+    Fill,
+    Launch,
     MIN_METER_SAMPLES,
     Precision,
     RunResult,
@@ -32,7 +34,9 @@ __all__ = [
     "Conv2D",
     "Dmmm",
     "Draws",
+    "Fill",
     "Histogram",
+    "Launch",
     "MIN_METER_SAMPLES",
     "NBody",
     "PAPER_ORDER",

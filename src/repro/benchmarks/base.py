@@ -29,7 +29,7 @@ import contextlib
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, ClassVar, Iterable
+from typing import Any, Callable, ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
@@ -284,6 +284,29 @@ class Draws:
         return array
 
 
+class Launch(NamedTuple):
+    """One kernel launch of a timed iteration.
+
+    ``ir`` is the kernel as written in source (the program compiles it),
+    ``traits`` what the launch is priced with, ``elements`` the problem
+    elements it covers and ``local_size`` its work-group size (``None``:
+    the driver's pick); :func:`~repro.ocl.driver.launch_geometry` turns
+    the last two into the NDRange.
+    """
+
+    ir: IrKernel
+    traits: WorkloadTraits
+    elements: int
+    local_size: int | None
+
+
+class Fill(NamedTuple):
+    """A device-side zeroing (``clEnqueueFillBuffer``) of one named buffer."""
+
+    buffer: str
+    nbytes: int
+
+
 class Benchmark(abc.ABC):
     """Base class for the nine HPC benchmarks.
 
@@ -459,23 +482,54 @@ class Benchmark(abc.ABC):
         """Workload traits of the GPU implementation (default: CPU's)."""
         return self.cpu_traits()
 
-    def gpu_work_items(self) -> int:
-        """Work-items of the main kernel's launch before vectorization
-        (equals ``elements()`` except for fixed-grid kernels like red)."""
-        return self.elements()
+    # ------------------------------------------------------------------
+    # the timed iteration: one declaration, read by every consumer
+    # ------------------------------------------------------------------
+    def iteration_cells(
+        self, options: CompileOptions, local_size: int | None
+    ) -> tuple[Launch | Fill, ...]:
+        """The commands of one timed iteration, in enqueue order (§IV-D).
+
+        The one description of what a GPU version runs per iteration:
+        :meth:`gpu_iteration` enqueues it, :meth:`iteration_pricer`
+        prices it for the tuner and DVFS, and the design space sums its
+        lanes.  The default is one launch of the main kernel over
+        :meth:`elements`; multi-kernel benchmarks (red's two stages,
+        hist's fills and merge) override this and nothing else.
+        """
+        return (
+            Launch(self.kernel_ir(options), self.gpu_traits(options), self.elements(), local_size),
+        )
+
+    def main_launch(self, options: CompileOptions) -> Launch:
+        """The first declared launch: the kernel the tuner optimizes."""
+        return next(c for c in self.iteration_cells(options, None) if isinstance(c, Launch))
 
     # ------------------------------------------------------------------
-    # GPU orchestration (abstract)
+    # GPU orchestration
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def gpu_setup(self, ctx: Context, queue: CommandQueue, options: CompileOptions) -> dict:
-        """Create buffers, program and kernels; stage inputs (untimed)."""
+        """Create buffers, program and kernels; stage inputs (untimed).
 
-    @abc.abstractmethod
-    def gpu_iteration(
-        self, queue: CommandQueue, state: dict, local_size: int | None
-    ) -> None:
-        """Enqueue one timed iteration (kernel launches only, §IV-D)."""
+        Returns the state :meth:`gpu_iteration` and :meth:`gpu_result`
+        read: ``"kernels"`` by IR name, ``"buffers"`` by name, and the
+        ``"options"`` the program was built with.
+        """
+
+    def gpu_iteration(self, queue: CommandQueue, state: dict, local_size: int | None) -> None:
+        """Enqueue one timed iteration: the :meth:`iteration_cells`."""
+        from ..ocl.driver import launch_geometry
+
+        kernels, buffers = state["kernels"], state["buffers"]
+        max_wg = queue.device.max_work_group_size
+        for cell in self.iteration_cells(state["options"], local_size):
+            if isinstance(cell, Fill):
+                queue.enqueue_fill_buffer(buffers[cell.buffer], 0)
+                continue
+            kernel = kernels[cell.ir.name]
+            size = launch_geometry(cell.elements, kernel.elems_per_item, cell.local_size, max_wg)
+            queue.enqueue_nd_range_kernel(kernel, *size, traits=cell.traits)
 
     @abc.abstractmethod
     def gpu_result(self, queue: CommandQueue, state: dict) -> np.ndarray:
@@ -508,37 +562,43 @@ class Benchmark(abc.ABC):
     def iteration_pricer(self, options: CompileOptions) -> Callable[[int | None], float]:
         """One-options-point pricing handle for the autotuner.
 
-        Compiles the kernel once and builds one
-        :class:`~repro.mali.timing.LaunchPricer`; the returned callable
-        prices a single local size through the pricer's shared
-        vectorized tables, so sweeping every surviving local size of an
-        options group costs one table build instead of one full model
-        walk per candidate.  Raises the same compiler/CL errors as a
-        real build+launch (register-file exhaustion and friends), which
-        is how infeasible candidates are discarded — the mechanism
-        behind the paper's double-precision Opt results.  Multi-kernel
-        benchmarks override this to combine their stages.
+        Compiles each declared kernel once and holds one
+        :class:`~repro.mali.timing.LaunchPricer` per kernel; the returned
+        callable prices one local size as the sum, from ``0.0`` in
+        enqueue order, of its :meth:`iteration_cells` — launches through
+        the pricers' shared tables, fills through
+        :func:`~repro.ocl.driver.fill_activity`.  That is the chain the
+        queue's clock runs, so the price is the run's ``elapsed_s`` bit
+        for bit.  Raises the same compiler/CL errors as a real
+        build+launch (register-file exhaustion and friends), which is
+        how infeasible candidates are discarded — the mechanism behind
+        the paper's double-precision Opt results.
         """
         from ..compiler.pipeline import compile_kernel
-        from ..ocl.driver import default_quirks, driver_local_size
+        from ..ocl.driver import default_quirks, fill_activity, launch_geometry
 
+        platform = self.platform
         quirks = (
-            self.platform.driver_quirks
-            if self.platform.driver_quirks is not None
-            else default_quirks()
+            platform.driver_quirks if platform.driver_quirks is not None else default_quirks()
         )
-        compiled = compile_kernel(self.kernel_ir(options), options, quirks=quirks)
-        base_items = max(1, -(-self.elements() // compiled.elems_per_item))
-        traits = self.gpu_traits(options)
-        pricing = self.platform.pricing_model()
-        pricer = pricing.gpu.pricer(compiled, traits)
+        gpu = platform.pricing_model().gpu
+        max_wg = platform.mali.max_work_group_size
+        pricers: dict[str, tuple] = {}
+        for cell in self.iteration_cells(options, None):
+            if isinstance(cell, Launch) and cell.ir.name not in pricers:
+                compiled = compile_kernel(cell.ir, options, quirks=quirks)
+                pricers[cell.ir.name] = (compiled.elems_per_item, gpu.pricer(compiled, cell.traits))
 
         def estimate(local_size: int | None) -> float:
-            local = local_size or driver_local_size(
-                base_items, self.platform.mali.max_work_group_size
-            )
-            n_items = -(-base_items // local) * local
-            return pricer.price(n_items, local).seconds * traits.launches
+            seconds = 0.0
+            for cell in self.iteration_cells(options, local_size):
+                if isinstance(cell, Fill):
+                    seconds += fill_activity(cell.nbytes, platform.dram).duration_s
+                    continue
+                per_item, pricer = pricers[cell.ir.name]
+                n_items, local = launch_geometry(cell.elements, per_item, cell.local_size, max_wg)
+                seconds += pricer.price(n_items, local).seconds
+            return seconds
 
         return estimate
 

@@ -9,8 +9,6 @@ slower flag combinations explicitly.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..ocl.buffer import Buffer
@@ -47,27 +45,9 @@ def read_mapped(queue: CommandQueue, buf: Buffer) -> np.ndarray:
     return out
 
 
-def launch(
-    queue: CommandQueue,
-    kernel,
-    n_elements: int,
-    local_size: int | None,
-    traits=None,
-):
-    """Enqueue a kernel covering ``n_elements``, honouring divisibility.
-
-    With an explicit local size the global size is rounded up to a
-    multiple (kernels guard the tail); with ``None`` the driver picks a
-    divisor itself.
-    """
-    global_size = kernel.global_size_for(n_elements)
-    if local_size is not None:
-        global_size = math.ceil(global_size / local_size) * local_size
-    return queue.enqueue_nd_range_kernel(kernel, global_size, local_size, traits=traits)
-
-
 class SingleKernelMixin:
-    """GPU orchestration for benchmarks with one kernel and one launch.
+    """GPU set-up for benchmarks with one kernel and one launch (the
+    default :meth:`~repro.benchmarks.base.Benchmark.iteration_cells`).
 
     Subclasses provide :meth:`gpu_buffers` (ordered as the kernel's
     parameters, with the output under the key named by
@@ -92,10 +72,7 @@ class SingleKernelMixin:
         kernel = program.create_kernel(ir.name)
         buffers = self.gpu_buffers(ctx, queue)
         kernel.set_args(*buffers.values())
-        return {"kernel": kernel, "buffers": buffers, "options": options}
-
-    def gpu_iteration(self, queue: CommandQueue, state: dict, local_size: int | None) -> None:
-        launch(queue, state["kernel"], self.elements(), local_size)
+        return {"kernels": {ir.name: kernel}, "buffers": buffers, "options": options}
 
     def gpu_result(self, queue: CommandQueue, state: dict) -> np.ndarray:
         return read_mapped(queue, state["buffers"][self.result_buffer])

@@ -59,11 +59,12 @@ def check_benchmark(
     """Cross-check one benchmark configuration."""
     issues: list[str] = []
 
-    traits = bench.gpu_traits(options)
-    ir = bench.kernel_ir(options)
+    launch = bench.main_launch(options)
+    traits = launch.traits
+    ir = launch.ir
     mix = analyze(ir)
 
-    items = max(bench.gpu_work_items() / ir.elems_per_item, 1.0)
+    items = max(launch.elements / ir.elems_per_item, 1.0)
     ir_bytes = (
         mix.bytes_moved(space=MemSpace.GLOBAL) + mix.bytes_moved(space=MemSpace.CONSTANT)
     ) * items

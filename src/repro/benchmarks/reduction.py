@@ -19,8 +19,6 @@ loop — the loop-mode path of the vectorizer.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..compiler.options import CompileOptions
@@ -30,8 +28,8 @@ from ..memory.cache import StreamSpec
 from ..ocl.program import KernelSpec, Program
 from ..workload import WorkloadTraits
 from .. import perf
-from .base import Benchmark
-from .common import alloc_mapped, launch, read_mapped
+from .base import Benchmark, Launch
+from .common import alloc_mapped, read_mapped
 
 
 class Reduction(Benchmark):
@@ -153,14 +151,23 @@ class Reduction(Benchmark):
         )
 
     def gpu_traits(self, options: CompileOptions) -> WorkloadTraits:
-        return WorkloadTraits(streams=self._streams(), elements=self.n, launches=2)
+        return WorkloadTraits(streams=self._streams(), elements=self.n)
 
-    def gpu_work_items(self) -> int:
-        return self.STAGE1_ITEMS
+    def iteration_cells(self, options: CompileOptions, local_size: int | None) -> tuple:
+        """Stage 1 over the fixed grid of ``STAGE1_ITEMS`` work-items,
+        then one work-group of ``STAGE2_LOCAL`` folding the partials."""
+        return (
+            Launch(self.kernel_ir(options), self.gpu_traits(options), self.STAGE1_ITEMS, local_size),
+            Launch(
+                self._stage2_ir(self.STAGE1_ITEMS),
+                self._stage2_traits(),
+                self.STAGE2_LOCAL,
+                self.STAGE2_LOCAL,
+            ),
+        )
 
     # ------------------------------------------------------------------
     def gpu_setup(self, ctx, queue, options: CompileOptions) -> dict:
-        n_groups = max(self.STAGE1_ITEMS // 128, 1)
         stage1 = self.kernel_ir(options)
         stage2 = self._stage2_ir(self.STAGE1_ITEMS)
         specs = [
@@ -181,24 +188,11 @@ class Reduction(Benchmark):
             "partials": alloc_mapped(ctx, queue, shape=self.STAGE1_ITEMS, dtype=self.ftype),
             "result": alloc_mapped(ctx, queue, shape=1, dtype=self.ftype),
         }
-        k1 = program.create_kernel("red_stage1")
+        k1 = program.create_kernel(stage1.name)
         k1.set_args(buffers["data"], buffers["partials"])
-        k2 = program.create_kernel("red_stage2")
+        k2 = program.create_kernel(stage2.name)
         k2.set_args(buffers["partials"], buffers["result"])
-        return {"stage1": k1, "stage2": k2, "buffers": buffers, "options": options}
-
-    def gpu_iteration(self, queue, state, local_size: int | None) -> None:
-        # stage 1 runs a fixed grid: global size == STAGE1_ITEMS
-        queue.enqueue_nd_range_kernel(
-            state["stage1"], self.STAGE1_ITEMS, local_size, traits=self.gpu_traits(state["options"])
-        )
-        # stage 2: one work-group folds the partials
-        queue.enqueue_nd_range_kernel(
-            state["stage2"],
-            min(self.STAGE2_LOCAL, self.STAGE1_ITEMS),
-            min(self.STAGE2_LOCAL, self.STAGE1_ITEMS),
-            traits=self._stage2_traits(),
-        )
+        return {"kernels": {stage1.name: k1, stage2.name: k2}, "buffers": buffers, "options": options}
 
     def gpu_result(self, queue, state) -> np.ndarray:
         return read_mapped(queue, state["buffers"]["result"])
@@ -230,34 +224,6 @@ class Reduction(Benchmark):
             streams=(StreamSpec("partials", float(self.STAGE1_ITEMS * fsize)),),
             elements=self.STAGE1_ITEMS,
         )
-
-    def iteration_pricer(self, options: CompileOptions):
-        """Two-stage pricer: both stages compiled once per options point."""
-        from ..compiler.pipeline import compile_kernel
-        from ..mali.timing import LaunchPricer
-        from ..ocl.driver import default_quirks, driver_local_size
-
-        mali = self.platform.mali
-        dram = self.platform.dram_model()
-        caches = self.platform.gpu_caches()
-
-        quirks = (
-            self.platform.driver_quirks
-            if self.platform.driver_quirks is not None
-            else default_quirks()
-        )
-        c1 = compile_kernel(self.kernel_ir(options), options, quirks=quirks)
-        p1 = LaunchPricer(c1, self.gpu_traits(options), mali, dram, caches)
-        c2 = compile_kernel(self._stage2_ir(self.STAGE1_ITEMS), options, quirks=quirks)
-        p2 = LaunchPricer(c2, self._stage2_traits(), mali, dram, caches)
-
-        def estimate(local_size: int | None) -> float:
-            local = local_size or driver_local_size(self.STAGE1_ITEMS, mali.max_work_group_size)
-            t1 = p1.price(self.STAGE1_ITEMS, local)
-            t2 = p2.price(self.STAGE2_LOCAL, self.STAGE2_LOCAL)
-            return t1.seconds + t2.seconds
-
-        return estimate
 
     def tuning_space(self):
         for width in (1, 2, 4, 8, 16):

@@ -409,7 +409,6 @@ class CpuConfigStack:
         self._n_f = np.asarray([float(int(c.n_elements)) for c in cells])
         self._cv = np.asarray([c.traits.imbalance_cv for c in cells])
         self._sf = np.asarray([c.traits.serial_fraction for c in cells])
-        self._launches = np.asarray([float(c.traits.launches) for c in cells])
         self._serial = np.asarray(
             [i for i, c in enumerate(cells) if c.mode == MODE_SERIAL], dtype=np.intp
         )
@@ -459,13 +458,14 @@ class CpuConfigStack:
         """OpenMP epilogue over the lanes ``idx``: ``(seconds,
         compute_s, overlapped_s, overhead_s, ipc)``, where
         ``overlapped_s`` is the compute/DRAM overlap before the runtime
-        overhead is added (the memory-stall base).
+        overhead is added (the memory-stall base) and ``overhead_s`` is
+        one scalar for every lane.
 
         Amdahl keeps the serial fraction on one core; the slower core
         sets the finish time, its excess over the mean estimated as
         ``cv * sqrt(2 ln cores / chunks)`` and floored for static
         scheduling's few big chunks; fork/join and per-thread chunk
-        scheduling add per launch.
+        scheduling add once per parallel region.
         """
         import numpy as np
 
@@ -486,9 +486,7 @@ class CpuConfigStack:
         overlapped = np.maximum(compute_s, dram_s) + (
             (1.0 - config.mlp_overlap) * np.minimum(compute_s, dram_s)
         )
-        overhead = self._launches[idx] * (
-            config.omp_region_overhead_s + n_cores * config.omp_chunk_overhead_s
-        )
+        overhead = config.omp_region_overhead_s + n_cores * config.omp_chunk_overhead_s
         total = overlapped + overhead
         with np.errstate(divide="ignore", invalid="ignore"):
             rate = self._instructions[idx] / (total * clock * n_cores)
@@ -559,9 +557,9 @@ class CpuConfigStack:
         oi = self._openmp
         if oi.size:
             ds = ds_openmp[oi]
-            lanes = self._openmp_lanes(config, oi, ds)
-            for i, seconds, compute_s, overlapped, overhead, ipc, dram_s in zip(
-                oi.tolist(), *(lane.tolist() for lane in lanes), ds.tolist()
+            *lanes, overhead, ipc_lane = self._openmp_lanes(config, oi, ds)
+            for i, seconds, compute_s, overlapped, ipc, dram_s in zip(
+                oi.tolist(), *(lane.tolist() for lane in (*lanes, ipc_lane)), ds.tolist()
             ):
                 out[i] = CpuTiming(
                     seconds=seconds,

@@ -102,15 +102,12 @@ class DramModel:
 
 
 class DramPricingModel:
-    """Batched :class:`~repro.pricing.PricingModel` over transfer cells.
+    """:class:`~repro.pricing.PricingModel` over transfer cells.
 
-    Cells are grouped by (agent, concurrent_agents, pattern tuple) so each
-    group prices as one vectorized pass.  Bitwise contract: the pattern
-    columns accumulate sequentially in each cell's dict order (matching
-    ``sum()`` / the generator in ``effective_bandwidth_fraction``), and a
-    pattern with ``bytes <= 0`` contributes an exact ``0.0`` term — adding
-    ``0.0`` to a non-negative partial sum is IEEE-identical to skipping
-    it — so every lane reproduces ``transfer_seconds`` bit for bit.
+    Transfers are priced one cell at a time through
+    :meth:`DramModel.transfer_seconds`, the formula every production
+    path calls; no campaign or sweep prices transfers in bulk, so the
+    layer keeps no array copy of it.
     """
 
     def __init__(self, model: DramModel):
@@ -118,39 +115,10 @@ class DramPricingModel:
 
     def price(self, cells) -> tuple[float, ...]:
         """Transfer seconds for each :class:`~repro.pricing.TransferCell`."""
-        import numpy as np
-
-        cells = tuple(cells)
-        out: list[float | None] = [None] * len(cells)
-        groups: dict[tuple, list[int]] = {}
-        for i, cell in enumerate(cells):
-            gk = (cell.agent, cell.concurrent_agents, tuple(cell.bytes_by_pattern))
-            groups.setdefault(gk, []).append(i)
-        cfg = self.model.config
-        for (agent, agents, patterns), idxs in groups.items():
-            cols = np.asarray(
-                [[cells[i].bytes_by_pattern[p] for i in idxs] for p in patterns],
-                dtype=np.float64,
-            )
-            total = np.zeros(len(idxs))
-            for row in cols:
-                total += row
-            denom = np.zeros(len(idxs))
-            for pattern, row in zip(patterns, cols):
-                factor = cfg.efficiency.factor(pattern)
-                denom += np.where(row > 0.0, row / factor, 0.0)
-            cap = self.model.agent_cap(agent)
-            contention = max(1.0 - cfg.contention_penalty * (agents - 1), 0.25)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = total / denom
-                bw = (min(cap, cfg.peak_bandwidth) * np.minimum(frac, 1.0)) * contention
-                seconds = np.where(total <= 0.0, 0.0, total / bw)
-            for j, i in enumerate(idxs):
-                out[i] = float(seconds[j])
-        return tuple(out)  # type: ignore[arg-type]
+        return tuple(self.price_one(cell) for cell in cells)
 
     def price_one(self, cell) -> float:
-        """Scalar-path convenience: one cell through ``transfer_seconds``."""
+        """One cell through ``transfer_seconds``."""
         return self.model.transfer_seconds(
             cell.agent,
             bytes_by_pattern=dict(cell.bytes_by_pattern),

@@ -16,6 +16,10 @@ the paper's results and are modelled here:
 * **host transfer costs** — memcpy bandwidth for enqueue read/write
   copies and cache-maintenance cost for map/unmap on the unified
   memory, driving the Section III-A host-code comparison.
+
+It also holds the two command rules every pricing path shares: the
+launch geometry (:func:`launch_geometry`) and the device-side fill
+(:func:`fill_activity`).
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from ..compiler.options import CompileOptions
 from ..errors import CompilerInternalError
 from ..ir.analysis import walk_stmts
 from ..ir.nodes import Call, Kernel
+from ..memory.dram import DramConfig
+from ..power.rails import Activity, ActivityKind
 
 #: sustained CPU memcpy bandwidth for enqueue read/write copies, bytes/s
 HOST_MEMCPY_BANDWIDTH = 2.2e9
@@ -102,6 +108,42 @@ def driver_local_size(global_size: int, max_work_group_size: int) -> int:
     while pick * 2 <= min(128, max_work_group_size) and global_size % (pick * 2) == 0:
         pick *= 2
     return pick
+
+
+def launch_geometry(
+    n_elements: int, elems_per_item: int, local_size: int | None, max_work_group_size: int
+) -> tuple[int, int]:
+    """``(global size, local size)`` of a launch covering ``n_elements``.
+
+    Each work-item covers ``elems_per_item`` elements (vectorized
+    kernels need a proportionally smaller grid).  An explicit local size
+    rounds the global size up to a multiple of it (kernels guard the
+    tail); ``None`` takes the driver's pick for the unrounded grid.  The
+    run path, the tuner and the design space all size launches here.
+    """
+    global_size = max(1, -(-n_elements // elems_per_item))
+    if local_size is None:
+        return global_size, driver_local_size(global_size, max_work_group_size)
+    return -(-global_size // local_size) * local_size, local_size
+
+
+def fill_activity(nbytes: int, dram: DramConfig) -> Activity:
+    """``clEnqueueFillBuffer`` of ``nbytes``: a device-side memset.
+
+    On the unified-memory Mali a fill is a GPU-side write stream at the
+    store bandwidth, with a fixed floor for the command itself; it is
+    how kernels like the histogram zero their accumulators inside the
+    timed region.
+    """
+    bw = dram.gpu_cap * dram.efficiency.unit
+    duration = max(nbytes / bw, 2e-6)
+    return Activity(
+        kind=ActivityKind.GPU_KERNEL,
+        duration_s=duration,
+        gpu_alu_utilization=0.02,
+        gpu_ls_utilization=0.9,
+        dram_bandwidth=nbytes / duration,
+    )
 
 
 def copy_seconds(nbytes: int) -> float:

@@ -27,7 +27,7 @@ from ..workload import WorkloadTraits
 from .buffer import Buffer
 from .context import Context
 from .device import Device
-from .driver import copy_seconds, driver_local_size, map_seconds
+from .driver import copy_seconds, driver_local_size, fill_activity, map_seconds
 from .enums import CommandStatus, CommandType, MapFlag
 from .event import Event
 from .kernel import Kernel
@@ -110,24 +110,11 @@ class CommandQueue:
         return self._record(CommandType.READ_BUFFER, activity, {"bytes": nbytes})
 
     def enqueue_fill_buffer(self, buffer: Buffer, value=0) -> Event:
-        """``clEnqueueFillBuffer`` — device-side memset.
-
-        On the unified-memory Mali this is a GPU-side write stream at
-        the store bandwidth; it is how kernels like the histogram zero
-        their accumulators inside the timed region.
-        """
+        """``clEnqueueFillBuffer`` — device-side memset, priced by
+        :func:`~repro.ocl.driver.fill_activity`."""
         view = buffer.device_view()
         view[...] = value
-        hw = self.device.hardware
-        bw = hw.dram.gpu_cap * hw.dram.efficiency.unit
-        duration = max(buffer.size / bw, 2e-6)
-        activity = Activity(
-            kind=ActivityKind.GPU_KERNEL,
-            duration_s=duration,
-            gpu_alu_utilization=0.02,
-            gpu_ls_utilization=0.9,
-            dram_bandwidth=buffer.size / duration,
-        )
+        activity = fill_activity(buffer.size, self.device.hardware.dram)
         return self._record(CommandType.FILL_BUFFER, activity, {"bytes": buffer.size})
 
     def enqueue_copy_buffer(self, src: Buffer, dst: Buffer) -> Event:

@@ -151,8 +151,9 @@ def _sweep_pruned(bench, candidates) -> tuple[TuneTrial, ...]:
 
     floors: dict[int, float] = {}
     for options, indices in groups.items():
+        main = bench.main_launch(options)
         try:
-            compiled = compile_kernel(bench.kernel_ir(options), options, quirks=quirks)
+            compiled = compile_kernel(main.ir, options, quirks=quirks)
         except (CompilerError, CLError) as exc:
             for index in indices:
                 opts, local = candidates[index]
@@ -160,13 +161,14 @@ def _sweep_pruned(bench, candidates) -> tuple[TuneTrial, ...]:
                     options=opts, local_size=local, seconds=None, error=str(exc)
                 )
             continue
-        # Optimistic bound on the main launch: floor work-items (no
-        # round-up to a local multiple — red launches a fixed grid) and
-        # no occupancy/imbalance/overhead penalties.  Always <= the
+        # Optimistic bound on the first declared launch: floor
+        # work-items (no round-up to a local multiple) and no
+        # occupancy/imbalance/overhead penalties, and none of the
+        # iteration's other commands (all non-negative).  Always <= the
         # estimate for every local size, so pruning on it is safe.
-        n_items = max(1, math.ceil(bench.gpu_work_items() / compiled.elems_per_item))
+        n_items = max(1, math.ceil(main.elements / compiled.elems_per_item))
         floor = roofline_floor_seconds(
-            compiled, n_items, bench.gpu_traits(options), platform.mali, dram, caches
+            compiled, n_items, main.traits, platform.mali, dram, caches
         )
         for index in indices:
             floors[index] = floor

@@ -91,13 +91,13 @@ class BoardPowerModel:
 
 
 class PowerPricingModel:
-    """Batched :class:`~repro.pricing.PricingModel` over trace cells.
+    """:class:`~repro.pricing.PricingModel` over trace cells.
 
-    Flattens every cell's activities into one vector, evaluates the rail
-    equations elementwise (the rails use only ``+``/``*``/``/``, so the
-    NumPy lanes are IEEE-identical to ``PowerRailConfig.power``), and
-    reassembles one :class:`PowerTrace` per cell with the same
-    zero-duration filtering and empty-trace error as ``trace()``.
+    Traces are priced one cell at a time through
+    :meth:`BoardPowerModel.trace` (the rail chain of
+    :meth:`~repro.power.rails.PowerRailConfig.power`), the path every
+    run takes; design-space sweeps price rails as arrays through
+    :func:`~repro.power.rails.stack_watts` instead.
     """
 
     def __init__(self, model: BoardPowerModel):
@@ -106,52 +106,8 @@ class PowerPricingModel:
 
     def price(self, cells) -> tuple[PowerTrace, ...]:
         """Traces for each :class:`~repro.pricing.TraceCell`."""
-        import numpy as np
-
-        from .rails import ActivityKind
-
-        cells = tuple(cells)
-        acts: list[Activity] = []
-        spans: list[tuple[int, int]] = []
-        for cell in cells:
-            start = len(acts)
-            acts.extend(cell.activities)
-            spans.append((start, len(acts)))
-        r = self.rails
-        if acts:
-            bw = np.asarray([a.dram_bandwidth for a in acts], dtype=np.float64)
-            cores = np.asarray(
-                [float(max(a.active_cpu_cores, 1)) for a in acts], dtype=np.float64
-            )
-            ipc = np.asarray([a.cpu_ipc for a in acts], dtype=np.float64)
-            alu = np.asarray([a.gpu_alu_utilization for a in acts], dtype=np.float64)
-            ls = np.asarray([a.gpu_ls_utilization for a in acts], dtype=np.float64)
-            base = r.board_idle_w + ((r.dram_w_per_gbps * bw) / 1e9)
-            cpu_p = base + (cores * (r.cpu_core_base_w + r.cpu_core_ipc_w * ipc))
-            gpu_p = (((base + r.host_polling_w) + r.gpu_base_w) + r.gpu_alu_w * alu) + (
-                r.gpu_ls_w * ls
-            )
-            watts = base.copy()
-            is_cpu = np.asarray(
-                [a.kind in (ActivityKind.CPU, ActivityKind.HOST_COPY) for a in acts]
-            )
-            is_gpu = np.asarray([a.kind == ActivityKind.GPU_KERNEL for a in acts])
-            watts[is_cpu] = cpu_p[is_cpu]
-            watts[is_gpu] = gpu_p[is_gpu]
-        else:
-            watts = np.zeros(0)
-        traces = []
-        for start, stop in spans:
-            segments = tuple(
-                TraceSegment(duration_s=a.duration_s, watts=float(watts[start + k]))
-                for k, a in enumerate(acts[start:stop])
-                if a.duration_s > 0.0
-            )
-            if not segments:
-                raise ValueError("no non-empty activity segments")
-            traces.append(PowerTrace(segments))
-        return tuple(traces)
+        return tuple(self.price_one(cell) for cell in cells)
 
     def price_one(self, cell) -> PowerTrace:
-        """Single-cell convenience: delegates to ``BoardPowerModel.trace``."""
+        """One cell through ``BoardPowerModel.trace``."""
         return self.model.trace(list(cell.activities))

@@ -1,12 +1,13 @@
 """Batched grid pricing: one protocol, four layer implementations.
 
-A planner describes its work as :mod:`~repro.pricing.cells` values,
-hands the list to a :class:`PricingModel`, and each layer answers with
-a small number of vectorized NumPy evaluations instead of a dict walk
-per cell.  The GPU and CPU layers price a call's cells as the lanes of
-one config-axis stack (:class:`~repro.mali.timing.GpuConfigStack`,
+A planner describes its work as :mod:`~repro.pricing.cells` values and
+hands the list to a :class:`PricingModel`.  The GPU and CPU layers
+price a call's cells as the lanes of one config-axis stack
+(:class:`~repro.mali.timing.GpuConfigStack`,
 :class:`~repro.cpu.pricing.CpuConfigStack`), the one implementation of
-their formulas.
+their formulas; the DRAM and power layers price cell by cell through
+their scalar models (``transfer_seconds``, ``BoardPowerModel.trace``),
+which are what production calls.
 
 The contract every implementation honors is **bitwise identity**: the
 batched rows equal the scalar models' results bit for bit — elementwise

@@ -31,8 +31,6 @@ class WorkloadTraits:
             job-manager imbalance term and the OpenMP imbalance term.
         serial_fraction: fraction of total work that cannot be
             parallelized on the CPU (Amdahl term for the OpenMP model).
-        launches: kernel launches (GPU) or parallel regions (OpenMP) per
-            timed iteration — fork/join and driver overhead multiplier.
         elements: logical problem elements processed per timed iteration
             (the NDRange before vectorization divides it).
     """
@@ -40,7 +38,6 @@ class WorkloadTraits:
     streams: tuple[StreamSpec, ...] = ()
     imbalance_cv: float = 0.0
     serial_fraction: float = 0.0
-    launches: int = 1
     elements: int = 0
 
     def __post_init__(self) -> None:
@@ -48,8 +45,6 @@ class WorkloadTraits:
             raise ValueError("imbalance_cv must be >= 0")
         if not 0.0 <= self.serial_fraction <= 1.0:
             raise ValueError("serial_fraction must be in [0, 1]")
-        if self.launches < 1:
-            raise ValueError("launches must be >= 1")
         if self.elements < 0:
             raise ValueError("elements must be >= 0")
 

@@ -15,6 +15,7 @@ the reference bit for bit (full dataclass ``==``, never ``approx``).
   timed Cortex-A15 iteration, one core or both;
 * :func:`facade_rows` — a :class:`~repro.designspace.DesignSpace` row
   set of one SoC config, every cell priced through the references above
+  and every Opt candidate summed over its declared launches and fills
   (the loop a stacked sweep replaces);
 * :func:`points_reference` — one config's design points from its rows,
   picked and summed with Python floats one group at a time (the loop
@@ -31,12 +32,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 
 from repro import perf
+from repro.benchmarks.base import Fill, Precision
+from repro.benchmarks.registry import create
+from repro.compiler.pipeline import compile_kernel
 from repro.compiler.regalloc import fits_register_file, threads_for_scale
 from repro.cpu.pricing import CpuPricingModel
 from repro.cpu.serial import CpuTiming
@@ -47,6 +52,7 @@ from repro.mali import timing
 from repro.mali.job_manager import distribute
 from repro.mali.occupancy import derive_occupancy
 from repro.mali.timing import GpuLaunchTiming, GpuPricingModel, LaunchPricer
+from repro.ocl.driver import default_quirks, driver_local_size, fill_activity
 from repro.pareto import point_key, strictly_dominates
 from repro.power.rails import Activity, ActivityKind
 from repro.pricing.cells import MODE_SERIAL, TraceCell
@@ -333,9 +339,7 @@ def time_openmp_reference(mix, n_elements, traits, config, dram, caches) -> CpuT
     dram_bytes, dram_s = _dram(caches, traits, dram, "cpu2")
     total = max(compute_s, dram_s) + (1.0 - config.mlp_overlap) * min(compute_s, dram_s)
     stall = total - compute_s
-    overhead = traits.launches * (
-        config.omp_region_overhead_s + n_cores * config.omp_chunk_overhead_s
-    )
+    overhead = config.omp_region_overhead_s + n_cores * config.omp_chunk_overhead_s
     total += overhead
     ipc = instructions / (total * config.clock_hz * n_cores) if total > 0 else 0.0
     return CpuTiming(
@@ -361,12 +365,64 @@ def time_cpu_reference(cell, config, dram, caches) -> CpuTiming:
 # ---------------------------------------------------------------------------
 
 
+def _declared(space):
+    """Per group, per Opt candidate, its declared commands compiled and
+    sized: ``(compiled, traits, global size, local size)`` per launch,
+    ``(None, nbytes)`` per fill — read from
+    :meth:`~repro.benchmarks.base.Benchmark.iteration_cells` and sized
+    the way the historical host code launched a kernel, independently
+    of the space's lane table.  Cached per space."""
+    found = _DECLARED.get(space)
+    if found is None:
+        quirks = (
+            space.base.driver_quirks
+            if space.base.driver_quirks is not None
+            else default_quirks()
+        )
+        max_wg = space.base.mali.max_work_group_size
+        found = []
+        for bc in space.groups:
+            bench = create(
+                bc.name,
+                precision=Precision(bc.precision),
+                scale=space.scale,
+                seed=space.seed,
+                platform=space.base,
+            )
+            candidates = []
+            for options, local in bc.candidates:
+                commands = []
+                for cell in bench.iteration_cells(options, local):
+                    if isinstance(cell, Fill):
+                        commands.append((None, cell.nbytes))
+                        continue
+                    compiled = compile_kernel(cell.ir, options, quirks=quirks)
+                    global_size = max(1, -(-cell.elements // compiled.elems_per_item))
+                    local_size = cell.local_size
+                    if local_size is None:
+                        local_size = driver_local_size(global_size, max_wg)
+                    else:
+                        global_size = math.ceil(global_size / local_size) * local_size
+                    commands.append((compiled, cell.traits, global_size, local_size))
+                candidates.append(commands)
+            found.append(candidates)
+        _DECLARED[space] = found
+    return found
+
+
+_DECLARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def facade_rows(space, config):
     """:class:`~repro.designspace.SpaceRows` of one SoC config, every cell
-    priced through the references: CPU cells through the A15 references,
-    GPU cells that fit the config's register file through
-    :func:`time_launch_reference`, power through the platform's batched
-    trace pricing."""
+    priced one at a time through the references: CPU cells through the
+    A15 references, launches that fit the config's register file
+    through :func:`time_launch_reference`, fills through
+    :func:`~repro.ocl.driver.fill_activity`, and every segment's watts
+    through the scalar trace path.  Each Opt candidate sums its declared
+    commands (:func:`_declared`) from ``0.0`` in enqueue order, seconds
+    and seconds × watts, the way the queue's clock and the power trace
+    do."""
     from repro.designspace import SpaceRows
 
     platform = config.platform(space.base)
@@ -374,75 +430,91 @@ def facade_rows(space, config):
     dram = pricing.dram_model
     rf_scale = platform.mali.register_file_scale
 
+    def watts(activity):
+        return pricing.power.price_one(TraceCell((activity,))).segments[0].watts
+
+    launches = {}
+
+    def launch(compiled, traits, n_items, local_size):
+        """(seconds, watts) of one launch, ``None`` where it does not fit."""
+        key = (id(compiled), traits, n_items, local_size)
+        if key not in launches:
+            launches[key] = None
+            if fits_register_file(compiled.registers, rf_scale):
+                t = time_launch_reference(
+                    compiled, n_items, local_size, traits, platform.mali, dram,
+                    pricing.gpu_caches,
+                )
+                launches[key] = (
+                    t.seconds,
+                    watts(
+                        Activity(
+                            kind=ActivityKind.GPU_KERNEL,
+                            duration_s=t.seconds,
+                            gpu_alu_utilization=t.alu_utilization,
+                            gpu_ls_utilization=t.ls_utilization,
+                            dram_bandwidth=t.dram_bandwidth,
+                        )
+                    ),
+                )
+        return launches[key]
+
+    lanes = [
+        launch(cell.compiled, cell.traits, cell.n_items, cell.local_size)
+        for cell in space.gpu_cells
+    ]
+    opt = []
+    for candidates in _declared(space):
+        for commands in candidates:
+            seconds = energy = 0.0
+            segments = []
+            for command in commands:
+                if command[0] is None:
+                    fill = fill_activity(command[1], platform.dram)
+                    segment = (fill.duration_s, watts(fill))
+                else:
+                    segment = launch(*command)
+                    if segment is None:
+                        break
+                seconds += segment[0]
+                energy += segment[0] * segment[1]
+                segments.append(segment)
+            if len(segments) < len(commands):
+                opt.append((False, math.inf, 0.0, math.inf))
+            elif len(segments) == 1:
+                opt.append((True, seconds, segments[0][1], energy))
+            else:
+                opt.append((True, seconds, energy / seconds, energy))
+
     cpu_rows = [
         time_cpu_reference(cell, platform.cpu, dram, pricing.cpu_caches)
         for cell in space.cpu_cells
     ]
-    feasible = [
-        fits_register_file(cell.compiled.registers, rf_scale) for cell in space.gpu_cells
-    ]
-    idx = [i for i, ok in enumerate(feasible) if ok]
-    timings = [
-        time_launch_reference(
-            cell.compiled,
-            cell.n_items,
-            cell.local_size,
-            cell.traits,
-            platform.mali,
-            dram,
-            pricing.gpu_caches,
-            cell.concurrent_agents,
-        )
-        for cell in (space.gpu_cells[i] for i in idx)
-    ]
-
-    trace_cells = [
-        TraceCell(
-            (
-                Activity(
-                    kind=ActivityKind.GPU_KERNEL,
-                    duration_s=t.seconds * space.gpu_cells[i].traits.launches,
-                    gpu_alu_utilization=t.alu_utilization,
-                    gpu_ls_utilization=t.ls_utilization,
-                    dram_bandwidth=t.dram_bandwidth,
-                ),
-            )
-        )
-        for i, t in zip(idx, timings)
-    ]
-    trace_cells += [
-        TraceCell(
-            (
-                Activity(
-                    kind=ActivityKind.CPU,
-                    duration_s=r.seconds,
-                    active_cpu_cores=r.active_cores,
-                    cpu_ipc=r.ipc,
-                    dram_bandwidth=r.dram_bandwidth,
-                ),
+    cpu_traces = [
+        pricing.power.price_one(
+            TraceCell(
+                (
+                    Activity(
+                        kind=ActivityKind.CPU,
+                        duration_s=r.seconds,
+                        active_cpu_cores=r.active_cores,
+                        cpu_ipc=r.ipc,
+                        dram_bandwidth=r.dram_bandwidth,
+                    ),
+                )
             )
         )
         for r in cpu_rows
     ]
-    traces = pricing.power.price(trace_cells)
-
-    width = len(space.gpu_cells)
-    gpu_seconds = np.full(width, np.inf)
-    gpu_iter = np.full(width, np.inf)
-    gpu_watts = np.zeros(width)
-    gpu_energy = np.full(width, np.inf)
-    for k, (i, t) in enumerate(zip(idx, timings)):
-        gpu_seconds[i] = t.seconds
-        gpu_iter[i] = t.seconds * space.gpu_cells[i].traits.launches
-        gpu_watts[i] = traces[k].segments[0].watts
-        gpu_energy[i] = traces[k].energy_j
-    cpu_traces = traces[len(idx):]
+    feasible, opt_seconds, opt_watts, opt_energy = zip(*opt) if opt else ((),) * 4
     return SpaceRows(
-        gpu_feasible=np.asarray(feasible, dtype=bool),
-        gpu_seconds=gpu_seconds,
-        gpu_iter_seconds=gpu_iter,
-        gpu_watts=gpu_watts,
-        gpu_energy=gpu_energy,
+        gpu_feasible=np.asarray([lane is not None for lane in lanes], dtype=bool),
+        gpu_seconds=np.asarray([math.inf if lane is None else lane[0] for lane in lanes]),
+        gpu_watts=np.asarray([0.0 if lane is None else lane[1] for lane in lanes]),
+        opt_feasible=np.asarray(feasible, dtype=bool),
+        opt_seconds=np.asarray(opt_seconds, dtype=np.float64),
+        opt_watts=np.asarray(opt_watts, dtype=np.float64),
+        opt_energy=np.asarray(opt_energy, dtype=np.float64),
         cpu_seconds=np.asarray([r.seconds for r in cpu_rows]),
         cpu_watts=np.asarray([t.segments[0].watts for t in cpu_traces]),
         cpu_energy=np.asarray([t.energy_j for t in cpu_traces]),
@@ -451,8 +523,9 @@ def facade_rows(space, config):
 
 def points_reference(space, config, rows):
     """Design points of one config from its row arrays, one group at a
-    time: [Serial, OpenMP, Opt] per (benchmark, precision) group, then
-    the per-precision aggregates, summed term by term in group order."""
+    time: [Serial, OpenMP, Opt] per (benchmark, precision) group — Opt
+    the first fastest feasible candidate — then the per-precision
+    aggregates, summed term by term in group order."""
     from repro.designspace import AGGREGATE, VERSIONS, DesignPoint
 
     pts = []
@@ -470,16 +543,13 @@ def points_reference(space, config, rows):
             acc = agg.setdefault((bc.precision, version), [0.0, 0.0, True])
             acc[0] += seconds
             acc[1] += energy
-        span = slice(bc.gpu_start, bc.gpu_stop)
-        feas = rows.gpu_feasible[span]
-        if feas.size and bool(feas.any()):
-            j = int(np.argmin(rows.gpu_iter_seconds[span]))
-            seconds = float(rows.gpu_iter_seconds[span][j])
-            watts = float(rows.gpu_watts[span][j])
-            energy = float(rows.gpu_energy[span][j])
-            ok = True
-        else:
-            seconds, watts, energy, ok = math.inf, 0.0, math.inf, False
+        seconds, watts, energy, ok = math.inf, 0.0, math.inf, False
+        for j in range(bc.opt_start, bc.opt_stop):
+            if rows.opt_feasible[j] and float(rows.opt_seconds[j]) < seconds:
+                seconds = float(rows.opt_seconds[j])
+                watts = float(rows.opt_watts[j])
+                energy = float(rows.opt_energy[j])
+                ok = True
         pts.append(
             DesignPoint(
                 config.name, bc.name, bc.precision, "Opt", seconds, watts, energy, ok

@@ -77,12 +77,13 @@ class TestIntensity:
 
     def test_dram_intensity_exceeds_raw_for_cached_kernels(self):
         bench = create("dmmm", scale=0.25)
-        raw = operational_intensity(analyze(bench.kernel_ir(NAIVE)))
+        launch = bench.main_launch(NAIVE)
+        raw = operational_intensity(analyze(launch.ir))
         cached = dram_intensity(
-            bench.kernel_ir(NAIVE),
-            bench.gpu_traits(NAIVE),
+            launch.ir,
+            launch.traits,
             bench.platform.gpu_caches(),
-            bench.gpu_work_items(),
+            launch.elements,
         )
         assert cached > raw * 0.9  # caches never make intensity drop much
 

@@ -157,16 +157,6 @@ class TestOpenMP:
         )
         assert run_omp(platform, mix, n, ragged).seconds > run_omp(platform, mix, n, even).seconds
 
-    def test_region_overhead_charged_per_launch(self, platform):
-        mix = compute_mix()
-        n = 1 << 12
-        one = WorkloadTraits(streams=stream_traits(4 * n).streams, launches=1, elements=n)
-        many = WorkloadTraits(streams=stream_traits(4 * n).streams, launches=50, elements=n)
-        t_one = run_omp(platform, mix, n, one)
-        t_many = run_omp(platform, mix, n, many)
-        assert t_many.overhead_seconds > t_one.overhead_seconds
-        assert t_many.seconds > t_one.seconds
-
     def test_two_cores_active(self, platform):
         t = run_omp(platform, compute_mix(), 1 << 16)
         assert t.active_cores == 2

@@ -545,6 +545,20 @@ def test_stream_bounds_each_shard_in_one_call():
     assert tuple(spy.call_args.args[1]) == configs
 
 
+def test_stream_bounds_a_last_group_without_candidates():
+    """amcd has no double-precision Opt candidate (the paper's compiler
+    defect): as the space's last group it bounds as infeasible instead
+    of indexing past the candidate axis."""
+    configs = config_grid(gpu_cores=(2, 4))
+    st = evaluate_space(
+        configs, benchmarks=("vecop", "amcd"), precisions=(Precision.DOUBLE,),
+        scale=0.05, stream=True,
+    )
+    assert st.evaluated + st.pruned == len(configs)
+    kept = st.select(precision="double")
+    assert kept and not any(p.feasible for p in kept)
+
+
 def test_stream_jobs_pool_matches_inline_bytes():
     configs = _stream_grid()
     perf.reset()

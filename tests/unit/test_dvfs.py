@@ -477,8 +477,9 @@ GRID = dict(
 
 class TestCampaignGovernorAxis:
     def test_default_governor_grid_is_byte_identical(self):
-        plain = run_grid(**GRID)
-        defaulted = run_grid(**GRID, governors=("fixed",))
+        grid = dict(GRID, benchmarks=("vecop", "red"))
+        plain = run_grid(**grid)
+        defaulted = run_grid(**grid, governors=("fixed",))
         assert defaulted.to_json() == plain.to_json()
 
     def test_spec_fingerprint_ignores_default_governor(self):
@@ -556,7 +557,8 @@ def small_family():
 class TestDvfsDesignSpace:
     def test_fixed_plane_is_bitwise_the_opt_plane(self):
         configs = small_family()
-        kw = dict(benchmarks=("vecop", "nbody"), scale=0.1)
+        # red and hist sum several launches and fills per candidate
+        kw = dict(benchmarks=("vecop", "nbody", "red", "hist"), scale=0.1)
         base = evaluate_space(configs, **kw)
         swept = evaluate_dvfs(configs, governors=("fixed",), **kw)
         for p in swept.points:

@@ -68,7 +68,6 @@ class TestWorkloadTraits:
     def test_defaults(self):
         traits = WorkloadTraits()
         assert traits.streams == ()
-        assert traits.launches == 1
         assert traits.total_footprint_bytes == 0.0
 
     def test_footprint_sum(self):
@@ -83,7 +82,6 @@ class TestWorkloadTraits:
             {"imbalance_cv": -0.1},
             {"serial_fraction": 1.5},
             {"serial_fraction": -0.1},
-            {"launches": 0},
             {"elements": -1},
         ],
     )
@@ -94,4 +92,4 @@ class TestWorkloadTraits:
     def test_frozen(self):
         traits = WorkloadTraits()
         with pytest.raises(Exception):
-            traits.launches = 5
+            traits.elements = 5
