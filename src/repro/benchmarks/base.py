@@ -41,8 +41,10 @@ from ..ir.analysis import analyze
 from ..ir.dtypes import DType, F32, F64
 from ..ir.nodes import Kernel as IrKernel
 from ..ir.validate import validate
+from ..ocl.buffer import Buffer
 from ..ocl.context import Context
 from ..ocl.device import mali_t604
+from ..ocl.enums import MapFlag
 from ..ocl.queue import CommandQueue
 from ..power import dvfs
 from ..power.energy import EnergyReport
@@ -427,12 +429,13 @@ class Benchmark(abc.ABC):
         return perf.instance_memo(self, "reference", self.reference_result)
 
     def functional_result(self) -> np.ndarray:
-        """Memoized :meth:`run_numpy` (callers must not mutate).
+        """The functional CPU execution of Serial and OpenMP.
 
-        Serial and OpenMP are the *same* functional execution — only the
-        timing model differs — so they share one computation.
+        Not memoized: the two versions are the same execution (only the
+        timing model differs), so :func:`run_cpu_version` computes it
+        once per instance, keeps its verdict and drops the array.
         """
-        return perf.instance_memo(self, "run_numpy", self.run_numpy)
+        return self.run_numpy()
 
     def verify(self, result: np.ndarray) -> bool:
         """Compare a result against the reference with fp tolerance."""
@@ -532,8 +535,9 @@ class Benchmark(abc.ABC):
             queue.enqueue_nd_range_kernel(kernel, *size, traits=cell.traits)
 
     @abc.abstractmethod
-    def gpu_result(self, queue: CommandQueue, state: dict) -> np.ndarray:
-        """Map/read the output buffer after the timed region (untimed)."""
+    def gpu_result(self, state: dict) -> Buffer:
+        """The output buffer; after the timed region the runner maps it
+        for reading, verifies the mapped view, then unmaps it."""
 
     # ------------------------------------------------------------------
     # tuning space for OpenCL Opt
@@ -729,10 +733,11 @@ def run_cpu_version(
     trace = pricing.power.price_one(TraceCell(activities=activities))
     report = measure_trace(trace, platform, seed=bench.seed)
 
-    # Serial and OpenMP verify the same memoized functional array, so
-    # they share one verdict
-    result = bench.functional_result()
-    verified = perf.instance_memo(bench, "verify_functional", lambda: bench.verify(result))
+    # Serial and OpenMP are one functional execution: the first of them
+    # computes it and keeps only the verdict, which the other reuses
+    verified = perf.instance_memo(
+        bench, "verify_functional", lambda: bench.verify(bench.functional_result())
+    )
     return RunResult(
         benchmark=bench.name,
         version=version,
@@ -776,9 +781,14 @@ def run_gpu_version(
             return RunResult.failed(bench.name, version, bench.precision, str(exc))
 
         activities = tuple(queue.timeline)
-        result = bench.gpu_result(queue, state)
+        # finalization: verify the result where the kernel left it, in
+        # the output buffer's read mapping (§III-A: no copy out)
+        out = bench.gpu_result(state)
+        view, _ = queue.enqueue_map_buffer(out, MapFlag.READ)
+        verified = bench.verify(view)
+        queue.enqueue_unmap_mem_object(out)
     finally:
-        # finalization frees the buffers now, not at the next garbage
+        # release frees the buffers now, not at the next garbage
         # collection (each buffer and its context reference each other)
         ctx.release()
 
@@ -797,7 +807,7 @@ def run_gpu_version(
         elapsed_s=work_s if idle_tail_s > 0.0 else report.elapsed_s,
         mean_power_w=report.mean_power_w,
         energy_j=report.energy_j,
-        verified=bench.verify(result),
+        verified=verified,
         options=options,
         local_size=local_size,
         diagnostics={"events": queue.events, "trace_energy_j": trace.energy_j},
@@ -850,10 +860,10 @@ def run_version(
 def _pinned_platform(bench: Benchmark, platform: ExynosPlatform):
     """Temporarily swap a benchmark's platform (restored on exit).
 
-    Functional results are platform-independent (and memoized on the
-    instance), while every pricing path re-derives its models from
-    ``bench.platform`` — so pinning an OPP-derived platform reprices
-    timing and power without rebuilding the problem instance.
+    Functional results are platform-independent (their verdicts are
+    memoized on the instance), while every pricing path re-derives its
+    models from ``bench.platform`` — so pinning an OPP-derived platform
+    reprices timing and power without rebuilding the problem instance.
     """
     original = bench.platform
     bench.platform = platform

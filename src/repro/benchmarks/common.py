@@ -1,10 +1,17 @@
 """Shared host-code helpers for the GPU versions of the benchmarks.
 
 All benchmarks use the paper's recommended host-code pattern (§III-A):
-``CL_MEM_ALLOC_HOST_PTR`` buffers with map/unmap staging, so that "both
-the application processor and the Mali GPU access the data" through the
-unified memory with no copies.  The memmap ablation bench exercises the
-slower flag combinations explicitly.
+``CL_MEM_ALLOC_HOST_PTR`` buffers with map/unmap, so that "both the
+application processor and the Mali GPU access the data" through the
+unified memory with no copies.  The functional side copies nothing
+either.  An input buffer is a read-only view of the instance's array,
+as if the host had produced it in the mapped region, and its staging
+still enqueues the map and unmap a writing host would.  An output
+buffer is fresh: ``gpu_result`` hands it back, and
+:func:`~repro.benchmarks.base.run_gpu_version` verifies the result in
+its read mapping.  So a kernel function must never write into an
+input: one that does raises, and its cell fails.  The memmap ablation
+bench exercises the slower flag combinations explicitly.
 """
 
 from __future__ import annotations
@@ -23,26 +30,19 @@ def alloc_mapped(
     data: np.ndarray | None = None,
     shape: tuple[int, ...] | int | None = None,
     dtype=None,
-    flags: MemFlag = MemFlag.READ_WRITE,
 ) -> Buffer:
-    """Create an ``ALLOC_HOST_PTR`` buffer, staging ``data`` via map."""
-    flags = flags | MemFlag.ALLOC_HOST_PTR
-    if data is not None:
-        buf = Buffer(ctx, flags, hostbuf=data)
-        view, _ = queue.enqueue_map_buffer(buf, MapFlag.WRITE)
-        view[...] = data
-        queue.enqueue_unmap_mem_object(buf)
-    else:
-        buf = Buffer(ctx, flags, shape=shape, dtype=dtype)
-    return buf
+    """An ``ALLOC_HOST_PTR`` buffer: the input ``data``, or an output.
 
-
-def read_mapped(queue: CommandQueue, buf: Buffer) -> np.ndarray:
-    """Map a buffer for reading and return a copy of its contents."""
-    view, _ = queue.enqueue_map_buffer(buf, MapFlag.READ)
-    out = np.array(view, copy=True)
+    With ``data`` the buffer shares it read-only (no copy) and is staged
+    through a write map and an unmap; without, it is a zeroed
+    ``READ_WRITE`` buffer of ``shape`` and ``dtype``.
+    """
+    if data is None:
+        return Buffer(ctx, MemFlag.READ_WRITE | MemFlag.ALLOC_HOST_PTR, shape=shape, dtype=dtype)
+    buf = Buffer.host_produced(ctx, data)
+    queue.enqueue_map_buffer(buf, MapFlag.WRITE)
     queue.enqueue_unmap_mem_object(buf)
-    return out
+    return buf
 
 
 class SingleKernelMixin:
@@ -74,5 +74,5 @@ class SingleKernelMixin:
         kernel.set_args(*buffers.values())
         return {"kernels": {ir.name: kernel}, "buffers": buffers, "options": options}
 
-    def gpu_result(self, queue: CommandQueue, state: dict) -> np.ndarray:
-        return read_mapped(queue, state["buffers"][self.result_buffer])
+    def gpu_result(self, state: dict) -> Buffer:
+        return state["buffers"][self.result_buffer]

@@ -28,10 +28,11 @@ from ..ir.builder import KernelBuilder
 from ..ir.dtypes import U32
 from ..ir.nodes import AccessPattern, Kernel as IrKernel, MemSpace, OpKind, Scaling
 from ..memory.cache import StreamSpec
+from ..ocl.buffer import Buffer
 from ..ocl.program import KernelSpec, Program
 from ..workload import WorkloadTraits
 from .base import Benchmark, Fill, Launch
-from .common import alloc_mapped, read_mapped
+from .common import alloc_mapped
 
 
 class Histogram(Benchmark):
@@ -205,8 +206,8 @@ class Histogram(Benchmark):
             main.set_args(buffers["values"], buffers["bins"])
         return {"kernels": kernels, "buffers": buffers, "options": options}
 
-    def gpu_result(self, queue, state: dict) -> np.ndarray:
-        return read_mapped(queue, state["buffers"]["bins"])
+    def gpu_result(self, state: dict) -> Buffer:
+        return state["buffers"]["bins"]
 
     # ------------------------------------------------------------------
     def _main_func(self):

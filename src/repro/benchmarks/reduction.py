@@ -25,11 +25,12 @@ from ..compiler.options import CompileOptions
 from ..ir.builder import KernelBuilder
 from ..ir.nodes import Kernel as IrKernel, MemSpace, OpKind, Scaling
 from ..memory.cache import StreamSpec
+from ..ocl.buffer import Buffer
 from ..ocl.program import KernelSpec, Program
 from ..workload import WorkloadTraits
 from .. import perf
 from .base import Benchmark, Launch
-from .common import alloc_mapped, read_mapped
+from .common import alloc_mapped
 
 
 class Reduction(Benchmark):
@@ -194,8 +195,8 @@ class Reduction(Benchmark):
         k2.set_args(buffers["partials"], buffers["result"])
         return {"kernels": {stage1.name: k1, stage2.name: k2}, "buffers": buffers, "options": options}
 
-    def gpu_result(self, queue, state) -> np.ndarray:
-        return read_mapped(queue, state["buffers"]["result"])
+    def gpu_result(self, state: dict) -> Buffer:
+        return state["buffers"]["result"]
 
     def _stage1_func(self):
         items = self.STAGE1_ITEMS

@@ -854,8 +854,9 @@ class Campaign:
     def run(self, *, jobs: int = 1, journal_dir: str | Path | None = None) -> ResultSet:
         """Execute the campaign and return its :class:`ResultSet`.
 
-        ``jobs=1`` runs every task in-process in canonical order (the
-        exact classic serial path); ``jobs>1`` fans uncached tasks out
+        ``jobs=1`` runs every task in-process, benchmark by benchmark in
+        canonical order and each benchmark's double-precision group
+        first (:meth:`_plan_families`); ``jobs>1`` fans uncached tasks out
         to a process pool.  Both paths produce a ``ResultSet`` whose
         ``to_json()`` is byte-identical, because every cell is a pure
         function of the spec.
@@ -1152,13 +1153,24 @@ class Campaign:
     def _plan_families(
         pending: list[tuple[RunTask, str | None]],
     ) -> dict[str, list[list[tuple[RunTask, str | None]]]]:
-        """Bundle pending tasks into version groups, then families."""
+        """Bundle pending tasks into version groups, then families.
+
+        A family runs its double-precision group first: that group
+        computes on the float64 draws themselves, and the single group
+        then takes each draw last, so the family's
+        :class:`~repro.benchmarks.base.Draws` record forgets it and it
+        dies at the float32 cast instead of living on beside the single
+        group's arrays.  Every draw is precision-independent, so the
+        order changes no result.
+        """
         groups: dict[tuple[str, Precision], list[tuple[RunTask, str | None]]] = {}
         for task, key in pending:
             groups.setdefault((task.benchmark, task.precision), []).append((task, key))
         families: dict[str, list[list[tuple[RunTask, str | None]]]] = {}
         for (benchmark, _), group in groups.items():
             families.setdefault(benchmark, []).append(group)
+        for family in families.values():
+            family.sort(key=lambda group: group[0][0].precision is not Precision.DOUBLE)
         return families
 
     def _run_inline(

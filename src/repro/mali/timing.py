@@ -526,16 +526,18 @@ class GpuPricingModel:
         self._platform_fixed: tuple | None = None
         # traits interning: cells built from distinct-but-equal traits
         # objects (one per grid row) collapse onto one canonical instance
-        # so they share a pricer and its hashed key parts
-        self._traits_by_id: dict[int, WorkloadTraits] = {}
+        # so they share a pricer and its hashed key parts.  Each id()
+        # entry holds the object it was keyed by, so that id() cannot be
+        # recycled for another traits value while the entry exists.
+        self._traits_by_id: dict[int, tuple[WorkloadTraits, WorkloadTraits]] = {}
         self._traits_canon: dict[WorkloadTraits, WorkloadTraits] = {}
 
     def _canon_traits(self, traits: WorkloadTraits) -> WorkloadTraits:
-        found = self._traits_by_id.get(id(traits))
-        if found is None:
-            found = self._traits_canon.setdefault(traits, traits)
-            self._traits_by_id[id(traits)] = found
-        return found
+        entry = self._traits_by_id.get(id(traits))
+        if entry is None:
+            entry = (traits, self._traits_canon.setdefault(traits, traits))
+            self._traits_by_id[id(traits)] = entry
+        return entry[1]
 
     def _fixed_for(
         self, compiled: CompiledKernel, traits: WorkloadTraits

@@ -15,7 +15,9 @@ exactly these objects:
   zero-copy path the paper recommends on this unified-memory SoC.
 
 The buffer stores its device-visible contents in a NumPy array; the
-command queue charges the appropriate transfer costs per flag.
+command queue charges the appropriate transfer costs per flag.  An
+input the host produced in a mapped region (:meth:`Buffer.host_produced`)
+is stored as a read-only view of the host's array, not a copy.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ class Buffer:
         shape: tuple[int, ...] | int | None = None,
         dtype: np.dtype | type | None = None,
     ):
-        self.context = context
-        self.flags = flags
-        self.released = False
-        self._mapped = False
-
         if hostbuf is None and (shape is None or dtype is None):
             raise CLInvalidValue("Buffer needs either hostbuf or shape+dtype")
         if flags & MemFlag.USE_HOST_PTR and flags & MemFlag.ALLOC_HOST_PTR:
@@ -55,16 +52,38 @@ class Buffer:
             assert hostbuf is not None
             # device-visible storage is distinct: the driver copies
             self.host_array = hostbuf
-            self._storage = np.zeros_like(hostbuf)
+            storage = np.zeros_like(hostbuf)
         elif hostbuf is not None:
             if flags & MemFlag.COPY_HOST_PTR:
-                self._storage = np.array(hostbuf, copy=True)
+                storage = np.array(hostbuf, copy=True)
             else:
                 # shape/dtype template only; contents undefined
-                self._storage = np.empty_like(hostbuf)
+                storage = np.empty_like(hostbuf)
         else:
-            self._storage = np.zeros(shape, dtype=dtype)
+            storage = np.zeros(shape, dtype=dtype)
+        self._attach(context, flags, storage)
 
+    @classmethod
+    def host_produced(cls, context: Context, data: np.ndarray) -> "Buffer":
+        """A ``READ_ONLY | ALLOC_HOST_PTR`` buffer holding ``data``.
+
+        Models a host that produced its input directly in the mapped
+        region (§III-A), so the storage is a read-only view of ``data``:
+        a kernel, fill or host write into it raises ``ValueError``.
+        """
+        view = data.view()
+        view.flags.writeable = False
+        buffer = cls.__new__(cls)
+        buffer.host_array = None
+        buffer._attach(context, MemFlag.READ_ONLY | MemFlag.ALLOC_HOST_PTR, view)
+        return buffer
+
+    def _attach(self, context: Context, flags: MemFlag, storage: np.ndarray) -> None:
+        self.context = context
+        self.flags = flags
+        self.released = False
+        self._mapped = False
+        self._storage = storage
         context.register_buffer(self)
 
     # ------------------------------------------------------------------

@@ -13,8 +13,8 @@ while keeping results bit-identical:
 * ``analysis`` — :func:`repro.ir.analysis.analyze` instruction mixes;
 * ``gpu_timing`` / ``cpu_timing`` — :func:`repro.mali.timing.time_launch`
   and Serial/OpenMP pricing results;
-* ``functional`` — per-benchmark-instance functional results (reference
-  outputs, ``run_numpy`` executions, the Serial/OpenMP verdict).
+* ``functional`` — per-benchmark-instance results (reference outputs,
+  the Serial/OpenMP verdict).
 
 Every cache is an LRU with hit/miss/evict counters; the campaign engine
 snapshots :func:`counters` around each run and threads the deltas into
@@ -341,8 +341,8 @@ def instance_memo(obj: Any, tag: Any, compute: Callable[[], Any], *, counter: st
     Benchmark instances are immutable after ``setup()`` — their lazy
     input arrays are drawn once, on first use, and never change — so
     results that depend only on instance state (the verification
-    reference, the functional CPU execution) are computed once per
-    instance.  Hits and misses are accounted under the ``counter`` cache
+    reference, the verdict of the functional CPU execution) are computed
+    once per instance.  Hits and misses are accounted under the ``counter`` cache
     so they surface in :func:`counters` alongside the content-keyed
     caches.
     """

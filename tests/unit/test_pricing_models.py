@@ -2,7 +2,7 @@
 
 Covers the ``PricingModel`` protocol conformance of every layer, the
 ``PlatformPricing`` facade dispatch, the launch errors of every GPU
-pricing view, the ``PerfConfig`` form of ``perf.configure``, the
+pricing view, the GPU model's traits interning, the ``PerfConfig`` form of ``perf.configure``, the
 keyword-only signatures, campaign pre-pricing, and the model-only
 estimate helpers the what-if studies use.
 """
@@ -10,6 +10,7 @@ estimate helpers the what-if studies use.
 from __future__ import annotations
 
 import inspect
+from dataclasses import replace
 
 import pytest
 
@@ -116,6 +117,24 @@ def test_gpu_views_reject_work_group_sizes_no_core_holds(local_size):
     cell = GpuLaunchCell(compiled=compiled, traits=traits, n_items=1024, local_size=local_size)
     with pytest.raises(CLInvalidWorkGroupSize):
         pricing.gpu.price([cell])
+
+
+def test_gpu_model_prices_each_traits_object_as_its_own_value():
+    """A short-lived traits object leaves its ``id()`` free for the next
+    one, of another value; the model must still hand every object the
+    pricer (and memo keys) of its own value."""
+    platform = default_platform()
+    model = platform.pricing_model().gpu
+    bench = create("vecop", scale=0.05, platform=platform)
+    compiled = compile_kernel(bench.kernel_ir(NAIVE), NAIVE, quirks=())
+    kept = bench.gpu_traits(NAIVE)
+    wrong = 0
+    for i in range(3000):
+        wrong += model.pricer(compiled, kept).traits != kept
+        short = replace(kept, elements=kept.elements + 1 + i % 7)
+        wrong += model.pricer(compiled, short).traits != short
+        del short
+    assert wrong == 0
 
 
 # ---------------------------------------------------------------------------
