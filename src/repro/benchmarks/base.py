@@ -50,7 +50,7 @@ from ..power import dvfs
 from ..power.energy import EnergyReport
 from ..power.model import PowerTrace
 from ..power.rails import Activity, ActivityKind
-from ..pricing.cells import MODE_OPENMP, MODE_SERIAL, CpuCell, TraceCell
+from ..pricing.cells import MODE_OPENMP, MODE_SERIAL, CpuCell
 from ..workload import WorkloadTraits
 
 
@@ -656,9 +656,9 @@ def measure_trace(
 def cpu_pricing_inputs(bench: Benchmark) -> tuple:
     """(ir, mix, traits, n) of a benchmark's CPU versions (IR validated).
 
-    Shared by the per-cell path (:func:`run_cpu_version`) and the
-    campaign's batched seeding (:func:`repro.pricing.grid.seed_cpu_timing`)
-    so both derive their cells from identical inputs.
+    Shared by a run's CPU cell (:func:`cpu_region_timing`) and the
+    design space's CPU lanes, so both derive their cells from identical
+    inputs.
     """
     ir = bench.serial_ir()
     validate(ir)
@@ -667,11 +667,8 @@ def cpu_pricing_inputs(bench: Benchmark) -> tuple:
 
 
 def cpu_pricing_key(bench: Benchmark, ir, version: Version, n: int, traits, pricing):
-    """The ``cpu_timing`` memo key of one CPU cell.
-
-    One construction site for the key keeps the batched seeding path and
-    the per-cell lookup path pointing at the same memo slots.
-    """
+    """The ``cpu_timing`` memo key of one CPU cell (its content: the IR,
+    version, size, traits and every calibrated config it is priced on)."""
     return perf.content_key(
         (
             ir,
@@ -700,7 +697,7 @@ def cpu_region_timing(bench: Benchmark, version: Version):
     mode = MODE_SERIAL if version is Version.SERIAL else MODE_OPENMP
     cell = CpuCell(mix=mix, mode=mode, n_elements=n, traits=traits)
     return perf.cache("cpu_timing").get_or_compute(
-        pricing_key, lambda: pricing.cpu.price_one(cell)
+        pricing_key, lambda: pricing.price_one(cell)
     )
 
 
@@ -717,7 +714,6 @@ def run_cpu_version(
     if version not in (Version.SERIAL, Version.OPENMP):
         raise ValueError(f"run_cpu_version cannot run {version}")
     platform = bench.platform
-    pricing = platform.pricing_model()
     timing = cpu_region_timing(bench, version)
 
     activity = Activity(
@@ -730,7 +726,7 @@ def run_cpu_version(
     activities: tuple[Activity, ...] = (activity,)
     if idle_tail_s > 0.0:
         activities += (Activity(kind=ActivityKind.IDLE, duration_s=idle_tail_s),)
-    trace = pricing.power.price_one(TraceCell(activities=activities))
+    trace = platform.power_model().trace(activities)
     report = measure_trace(trace, platform, seed=bench.seed)
 
     # Serial and OpenMP are one functional execution: the first of them
@@ -792,13 +788,12 @@ def run_gpu_version(
         # collection (each buffer and its context reference each other)
         ctx.release()
 
-    pricing = platform.pricing_model()
     work_s = 0.0
     for a in activities:
         work_s += a.duration_s
     if idle_tail_s > 0.0:
         activities += (Activity(kind=ActivityKind.IDLE, duration_s=idle_tail_s),)
-    trace = pricing.power.price_one(TraceCell(activities=activities))
+    trace = platform.power_model().trace(activities)
     report = measure_trace(trace, platform, seed=bench.seed)
     return RunResult(
         benchmark=bench.name,

@@ -76,13 +76,13 @@ class ExynosPlatform:
         return YokogawaWT230(self.meter_sample_hz, self.meter_accuracy, seed=seed)
 
     def pricing_model(self):
-        """Every batched pricing model of this platform, as one facade.
+        """The timing entries of this platform, as one facade.
 
-        The single seam through which callers get model objects: GPU
-        launch timing, CPU timing, DRAM transfers and board power as
-        one :class:`~repro.pricing.grid.PlatformPricing` — nobody has to
-        assemble DRAM/cache/power models by hand, and a future SoC
-        design-space explorer can inject variant platforms here.
+        A fresh :class:`~repro.pricing.grid.PlatformPricing` on every
+        call: the GPU launch pricers (``.gpu.pricer``) and the CPU cell
+        entry (``.price_one``) over one DRAM model and one cache
+        hierarchy per side.  DRAM transfers and board power come from
+        :meth:`dram_model` and :meth:`power_model` directly.
         """
         from ..pricing.grid import PlatformPricing  # deferred: pricing imports models
 

@@ -11,11 +11,13 @@ overheads.
 
 The epilogues exist once, as the array passes of
 :class:`CpuConfigStack`: design-space sweeps evaluate them for every
-cell per SoC config (:meth:`CpuConfigStack.rows`), and
-:func:`~repro.cpu.serial.time_serial`, :func:`~repro.cpu.openmp.time_openmp`,
-:class:`CpuPricer` and :class:`CpuPricingModel` are views that build a
-stack over their own cells and read the lanes back as
-:class:`~repro.cpu.serial.CpuTiming` rows of Python floats.
+cell per SoC config (:meth:`CpuConfigStack.rows`), and a run's CPU cell
+is one lane of it (:meth:`~repro.pricing.grid.PlatformPricing.price_one`,
+memoized by :func:`~repro.benchmarks.base.cpu_region_timing`).
+:func:`~repro.cpu.serial.time_serial`, :func:`~repro.cpu.openmp.time_openmp`
+and :class:`CpuPricer` are views that build a stack over their own
+cells and read the lanes back as :class:`~repro.cpu.serial.CpuTiming`
+rows of Python floats.
 """
 
 from __future__ import annotations
@@ -288,27 +290,6 @@ class CpuPricer:
         if not cells:
             return ()
         return CpuConfigStack(cells, self.config, self.dram, self.caches).timings()
-
-
-class CpuPricingModel:
-    """Batched :class:`~repro.pricing.PricingModel` over CPU cells: every
-    call prices its cells as the lanes of one :class:`CpuConfigStack`."""
-
-    def __init__(self, config: A15Config, dram: DramModel, caches: CacheHierarchy):
-        self.config = config
-        self.dram = dram
-        self.caches = caches
-
-    def price(self, cells) -> tuple[CpuTiming, ...]:
-        """Timings for each :class:`~repro.pricing.CpuCell`."""
-        cells = tuple(cells)
-        if not cells:
-            return ()
-        return CpuConfigStack(cells, self.config, self.dram, self.caches).timings()
-
-    def price_one(self, cell) -> CpuTiming:
-        """Single-cell convenience (one stack lane)."""
-        return self.price((cell,))[0]
 
 
 # ---------------------------------------------------------------------------

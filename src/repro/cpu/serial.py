@@ -55,8 +55,7 @@ def time_serial(
 
     A one-lane view over :class:`~repro.cpu.pricing.CpuConfigStack`
     (through :class:`~repro.cpu.pricing.CpuPricer`); sweeps pricing many
-    cells should go through :class:`~repro.cpu.pricing.CpuPricingModel`,
-    which prices them as the lanes of one stack.
+    cells build one stack over them instead, one lane per cell.
     """
     from .pricing import CpuPricer  # deferred: pricing imports CpuTiming
 

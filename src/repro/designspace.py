@@ -1907,10 +1907,10 @@ def opt_over_serial(
 ) -> dict:
     """Model-only Opt-over-Serial speedup per platform variant.
 
-    The single batched-pricing path behind :func:`repro.whatif.estimate_speedups`
+    The single model-only path behind :func:`repro.whatif.estimate_speedups`
     and the sensitivity probes: every number comes from each platform's
     ``pricing_model()`` — tuner pricing for the Opt candidate, the CPU
-    pricer for the Serial baseline — with no functional NumPy execution
+    cell timing for the Serial baseline — with no functional NumPy execution
     and no meter.  ``serial="first"`` takes the baseline from the first
     platform (comparable speedups across variants, the what-if
     convention); ``serial="each"`` re-prices it per platform (the

@@ -244,35 +244,13 @@ def _worker_loss_result(task: RunTask, exc: BaseException, attempts: int) -> Run
     )
 
 
-def _preprice_group(bench: Benchmark, tasks: tuple[RunTask, ...]) -> int:
-    """Batch-price a version group's CPU timings before dispatch.
-
-    One vectorized pricing pass seeds the ``cpu_timing`` memo under the
-    exact keys each cell will look up, so the group's Serial/OpenMP
-    cells all hit warm.  Strictly an optimization: the seeded rows are
-    bitwise what the per-cell path computes, and any pricing error is
-    swallowed here so the cell itself reports it through the normal
-    crash-capture machinery.  Returns the number of seeded timings (0
-    when the perf memo is disabled or seeding failed), so the campaign
-    report can record sweep provenance.
-    """
-    from ..pricing.grid import seed_cpu_timing
-
-    try:
-        return seed_cpu_timing(bench, [task.version for task in tasks])
-    except Exception:  # noqa: BLE001 — the cell's own run surfaces errors
-        return 0
-
-
 def _group_instance(
-    tasks: tuple[RunTask, ...], draws: Draws, preprice: bool
-) -> tuple[Benchmark | None, Exception | None, int]:
+    tasks: tuple[RunTask, ...], draws: Draws
+) -> tuple[Benchmark | None, Exception | None]:
     """Build a version group's shared instance on its family's record.
 
-    Returns ``(instance, None, prepriced)``, or ``(None, exc, 0)`` when
-    ``setup`` raised: the group's cells then report ``exc`` as crashes.
-    With ``preprice`` on, the group's CPU timings are batch-priced
-    (:func:`_preprice_group`) before any cell runs.
+    Returns ``(instance, None)``, or ``(None, exc)`` when ``setup``
+    raised: the group's cells then report ``exc`` as crashes.
     """
     first = tasks[0]
     try:
@@ -285,8 +263,8 @@ def _group_instance(
             draws=draws,
         )
     except Exception as exc:  # noqa: BLE001 — setup crash capture
-        return None, exc, 0
-    return bench, None, _preprice_group(bench, tasks) if preprice else 0
+        return None, exc
+    return bench, None
 
 
 def _safe_run(bench: Benchmark, task: RunTask) -> RunResult:
@@ -312,8 +290,7 @@ def _safe_run(bench: Benchmark, task: RunTask) -> RunResult:
 
 def _execute_family(
     groups: tuple[tuple[RunTask, ...], ...],
-    preprice: bool = True,
-) -> tuple[tuple[tuple[RunResult, dict], ...], dict, int]:
+) -> tuple[tuple[tuple[RunResult, dict], ...], dict]:
     """Pool entry for one benchmark *family* (all its pending groups).
 
     Cache-affinity scheduling: every pending (precision) version-group
@@ -326,9 +303,7 @@ def _execute_family(
     like the classic serial loop, and the groups share one
     :class:`~repro.benchmarks.base.Draws` record, so each input is drawn
     once for all the family's precisions.  One group's instance is alive
-    at a time.  With ``preprice`` on, each group's
-    Serial/OpenMP timings are batch-priced into the ``cpu_timing`` memo
-    (one vectorized pass) before its cells dispatch.
+    at a time.
 
     Fault isolation: a cell whose execution raises — including a
     failing benchmark ``setup`` — becomes a crashed :class:`RunResult`
@@ -337,18 +312,15 @@ def _execute_family(
 
     Returns each group's ``(run, per-run perf delta)`` pairs plus the
     family-level perf delta (which also covers setup/verification work
-    outside the per-run windows) and the number of prepriced timings,
-    so the parent can fold worker cache activity into
-    :attr:`CampaignReport.perf` and the trace.
+    outside the per-run windows), so the parent can fold worker cache
+    activity into :attr:`CampaignReport.perf` and the trace.
     """
     family_before = perf.counters()
     out: list[tuple[tuple[RunResult, dict], ...]] = []
-    prepriced = 0
     draws = Draws(groups[0][0].seed, readers=len(groups))
     for tasks in groups:
         bench = None  # the previous group's instance goes before the next set-up
-        bench, bench_exc, seeded = _group_instance(tasks, draws, preprice)
-        prepriced += seeded
+        bench, bench_exc = _group_instance(tasks, draws)
         runs: list[tuple[RunResult, dict]] = []
         for task in tasks:
             before = perf.counters()
@@ -359,10 +331,10 @@ def _execute_family(
             runs.append((run, perf.counters_delta(before, perf.counters())))
         out.append(tuple(runs))
     family_delta = perf.counters_delta(family_before, perf.counters())
-    return tuple(out), family_delta, prepriced
+    return tuple(out), family_delta
 
 
-def _probe_locally(campaign: "Campaign", task: RunTask, preprice: bool) -> tuple:
+def _probe_locally(campaign: "Campaign", task: RunTask) -> tuple:
     """Run one task alone on a dedicated one-worker pool.
 
     Budgeted by ``cell_timeout_s``: an overrun kills the probe worker
@@ -371,7 +343,7 @@ def _probe_locally(campaign: "Campaign", task: RunTask, preprice: bool) -> tuple
     """
     probe = campaign._new_pool(1)
     try:
-        future = probe.submit(_execute_family, ((task,),), preprice)
+        future = probe.submit(_execute_family, ((task,),))
         try:
             return future.result(timeout=campaign.cell_timeout_s)
         except FuturesTimeout:
@@ -404,12 +376,12 @@ class _LocalPool:
         armed = campaign.cell_timeout_s is not None or campaign._deadline_at is not None
         self.poll_s = 0.05 if armed else None
 
-    def submit(self, payload: tuple, preprice: bool) -> Future:
+    def submit(self, payload: tuple) -> Future:
         try:
-            future = self._pool.submit(_execute_family, payload, preprice)
+            future = self._pool.submit(_execute_family, payload)
         except BrokenExecutor as exc:  # died between batches
             self._rebuild(exc)
-            future = self._pool.submit(_execute_family, payload, preprice)
+            future = self._pool.submit(_execute_family, payload)
         budget = self._campaign.cell_timeout_s
         if budget is not None:
             # a chunk's budget scales with its task count — only once
@@ -443,8 +415,8 @@ class _LocalPool:
         self._expired.discard(future)
         return expired
 
-    def probe(self, task: RunTask, preprice: bool) -> tuple:
-        return _probe_locally(self._campaign, task, preprice)
+    def probe(self, task: RunTask) -> tuple:
+        return _probe_locally(self._campaign, task)
 
     @staticmethod
     def exhausted() -> bool:
@@ -632,10 +604,6 @@ class CampaignReport:
     #: tiers that degraded during the run (``"run_cache: ..."`` /
     #: ``"remote_workers: ..."`` reason strings)
     degraded: tuple[str, ...] = ()
-    #: CPU timings batch-priced into the memo ahead of dispatch
-    prepriced: int = 0
-    #: whether group pre-pricing was enabled for this run
-    preprice: bool = True
 
     @property
     def hit_rate(self) -> float:
@@ -654,10 +622,6 @@ class CampaignReport:
         ]
         if self.replayed:
             lines.append(f"  resumed: {self.replayed} cells replayed from the journal")
-        lines.append(
-            f"  preprice={'on' if self.preprice else 'off'}"
-            f" ({self.prepriced} timings seeded ahead of dispatch)"
-        )
         if self.crashed_runs or self.retries or self.pool_restarts or self.timeout_runs:
             lines.append(
                 f"  recovery: {len(self.crashed_runs)} crashed, "
@@ -732,13 +696,6 @@ class Campaign:
     the time source both budgets and the retry backoff read (tests use
     a fake to avoid wall-sleeping).
 
-    ``preprice`` (default on) batch-prices each version group's
-    Serial/OpenMP timings through the platform's batched pricing models
-    (``platform.pricing_model()``) before its cells dispatch, seeding
-    the ``cpu_timing`` memo in one vectorized pass.  The seeded rows are
-    bitwise what the per-cell path computes, so results are identical
-    with pre-pricing on or off.
-
     Usage::
 
         spec = CampaignSpec(scale=0.5)
@@ -766,7 +723,6 @@ class Campaign:
         cell_timeout_s: float | None = None,
         deadline_s: float | None = None,
         clock: Clock | None = None,
-        preprice: bool = True,
         workers: Sequence[str] | None = None,
     ) -> None:
         if retries < 0:
@@ -802,7 +758,6 @@ class Campaign:
         self.cell_timeout_s = cell_timeout_s
         self.deadline_s = deadline_s
         self.clock = clock or Clock()
-        self.preprice = preprice
         self.workers: tuple[str, ...] = tuple(workers) if workers else ()
         #: journal directory attached by :meth:`resume` (``run`` may
         #: also receive one directly via ``journal_dir=``)
@@ -816,7 +771,6 @@ class Campaign:
         self._replayed = 0
         self._retries = 0
         self._pool_restarts = 0
-        self._prepriced = 0
         self._degraded_traced: set[str] = set()
         self._dispatched: set[tuple] = set()
         self._remote_degraded_reason: str | None = None
@@ -897,7 +851,6 @@ class Campaign:
             "jobs": jobs,
             "cache": str(self.cache.root) if self.cache else "off",
             "retries": self.retries,
-            "preprice": self.preprice,
         }
         if journal is not None:
             detail["journal"] = str(journal.root)
@@ -915,7 +868,6 @@ class Campaign:
         self._replayed = 0
         self._retries = 0
         self._pool_restarts = 0
-        self._prepriced = 0
         self._degraded_traced: set[str] = set()
         self._dispatched = set()
         self._remote_degraded_reason = None
@@ -942,7 +894,6 @@ class Campaign:
                     "replayed": self.report.replayed,
                     "retries": self.report.retries,
                     "pool_restarts": self.report.pool_restarts,
-                    "prepriced": self.report.prepriced,
                     "wall_s": round(self.report.wall_s, 3),
                     "perf": self.report.perf,
                 },
@@ -1022,8 +973,6 @@ class Campaign:
             timeout_runs=tuple(t.cell for t in completed if results[t.cell].timed_out),
             replayed=self._replayed,
             degraded=self._degraded_tiers(),
-            prepriced=self._prepriced,
-            preprice=self.preprice,
         )
 
     def _degraded_tiers(self) -> tuple[str, ...]:
@@ -1203,10 +1152,7 @@ class Campaign:
                     self._check_deadline()
                     self._dispatch(task, tracer)
                     if i == 0:
-                        bench, bench_exc, seeded = _group_instance(
-                            tuple(t for t, _ in group), draws, self.preprice
-                        )
-                        self._prepriced += seeded
+                        bench, bench_exc = _group_instance(tuple(t for t, _ in group), draws)
                     before = perf.counters()
                     if bench is not None:
                         run = self._guarded_run(bench, task)
@@ -1345,10 +1291,10 @@ class Campaign:
     def _run_chunks(self, executor, queue: deque, tracer: Tracer, results: dict) -> deque:
         """The recovery loop over a :class:`_LocalPool` or a
         :class:`~repro.experiments.remote.RemoteWorkerPool`, which offer:
-        ``submit(payload, preprice) -> Future`` (of :func:`_execute_family`'s
+        ``submit(payload) -> Future`` (of :func:`_execute_family`'s
         return), ``settle(future) -> bool`` (did that chunk overrun its
         budget), ``drain(tracer)`` (enforce budgets, emit queued events),
-        ``probe(task, preprice)`` (one isolated run), ``exhausted()``,
+        ``probe(task)`` (one isolated run), ``exhausted()``,
         ``poll_s`` (the wait timeout; ``None`` blocks) and ``close()``.
 
         Each turn checks the deadline, submits queued chunks, waits for
@@ -1364,7 +1310,7 @@ class Campaign:
             while queue and not executor.exhausted():
                 chunk = queue.popleft()
                 payload = tuple(tuple(t for t, _ in group) for group in chunk)
-                futures[executor.submit(payload, self.preprice)] = chunk
+                futures[executor.submit(payload)] = chunk
             done, _ = wait(futures, timeout=executor.poll_s, return_when=FIRST_COMPLETED)
             executor.drain(tracer)
             for future in done:
@@ -1405,13 +1351,11 @@ class Campaign:
         chunk,
         group_runs: tuple,
         family_delta: dict,
-        prepriced: int,
         tracer: Tracer,
         results: dict[tuple, RunResult],
     ) -> None:
         """Record the runs of one chunk executed out of process."""
         self._worker_deltas.append(family_delta)
-        self._prepriced += prepriced
         for group, runs in zip(chunk, group_runs):
             for (task, key), (run, delta) in zip(group, runs):
                 self._finish(task, key, run, results, tracer, perf_delta=delta)
@@ -1534,9 +1478,9 @@ class Campaign:
         timeout result."""
         try:
             try:
-                outcome = executor.probe(task, self.preprice)
+                outcome = executor.probe(task)
             except PoolExhausted:
-                outcome = _probe_locally(self, task, self.preprice)
+                outcome = _probe_locally(self, task)
         except FuturesTimeout:
             run = self._timeout_result(task)
         except Exception as exc:  # noqa: BLE001 — the verdict

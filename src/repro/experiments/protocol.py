@@ -49,7 +49,7 @@ from ..errors import ReproError
 from . import faults
 
 #: bump when the frame layout or message vocabulary changes
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: frame header: kind byte, payload length, payload CRC32
 _HEADER = struct.Struct("!cII")

@@ -148,7 +148,7 @@ def _groups_from_wire(groups: list) -> tuple:
     )
 
 
-def _result_to_wire(group_runs: tuple, family_delta: dict, prepriced: int) -> dict:
+def _result_to_wire(group_runs: tuple, family_delta: dict) -> dict:
     """``_execute_family``'s return as run rows; only crashes carry a
     traceback."""
     from .runner import run_to_row
@@ -162,7 +162,6 @@ def _result_to_wire(group_runs: tuple, family_delta: dict, prepriced: int) -> di
     return {
         "groups": [[_row(run, delta) for run, delta in runs] for runs in group_runs],
         "perf": family_delta,
-        "prepriced": prepriced,
     }
 
 
@@ -190,7 +189,7 @@ def _result_from_wire(message: dict, groups: tuple) -> tuple:
                 run.diagnostics["traceback"] = str(row["traceback"])
             runs.append((run, _perf_from_wire(row["perf"])))
         out.append(tuple(runs))
-    return tuple(out), _perf_from_wire(message["perf"]), int(message["prepriced"])
+    return tuple(out), _perf_from_wire(message["perf"])
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +278,7 @@ class WorkerServer:
         from .engine import _execute_family
 
         try:
-            job_id, preprice = message["id"], bool(message["preprice"])
+            job_id = message["id"]
             groups = _groups_from_wire(message["groups"])
             if not isinstance(job_id, int):
                 raise TypeError(f"chunk id {job_id!r} is not an integer")
@@ -289,7 +288,7 @@ class WorkerServer:
 
         def _work() -> None:
             try:
-                box["value"] = _result_to_wire(*_execute_family(groups, preprice))
+                box["value"] = _result_to_wire(*_execute_family(groups))
             except BaseException as exc:  # noqa: BLE001 — shipped, not raised
                 box["error"] = f"{type(exc).__name__}: {exc}"
 
@@ -337,12 +336,11 @@ def serve_worker(
 class _Job:
     """One queued chunk: payload, its family, and the engine's future."""
 
-    __slots__ = ("id", "payload", "preprice", "family", "n_tasks", "future")
+    __slots__ = ("id", "payload", "family", "n_tasks", "future")
 
-    def __init__(self, job_id: int, payload: tuple, preprice: bool) -> None:
+    def __init__(self, job_id: int, payload: tuple) -> None:
         self.id = job_id
         self.payload = payload
-        self.preprice = preprice
         self.family = payload[0][0].benchmark
         self.n_tasks = sum(len(group) for group in payload)
         self.future: Future = Future()
@@ -438,10 +436,10 @@ class RemoteWorkerPool:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def submit(self, payload: tuple, preprice: bool) -> Future:
+    def submit(self, payload: tuple) -> Future:
         """Queue one chunk; its future resolves with the family rows or
         fails with :class:`WorkerLost` / :class:`PoolExhausted`."""
-        job = _Job(next(self._ids), payload, preprice)
+        job = _Job(next(self._ids), payload)
         with self._cond:
             if self._closed or self.exhausted():
                 job.future.set_exception(
@@ -457,14 +455,14 @@ class RemoteWorkerPool:
         exc = future.exception()
         return isinstance(exc, WorkerLost) and exc.timed_out
 
-    def probe(self, task, preprice: bool) -> tuple:
+    def probe(self, task) -> tuple:
         """Run one task alone on a live worker and wait for its rows.
 
         An overrun raises ``concurrent.futures.TimeoutError``, as the
         local probe pool does; a lost link raises :class:`WorkerLost`.
         """
         try:
-            return self.submit(((task,),), preprice).result()
+            return self.submit(((task,),)).result()
         except WorkerLost as exc:
             if exc.timed_out:
                 raise FuturesTimeout(str(exc)) from exc
@@ -701,7 +699,6 @@ class _WorkerLink(threading.Thread):
                     "kind": "chunk",
                     "id": job.id,
                     "groups": _groups_to_wire(job.payload),
-                    "preprice": job.preprice,
                 },
                 endpoint="coordinator",
             )

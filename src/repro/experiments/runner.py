@@ -266,7 +266,6 @@ def run_grid(
     journal_dir: str | None = None,
     cell_timeout_s: float | None = None,
     deadline_s: float | None = None,
-    preprice: bool = True,
     governors: Iterable[str] | None = None,
     energy_deadline_s: float | None = None,
     workers: Iterable[str] | None = None,
@@ -287,9 +286,6 @@ def run_grid(
     ``journal_dir`` attaches the durable checkpoint journal (a killed
     campaign resumes via ``Campaign.resume`` / ``repro resume``);
     ``cell_timeout_s`` / ``deadline_s`` arm the deadline watchdog.
-    ``preprice`` batch-prices each version group's CPU timings before
-    dispatch (bitwise-identical results either way; see
-    :class:`~repro.experiments.engine.Campaign`).
     ``workers`` distributes execution across remote ``repro worker``
     processes (``("host:port", ...)``); results stay byte-identical to
     local runs and losing every worker degrades back to local
@@ -318,7 +314,6 @@ def run_grid(
         retry_backoff_s=retry_backoff_s,
         cell_timeout_s=cell_timeout_s,
         deadline_s=deadline_s,
-        preprice=preprice,
         workers=tuple(workers) if workers is not None else None,
     )
     return campaign.run(jobs=jobs, journal_dir=journal_dir)

@@ -19,14 +19,13 @@ leaks past the overlap (threads cannot always cover both).
 The formula exists once, as the array epilogue of
 :class:`GpuConfigStack`: one float64 lane per launch.  Design-space
 sweeps evaluate it for thousands of lanes over a block of SoC configs
-at once (:meth:`GpuConfigStack.block_rows`); every other entry point
-is a view that builds a stack over its own launches and reads the
-lanes back as
-:class:`GpuLaunchTiming` rows — :func:`time_launch` and
-:class:`LaunchPricer` one lane at a time, :class:`GpuPricingModel` k
-lanes per call.  The config-invariant inputs (the instruction-mix
-slice, the DRAM traffic) come from per-kernel and per-stream-mix
-tables shared by all of them and by :func:`roofline_floor_seconds`.
+at once (:meth:`GpuConfigStack.block_rows`).  A run's launches are
+priced one lane at a time by :meth:`LaunchPricer.price`, the one
+launch entry (:func:`time_launch` is a throwaway pricer), which reads
+the lane back as a :class:`GpuLaunchTiming` row.  The config-invariant
+inputs (the instruction-mix slice, the DRAM traffic) come from
+per-kernel and per-stream-mix tables shared by all of them and by
+:func:`roofline_floor_seconds`.
 """
 
 from __future__ import annotations
@@ -149,7 +148,7 @@ class _HashedKey:
 
     The ``gpu_timing`` memo keys embed deeply nested frozen dataclasses
     (compiled kernel, traits, configs); hashing them from scratch on
-    every table lookup dominates the batched cold path.  This wrapper is
+    every table lookup dominates a tuner sweep's pricing.  This wrapper is
     transparent in equality and ``repr`` — keys assembled from wrapped
     parts occupy the same memo slots as the historical raw tuples — but
     the hash is computed once, at pricer construction.
@@ -406,9 +405,9 @@ class LaunchPricer:
     register file (``CL_OUT_OF_RESOURCES`` at construction otherwise).
     Each memo miss is a one-lane :class:`GpuConfigStack` view; the
     mix slices and traffic tables behind it are shared per kernel and
-    per stream mix, so only the epilogue runs per candidate.  Pricers,
-    :func:`time_launch` and :class:`GpuPricingModel` feed the same
-    ``gpu_timing`` memo slots.
+    per stream mix, so only the epilogue runs per candidate.  Every
+    pricer of one launch, :func:`time_launch`'s throwaway one included,
+    feeds the same ``gpu_timing`` memo slot.
     """
 
     def __init__(
@@ -433,7 +432,7 @@ class LaunchPricer:
         # fixed parts yields keys equal to time_launch's historical ones
         # (same memo slots).  ``fixed`` lets
         # :class:`GpuPricingModel` inject hash-cached parts, sharing the
-        # platform-level ones across every kernel group of a grid;
+        # platform-level ones across every kernel it prices;
         # wrapped and raw parts are equal and hash alike, so both forms
         # address the same memo slots.
         if fixed is None:
@@ -508,13 +507,15 @@ def roofline_floor_seconds(
 
 
 class GpuPricingModel:
-    """Batched :class:`~repro.pricing.PricingModel` over GPU launch cells.
+    """The launch pricers of one platform facade.
 
-    Holds one :class:`LaunchPricer` per (compiled kernel, traits,
-    concurrent agents) group for the memo keys; ``price`` answers every
-    memo hit per cell and prices all misses as the k lanes of one
-    :class:`GpuConfigStack`.  Pricers persist across calls so the tuner
-    and the campaign cold path share hashed key parts and memo slots.
+    Hands out one :class:`LaunchPricer` per (compiled kernel, traits,
+    concurrent agents) and hashes the platform's memo-key parts once
+    for all of them.  It lives as long as its facade, and
+    ``platform.pricing_model()`` builds a fresh facade on every call,
+    so pricers are shared within one caller (one
+    :meth:`~repro.benchmarks.base.Benchmark.iteration_pricer`), not
+    across calls; the memo slots behind them are process-wide.
     """
 
     def __init__(self, config: MaliConfig, dram: DramModel, caches: CacheHierarchy):
@@ -522,10 +523,10 @@ class GpuPricingModel:
         self.dram = dram
         self.caches = caches
         self._pricers: dict[tuple[int, int, int], LaunchPricer] = {}
-        # platform-level memo-key parts, hashed once for the whole grid
+        # platform-level memo-key parts, hashed once per facade
         self._platform_fixed: tuple | None = None
-        # traits interning: cells built from distinct-but-equal traits
-        # objects (one per grid row) collapse onto one canonical instance
+        # traits interning: distinct-but-equal traits objects collapse
+        # onto one canonical instance
         # so they share a pricer and its hashed key parts.  Each id()
         # entry holds the object it was keyed by, so that id() cannot be
         # recycled for another traits value while the entry exists.
@@ -575,35 +576,6 @@ class GpuPricingModel:
                 fixed=self._fixed_for(compiled, traits),
             )
         return found
-
-    def price(self, cells) -> tuple[GpuLaunchTiming, ...]:
-        """Timings for each :class:`~repro.pricing.GpuLaunchCell`."""
-        cells = tuple(cells)
-        if not cells:
-            return ()
-        pricers = [self.pricer(c.compiled, c.traits, c.concurrent_agents) for c in cells]
-        # built (and validated) before any memo traffic, so a bad cell
-        # raises here instead of being cached under another cell's key
-        stack = GpuConfigStack(cells, self.config, self.dram, self.caches)
-        fresh: list[GpuLaunchTiming] = []
-
-        def lane(i: int) -> GpuLaunchTiming:
-            if not fresh:
-                fresh.extend(stack.timings())
-            return fresh[i]
-
-        return tuple(
-            pricer._memo.get_or_compute(
-                pricer.key(cell.n_items, cell.local_size), lambda i=i: lane(i)
-            )
-            for i, (pricer, cell) in enumerate(zip(pricers, cells))
-        )
-
-    def price_one(self, cell) -> GpuLaunchTiming:
-        """Single-cell convenience (same memo slots as the batch path)."""
-        return self.pricer(cell.compiled, cell.traits, cell.concurrent_agents).price(
-            cell.n_items, cell.local_size
-        )
 
 
 # ---------------------------------------------------------------------------

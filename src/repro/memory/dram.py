@@ -99,28 +99,3 @@ class DramModel:
         """Diagnostic: achieved bandwidth / theoretical peak."""
         bw = self.effective_bandwidth(agent, bytes_by_pattern=bytes_by_pattern)
         return bw / self.config.peak_bandwidth
-
-
-class DramPricingModel:
-    """:class:`~repro.pricing.PricingModel` over transfer cells.
-
-    Transfers are priced one cell at a time through
-    :meth:`DramModel.transfer_seconds`, the formula every production
-    path calls; no campaign or sweep prices transfers in bulk, so the
-    layer keeps no array copy of it.
-    """
-
-    def __init__(self, model: DramModel):
-        self.model = model
-
-    def price(self, cells) -> tuple[float, ...]:
-        """Transfer seconds for each :class:`~repro.pricing.TransferCell`."""
-        return tuple(self.price_one(cell) for cell in cells)
-
-    def price_one(self, cell) -> float:
-        """One cell through ``transfer_seconds``."""
-        return self.model.transfer_seconds(
-            cell.agent,
-            bytes_by_pattern=dict(cell.bytes_by_pattern),
-            concurrent_agents=cell.concurrent_agents,
-        )

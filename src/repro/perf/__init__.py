@@ -31,9 +31,8 @@ have produced.  The whole lane can be switched off
 context manager): every lookup then computes afresh through the same
 code, with no table or counter traffic — switching the memo off changes
 how often a value is computed, never how.  Both settings produce
-byte-identical
-:class:`~repro.experiments.runner.ResultSet` JSON, which
-``benchmarks/test_perf_hotpath.py`` asserts at paper scale.
+byte-identical :class:`~repro.experiments.runner.ResultSet` JSON
+(``tests/unit/test_perf_cache.py`` runs the SP+DP grid both ways).
 """
 
 from __future__ import annotations
@@ -213,15 +212,6 @@ class MemoCache:
             raise
         self.put(key, value)
         return value
-
-    def seed(self, key: Any, value: Any) -> bool:
-        """Enter a value computed elsewhere exactly as a fresh compute
-        would (same counters); ``False``, storing nothing, when the lane
-        is disabled."""
-        if not _ENABLED:
-            return False
-        self.get_or_compute(key, lambda: value)
-        return True
 
     def clear(self) -> None:
         """Drop every entry and zero the counters."""

@@ -88,26 +88,3 @@ class BoardPowerModel:
         if not segments:
             raise ValueError("no non-empty activity segments")
         return PowerTrace(segments)
-
-
-class PowerPricingModel:
-    """:class:`~repro.pricing.PricingModel` over trace cells.
-
-    Traces are priced one cell at a time through
-    :meth:`BoardPowerModel.trace` (the rail chain of
-    :meth:`~repro.power.rails.PowerRailConfig.power`), the path every
-    run takes; design-space sweeps price rails as arrays through
-    :func:`~repro.power.rails.stack_watts` instead.
-    """
-
-    def __init__(self, model: BoardPowerModel):
-        self.model = model
-        self.rails = model.rails
-
-    def price(self, cells) -> tuple[PowerTrace, ...]:
-        """Traces for each :class:`~repro.pricing.TraceCell`."""
-        return tuple(self.price_one(cell) for cell in cells)
-
-    def price_one(self, cell) -> PowerTrace:
-        """One cell through ``BoardPowerModel.trace``."""
-        return self.model.trace(list(cell.activities))

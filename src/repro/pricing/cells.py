@@ -1,21 +1,19 @@
-"""Cell types of the batched pricing surface.
+"""Cell types of the pricing entry points.
 
-A *cell* is one unit of model-evaluation work a campaign plans: one GPU
-launch to time, one CPU (Serial/OpenMP) iteration to time, one DRAM byte
-mix to move, or one activity sequence to turn into a power trace.  Cells
-are plain frozen descriptions — no model state — so a planner can build
-thousands of them, hand the whole list to a
-:class:`~repro.pricing.PricingModel`, and get the rows back in order.
+A *cell* is one unit of model-evaluation work: one GPU launch to time,
+or one CPU (Serial/OpenMP) iteration to time.  Cells are plain frozen
+descriptions — no model state — so a design-space sweep can stack
+thousands of them as the lanes of one config-axis stack
+(:class:`~repro.mali.timing.GpuConfigStack`,
+:class:`~repro.cpu.pricing.CpuConfigStack`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..compiler.pipeline import CompiledKernel
 from ..ir.analysis import InstructionMix
-from ..ir.nodes import AccessPattern
-from ..power.rails import Activity
 from ..workload import WorkloadTraits
 
 #: ``CpuCell.mode`` values
@@ -46,24 +44,3 @@ class CpuCell:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_SERIAL, MODE_OPENMP):
             raise ValueError(f"unknown CPU pricing mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class TransferCell:
-    """One DRAM byte mix to move from one agent.
-
-    ``bytes_by_pattern`` iteration order is significant: the batched
-    model accumulates its columns in this order to stay bitwise-identical
-    to ``DramModel.transfer_seconds``.
-    """
-
-    agent: str
-    bytes_by_pattern: dict[AccessPattern, float] = field(compare=False)
-    concurrent_agents: int = 1
-
-
-@dataclass(frozen=True)
-class TraceCell:
-    """One activity sequence to turn into a board power trace."""
-
-    activities: tuple[Activity, ...]

@@ -131,16 +131,16 @@ def estimate_speedups(
 ) -> dict[str, float | None]:
     """Model-only Opt-over-Serial speedup per platform variant.
 
-    The batched counterpart of :func:`compare_platforms`: every number
+    The model-only counterpart of :func:`compare_platforms`: every number
     comes from ``platform.pricing_model()`` — tuner pricing for the Opt
-    candidate, the CPU pricer for the Serial baseline — with no
+    candidate, the CPU cell timing for the Serial baseline — with no
     functional NumPy execution and no meter.  ``None`` marks a variant
     where no Opt candidate is feasible (the paper's missing DP bars).
     The Serial baseline is taken from the first platform, exactly like
     :func:`compare_platforms`.
 
     Thin wrapper over :func:`repro.designspace.opt_over_serial`, the one
-    batched-pricing path shared with the sensitivity probes.
+    model-only path shared with the sensitivity probes.
     """
     from .designspace import opt_over_serial
 

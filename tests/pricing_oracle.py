@@ -24,7 +24,7 @@ the reference bit for bit (full dataclass ``==``, never ``approx``).
   derived platform;
 * :func:`skyline_reference` / :func:`frontier_reference` — the O(n²)
   all-pairs Pareto scans :func:`repro.pareto.skyline` replaced;
-* :func:`scalar_pricing` — patches every launch and CPU pricing entry a
+* :func:`scalar_pricing` — patches the launch and CPU pricing entries a
   campaign or tuner reaches onto the references, memo off.
 """
 
@@ -43,7 +43,6 @@ from repro.benchmarks.base import Fill, Precision
 from repro.benchmarks.registry import create
 from repro.compiler.pipeline import compile_kernel
 from repro.compiler.regalloc import fits_register_file, threads_for_scale
-from repro.cpu.pricing import CpuPricingModel
 from repro.cpu.serial import CpuTiming
 from repro.errors import CLOutOfResources
 from repro.ir.dtypes import DType, scalar_bits
@@ -51,11 +50,12 @@ from repro.ir.nodes import AccessPattern, MemSpace
 from repro.mali import timing
 from repro.mali.job_manager import distribute
 from repro.mali.occupancy import derive_occupancy
-from repro.mali.timing import GpuLaunchTiming, GpuPricingModel, LaunchPricer
+from repro.mali.timing import GpuLaunchTiming, LaunchPricer
 from repro.ocl.driver import default_quirks, driver_local_size, fill_activity
 from repro.pareto import point_key, strictly_dominates
 from repro.power.rails import Activity, ActivityKind
-from repro.pricing.cells import MODE_SERIAL, TraceCell
+from repro.pricing.cells import MODE_SERIAL
+from repro.pricing.grid import PlatformPricing
 
 _IRREGULAR = (AccessPattern.STRIDED, AccessPattern.GATHER, AccessPattern.ATOMIC)
 
@@ -428,10 +428,11 @@ def facade_rows(space, config):
     platform = config.platform(space.base)
     pricing = platform.pricing_model()
     dram = pricing.dram_model
+    board = platform.power_model()
     rf_scale = platform.mali.register_file_scale
 
     def watts(activity):
-        return pricing.power.price_one(TraceCell((activity,))).segments[0].watts
+        return board.trace([activity]).segments[0].watts
 
     launches = {}
 
@@ -491,18 +492,16 @@ def facade_rows(space, config):
         for cell in space.cpu_cells
     ]
     cpu_traces = [
-        pricing.power.price_one(
-            TraceCell(
-                (
-                    Activity(
-                        kind=ActivityKind.CPU,
-                        duration_s=r.seconds,
-                        active_cpu_cores=r.active_cores,
-                        cpu_ipc=r.ipc,
-                        dram_bandwidth=r.dram_bandwidth,
-                    ),
+        board.trace(
+            [
+                Activity(
+                    kind=ActivityKind.CPU,
+                    duration_s=r.seconds,
+                    active_cpu_cores=r.active_cores,
+                    cpu_ipc=r.ipc,
+                    dram_bandwidth=r.dram_bandwidth,
                 )
-            )
+            ]
         )
         for r in cpu_rows
     ]
@@ -608,11 +607,7 @@ def frontier_reference(points) -> tuple:
 
 
 def _scalar_cpu_one(self, cell):
-    return time_cpu_reference(cell, self.config, self.dram, self.caches)
-
-
-def _scalar_cpu(self, cells):
-    return tuple(_scalar_cpu_one(self, cell) for cell in cells)
+    return time_cpu_reference(cell, self.platform.cpu, self.dram_model, self.cpu_caches)
 
 
 def _scalar_launch(self, n_items, local_size):
@@ -622,30 +617,17 @@ def _scalar_launch(self, n_items, local_size):
     )
 
 
-def _scalar_gpu_one(self, cell):
-    return time_launch_reference(
-        cell.compiled, cell.n_items, cell.local_size, cell.traits, self.config,
-        self.dram, self.caches, cell.concurrent_agents,
-    )
-
-
-def _scalar_gpu(self, cells):
-    return tuple(_scalar_gpu_one(self, cell) for cell in cells)
-
-
 @contextmanager
 def scalar_pricing():
     """Every launch and CPU evaluation through the references, no caches.
 
-    Covers what a campaign and the tuner reach in-process:
+    Covers the pricing entries a campaign and the tuner reach in-process:
     ``LaunchPricer.price`` (``time_launch``, the tuner's pricers),
-    ``GpuPricingModel``, ``CpuPricingModel`` and the pruning floor.
+    ``PlatformPricing.price_one`` (every CPU cell, through
+    ``cpu_region_timing``) and the pruning floor.
     """
     with perf.disabled(), \
             mock.patch.object(LaunchPricer, "price", _scalar_launch), \
-            mock.patch.object(GpuPricingModel, "price_one", _scalar_gpu_one), \
-            mock.patch.object(GpuPricingModel, "price", _scalar_gpu), \
             mock.patch.object(timing, "roofline_floor_seconds", roofline_floor_reference), \
-            mock.patch.object(CpuPricingModel, "price_one", _scalar_cpu_one), \
-            mock.patch.object(CpuPricingModel, "price", _scalar_cpu):
+            mock.patch.object(PlatformPricing, "price_one", _scalar_cpu_one):
         yield

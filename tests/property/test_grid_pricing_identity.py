@@ -1,17 +1,17 @@
-"""Campaign-level identity: batched pricing never changes a result byte.
+"""Campaign-level identity: the pricing stacks never change a result byte.
 
-The tentpole guarantee of the batched cold path is that an entire
-campaign — full SP+DP grid, every version, tuner options included —
-serializes to exactly the same ``ResultSet.to_json()`` bytes whether
-cells are priced through the vectorized ``repro.pricing`` models or
-through the scalar reference implementations cell by cell, and whether
-the engine runs in-process or on a worker pool.
+An entire campaign — full SP+DP grid, every version, tuner options
+included — serializes to exactly the same ``ResultSet.to_json()`` bytes
+whether cells are priced through the config-axis stacks of
+``repro.pricing`` or through the scalar reference implementations cell
+by cell, and whether the engine runs in-process or on a worker pool.
 
 The scalar world is forced by (a) ``perf.disabled()``, which bypasses
-every memo tier, and (b) patching every launch and CPU pricing entry
-the campaign reaches — ``LaunchPricer.price``, ``GpuPricingModel``,
-``CpuPricingModel`` and the tuner's ``roofline_floor_seconds`` — onto
-the independent scalar references of ``tests/pricing_oracle.py``.
+every memo tier, and (b) patching the launch and CPU pricing entries
+the campaign reaches — ``LaunchPricer.price``,
+``PlatformPricing.price_one`` and the tuner's
+``roofline_floor_seconds`` — onto the independent scalar references of
+``tests/pricing_oracle.py``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _grid_json(*, benchmarks=PAPER_ORDER, versions=tuple(Version),
     if scalar:
         with scalar_pricing():
             rs = run_grid(benchmarks, versions=versions, precisions=precisions,
-                          scale=scale, jobs=jobs, preprice=False)
+                          scale=scale, jobs=jobs)
     else:
         rs = run_grid(benchmarks, versions=versions, precisions=precisions,
                       scale=scale, jobs=jobs)
@@ -59,16 +59,6 @@ def test_full_grid_byte_identity_scalar_vs_batched():
     assert batched_inline == scalar
     batched_pool = _grid_json(jobs=4)
     assert batched_pool == scalar
-
-
-def test_preprice_off_is_still_identical():
-    perf.reset()
-    on = run_grid(("vecop", "hist"), precisions=BOTH_PRECISIONS, scale=0.1).to_json()
-    perf.reset()
-    off = run_grid(
-        ("vecop", "hist"), precisions=BOTH_PRECISIONS, scale=0.1, preprice=False
-    ).to_json()
-    assert on == off
 
 
 @given(

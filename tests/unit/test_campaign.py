@@ -422,7 +422,7 @@ class TestBoundedLifetime:
         groups = tuple(
             tuple(t for t in tasks if t.precision is p) for p in (Precision.SINGLE, Precision.DOUBLE)
         )
-        out, _, _ = _execute_family(groups, True)
+        out, _ = _execute_family(groups)
         assert all(run.ok for group in out for run, _ in group)
         assert len(seen) == len(tasks)
         for running, live in seen:

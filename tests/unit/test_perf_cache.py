@@ -199,13 +199,30 @@ def test_estimate_prices_from_cache_on_repeat():
 
 
 def test_run_grid_byte_identical_with_and_without_fast_lane():
-    kwargs = dict(benchmarks=("vecop", "red"), scale=0.05)
+    """The nine-benchmark SP+DP grid, memo on and off: same bytes, and
+    every cell that ran verified."""
+    kwargs = dict(precisions=(Precision.SINGLE, Precision.DOUBLE), scale=0.05)
     perf.reset()
-    fast = run_grid(**kwargs).to_json()
+    fast = run_grid(**kwargs)
     perf.reset()
     with perf.disabled():
         plain = run_grid(**kwargs).to_json()
-    assert fast == plain
+    assert fast.to_json() == plain
+    assert all(run.verified for run in fast.results.values() if run.ok)
+
+
+def test_cold_campaign_prices_each_cpu_timing_once():
+    """Each Serial/OpenMP cell's timing is priced once, when the cell
+    runs: one ``cpu_timing`` miss per CPU cell and no hit."""
+    perf.reset()
+    spec = CampaignSpec(precisions=(Precision.SINGLE, Precision.DOUBLE), scale=0.05)
+    campaign = Campaign(spec)
+    campaign.run()
+    cpu_cells = sum(task.version in (Version.SERIAL, Version.OPENMP) for task in spec.tasks())
+    assert cpu_cells == 36
+    stats = campaign.report.perf["cpu_timing"]
+    assert stats["misses"] == cpu_cells
+    assert stats.get("hits", 0) == 0
 
 
 def test_campaign_report_carries_memo_counters():

@@ -1,10 +1,9 @@
-"""Unit surface of the ``repro.pricing`` redesign.
+"""Unit surface of ``repro.pricing``.
 
-Covers the ``PricingModel`` protocol conformance of every layer, the
-``PlatformPricing`` facade dispatch, the launch errors of every GPU
-pricing view, the GPU model's traits interning, the ``PerfConfig`` form of ``perf.configure``, the
-keyword-only signatures, campaign pre-pricing, and the model-only
-estimate helpers the what-if studies use.
+Covers the ``PlatformPricing`` facade, the launch errors of every GPU
+pricing view, the GPU model's traits interning, the ``PerfConfig`` form
+of ``perf.configure``, the keyword-only signatures, ``seed_cpu_timing``
+and the model-only estimate helpers the what-if studies use.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro import perf, whatif
 from repro.benchmarks.base import (
     Precision,
     Version,
-    cpu_pricing_inputs,
     run_version,
 )
 from repro.benchmarks.registry import create
@@ -28,18 +26,9 @@ from repro.compiler.options import NAIVE
 from repro.compiler.pipeline import compile_kernel
 from repro.errors import CLInvalidWorkGroupSize
 from repro.ir.analysis import OpKind
-from repro.mali.timing import LaunchPricer, time_launch
+from repro.mali.timing import GpuConfigStack, LaunchPricer, time_launch
 from repro.ir.nodes import AccessPattern
-from repro.power.rails import Activity, ActivityKind
-from repro.pricing import (
-    MODE_OPENMP,
-    MODE_SERIAL,
-    CpuCell,
-    GpuLaunchCell,
-    PricingModel,
-    TraceCell,
-    TransferCell,
-)
+from repro.pricing import GpuLaunchCell
 from repro.pricing.grid import (
     PlatformPricing,
     estimate_cpu_seconds,
@@ -59,42 +48,16 @@ def _fresh_perf():
 
 
 # ---------------------------------------------------------------------------
-# protocol + facade
+# the platform facade
 # ---------------------------------------------------------------------------
 
 
 class TestPricingProtocol:
-    def test_every_layer_implements_the_protocol(self):
-        pricing = default_platform().pricing_model()
-        for model in (pricing.gpu, pricing.cpu, pricing.dram, pricing.power, pricing):
-            assert isinstance(model, PricingModel)
-
     def test_platform_accessor_returns_fresh_facade(self):
         platform = default_platform()
         pricing = platform.pricing_model()
         assert isinstance(pricing, PlatformPricing)
         assert pricing.platform is platform
-
-    def test_facade_dispatches_heterogeneous_cells_in_order(self):
-        platform = default_platform()
-        pricing = platform.pricing_model()
-        bench = create("vecop", scale=0.1, platform=platform)
-        _, mix, traits, n = cpu_pricing_inputs(bench)
-        cells = [
-            TransferCell(agent="gpu", bytes_by_pattern={AccessPattern.UNIT: 1e6}),
-            CpuCell(mix=mix, mode=MODE_SERIAL, n_elements=n, traits=traits),
-            TraceCell(activities=(Activity(kind=ActivityKind.IDLE, duration_s=1.0),)),
-            CpuCell(mix=mix, mode=MODE_OPENMP, n_elements=n, traits=traits),
-        ]
-        rows = pricing.price(cells)
-        assert len(rows) == 4
-        for cell, row in zip(cells, rows):
-            assert row == pricing.price_one(cell)
-
-    def test_facade_rejects_non_cells(self):
-        pricing = default_platform().pricing_model()
-        with pytest.raises(TypeError):
-            pricing.price(["not a cell"])
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +77,11 @@ def test_gpu_views_reject_work_group_sizes_no_core_holds(local_size):
         time_launch(compiled, 1024, local_size, *args)
     with pytest.raises(CLInvalidWorkGroupSize):
         LaunchPricer(compiled, *args).price(1024, local_size)
+    with pytest.raises(CLInvalidWorkGroupSize):
+        pricing.gpu.pricer(compiled, traits).price(1024, local_size)
     cell = GpuLaunchCell(compiled=compiled, traits=traits, n_items=1024, local_size=local_size)
     with pytest.raises(CLInvalidWorkGroupSize):
-        pricing.gpu.price([cell])
+        GpuConfigStack((cell,), platform.mali, pricing.dram_model, pricing.gpu_caches)
 
 
 def test_gpu_model_prices_each_traits_object_as_its_own_value():
@@ -201,7 +166,7 @@ class TestKeywordOnlySignatures:
 
 
 # ---------------------------------------------------------------------------
-# campaign pre-pricing
+# seed_cpu_timing: CPU timings entered into the memo ahead of a run
 # ---------------------------------------------------------------------------
 
 

@@ -552,7 +552,7 @@ def _garbling_worker() -> socket.socket:
                     send_message(
                         conn,
                         {"kind": "result", "id": message["id"], "groups": [[{"run": {}}]],
-                         "perf": {}, "prepriced": 0},
+                         "perf": {}},
                     )
 
     threading.Thread(target=serve, daemon=True).start()
@@ -587,7 +587,7 @@ class TestHostilePeers:
         _serve(server)
         try:
             conn = _handshaken(server)
-            send_message(conn, {"kind": "chunk", "preprice": True, "groups": []})
+            send_message(conn, {"kind": "chunk", "groups": []})
             _assert_dropped(conn)
             campaign = Campaign(CampaignSpec(**GRID), workers=[server.address])
             out = campaign.run(jobs=1).to_json()
@@ -596,6 +596,27 @@ class TestHostilePeers:
         assert out == local_json
         assert campaign.report.degraded == ()
         assert server.chunks_served >= 1
+
+    @pytest.mark.timeout_guard(300)
+    def test_chunk_of_id_and_groups_is_answered_cell_for_cell(self):
+        """A chunk is its ``id`` and its task fields, nothing more: a live
+        worker runs it and answers every cell with an ``ok`` run."""
+        from repro.experiments.remote import _groups_to_wire, _result_from_wire
+
+        groups = (tuple(t for t in CampaignSpec(**GRID).tasks() if t.benchmark == "vecop"),)
+        server = WorkerServer()
+        _serve(server)
+        try:
+            with _handshaken(server) as conn:
+                send_message(conn, {"kind": "chunk", "id": 1, "groups": _groups_to_wire(groups)})
+                while (reply := recv_message(conn))["kind"] == "ping":
+                    pass
+        finally:
+            server.stop()
+        assert (reply["kind"], reply["id"]) == ("result", 1)
+        (runs,), _ = _result_from_wire(reply, groups)
+        assert len(runs) == 2
+        assert all(run.ok for run, _ in runs)
 
     @pytest.mark.timeout_guard(300)
     def test_malformed_result_is_a_lost_worker(self):
