@@ -286,6 +286,27 @@ class Draws:
         return array
 
 
+def matches(
+    result: np.ndarray,
+    want: np.ndarray,
+    *,
+    rtol: float = 0.0,
+    atol: float = 0.0,
+    exact: bool = False,
+) -> bool:
+    """Whether ``result`` equals ``want`` (``exact``) or lies within
+    ``allclose`` tolerance of it.
+
+    A result bit-equal to ``want`` passes before any tolerance test
+    runs: equal values lie within every tolerance and ``NaN`` never
+    compares equal, so the verdict is the one ``allclose`` alone would
+    give.
+    """
+    if np.array_equal(result, want):
+        return True
+    return not exact and bool(np.allclose(result, want, rtol=rtol, atol=atol))
+
+
 class Launch(NamedTuple):
     """One kernel launch of a timed iteration.
 
@@ -445,17 +466,11 @@ class Benchmark(abc.ABC):
     def _verify_against_reference(
         self, result: np.ndarray, *, rtol: float = 0.0, atol: float = 0.0, exact: bool = False
     ) -> bool:
-        """Shared verification against the memoized reference.
-
-        A result bit-equal to the reference passes before any tolerance
-        test runs: equal values lie within every tolerance and ``NaN``
-        never compares equal, so the verdict is the one ``allclose``
-        alone would give.
-        """
+        """Shared verification against the memoized reference: a result
+        of another shape fails (it is never broadcast), one of the
+        reference's shape is judged by :func:`matches`."""
         ref = self.reference()
-        if np.array_equal(result, ref):
-            return True
-        return not exact and bool(np.allclose(result, ref, rtol=rtol, atol=atol))
+        return result.shape == ref.shape and matches(result, ref, rtol=rtol, atol=atol, exact=exact)
 
     # ------------------------------------------------------------------
     # models (abstract)

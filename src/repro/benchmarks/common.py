@@ -12,9 +12,19 @@ buffer is fresh: ``gpu_result`` hands it back, and
 its read mapping.  So a kernel function must never write into an
 input: one that does raises, and its cell fails.  The memmap ablation
 bench exercises the slower flag combinations explicitly.
+
+The host numerics follow one memory rule, for the same reason: on a
+unified memory the cost lies in the bytes moved.  The only full-size
+arrays a cell allocates are its inputs, its output buffer and a
+memoized result.  Every other temporary works on :data:`BLOCK`
+elements at a time (see :func:`blocks`), so it stays in cache instead
+of faulting in fresh pages, and each float input is cast to the
+instance's dtype as soon as it is drawn.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -22,6 +32,16 @@ from ..ocl.buffer import Buffer
 from ..ocl.context import Context
 from ..ocl.enums import MapFlag, MemFlag
 from ..ocl.queue import CommandQueue
+
+#: elements in one piece of host scratch (``np.histogram`` bins in
+#: pieces of the same size); a constant, not a tuning knob
+BLOCK = 1 << 16
+
+
+def blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices covering ``range(n)``, each ``BLOCK`` long
+    (the last may be shorter)."""
+    return (slice(start, start + BLOCK) for start in range(0, n, BLOCK))
 
 
 def alloc_mapped(

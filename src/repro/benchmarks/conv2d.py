@@ -17,6 +17,11 @@ coefficient from memory (no ``const``/``restrict``, so the compiler
 cannot keep it in registers across the potentially-aliasing output
 store), and all loads are scalar — the LS pipe saturates long before
 the arithmetic pipes.
+
+The host convolution (:func:`correlate_same`) pads and taps one band of
+rows at a time, about :data:`~repro.benchmarks.common.BLOCK` pixels, and
+rounds each band straight into the instance's dtype: no padded image
+and no float64 copy of the output exist.
 """
 
 from __future__ import annotations
@@ -30,31 +35,45 @@ from .. import perf
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import SingleKernelMixin, alloc_mapped
+from .common import BLOCK, SingleKernelMixin, alloc_mapped
 
 
-def correlate_same(image: np.ndarray, filt: np.ndarray) -> np.ndarray:
+def correlate_same(image: np.ndarray, filt: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Zero-padded "same"-size correlation with an odd K×K filter.
 
     ``out[i, j] = Σ filt[u, v] · image[i + u - K//2, j + v - K//2]`` over
     the taps ``(u, v)``, reading zeros outside the image.  Evaluated as
-    K² shifted float64 multiply-adds over the padded image, accumulated
-    from the last tap back to the first: the order of a direct
-    convolution with the flipped filter, so the sums round exactly as
-    that convolution's do.
+    K² shifted float64 multiply-adds, accumulated from the last tap back
+    to the first: the order of a direct convolution with the flipped
+    filter, so the sums round exactly as that convolution's do.  Each
+    float64 sum is then rounded once to ``dtype``.
+
+    The image is padded and tapped one band of ``BLOCK // width`` rows
+    at a time, so the float64 scratch is a few bands, not images.
     """
     k = filt.shape[0]
     pad = k // 2
     h, w = image.shape
-    padded = np.zeros((h + 2 * pad, w + 2 * pad))
-    padded[pad : pad + h, pad : pad + w] = image
+    rows = max(1, BLOCK // w)
     weights = filt.astype(np.float64, copy=False)
-    out = np.zeros((h, w))
-    tap = np.empty((h, w))
-    for u in reversed(range(k)):
-        for v in reversed(range(k)):
-            np.multiply(padded[u : u + h, v : v + w], weights[u, v], out=tap)
-            out += tap
+    out = np.empty((h, w), dtype=dtype)
+    padded = np.zeros((rows + 2 * pad, w + 2 * pad))
+    acc = np.empty((rows, w))
+    tap = np.empty((rows, w))
+    for top in range(0, h, rows):
+        n = min(rows, h - top)
+        # image rows top-pad .. top+n+pad, zero where they fall outside
+        lo, hi = max(top - pad, 0), min(top + n + pad, h)
+        padded[: lo - top + pad] = 0.0
+        padded[lo - top + pad : hi - top + pad, pad : pad + w] = image[lo:hi]
+        padded[hi - top + pad :] = 0.0
+        band, scratch = acc[:n], tap[:n]
+        band[...] = 0.0
+        for u in reversed(range(k)):
+            for v in reversed(range(k)):
+                np.multiply(padded[u : u + n, v : v + w], weights[u, v], out=scratch)
+                band += scratch
+        out[top : top + n] = band
     return out
 
 
@@ -88,7 +107,7 @@ class Conv2D(SingleKernelMixin, Benchmark):
 
     def _convolve(self) -> np.ndarray:
         def compute() -> np.ndarray:
-            return correlate_same(self.image, self.filter).astype(self.ftype, copy=False)
+            return correlate_same(self.image, self.filter, self.ftype)
 
         # reference, run_numpy and the GPU kernel all evaluate exactly
         # this convolution of the staged instance data: share one result

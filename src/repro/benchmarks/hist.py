@@ -15,6 +15,13 @@ Two GPU source variants (the paper's naive port vs the rewritten Opt):
   less serialization: ~3× over Serial, and visibly *higher* power than
   the naive version (Figure 3's hist outlier) because the pipes stop
   idling on atomics.
+
+The host numerics count buckets :data:`~repro.benchmarks.common.BLOCK`
+values at a time (:func:`bucket_counts`): set-up's hot bucket, the
+functional run and both kernel functions.  The reference is an
+independent formulation, ``np.histogram`` over ``[0, 1]`` (which also
+bins in blocks); both put a float32 value that rounds to 1.0 in the
+last bucket, so every count matches bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +39,17 @@ from ..ocl.buffer import Buffer
 from ..ocl.program import KernelSpec, Program
 from ..workload import WorkloadTraits
 from .base import Benchmark, Fill, Launch
-from .common import alloc_mapped
+from .common import alloc_mapped, blocks
+
+
+def bucket_counts(values: np.ndarray, buckets: int) -> np.ndarray:
+    """``int64`` counts of the buckets ``min(int(v * buckets), buckets - 1)``
+    of ``values`` in [0, 1], taken block by block."""
+    counts = np.zeros(buckets, dtype=np.int64)
+    for block in blocks(len(values)):
+        idx = (values[block] * buckets).astype(np.int64)
+        counts += np.bincount(np.minimum(idx, buckets - 1, out=idx), minlength=buckets)
+    return counts
 
 
 class Histogram(Benchmark):
@@ -51,10 +68,7 @@ class Histogram(Benchmark):
         # mildly skewed distribution: hot buckets exist but don't dominate
         raw = self.take("values", lambda rng: rng.beta(2.0, 3.0, size=self.n))
         self.values = raw.astype(self.ftype, copy=False)
-        counts = np.bincount(
-            np.minimum((raw * self.BUCKETS).astype(np.int64), self.BUCKETS - 1),
-            minlength=self.BUCKETS,
-        )
+        counts = bucket_counts(raw, self.BUCKETS)
         #: measured probability mass of the hottest bucket -> contention
         self.hot_fraction = float(counts.max() / self.n)
 
@@ -62,15 +76,14 @@ class Histogram(Benchmark):
         return self.n
 
     def reference_result(self) -> np.ndarray:
-        idx = np.minimum((self.values * self.BUCKETS).astype(np.int64), self.BUCKETS - 1)
-        return np.bincount(idx, minlength=self.BUCKETS).astype(np.uint32)
+        counts, _ = np.histogram(self.values, self.BUCKETS, (0.0, 1.0))
+        return counts.astype(np.uint32)
 
     def verify(self, result: np.ndarray) -> bool:
         return self._verify_against_reference(result, exact=True)
 
     def run_numpy(self) -> np.ndarray:
-        idx = np.minimum((self.values * self.BUCKETS).astype(np.int64), self.BUCKETS - 1)
-        return np.bincount(idx, minlength=self.BUCKETS).astype(np.uint32)
+        return bucket_counts(self.values, self.BUCKETS).astype(np.uint32)
 
     # ------------------------------------------------------------------
     # kernel IR: two source variants
@@ -215,14 +228,13 @@ class Histogram(Benchmark):
         copies = self.PRIVATE_COPIES
 
         def hist_kernel(values, bins):
-            idx = np.minimum((values * buckets).astype(np.int64), buckets - 1)
             if bins.ndim == 2:  # privatized variant: scatter across copies
                 chunk = math.ceil(len(values) / copies)
                 for c in range(copies):
-                    part = idx[c * chunk : (c + 1) * chunk]
-                    bins[c] += np.bincount(part, minlength=buckets).astype(np.uint32)
+                    part = values[c * chunk : (c + 1) * chunk]
+                    bins[c] += bucket_counts(part, buckets).astype(np.uint32)
             else:
-                bins += np.bincount(idx, minlength=buckets).astype(np.uint32)
+                bins += bucket_counts(values, buckets).astype(np.uint32)
 
         return hist_kernel
 

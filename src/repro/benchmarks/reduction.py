@@ -15,6 +15,12 @@ Stage 1: a fixed grid of work-items each accumulates a contiguous chunk,
 then a work-group tree folds partials (barriers).  Stage 2: one group
 reduces the per-group partials.  Vectorization strip-mines the chunk
 loop — the loop-mode path of the vectorizer.
+
+No host computation copies the input.  Stage 1 reduces each chunk with
+a float64 accumulator (``sum(axis=1, dtype=np.float64)``), and the
+reference and the verification tolerance's ``Σ|x|`` are summed in
+float64 :data:`~repro.benchmarks.common.BLOCK` values at a time, so a
+single-precision instance never holds a float64 copy of its data.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from ..ocl.program import KernelSpec, Program
 from ..workload import WorkloadTraits
 from .. import perf
 from .base import Benchmark, Launch
-from .common import alloc_mapped
+from .common import alloc_mapped, blocks
 
 
 class Reduction(Benchmark):
@@ -58,18 +64,28 @@ class Reduction(Benchmark):
     def chunk(self) -> float:
         return self.n / self.STAGE1_ITEMS
 
+    def _block_sum(self, term) -> float:
+        """``Σ term(block)`` over the data's blocks, in float64."""
+        data = self.data
+        total = 0.0
+        for block in blocks(self.n):
+            total += float(term(data[block]).sum(dtype=np.float64))
+        return total
+
     def reference_result(self) -> np.ndarray:
         # sum in float64 then cast: the GPU tree sum is far more accurate
         # than a naive serial left-fold, so compare against the well-
         # conditioned value
-        return np.asarray([self.data.astype(np.float64, copy=False).sum()], dtype=self.ftype)
+        return np.asarray([self._block_sum(lambda block: block)], dtype=self.ftype)
 
     def verify(self, result: np.ndarray) -> bool:
+        if result.shape != (1,):
+            return False
         ref = float(self.reference()[0])
         # the input never changes, so its magnitude is summed once
-        scale = perf.instance_memo(self, "abs_sum", lambda: float(np.abs(self.data).sum()) or 1.0)
+        scale = perf.instance_memo(self, "abs_sum", lambda: self._block_sum(np.abs) or 1.0)
         tol = (1e-5 if self.ftype == np.float32 else 1e-12) * scale
-        return bool(abs(float(np.ravel(result)[0]) - ref) <= tol)
+        return bool(abs(float(result[0]) - ref) <= tol)
 
     def run_numpy(self) -> np.ndarray:
         return np.asarray([self.data.sum(dtype=np.float64)], dtype=self.ftype)
@@ -202,14 +218,13 @@ class Reduction(Benchmark):
         items = self.STAGE1_ITEMS
 
         def red_stage1(data, partials):
-            wide = data.astype(np.float64, copy=False)
             if len(data) % items == 0:
                 # equal chunks: one reshaped row-sum, same per-chunk
-                # contiguous pairwise reduction as summing each split
-                partials[...] = wide.reshape(items, -1).sum(axis=1).astype(partials.dtype)
+                # contiguous reduction as summing each split
+                partials[...] = data.reshape(items, -1).sum(axis=1, dtype=np.float64)
             else:
-                chunks = np.array_split(wide, items)
-                partials[...] = np.array([c.sum() for c in chunks], dtype=partials.dtype)
+                chunks = np.array_split(data, items)
+                partials[...] = [c.sum(dtype=np.float64) for c in chunks]
 
         return red_stage1
 

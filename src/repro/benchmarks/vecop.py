@@ -9,6 +9,12 @@ roofline everywhere.  The GPU's win comes entirely from sustaining
 higher DRAM bandwidth than a single A15 core (more outstanding
 requests), and the Opt win from vector loads/stores (one LS issue per
 128 bits) plus the smaller NDRange.
+
+Each draw is cast to the instance's dtype as soon as it is taken, so a
+single-precision instance never holds both float64 draws beside their
+casts.  Verification recomputes ``a + b`` one
+:data:`~repro.benchmarks.common.BLOCK` at a time instead of keeping a
+full-size reference next to the output.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from ..ir.builder import KernelBuilder
 from ..ir.nodes import Kernel as IrKernel, OpKind
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
-from .base import Benchmark
-from .common import SingleKernelMixin, alloc_mapped
+from .base import Benchmark, Precision, matches
+from .common import SingleKernelMixin, alloc_mapped, blocks
 
 
 class VecOp(SingleKernelMixin, Benchmark):
@@ -37,15 +43,26 @@ class VecOp(SingleKernelMixin, Benchmark):
         self.n = max(1024, int(self.DEFAULT_N * self.scale))
 
     def draw_inputs(self) -> dict[str, np.ndarray]:
-        a = self.take("a", lambda rng: rng.random(self.n))
-        b = self.take("b", lambda rng: rng.random(self.n))
-        return {"a": a.astype(self.ftype, copy=False), "b": b.astype(self.ftype, copy=False)}
+        a = self.take("a", lambda rng: rng.random(self.n)).astype(self.ftype, copy=False)
+        b = self.take("b", lambda rng: rng.random(self.n)).astype(self.ftype, copy=False)
+        return {"a": a, "b": b}
 
     def elements(self) -> int:
         return self.n
 
     def reference_result(self) -> np.ndarray:
         return self.a + self.b
+
+    def verify(self, result: np.ndarray) -> bool:
+        """:meth:`reference_result`'s verdict, one block of ``a + b`` at a time."""
+        if result.shape != (self.n,):
+            return False
+        tol = 1e-4 if self.precision is Precision.SINGLE else 1e-9
+        a, b = self.a, self.b
+        return all(
+            matches(result[block], a[block] + b[block], rtol=tol, atol=tol)
+            for block in blocks(self.n)
+        )
 
     def run_numpy(self) -> np.ndarray:
         return np.add(self.a, self.b)

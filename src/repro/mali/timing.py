@@ -509,36 +509,20 @@ def roofline_floor_seconds(
 class GpuPricingModel:
     """The launch pricers of one platform facade.
 
-    Hands out one :class:`LaunchPricer` per (compiled kernel, traits,
-    concurrent agents) and hashes the platform's memo-key parts once
-    for all of them.  It lives as long as its facade, and
-    ``platform.pricing_model()`` builds a fresh facade on every call,
-    so pricers are shared within one caller (one
-    :meth:`~repro.benchmarks.base.Benchmark.iteration_pricer`), not
-    across calls; the memo slots behind them are process-wide.
+    Builds one :class:`LaunchPricer` per :meth:`pricer` call and hashes
+    the platform's memo-key parts once for all of them.
+    ``platform.pricing_model()`` builds a fresh facade on every call and
+    :meth:`~repro.benchmarks.base.Benchmark.iteration_pricer` asks once
+    per kernel, so no pricer is cached here; the memo slots behind them
+    are process-wide.
     """
 
     def __init__(self, config: MaliConfig, dram: DramModel, caches: CacheHierarchy):
         self.config = config
         self.dram = dram
         self.caches = caches
-        self._pricers: dict[tuple[int, int, int], LaunchPricer] = {}
         # platform-level memo-key parts, hashed once per facade
         self._platform_fixed: tuple | None = None
-        # traits interning: distinct-but-equal traits objects collapse
-        # onto one canonical instance
-        # so they share a pricer and its hashed key parts.  Each id()
-        # entry holds the object it was keyed by, so that id() cannot be
-        # recycled for another traits value while the entry exists.
-        self._traits_by_id: dict[int, tuple[WorkloadTraits, WorkloadTraits]] = {}
-        self._traits_canon: dict[WorkloadTraits, WorkloadTraits] = {}
-
-    def _canon_traits(self, traits: WorkloadTraits) -> WorkloadTraits:
-        entry = self._traits_by_id.get(id(traits))
-        if entry is None:
-            entry = (traits, self._traits_canon.setdefault(traits, traits))
-            self._traits_by_id[id(traits)] = entry
-        return entry[1]
 
     def _fixed_for(
         self, compiled: CompiledKernel, traits: WorkloadTraits
@@ -561,21 +545,16 @@ class GpuPricingModel:
         traits: WorkloadTraits,
         concurrent_agents: int = 1,
     ) -> LaunchPricer:
-        """The shared :class:`LaunchPricer` for one kernel instance."""
-        traits = self._canon_traits(traits)
-        gk = (id(compiled), id(traits), concurrent_agents)
-        found = self._pricers.get(gk)
-        if found is None:
-            found = self._pricers[gk] = LaunchPricer(
-                compiled,
-                traits,
-                self.config,
-                self.dram,
-                self.caches,
-                concurrent_agents=concurrent_agents,
-                fixed=self._fixed_for(compiled, traits),
-            )
-        return found
+        """A :class:`LaunchPricer` for one kernel instance."""
+        return LaunchPricer(
+            compiled,
+            traits,
+            self.config,
+            self.dram,
+            self.caches,
+            concurrent_agents=concurrent_agents,
+            fixed=self._fixed_for(compiled, traits),
+        )
 
 
 # ---------------------------------------------------------------------------

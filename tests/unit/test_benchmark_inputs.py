@@ -5,7 +5,10 @@ or the traits; every other input array is drawn on first use.  These
 tests pin the split: pricing, tuning and the design-space build never
 draw an input, the lazily drawn arrays are bit for bit the arrays the
 former eager ``setup()`` drew, and the NumPy replacements for SciPy's
-convolution and CSR product compute what they claim.  They also pin the
+convolution and CSR product compute what they claim.  The host numerics
+that work in blocks (hist's counts, 2dcon's bands, 3dstc's in-place
+sum) are checked bit for bit against whole-array oracles, at lengths
+and heights that cross a block seam.  They also pin the
 family draw record: the precisions of one (benchmark, scale, seed) share
 one read-only draw, in one order, forgotten after its last reader.
 """
@@ -25,7 +28,9 @@ import pytest
 
 from repro.benchmarks import BENCHMARKS, PAPER_ORDER, Draws, Precision, create
 from repro.benchmarks.base import cpu_pricing_inputs
+from repro.benchmarks.common import BLOCK
 from repro.benchmarks.conv2d import correlate_same
+from repro.benchmarks.hist import bucket_counts
 from repro.benchmarks.spmv import csr_matvec
 from repro.benchmarks.vecop import VecOp
 from repro.designspace import DesignSpace
@@ -271,8 +276,34 @@ class TestFamilyDraws:
             create("vecop", scale=0.02, seed=2, draws=Draws(1))
 
 
+def whole_array_counts(values: np.ndarray, buckets: int = 256) -> np.ndarray:
+    """hist's bucket counts over the whole array at once, as before blocks."""
+    idx = np.minimum((values * buckets).astype(np.int64), buckets - 1)
+    return np.bincount(idx, minlength=buckets)
+
+
+def stencil_expression(g: np.ndarray, c0: float, c1: float) -> np.ndarray:
+    """3dstc's stencil as one expression, as before the in-place sum."""
+    out = np.array(g, copy=True)
+    c0 = g.dtype.type(c0)
+    c1 = g.dtype.type(c1)
+    inner = (slice(1, -1),) * 3
+    out[inner] = c0 * g[inner] + c1 * (
+        g[2:, 1:-1, 1:-1]
+        + g[:-2, 1:-1, 1:-1]
+        + g[1:-1, 2:, 1:-1]
+        + g[1:-1, :-2, 1:-1]
+        + g[1:-1, 1:-1, 2:]
+        + g[1:-1, 1:-1, :-2]
+    )
+    return out
+
+
 class TestNumpyKernels:
-    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (7, 4), (16, 16)])
+    #: the last two heights cross one and two seams of 3-row bands
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (2, 5), (7, 4), (16, 16), (4, BLOCK // 4 + 1), (7, BLOCK // 4 + 1)]
+    )
     def test_correlate_matches_brute_force_with_borders(self, shape):
         rng = np.random.default_rng(sum(shape))
         image = rng.standard_normal(shape).astype(np.float32)
@@ -289,6 +320,56 @@ class TestNumpyKernels:
                             acc += float(filt[u, v]) * float(image[y, x])
                 want[i, j] = acc
         assert np.array_equal(correlate_same(image, filt), want)
+        # a single-precision result rounds each float64 sum once
+        single = correlate_same(image, filt, np.float32)
+        assert single.dtype == np.float32
+        assert single.tobytes() == want.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("precision", (Precision.SINGLE, Precision.DOUBLE))
+    def test_hist_block_counts_match_a_whole_array_bincount(self, precision):
+        """Set-up's count, the functional run, its ``np.histogram``
+        reference and both kernel functions count every bucket as one
+        whole-array ``bincount`` does, over a length that is no multiple
+        of ``BLOCK`` and float32 values that round to 1.0."""
+        rng = np.random.default_rng(3)
+        raw = rng.beta(2.0, 3.0, size=3 * BLOCK + 77)
+        raw[::997] = np.nextafter(1.0, 0.0)  # 1.0 once cast to float32
+        raw[5::1009] = np.arange(256)[: len(raw[5::1009])] / 256  # bucket edges
+        raw[7] = 0.0
+        bench = create("hist", precision=precision, scale=0.02)
+        values = raw.astype(bench.ftype)
+        bench.values, bench.n = values, len(values)
+        assert (values == 1.0).any() == (precision is Precision.SINGLE)
+        want = whole_array_counts(values)
+
+        assert np.array_equal(bucket_counts(raw, 256), whole_array_counts(raw))
+        assert np.array_equal(bench.run_numpy(), want)
+        assert np.array_equal(bench.reference_result(), want)
+        kernel, merge = bench._main_func(), bench._merge_func()
+        bins = np.zeros(256, dtype=np.uint32)
+        kernel(values, bins)
+        assert np.array_equal(bins, want)
+        partials = np.zeros((bench.PRIVATE_COPIES, 256), dtype=np.uint32)
+        kernel(values, partials)
+        merge(partials, bins)
+        assert np.array_equal(bins, want)
+
+    @pytest.mark.parametrize("precision", (Precision.SINGLE, Precision.DOUBLE))
+    def test_stencil_in_place_matches_the_expression(self, precision):
+        """The in-place stencil, whose ``c0*center`` term goes one band
+        of planes at a time (a (9, 100, 200) volume has bands of three
+        of its seven inner planes), rounds as the one expression did."""
+        bench = create("3dstc", precision=precision, scale=0.02)
+        rng = np.random.default_rng(11)
+        shapes = ((5, 7, 9), (9, 100, 200))
+        grids = [bench.grid] + [rng.standard_normal(s).astype(bench.ftype) for s in shapes]
+        assert BLOCK // (98 * 198) == 3
+        for g in grids:
+            want = stencil_expression(g, bench.C0, bench.C1)
+            assert bench._stencil(g).tobytes() == want.tobytes()
+            dst = np.zeros_like(g)
+            bench.kernel_func()(g, dst)
+            assert dst.tobytes() == want.tobytes()
 
     def test_csr_matvec_matches_dense_product(self):
         bench = create("spmv", precision=Precision.DOUBLE, scale=0.02, seed=5)

@@ -213,14 +213,24 @@ def test_float64_draws_die_before_the_single_group_computes(monkeypatch):
     assert len(drawn) == 4 and alive_after_cast == [set()]
 
 
-@pytest.mark.parametrize("name", ("vecop", "red"))
+#: family peak over float64 input bytes, per benchmark: each bound sits
+#: below the ratio the whole-array numerics reached (vecop 2.08, red
+#: 2.00, hist 3.51, 2dcon 4.02, 3dstc 6.76) and above the block-wise one
+#: (1.55, 1.52, 1.70, 3.16, 3.51), all at scale 0.25
+PEAK_OVER_INPUTS = {"vecop": 1.75, "red": 1.75, "hist": 2.0, "2dcon": 3.5, "3dstc": 4.0}
+
+
+@pytest.mark.parametrize("name", tuple(PEAK_OVER_INPUTS))
 def test_family_peak_stays_near_its_float64_inputs(name):
-    """A two-precision family holds its float64 inputs, the reference
-    and the output, but no staged copy, read-back or kept functional
-    array: tracemalloc sees every NumPy data allocation."""
+    """A two-precision family holds its float64 inputs, its output and a
+    memoized result, but no staged copy, read-back, kept functional
+    array or full-size scratch: every other temporary is one block.
+    tracemalloc sees every NumPy data allocation."""
     spec = CampaignSpec(benchmarks=(name,), scale=0.25, precisions=BOTH)
     probe = create(name, precision=Precision.DOUBLE, scale=0.25)
-    inputs = sum(getattr(probe, attr).nbytes for attr in probe.lazy_inputs)
+    for attr in probe.lazy_inputs:
+        getattr(probe, attr)
+    inputs = sum(a.nbytes for a in _instance_arrays(probe))
     del probe
     gc.collect()
     tracemalloc.start()
@@ -230,4 +240,7 @@ def test_family_peak_stays_near_its_float64_inputs(name):
     finally:
         tracemalloc.stop()
     assert all(run.ok and run.verified for run in results.results.values())
-    assert peak <= 2.5 * inputs, f"peak {peak / 2**20:.1f} MiB, inputs {inputs / 2**20:.1f} MiB"
+    bound = PEAK_OVER_INPUTS[name]
+    assert peak <= bound * inputs, (
+        f"peak {peak / 2**20:.1f} MiB, inputs {inputs / 2**20:.1f} MiB, ratio {peak / inputs:.2f}"
+    )

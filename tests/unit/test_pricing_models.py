@@ -1,7 +1,7 @@
 """Unit surface of ``repro.pricing``.
 
 Covers the ``PlatformPricing`` facade, the launch errors of every GPU
-pricing view, the GPU model's traits interning, the ``PerfConfig`` form
+pricing view, the GPU model's pricer per traits value, the ``PerfConfig`` form
 of ``perf.configure``, the keyword-only signatures, ``seed_cpu_timing``
 and the model-only estimate helpers the what-if studies use.
 """

@@ -3,7 +3,8 @@
 ``verify_reference`` is the comparison written out once per benchmark
 with nothing memoized and no shortcut taken.  Every benchmark's
 ``verify`` must agree with it on good, equal, perturbed and NaN-bearing
-results, and a whole grid must verify without ever calling
+results, must fail a result whose shape is not the reference's (never
+broadcast it), and a whole grid must verify without ever calling
 ``perf.digest``.
 """
 
@@ -33,6 +34,8 @@ GRID_KW = dict(scale=0.05, precisions=(Precision.SINGLE, Precision.DOUBLE))
 def verify_reference(bench, result) -> bool:
     """The verdict of ``bench.verify(result)``, computed from scratch."""
     ref = bench.reference_result()
+    if result.shape != ref.shape:
+        return False
     if bench.name == "red":
         scale = float(np.abs(bench.data).sum()) or 1.0
         tol = (1e-5 if bench.precision is Precision.SINGLE else 1e-12) * scale
@@ -89,6 +92,28 @@ def test_verdicts_match_the_reference_comparison(name, precision):
     bad = perturbed(functional)
     assert not verify_reference(bench, bad)
     assert not bench.verify(bad)
+
+
+@pytest.mark.parametrize("name", PAPER_ORDER)
+@pytest.mark.parametrize("precision", (Precision.SINGLE, Precision.DOUBLE))
+def test_a_wrongly_shaped_result_fails(name, precision):
+    """Correct values in the wrong shape fail: a leading axis, one
+    element too many, the result twice over (red's first element still
+    matches) and, for a multi-dimensional result, its flattening."""
+    bench = create(name, precision=precision, scale=0.02)
+    functional = bench.functional_result()
+    flat = functional.reshape(-1)
+    cases = {
+        "leading axis": functional[None],
+        "one element longer": np.append(flat, flat[:1]),
+        "twice over": np.concatenate([flat, flat]),
+    }
+    if functional.ndim > 1:
+        cases["flattened"] = flat
+    for label, x in cases.items():
+        assert not verify_reference(bench, x), label
+        assert not bench.verify(x), label
+    assert bench.verify(functional)
 
 
 def test_serial_and_openmp_share_one_verdict():
