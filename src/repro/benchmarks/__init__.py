@@ -10,8 +10,6 @@ from .base import (
     Precision,
     RunResult,
     Version,
-    execute_run,
-    execute_runs,
     measure_trace,
     run_cpu_version,
     run_gpu_version,
@@ -49,8 +47,6 @@ __all__ = [
     "Version",
     "all_benchmarks",
     "create",
-    "execute_run",
-    "execute_runs",
     "measure_trace",
     "nbody_step",
     "run_cpu_version",

@@ -27,6 +27,7 @@ from __future__ import annotations
 import abc
 import contextlib
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, ClassVar, Iterable, NamedTuple
@@ -36,7 +37,7 @@ import numpy as np
 from .. import perf
 from ..calibration.exynos5250 import ExynosPlatform, default_platform
 from ..compiler.options import NAIVE, CompileOptions
-from ..errors import CLBuildProgramFailure, CLError, CLOutOfResources, ReproError
+from ..errors import CLBuildProgramFailure, CLError, CLOutOfResources, CompilerError, ReproError
 from ..ir.analysis import analyze
 from ..ir.dtypes import DType, F32, F64
 from ..ir.nodes import Kernel as IrKernel
@@ -893,11 +894,13 @@ def _run_governed(
 
     Operating points come from the Exynos 5250 ladders rescaled so the
     top OPP is exactly the benchmark platform's clock (consistent with
-    the ``SoCConfig`` clock axes).  Candidate selection prices the
-    region through the same models that produce the reported time, and
-    deadline policies *verify* the chosen OPP against the actually
-    reported work time, escalating to a faster OPP on a miss — so a
-    feasible ``pace_to_deadline`` cell never reports a deadline overrun.
+    the ``SoCConfig`` clock axes).  :func:`repro.power.dvfs.settle`
+    picks the OPP on the model's price of the timed region, which is
+    the run's ``elapsed_s`` bit for bit; a region that fails to build
+    or launch prices ``inf``.  The chosen OPP runs once, under a
+    deadline policy with the rest of the window as an idle tail.  When
+    no OPP fits, the top OPP runs once and the cell reports its own
+    failure or "deadline infeasible".
     """
     if governor not in dvfs.GOVERNORS:
         raise ValueError(
@@ -938,12 +941,16 @@ def _run_governed(
             return dvfs.platform_at(base_platform, cpu_table=table, cpu_opp=opp)
         return dvfs.platform_at(base_platform, gpu_table=table, gpu_opp=opp)
 
+    @functools.cache
     def time_at(opp: dvfs.OperatingPoint) -> float:
         """Model-only seconds of the timed region at an OPP."""
         with _pinned_platform(bench, opp_platform(opp)):
             if is_cpu:
                 return cpu_region_timing(bench, version).seconds
-            return bench.iteration_pricer(options)(local_size)
+            try:
+                return bench.iteration_pricer(options)(local_size)
+            except (CompilerError, CLError):
+                return math.inf
 
     def run_at(opp: dvfs.OperatingPoint, idle_tail_s: float = 0.0) -> RunResult:
         with _pinned_platform(bench, opp_platform(opp)):
@@ -953,46 +960,25 @@ def _run_governed(
                 bench, options, local_size, version, idle_tail_s=idle_tail_s
             )
 
-    deadline = None
-    if governor in dvfs.FREQUENCY_GOVERNORS:
-        chosen = dvfs.select_opp(table, governor, time_at=time_at)
-        result = run_at(chosen)
-        if not result.ok:
-            return replace(result, governor=governor)
-        work_s = result.elapsed_s
-    else:
-        if energy_deadline_s is None or energy_deadline_s <= 0:
-            raise ValueError(f"{governor} needs a positive energy_deadline_s")
-        deadline = energy_deadline_s
-        if governor == "race_to_idle":
-            candidates: tuple[dvfs.OperatingPoint, ...] = (table.max,)
-        else:  # pace_to_deadline: lowest feasible frequency wins
-            candidates = table.points
-        chosen = None
-        work_s = 0.0
-        for opp in candidates:
-            if opp is not table.max and time_at(opp) > deadline:
-                continue  # model prune; the max OPP is always probed
-            probe = run_at(opp)
-            if not probe.ok:
-                return replace(probe, governor=governor)
-            if probe.elapsed_s <= deadline:
-                chosen, work_s = opp, probe.elapsed_s
-                break
-        if chosen is None:
-            return replace(
-                RunResult.failed(
-                    bench.name,
-                    version,
-                    bench.precision,
-                    f"deadline infeasible: even the max OPP "
-                    f"({table.max.frequency_hz / 1e6:g} MHz) misses the "
-                    f"{deadline:g} s budget",
-                ),
-                governor=governor,
+    deadline = energy_deadline_s if governor in dvfs.DEADLINE_POLICIES else None
+    chosen = dvfs.settle(governor, table, time_at=time_at, deadline_s=deadline)
+    if chosen is None:
+        result = run_at(table.max)
+        if result.ok:
+            result = RunResult.failed(
+                bench.name,
+                version,
+                bench.precision,
+                f"deadline infeasible: even the max OPP "
+                f"({table.max.frequency_hz / 1e6:g} MHz) misses the "
+                f"{deadline:g} s budget",
             )
-        result = run_at(chosen, idle_tail_s=deadline - work_s)
+        return replace(result, governor=governor)
+    result = run_at(chosen, 0.0 if deadline is None else deadline - time_at(chosen))
+    if not result.ok:
+        return replace(result, governor=governor)
 
+    work_s = result.elapsed_s
     diagnostics = dict(result.diagnostics)
     diagnostics["dvfs"] = {
         "governor": governor,
@@ -1009,72 +995,3 @@ def _run_governed(
         "model_energy_j": result.diagnostics.get("trace_energy_j"),
     }
     return replace(result, governor=governor, diagnostics=diagnostics)
-
-
-def execute_run(
-    benchmark: str,
-    *,
-    version: Version,
-    precision: Precision = Precision.SINGLE,
-    scale: float = 1.0,
-    seed: int = 1234,
-    platform: ExynosPlatform | None = None,
-    governor: str = dvfs.GOVERNOR_DEFAULT,
-    energy_deadline_s: float | None = None,
-) -> RunResult:
-    """Worker-safe run entry: one grid cell from plain parameters.
-
-    Builds a fresh benchmark instance and runs one version.  Everything
-    it takes and returns is picklable, and it lives at module level, so
-    a ``ProcessPoolExecutor`` worker can execute it by reference — this
-    is the unit of work the campaign engine
-    (:mod:`repro.experiments.engine`) fans out.  Because benchmarks
-    draw only in :meth:`Benchmark.setup` and in the one fixed-order
-    :meth:`Benchmark.draw_inputs`, the result is identical to running
-    the same version on a shared instance or family record.
-    """
-    from .registry import create  # deferred: registry imports this module
-
-    bench = create(benchmark, precision=precision, scale=scale, seed=seed, platform=platform)
-    return run_version(
-        bench,
-        version=version,
-        governor=governor,
-        energy_deadline_s=energy_deadline_s,
-    )
-
-
-def execute_runs(
-    benchmark: str,
-    *,
-    versions: Iterable[Version],
-    precision: Precision = Precision.SINGLE,
-    scale: float = 1.0,
-    seed: int = 1234,
-    platform: ExynosPlatform | None = None,
-    governor: str = dvfs.GOVERNOR_DEFAULT,
-    energy_deadline_s: float | None = None,
-) -> tuple[RunResult, ...]:
-    """Worker-safe batch entry: several versions on one shared instance.
-
-    Drawing the input arrays is by far the most expensive host set-up
-    of a cell at paper scale, and it is identical across the four
-    versions — so workers run whole version groups against a single
-    benchmark instance, which draws its lazy inputs once for all of
-    them, exactly like the classic serial loop.  The instance is a
-    family of one: it draws for its own precision only (the campaign
-    engine shares one draw across a family's precisions).  Results are
-    returned in ``versions`` order.
-    """
-    from .registry import create  # deferred: registry imports this module
-
-    bench = create(benchmark, precision=precision, scale=scale, seed=seed, platform=platform)
-    return tuple(
-        run_version(
-            bench,
-            version=version,
-            governor=governor,
-            energy_deadline_s=energy_deadline_s,
-        )
-        for version in versions
-    )

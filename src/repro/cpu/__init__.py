@@ -1,7 +1,6 @@
 """Cortex-A15 CPU models: serial and OpenMP baselines."""
 
 from .config import A15Config, DEFAULT_CPU_OP_CYCLES
-from .openmp import time_openmp
-from .serial import CpuTiming, time_serial
+from .serial import CpuTiming
 
-__all__ = ["A15Config", "CpuTiming", "DEFAULT_CPU_OP_CYCLES", "time_openmp", "time_serial"]
+__all__ = ["A15Config", "CpuTiming", "DEFAULT_CPU_OP_CYCLES"]

@@ -14,10 +14,6 @@ The epilogues exist once, as the array passes of
 cell per SoC config (:meth:`CpuConfigStack.rows`), and a run's CPU cell
 is one lane of it (:meth:`~repro.pricing.grid.PlatformPricing.price_one`,
 memoized by :func:`~repro.benchmarks.base.cpu_region_timing`).
-:func:`~repro.cpu.serial.time_serial`, :func:`~repro.cpu.openmp.time_openmp`
-and :class:`CpuPricer` are views that build a stack over their own
-cells and read the lanes back as :class:`~repro.cpu.serial.CpuTiming`
-rows of Python floats.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from ..ir.analysis import InstructionMix
 from ..ir.nodes import AccessPattern, MemSpace
 from ..memory.cache import CacheHierarchy
 from ..memory.dram import DramModel
-from ..pricing.cells import MODE_OPENMP, MODE_SERIAL, CpuCell
+from ..pricing.cells import MODE_OPENMP, MODE_SERIAL
 from ..workload import WorkloadTraits
 from .config import A15Config
 from .serial import CpuTiming
@@ -152,9 +148,8 @@ class CpuPricer:
 
     Holds the element-count-independent state of one (mix, traits)
     pair: the mix columns, the L1 hit fraction, the DRAM traffic and
-    the irregular-access DRAM miss fraction.  :meth:`price_serial` and
-    :meth:`price_openmp` are views over a :class:`CpuConfigStack` of
-    the requested element counts.
+    the irregular-access DRAM miss fraction: one per cell group of a
+    :class:`CpuConfigStack`.
     """
 
     def __init__(
@@ -273,23 +268,6 @@ class CpuPricer:
         leak = 0.25 * (((((fp + int_) + loop_cycles) + ls) + accum) - busy)
         cycles = (((busy + leak) + branch_cycles) + call_cycles) + atomic_cycles
         return cycles, instructions
-
-    def price_serial(self, n_values) -> tuple[CpuTiming, ...]:
-        """Serial timings for each element count."""
-        return self._price(MODE_SERIAL, n_values)
-
-    def price_openmp(self, n_values) -> tuple[CpuTiming, ...]:
-        """OpenMP timings for each element count."""
-        return self._price(MODE_OPENMP, n_values)
-
-    def _price(self, mode: str, n_values) -> tuple[CpuTiming, ...]:
-        cells = tuple(
-            CpuCell(mix=self.mix, mode=mode, n_elements=int(n), traits=self.traits)
-            for n in n_values
-        )
-        if not cells:
-            return ()
-        return CpuConfigStack(cells, self.config, self.dram, self.caches).timings()
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +420,21 @@ class CpuConfigStack:
         overhead is added (the memory-stall base) and ``overhead_s`` is
         one scalar for every lane.
 
-        Amdahl keeps the serial fraction on one core; the slower core
-        sets the finish time, its excess over the mean estimated as
-        ``cv * sqrt(2 ln cores / chunks)`` and floored for static
-        scheduling's few big chunks; fork/join and per-thread chunk
-        scheduling add once per parallel region.
+        The OpenMP versions split the element loop across the cores.
+        The paper observes 1.2×–1.9× (mean 1.7×) on both A15 cores,
+        never 2×, because of four effects, each modelled here:
+
+        * **Amdahl** — the per-benchmark serial fraction (hist's bucket
+          merge, red's final reduction) stays on one core;
+        * **bandwidth contention** — the cores share the DDR3L
+          interface and together sustain only ~1.4× the single-core
+          bandwidth (``dram_s`` is the ``cpu2`` agent's transfer time);
+        * **imbalance** — ragged per-chunk work (spmv rows) makes the
+          slower core set the finish time, its excess over the mean
+          estimated as ``cv * sqrt(2 ln cores / chunks)`` and floored
+          for static scheduling's few big chunks;
+        * **runtime overhead** — fork/join and per-thread chunk
+          scheduling, added once per parallel region.
         """
         import numpy as np
 

@@ -1605,6 +1605,10 @@ def _dvfs_key(p: DvfsDesignPoint):
     return (p.seconds, p.energy_j, p.config_name, p.governor)
 
 
+#: ``(seconds, watts, energy, feasible)`` of a slice with no feasible point
+_NO_SLICE = (float("inf"), 0.0, float("inf"), False)
+
+
 def _dvfs_opp_slices(space: DesignSpace, mali, rails, dram, table, benchmark) -> dict:
     """Per OPP of ``table``, the per-precision ``(seconds, watts, energy,
     feasible)`` of the target slice.
@@ -1762,12 +1766,11 @@ def evaluate_dvfs(
     For every config the Mali OPP table is rescaled so its top point is
     the config's shader clock (the fixed-frequency design point is the
     degenerate nominal OPP), the target slice is priced at each OPP
-    through the stacked engine, and each governor settles per its own
-    rule: ``fixed``/``performance`` at the nominal OPP, ``powersave`` at
-    the bottom, ``ondemand`` at the lowest OPP keeping its two-point
-    frequency-response utilization under the up-threshold, and the
-    deadline policies race (top OPP, idle out the slack) or pace (the
-    slowest OPP that still meets ``deadline_s``).  ``fixed`` points are
+    through the stacked engine, and :func:`repro.power.dvfs.settle`
+    picks each governor's OPP from those prices (an infeasible slice
+    prices ``inf``), the rule the campaign's governed runs use.  A
+    deadline policy's energy is the whole window: the work at its OPP
+    plus the slack at the board idle floor.  ``fixed`` points are
     bitwise the Opt points of :func:`evaluate_space` on the same
     configs — the governor axis never perturbs the fixed plane.
     """
@@ -1825,49 +1828,20 @@ def evaluate_dvfs(
         idle_w = rails.board_idle_w
         for governor in governors:
             for precision in (p.value for p in precisions):
-                def at(opp):
-                    return slices[opp].get(
-                        precision, (float("inf"), 0.0, float("inf"), False)
-                    )
-
-                if governor in (dvfs.GOVERNOR_DEFAULT, "performance"):
-                    opp = table.nominal
-                    seconds, watts, energy, ok = at(opp)
-                elif governor == "powersave":
-                    opp = table.min
-                    seconds, watts, energy, ok = at(opp)
-                elif governor == "ondemand":
-                    t_slow, _, _, ok_slow = at(table.min)
-                    t_fast, _, _, ok_fast = at(table.max)
-                    if ok_slow and ok_fast:
-                        opp = dvfs.select_opp(
-                            table,
-                            "ondemand",
-                            time_at=lambda o: at(o)[0],
-                        )
-                    else:
-                        opp = table.nominal
-                    seconds, watts, energy, ok = at(opp)
-                else:  # deadline policies
-                    if governor == "race_to_idle":
-                        candidates = (table.max,)
-                    else:  # pace_to_deadline: slowest OPP meeting the budget
-                        candidates = table.points
-                    opp = table.max
-                    seconds, watts, energy, ok = at(opp)
-                    met = False
-                    for cand in candidates:
-                        s, w, e, feas = at(cand)
-                        if feas and s <= deadline_s:
-                            opp, seconds, watts, energy, ok = cand, s, w, e, True
-                            met = True
-                            break
-                    if not met:
-                        ok = False
-                    if ok:
+                priced = {opp: slices[opp].get(precision, _NO_SLICE) for opp in table.points}
+                opp = dvfs.settle(
+                    governor,
+                    table,
+                    time_at=lambda o: priced[o][0] if priced[o][3] else float("inf"),
+                    deadline_s=deadline_s,
+                )
+                if opp is None:
+                    opp, (seconds, watts, energy, ok) = table.max, _NO_SLICE
+                else:
+                    seconds, watts, energy, ok = priced[opp]
+                    if governor in dvfs.DEADLINE_POLICIES:
+                        # the window: work at the OPP, then idle slack
                         energy = energy + (deadline_s - seconds) * idle_w
-                    else:
-                        seconds, watts, energy = float("inf"), 0.0, float("inf")
                 points.append(
                     DvfsDesignPoint(
                         config_name=config.name,

@@ -92,7 +92,6 @@ from ..benchmarks.base import (
     Precision,
     RunResult,
     Version,
-    execute_run,
     run_version,
 )
 from ..benchmarks.registry import PAPER_ORDER, create
@@ -103,7 +102,7 @@ from . import faults
 from .cache import RunCache, run_key
 from .journal import CampaignJournal
 from .remote import PoolExhausted, RemoteWorkerPool
-from .runner import ResultSet
+from .runner import Key, ResultSet, key_label
 from .trace import JsonlTraceSink, Tracer, TraceSink
 
 
@@ -179,7 +178,7 @@ class RunTask:
         return None if self.governor == dvfs.GOVERNOR_DEFAULT else self.governor
 
     @property
-    def cell(self):
+    def cell(self) -> Key:
         """The ResultSet key this task fills (governor-aware)."""
         if self.governor == dvfs.GOVERNOR_DEFAULT:
             return (self.benchmark, self.version, self.precision)
@@ -188,23 +187,7 @@ class RunTask:
     @property
     def label(self) -> str:
         """Human-readable id, matching the classic progress format."""
-        base = f"{self.benchmark} [{self.precision.label}] {self.version.value}"
-        if self.governor == dvfs.GOVERNOR_DEFAULT:
-            return base
-        return f"{base} @{self.governor}"
-
-    def execute(self) -> RunResult:
-        """Run this cell from scratch (fresh benchmark instance)."""
-        return execute_run(
-            self.benchmark,
-            version=self.version,
-            precision=self.precision,
-            scale=self.scale,
-            seed=self.seed,
-            platform=self.platform,
-            governor=self.governor,
-            energy_deadline_s=self.energy_deadline_s,
-        )
+        return key_label(self.cell)
 
 
 def _worker_init() -> None:
@@ -581,7 +564,7 @@ class CampaignReport:
     cache_hits: int
     cache_misses: int
     cache_invalidated: int
-    failed_runs: tuple[tuple[str, Version, Precision], ...]
+    failed_runs: tuple[Key, ...]
     jobs: int
     wall_s: float
     #: per-cache memo counter deltas (:func:`repro.perf.counters_delta`)
@@ -589,7 +572,7 @@ class CampaignReport:
     perf: dict | None = None
     #: cells demoted to ``failure_kind="crash"`` results (a subset of
     #: ``failed_runs``)
-    crashed_runs: tuple[tuple[str, Version, Precision], ...] = ()
+    crashed_runs: tuple[Key, ...] = ()
     #: work chunks resubmitted after a failure (splits, requeues, probes)
     retries: int = 0
     #: times the worker pool was rebuilt after a worker death
@@ -598,7 +581,7 @@ class CampaignReport:
     error: str | None = None
     #: cells demoted to ``failure_kind="timeout"`` results for overrunning a budget
     #: (a subset of ``failed_runs``)
-    timeout_runs: tuple[tuple[str, Version, Precision], ...] = ()
+    timeout_runs: tuple[Key, ...] = ()
     #: cells replayed from the journal instead of executed (resume)
     replayed: int = 0
     #: tiers that degraded during the run (``"run_cache: ..."`` /
@@ -640,14 +623,14 @@ class CampaignReport:
             lines.append(f"  memo (hits/misses): {memo}")
         crashed = set(self.crashed_runs)
         timed_out = set(self.timeout_runs)
-        for bench, version, precision in self.failed_runs:
-            if (bench, version, precision) in crashed:
+        for key in self.failed_runs:
+            if key in crashed:
                 tag = "CRASHED"
-            elif (bench, version, precision) in timed_out:
+            elif key in timed_out:
                 tag = "TIMEOUT"
             else:
                 tag = "FAILED"
-            lines.append(f"    {tag} {bench} [{precision.label}] {version.value}")
+            lines.append(f"    {tag} {key_label(key)}")
         return "\n".join(lines)
 
 

@@ -39,6 +39,15 @@ def result_key(run: RunResult) -> Key:
         return (run.benchmark, run.version, run.precision)
     return (run.benchmark, run.version, run.precision, run.governor)
 
+
+def key_label(key: Key) -> str:
+    """A cell's human-readable id: ``"amcd [DP] OpenCL"``, with
+    ``" @<governor>"`` appended for a governed cell."""
+    benchmark, version, precision, *governor = key
+    label = f"{benchmark} [{precision.label}] {version.value}"
+    return f"{label} @{governor[0]}" if governor else label
+
+
 #: serialization schema emitted by :meth:`ResultSet.to_json`
 RESULTSET_SCHEMA = 2
 #: schemas :meth:`ResultSet.from_json` understands

@@ -7,13 +7,10 @@ from .dvfs import (
     GOVERNOR_DEFAULT,
     GOVERNORS,
     MALI_T604_OPPS,
-    DeadlineInfeasible,
     OperatingPoint,
     OPPTable,
-    PolicyPlan,
-    plan_policy,
     platform_at,
-    select_opp,
+    settle,
 )
 from .energy import EnergyReport
 from .meter import PowerMeasurement, YokogawaWT230
@@ -26,7 +23,6 @@ __all__ = [
     "ActivityKind",
     "BoardPowerModel",
     "DEADLINE_POLICIES",
-    "DeadlineInfeasible",
     "EnergyReport",
     "FREQUENCY_GOVERNORS",
     "GOVERNOR_DEFAULT",
@@ -34,13 +30,11 @@ __all__ = [
     "MALI_T604_OPPS",
     "OperatingPoint",
     "OPPTable",
-    "PolicyPlan",
     "PowerMeasurement",
     "PowerRailConfig",
     "PowerTrace",
     "TraceSegment",
     "YokogawaWT230",
-    "plan_policy",
     "platform_at",
-    "select_opp",
+    "settle",
 ]

@@ -27,10 +27,15 @@ without disturbing the fixed-frequency calibration:
   ``race_to_idle`` runs at the max OPP then drops to the board idle
   floor for the remaining slack; ``pace_to_deadline`` picks the lowest
   OPP that still meets the latency budget.
+
+:func:`settle` is the one place that decides which OPP each governor
+takes; the campaign's governed runs and the design space's governor
+sweep both call it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -310,150 +315,60 @@ def utilization(a: float, b: float, frequency_hz: float) -> float:
     return min(busy / total, 1.0)
 
 
-def select_opp(
-    table: OPPTable,
-    governor: str,
-    *,
-    time_at=None,
-    up_threshold: float = ONDEMAND_UP_THRESHOLD,
-) -> OperatingPoint:
-    """The operating point a frequency governor settles on.
+# ---------------------------------------------------------------------------
+# the governor decision
+# ---------------------------------------------------------------------------
 
-    ``performance`` takes the max OPP, ``powersave`` the min.
-    ``ondemand`` prices the region at the table's extremes via
-    ``time_at(opp) -> seconds``, fits the two-point frequency response,
-    and picks the *lowest* OPP whose steady-state utilization stays at
-    or below ``up_threshold`` — the fixed point of the Linux governor's
-    ramp-up rule for a steady workload (it would ramp up from any
-    busier OPP, and it never ramps above the max).
+
+def settle(
+    governor: str,
+    table: OPPTable,
+    *,
+    time_at,
+    deadline_s: float | None = None,
+) -> OperatingPoint | None:
+    """The operating point a governor settles on for one timed region.
+
+    ``time_at(opp)`` is the region's model seconds at an OPP, ``inf``
+    where the region cannot run (it fails to build or launch).
+
+    * ``fixed`` and ``performance`` take the nominal (top) OPP,
+      ``powersave`` the bottom one.
+    * ``ondemand`` prices the region at the table's extremes, fits the
+      two-point frequency response, and takes the *lowest* OPP whose
+      steady-state utilization stays at or below
+      :data:`ONDEMAND_UP_THRESHOLD` — the fixed point of the Linux
+      governor's ramp-up rule for a steady workload (it would ramp up
+      from any busier OPP, and it never ramps above the max).  It stays
+      at the nominal OPP when either extreme prices ``inf``.
+    * ``race_to_idle`` takes the max OPP and ``pace_to_deadline`` the
+      slowest OPP whose time fits ``deadline_s`` (lowest voltage wins on
+      the ``f · V²`` term); both return ``None`` when no candidate fits.
+      The caller idles out the remaining slack of the window.
     """
-    if governor == "performance":
-        return table.max
+    if governor in (GOVERNOR_DEFAULT, "performance"):
+        return table.nominal
     if governor == "powersave":
         return table.min
-    if governor != "ondemand":
-        raise ValueError(f"unknown frequency governor {governor!r}")
-    if len(table) == 1:
-        return table.max
-    if time_at is None:
-        raise ValueError("the ondemand governor needs a time_at(opp) estimator")
-    a, b = frequency_response(
-        time_at(table.min),
-        table.min.frequency_hz,
-        time_at(table.max),
-        table.max.frequency_hz,
-    )
-    for opp in table.points:
-        if utilization(a, b, opp.frequency_hz) <= up_threshold:
-            return opp
-    return table.max
-
-
-# ---------------------------------------------------------------------------
-# deadline policies
-# ---------------------------------------------------------------------------
-
-
-class DeadlineInfeasible(ValueError):
-    """No operating point finishes the region within the deadline."""
-
-
-@dataclass(frozen=True)
-class PolicyPlan:
-    """One energy policy's schedule of a timed region under a deadline.
-
-    The window is exactly ``deadline_s`` long: the region runs at
-    ``opp`` for ``work_s`` seconds drawing ``work_power_w``, then the
-    board sits at ``idle_power_w`` for the remaining slack.  Energy is
-    the closed-form two-segment sum the property tests check against
-    the trace-based accounting.
-    """
-
-    policy: str
-    opp: OperatingPoint
-    work_s: float
-    deadline_s: float
-    work_power_w: float
-    idle_power_w: float
-
-    def __post_init__(self) -> None:
-        if self.work_s < 0 or self.deadline_s <= 0:
-            raise ValueError("work_s must be >= 0 and deadline_s > 0")
-        if self.work_s > self.deadline_s:
-            raise ValueError("plan misses its deadline")
-        if self.work_power_w < 0 or self.idle_power_w < 0:
-            raise ValueError("plan powers must be >= 0")
-
-    @property
-    def slack_s(self) -> float:
-        return self.deadline_s - self.work_s
-
-    @property
-    def energy_j(self) -> float:
-        """Closed-form window energy: work segment plus idle slack."""
-        return self.work_s * self.work_power_w + self.slack_s * self.idle_power_w
-
-    @property
-    def mean_power_w(self) -> float:
-        """Window-average power (the meter's view over the deadline)."""
-        return self.energy_j / self.deadline_s
-
-
-def plan_policy(
-    policy: str,
-    table: OPPTable,
-    *,
-    deadline_s: float,
-    time_at,
-    power_at,
-    idle_power_w: float,
-) -> PolicyPlan:
-    """Schedule a timed region under ``policy`` and a deadline.
-
-    ``time_at(opp)`` and ``power_at(opp)`` are model estimators for the
-    region's seconds and mean work power at an operating point.
-
-    * ``race_to_idle`` — max OPP, then the idle floor for the slack.
-    * ``pace_to_deadline`` — the lowest-frequency OPP whose time still
-      fits the deadline (lowest voltage wins on the ``f · V²`` term,
-      which is what makes pacing beat racing whenever the idle floor is
-      small against the voltage saving).
-
-    Raises :class:`DeadlineInfeasible` when even the max OPP misses.
-    """
-    if deadline_s <= 0:
-        raise ValueError("deadline_s must be positive")
-    if policy == "race_to_idle":
-        opp = table.max
-        work = time_at(opp)
-        if work > deadline_s:
-            raise DeadlineInfeasible(
-                f"race_to_idle: even the max OPP "
-                f"({opp.frequency_hz / 1e6:g} MHz) needs {work:.6g} s "
-                f"against a {deadline_s:.6g} s deadline"
-            )
-        return PolicyPlan(
-            policy=policy,
-            opp=opp,
-            work_s=work,
-            deadline_s=deadline_s,
-            work_power_w=power_at(opp),
-            idle_power_w=idle_power_w,
+    if governor == "ondemand":
+        if len(table) == 1:
+            return table.nominal
+        t_slow, t_fast = time_at(table.min), time_at(table.max)
+        if math.isinf(t_slow) or math.isinf(t_fast):
+            return table.nominal
+        a, b = frequency_response(
+            t_slow, table.min.frequency_hz, t_fast, table.max.frequency_hz
         )
-    if policy != "pace_to_deadline":
-        raise ValueError(f"unknown energy policy {policy!r}")
-    for opp in table.points:
-        work = time_at(opp)
-        if work <= deadline_s:
-            return PolicyPlan(
-                policy=policy,
-                opp=opp,
-                work_s=work,
-                deadline_s=deadline_s,
-                work_power_w=power_at(opp),
-                idle_power_w=idle_power_w,
-            )
-    raise DeadlineInfeasible(
-        f"pace_to_deadline: no OPP of the "
-        f"{len(table)}-point table meets the {deadline_s:.6g} s deadline"
-    )
+        for opp in table.points:
+            if utilization(a, b, opp.frequency_hz) <= ONDEMAND_UP_THRESHOLD:
+                return opp
+        return table.max
+    if governor not in DEADLINE_POLICIES:
+        raise ValueError(f"unknown governor {governor!r}; expected one of {GOVERNORS}")
+    if deadline_s is None or deadline_s <= 0:
+        raise ValueError(f"{governor} needs a positive deadline_s")
+    candidates = (table.max,) if governor == "race_to_idle" else table.points
+    for opp in candidates:
+        if time_at(opp) <= deadline_s:
+            return opp
+    return None

@@ -12,9 +12,17 @@ Energy is not compared: the campaign meters it, the design space has
 no meter.
 
 The configs are the paper's Exynos 5250 plus a few drawn around it.
+
+A governed run settles its operating point on the same model price
+(:func:`repro.power.dvfs.settle` reads it as ``time_at``) and then runs
+that point once: at every OPP of a version's ladder the price is the
+run's ``elapsed_s``, bit for bit, with or without a deadline policy's
+idle tail, and ``inf`` exactly where the run fails.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +34,7 @@ from repro.benchmarks.registry import PAPER_ORDER, create
 from repro.calibration.socspace import SoCConfig
 from repro.designspace import DesignSpace
 from repro.optimizations.autotune import tune
+from repro.power import dvfs
 
 SCALE = 0.05
 PRECISIONS = (Precision.SINGLE, Precision.DOUBLE)
@@ -107,3 +116,48 @@ def test_opt_pick_is_the_tuners_pick(space, name, drawn):
                 platform=config.platform(),
             )
             assert pick == tune(bench), f"{config.name} {name}/{group.precision}"
+
+
+#: a deadline window longer than any region at ``SCALE``, so every
+#: forced OPP of a deadline policy runs with an idle tail
+WINDOW_S = 10.0
+
+
+@pytest.mark.parametrize("name", PAPER_ORDER)
+def test_governed_runs_take_the_time_settle_reads(name, monkeypatch):
+    forced: dict = {}
+
+    def settle_at(governor, table, *, time_at, deadline_s=None):
+        opp = table.points[forced["index"]]
+        forced["seconds"] = time_at(opp)
+        return opp
+
+    monkeypatch.setattr(dvfs, "settle", settle_at)
+    for precision in PRECISIONS:
+        bench = create(name, precision=precision, scale=SCALE)
+        for version in Version:
+            cpu = version in (Version.SERIAL, Version.OPENMP)
+            ladder = dvfs.A15_OPPS if cpu else dvfs.MALI_T604_OPPS
+            for index, opp in enumerate(ladder.points):
+                # the frequency governors run without a tail, the
+                # deadline policies with one
+                for governor in ("performance", "pace_to_deadline"):
+                    forced.clear()
+                    forced["index"] = index
+                    run = run_version(
+                        bench,
+                        version=version,
+                        governor=governor,
+                        energy_deadline_s=WINDOW_S,
+                    )
+                    where = (
+                        f"{name}/{precision.value}/{version.value}"
+                        f" @{opp.frequency_hz:g} Hz {governor}"
+                    )
+                    if "seconds" not in forced:  # no Opt candidate to settle
+                        assert not run.ok and version is Version.OPENCL_OPT, where
+                        continue
+                    assert run.ok == math.isfinite(forced["seconds"]), where
+                    if run.ok:
+                        assert run.elapsed_s == forced["seconds"], where
+                        assert run.diagnostics["dvfs"]["opp_hz"] == opp.frequency_hz, where

@@ -195,25 +195,6 @@ def test_power_rejects_all_zero_durations():
         board.trace([Activity(kind=ActivityKind.IDLE, duration_s=0.0)])
 
 
-# ---------------------------------------------------------------------------
-# shims: the historical entry points still answer bitwise the same
-# ---------------------------------------------------------------------------
-
-
-def test_scalar_shims_match_references():
-    platform = default_platform()
-    pricing = platform.pricing_model()
-    from repro.cpu.openmp import time_openmp
-    from repro.cpu.serial import time_serial
-
-    for precision in (Precision.SINGLE, Precision.DOUBLE):
-        bench = create("hist", precision=precision, scale=0.1, platform=platform)
-        _, mix, traits, n = cpu_pricing_inputs(bench)
-        args = (mix, n, traits, platform.cpu, pricing.dram_model, pricing.cpu_caches)
-        assert time_serial(*args) == time_serial_reference(*args)
-        assert time_openmp(*args) == time_openmp_reference(*args)
-
-
 def test_dp_register_collapse_survives_in_rows():
     """DP wide kernels land in a different occupancy regime than SP; the
     batched rows must reproduce that collapse, not smooth it out."""

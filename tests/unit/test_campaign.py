@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from repro.benchmarks import Precision, Version, execute_run
+from repro.benchmarks import Precision, Version, create, run_version
 from repro.experiments import (
     Campaign,
     CampaignSpec,
@@ -431,7 +431,8 @@ class TestBoundedLifetime:
 
 class TestWorkerEntry:
     def test_execute_run_matches_run_version(self):
-        direct = execute_run("vecop", version=Version.SERIAL, scale=0.02)
+        """A grid cell equals the same version run on a fresh instance."""
+        direct = run_version(create("vecop", scale=0.02), version=Version.SERIAL)
         via_grid = run_grid(["vecop"], versions=(Version.SERIAL,), scale=0.02)
         assert direct == via_grid.get("vecop", Version.SERIAL, Precision.SINGLE)
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.calibration import default_platform
-from repro.cpu import A15Config, time_openmp, time_serial
+from repro.cpu import A15Config
 from repro.ir import AccessPattern, F32, F64, KernelBuilder, OpKind, analyze
 from repro.memory.cache import StreamSpec
+from repro.pricing.cells import MODE_OPENMP, MODE_SERIAL, CpuCell
 from repro.workload import WorkloadTraits
 
 
@@ -28,18 +29,17 @@ def stream_traits(nbytes):
     return WorkloadTraits(streams=(StreamSpec("a", float(nbytes)),), elements=1)
 
 
+def price(platform, mode, mix, n, traits):
+    cell = CpuCell(mix=mix, mode=mode, n_elements=n, traits=traits or stream_traits(4 * n))
+    return platform.pricing_model().price_one(cell)
+
+
 def run_serial(platform, mix, n, traits=None):
-    return time_serial(
-        mix, n, traits or stream_traits(4 * n), platform.cpu,
-        platform.dram_model(), platform.cpu_caches(),
-    )
+    return price(platform, MODE_SERIAL, mix, n, traits)
 
 
 def run_omp(platform, mix, n, traits=None):
-    return time_openmp(
-        mix, n, traits or stream_traits(4 * n), platform.cpu,
-        platform.dram_model(), platform.cpu_caches(),
-    )
+    return price(platform, MODE_OPENMP, mix, n, traits)
 
 
 class TestA15Config:

@@ -30,13 +30,10 @@ from repro.power import dvfs
 from repro.power.dvfs import (
     A15_OPPS,
     MALI_T604_OPPS,
-    DeadlineInfeasible,
     OperatingPoint,
     OPPTable,
-    PolicyPlan,
     frequency_response,
-    plan_policy,
-    select_opp,
+    settle,
     utilization,
 )
 from repro.power.rails import stack_watts
@@ -173,28 +170,34 @@ class TestFrequencyResponse:
 
 
 class TestSelectOpp:
+    """:func:`settle` for ``fixed`` and the three frequency governors."""
+
     def test_performance_and_powersave_extremes(self):
-        assert select_opp(MALI_T604_OPPS, "performance") == MALI_T604_OPPS.max
-        assert select_opp(MALI_T604_OPPS, "powersave") == MALI_T604_OPPS.min
+        def unpriced(opp):
+            raise AssertionError("the extremes need no price")
+
+        for governor in ("fixed", "performance"):
+            assert settle(governor, MALI_T604_OPPS, time_at=unpriced) == MALI_T604_OPPS.max
+        assert settle("powersave", MALI_T604_OPPS, time_at=unpriced) == MALI_T604_OPPS.min
 
     def test_ondemand_compute_bound_picks_max(self):
         # t = a/f: utilization is 1.0 at every clock, so only the max
         # OPP (the never-ramp-above point) is steady
         time_at = lambda opp: 1e9 / opp.frequency_hz
-        assert select_opp(MALI_T604_OPPS, "ondemand", time_at=time_at) == (
+        assert settle("ondemand", MALI_T604_OPPS, time_at=time_at) == (
             MALI_T604_OPPS.max
         )
 
     def test_ondemand_memory_bound_picks_min(self):
         # clock-invariant region: utilization ~0 everywhere
-        assert select_opp(
-            MALI_T604_OPPS, "ondemand", time_at=lambda opp: 0.25
+        assert settle(
+            "ondemand", MALI_T604_OPPS, time_at=lambda opp: 0.25
         ) == MALI_T604_OPPS.min
 
     def test_ondemand_mixed_workload_picks_lowest_under_threshold(self):
         a, b = 2.0e8, 2.0  # busy at low clocks, mostly idle at the top
         time_at = lambda opp: a / opp.frequency_hz + b
-        chosen = select_opp(MALI_T604_OPPS, "ondemand", time_at=time_at)
+        chosen = settle("ondemand", MALI_T604_OPPS, time_at=time_at)
         assert utilization(a, b, chosen.frequency_hz) <= dvfs.ONDEMAND_UP_THRESHOLD
         for opp in MALI_T604_OPPS.points:
             if opp.frequency_hz < chosen.frequency_hz:
@@ -203,14 +206,27 @@ class TestSelectOpp:
                 )
 
     def test_ondemand_needs_estimator_and_known_name(self):
+        with pytest.raises(TypeError):
+            settle("ondemand", MALI_T604_OPPS)
         with pytest.raises(ValueError):
-            select_opp(MALI_T604_OPPS, "ondemand")
-        with pytest.raises(ValueError):
-            select_opp(MALI_T604_OPPS, "warp-speed")
+            settle("warp-speed", MALI_T604_OPPS, time_at=lambda opp: 1.0)
+
+    def test_ondemand_stays_nominal_when_an_extreme_cannot_run(self):
+        # a region that fails to build prices inf: there is no frequency
+        # response to fit, so the governor stays where it boots
+        for inf_at in (MALI_T604_OPPS.min, MALI_T604_OPPS.max):
+            time_at = lambda opp: float("inf") if opp == inf_at else 1.0
+            assert settle("ondemand", MALI_T604_OPPS, time_at=time_at) == (
+                MALI_T604_OPPS.nominal
+            )
 
     def test_single_point_table_short_circuits(self):
         t = OPPTable.fixed(533e6)
-        assert select_opp(t, "ondemand") == t.max
+
+        def unpriced(opp):
+            raise AssertionError("a one-point ladder needs no price")
+
+        assert settle("ondemand", t, time_at=unpriced) == t.max
 
 
 class TestClockSensitivity:
@@ -296,69 +312,93 @@ def ramp_table():
 
 
 class TestPolicyPlan:
-    def test_closed_form_energy_and_slack(self):
-        plan = PolicyPlan(
-            policy="race_to_idle",
-            opp=OperatingPoint(4e8, 1.2),
-            work_s=2.0,
-            deadline_s=5.0,
-            work_power_w=4.0,
-            idle_power_w=1.0,
-        )
-        assert plan.slack_s == 3.0
-        assert plan.energy_j == pytest.approx(2.0 * 4.0 + 3.0 * 1.0)
-        assert plan.mean_power_w == pytest.approx(plan.energy_j / 5.0)
+    """The deadline window a governed run reports: work at the settled
+    OPP, then the slack at the board idle floor."""
 
-    def test_validation(self):
-        opp = OperatingPoint(1e8, 1.0)
-        with pytest.raises(ValueError):  # misses its deadline
-            PolicyPlan("race_to_idle", opp, 6.0, 5.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            PolicyPlan("race_to_idle", opp, 1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            PolicyPlan("race_to_idle", opp, 1.0, 5.0, -1.0, 1.0)
+    def test_closed_form_energy_and_slack(self, vecop):
+        # the fixed run is the nominal OPP without a window: racing runs
+        # the same work and idles out the rest of the deadline
+        fixed = run_version(vecop, version=Version.OPENCL_OPT)
+        deadline = fixed.elapsed_s * 20
+        race = run_version(
+            vecop,
+            version=Version.OPENCL_OPT,
+            governor="race_to_idle",
+            energy_deadline_s=deadline,
+        )
+        info = race.diagnostics["dvfs"]
+        idle_w = vecop.platform.rails.board_idle_w
+        assert info["work_s"] == race.elapsed_s == fixed.elapsed_s
+        assert info["slack_s"] == deadline - info["work_s"]
+        assert info["model_energy_j"] == (
+            fixed.diagnostics["trace_energy_j"] + info["slack_s"] * idle_w
+        )
+        assert race.mean_power_w * deadline == pytest.approx(race.energy_j)
+
+    def test_validation(self, vecop):
+        for policy in dvfs.DEADLINE_POLICIES:
+            for deadline in (None, 0.0, -1.0):
+                with pytest.raises(ValueError):
+                    settle(policy, ramp_table(), time_at=lambda o: 1.0, deadline_s=deadline)
+                with pytest.raises(ValueError):
+                    run_version(
+                        vecop,
+                        version=Version.OPENCL,
+                        governor=policy,
+                        energy_deadline_s=deadline,
+                    )
 
 
 class TestPlanPolicy:
+    """:func:`settle` for the deadline policies."""
+
     def setup_method(self):
         self.table = ramp_table()
         # pure 1/f region: 1 s at the top OPP
         self.time_at = lambda opp: 4e8 / opp.frequency_hz
-        self.power_at = lambda opp: 4.0 * self.table.power_scale(opp)
 
-    def plan(self, policy, deadline):
-        return plan_policy(
-            policy,
-            self.table,
-            deadline_s=deadline,
-            time_at=self.time_at,
-            power_at=self.power_at,
-            idle_power_w=0.5,
-        )
+    def settle(self, policy, deadline):
+        return settle(policy, self.table, time_at=self.time_at, deadline_s=deadline)
 
     def test_race_takes_max_opp(self):
-        plan = self.plan("race_to_idle", 5.0)
-        assert plan.opp == self.table.max
-        assert plan.work_s == pytest.approx(1.0)
-        assert plan.slack_s == pytest.approx(4.0)
+        assert self.settle("race_to_idle", 5.0) == self.table.max
+        assert self.settle("race_to_idle", 1.0) == self.table.max
 
     def test_pace_takes_lowest_feasible_opp(self):
-        assert self.plan("pace_to_deadline", 5.0).opp == self.table.min
-        assert self.plan("pace_to_deadline", 2.5).opp == self.table.points[1]
-        assert self.plan("pace_to_deadline", 1.0).opp == self.table.max
+        assert self.settle("pace_to_deadline", 5.0) == self.table.min
+        assert self.settle("pace_to_deadline", 2.5) == self.table.points[1]
+        assert self.settle("pace_to_deadline", 1.0) == self.table.max
 
     def test_pace_beats_race_with_a_small_idle_floor(self):
-        race = self.plan("race_to_idle", 5.0)
-        pace = self.plan("pace_to_deadline", 5.0)
-        assert pace.energy_j < race.energy_j
+        # the sweep's deadline-window energies: at a generous budget the
+        # voltage saving at the bottom OPP beats racing's idle tail
+        swept = evaluate_dvfs(
+            small_family(),
+            benchmarks=("vecop",),
+            scale=0.1,
+            governors=dvfs.DEADLINE_POLICIES,
+            deadline_s=5.0,
+        )
+        for config in small_family():
+            sel = {
+                p.governor: p
+                for p in swept.select(precision="single")
+                if p.config_name == config.name
+            }
+            pace, race = sel["pace_to_deadline"], sel["race_to_idle"]
+            assert pace.opp_hz < race.opp_hz
+            assert pace.energy_j < race.energy_j
 
-    def test_infeasible_deadline_raises(self):
-        with pytest.raises(DeadlineInfeasible):
-            self.plan("race_to_idle", 0.5)
-        with pytest.raises(DeadlineInfeasible):
-            self.plan("pace_to_deadline", 0.5)
+    def test_infeasible_deadline_settles_nowhere(self):
+        assert self.settle("race_to_idle", 0.5) is None
+        assert self.settle("pace_to_deadline", 0.5) is None
+        # a region that cannot run fits no deadline
+        for policy in dvfs.DEADLINE_POLICIES:
+            assert settle(
+                policy, self.table, time_at=lambda o: float("inf"), deadline_s=5.0
+            ) is None
         with pytest.raises(ValueError):
-            self.plan("sprint_and_pray", 5.0)
+            self.settle("sprint_and_pray", 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +495,23 @@ class TestGovernedRuns:
         assert "deadline infeasible" in run.failure
         assert run.governor == "race_to_idle"
 
+    @pytest.mark.parametrize(
+        "governor", dvfs.FREQUENCY_GOVERNORS + dvfs.DEADLINE_POLICIES
+    )
+    def test_amcd_dp_build_failure_is_modeled_under_every_governor(self, governor):
+        # the driver's fp64 defect is a modeled failure (Figure 2(b)'s
+        # missing bar) at every operating point, never a harness crash
+        amcd = create("amcd", precision=Precision.DOUBLE, scale=0.02)
+        fixed = run_version(amcd, version=Version.OPENCL)
+        run = run_version(
+            amcd, version=Version.OPENCL, governor=governor, energy_deadline_s=0.5
+        )
+        assert not run.ok
+        assert run.failure_kind is None
+        assert run.failure == fixed.failure
+        assert run.failure.startswith("CL_BUILD_PROGRAM_FAILURE")
+        assert run.governor == governor
+
     def test_policy_without_deadline_is_rejected(self, vecop):
         with pytest.raises(ValueError):
             run_version(vecop, version=Version.OPENCL, governor="race_to_idle")
@@ -532,6 +589,37 @@ class TestCampaignGovernorAxis:
         assert back.get(
             "vecop", Version.OPENCL, Precision.SINGLE, governor="powersave"
         ).elapsed_s == governed.elapsed_s
+
+    def test_report_describes_governed_failures(self):
+        from repro.experiments.engine import Campaign
+
+        spec = CampaignSpec(
+            benchmarks=("amcd",),
+            versions=(Version.OPENCL,),
+            precisions=(Precision.SINGLE, Precision.DOUBLE),
+            scale=0.02,
+            governors=("fixed", "powersave", "pace_to_deadline"),
+            energy_deadline_s=0.5,
+        )
+        campaign = Campaign(spec)
+        campaign.run()
+        report = campaign.report
+        assert report.failed_runs == (
+            ("amcd", Version.OPENCL, Precision.DOUBLE),
+            ("amcd", Version.OPENCL, Precision.DOUBLE, "powersave"),
+            ("amcd", Version.OPENCL, Precision.DOUBLE, "pace_to_deadline"),
+        )
+        assert report.crashed_runs == ()
+        failed = [
+            line.strip()
+            for line in report.describe().splitlines()
+            if line.strip().startswith(("FAILED", "CRASHED", "TIMEOUT"))
+        ]
+        assert failed == [
+            "FAILED amcd [DP] OpenCL",
+            "FAILED amcd [DP] OpenCL @powersave",
+            "FAILED amcd [DP] OpenCL @pace_to_deadline",
+        ]
 
     def test_governed_cells_survive_journal_replay(self, tmp_path):
         from repro.experiments.engine import Campaign
