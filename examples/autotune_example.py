@@ -23,8 +23,7 @@ def show(name: str, precision: Precision) -> None:
     result = sweep(bench)
     feasible = [t for t in result.trials if t.feasible]
     print(f"\n=== {name} [{precision.label}]: "
-          f"{len(result.trials)} candidates, {result.n_infeasible} infeasible, "
-          f"{result.n_skipped} pruned by bound ===")
+          f"{len(result.trials)} candidates, {result.n_infeasible} infeasible ===")
     for trial in sorted(feasible, key=lambda t: t.seconds)[:5]:
         local = "driver" if trial.local_size is None else f"L={trial.local_size}"
         print(f"  {trial.seconds * 1e3:8.3f} ms  {trial.options.describe():24s} {local}")

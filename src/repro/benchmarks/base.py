@@ -626,11 +626,10 @@ class Benchmark(abc.ABC):
         """Model-predicted time of one timed iteration (autotuner probe).
 
         Compiles and prices the kernel without executing any functional
-        NumPy code, so the tuner can sweep dozens of candidates cheaply.
-        One-shot convenience over :meth:`iteration_pricer` — both the
-        exhaustive and the pruned tuner strategies price through the
-        same pricer code path, which is what makes their selections
-        provably identical.
+        NumPy code.  One-shot convenience over :meth:`iteration_pricer`:
+        the tuner's sweep holds one pricer per options point and prices
+        every local size through it, so each of its trials is what this
+        returns (or raises) for that candidate.
         """
         return self.iteration_pricer(options)(local_size)
 

@@ -47,10 +47,9 @@ exceeds a config's scaled register file are infeasible on that config
 (``CL_OUT_OF_RESOURCES``), which is how the paper's DP
 register-exhaustion collapse shows up across the space.
 
-On top sit deterministic Pareto helpers: :func:`dominates`,
-:func:`frontier` (the O(n log n) :func:`repro.pareto.skyline`),
-:func:`dominated`, :func:`equal_energy_speedup` and
-:func:`equal_time_energy`.
+On top sit deterministic Pareto helpers: :func:`frontier` (the
+O(n log n) :func:`repro.pareto.skyline`), :func:`dominated`,
+:func:`equal_energy_speedup` and :func:`equal_time_energy`.
 
 Large spaces run through **streaming evaluation**
 (``evaluate_space(stream=True)``): configs are priced in fixed-size
@@ -87,7 +86,7 @@ from .calibration.socspace import (
     default_space,
 )
 from .errors import CLError, CompilerError
-from .experiments.trace import JsonlTraceSink, Tracer, TraceSink
+from .experiments.trace import Tracer, resolve_sink
 from .memory.dram import DramModel
 from .pareto import OnlineFrontier, point_key, skyline
 from .power.rails import ActivityKind, gpu_floor_watts, stack_watts
@@ -215,7 +214,7 @@ class DesignSpace:
         from .cpu.pricing import CpuConfigStack
         from .mali.timing import GpuConfigStack
         from .ocl.driver import default_quirks, launch_geometry
-        from .optimizations.autotune import _candidates
+        from .optimizations import autotune
 
         self.base = base if base is not None else default_platform()
         self.benchmarks = tuple(benchmarks)
@@ -258,7 +257,7 @@ class DesignSpace:
                 # within one benchmark a kernel is its name and options
                 kernels: dict[tuple, object] = {}
                 candidates = []
-                for options, local in _candidates(bench, include_naive=True):
+                for options, local in autotune.candidates(bench, include_naive=True):
                     cells = bench.iteration_cells(options, local)
                     launched = []
                     for cell in (c for c in cells if isinstance(c, Launch)):
@@ -786,15 +785,6 @@ def _eval_worker(payload) -> tuple[DesignPoint, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_trace(trace):
-    """Normalize ``trace`` (sink, path or None) like the campaign engine."""
-    if trace is None:
-        return TraceSink(), False
-    if isinstance(trace, (str, Path)):
-        return JsonlTraceSink(trace), True
-    return trace, False
-
-
 def _stream_shard(
     space: DesignSpace,
     configs,
@@ -818,7 +808,7 @@ def _stream_shard(
     """
     import numpy as np
 
-    frontiers = {p.value: OnlineFrontier(key=_sort_key) for p in space.precisions}
+    frontiers = {p.value: OnlineFrontier(key=point_key) for p in space.precisions}
     evaluated = 0
     pruned = 0
     peak = 0
@@ -1271,7 +1261,7 @@ def evaluate_space(
                 f"benchmarks (or {AGGREGATE!r})"
             )
     keep_names = frozenset(keep_configs or ())
-    sink, owns_sink = _resolve_trace(trace)
+    sink, owns_sink = resolve_sink(trace)
     tracer = Tracer(sink)
     try:
         if not stream:
@@ -1327,7 +1317,7 @@ def evaluate_space(
             # and eviction only discard globally-dominated points) —
             # so the merged frontier is byte-identical to jobs=1
             frontiers = {
-                p.value: OnlineFrontier(key=_sort_key) for p in precisions
+                p.value: OnlineFrontier(key=point_key) for p in precisions
             }
             kept: list[DesignPoint] = []
             evaluated = pruned = peak = 0
@@ -1412,19 +1402,6 @@ def evaluate_space(
 # ---------------------------------------------------------------------------
 
 
-def dominates(a: DesignPoint, b: DesignPoint) -> bool:
-    """Pareto domination on (seconds, energy_j), both minimized."""
-    return (
-        a.seconds <= b.seconds
-        and a.energy_j <= b.energy_j
-        and (a.seconds < b.seconds or a.energy_j < b.energy_j)
-    )
-
-
-#: the deterministic point ordering shared by every Pareto helper
-_sort_key = point_key
-
-
 def frontier(points) -> tuple[DesignPoint, ...]:
     """The non-dominated feasible points, deterministically ordered.
 
@@ -1434,7 +1411,7 @@ def frontier(points) -> tuple[DesignPoint, ...]:
     skyline, checked against the all-pairs oracle
     ``frontier_reference`` in ``tests/pricing_oracle.py``.
     """
-    return skyline(points, key=_sort_key)
+    return skyline(points, key=point_key)
 
 
 def dominated(points) -> tuple[DesignPoint, ...]:
@@ -1445,11 +1422,11 @@ def dominated(points) -> tuple[DesignPoint, ...]:
     never lands in both sets.
     """
     points = tuple(points)
-    front = set(map(_sort_key, frontier(points)))
+    front = set(map(point_key, frontier(points)))
     return tuple(
         sorted(
-            (p for p in points if p.feasible and _sort_key(p) not in front),
-            key=_sort_key,
+            (p for p in points if p.feasible and point_key(p) not in front),
+            key=point_key,
         )
     )
 
@@ -1463,7 +1440,7 @@ def equal_energy_speedup(points, ref: DesignPoint):
     """
     viable = sorted(
         (p for p in points if p.feasible and p.energy_j <= ref.energy_j),
-        key=_sort_key,
+        key=point_key,
     )
     if not viable:
         return None

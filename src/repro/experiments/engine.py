@@ -103,7 +103,7 @@ from .cache import RunCache, run_key
 from .journal import CampaignJournal
 from .remote import PoolExhausted, RemoteWorkerPool
 from .runner import Key, ResultSet, key_label
-from .trace import JsonlTraceSink, Tracer, TraceSink
+from .trace import Tracer, TraceSink, resolve_sink
 
 
 class DeadlineExceeded(ReproError):
@@ -820,7 +820,7 @@ class Campaign:
         if journal_dir is None:
             journal_dir = self.journal_dir
         journal = CampaignJournal(journal_dir) if journal_dir is not None else None
-        sink, owns_sink = self._resolve_sink()
+        sink, owns_sink = resolve_sink(self._trace)
         tracer = Tracer(sink)
         t0 = self.clock.monotonic()
         self._deadline_at = t0 + self.deadline_s if self.deadline_s is not None else None
@@ -981,13 +981,6 @@ class Campaign:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _resolve_sink(self) -> tuple[TraceSink, bool]:
-        if self._trace is None:
-            return TraceSink(), False
-        if isinstance(self._trace, (str, Path)):
-            return JsonlTraceSink(self._trace), True
-        return self._trace, False
-
     def _task_fields(self, task: RunTask) -> dict:
         fields = {
             "benchmark": task.benchmark,

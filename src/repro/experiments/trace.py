@@ -136,6 +136,17 @@ class JsonlTraceSink(TraceSink):
             self._fh = None
 
 
+def resolve_sink(trace: TraceSink | str | Path | None) -> tuple[TraceSink, bool]:
+    """The sink a ``trace=`` argument names, and whether the caller owns
+    (and must close) it: ``None`` discards events, a path opens a
+    :class:`JsonlTraceSink`, a sink passes through."""
+    if trace is None:
+        return TraceSink(), False
+    if isinstance(trace, (str, Path)):
+        return JsonlTraceSink(trace), True
+    return trace, False
+
+
 class Tracer:
     """Stamps events with campaign-relative monotonic timestamps."""
 

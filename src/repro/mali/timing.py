@@ -25,7 +25,7 @@ launch entry (:func:`time_launch` is a throwaway pricer), which reads
 the lane back as a :class:`GpuLaunchTiming` row.  The config-invariant
 inputs (the instruction-mix slice, the DRAM traffic) come from
 per-kernel and per-stream-mix tables shared by all of them and by
-:func:`roofline_floor_seconds`.
+the design space's lower bound (:meth:`GpuConfigStack.floor_seconds`).
 """
 
 from __future__ import annotations
@@ -472,40 +472,6 @@ class LaunchPricer:
         return self._memo.get_or_compute(self.key(n_items, local_size), fresh)
 
 
-def roofline_floor_seconds(
-    compiled: CompiledKernel,
-    n_items: int,
-    traits: WorkloadTraits,
-    config: MaliConfig,
-    dram: DramModel,
-    caches: CacheHierarchy,
-) -> float:
-    """Optimistic lower bound on ``time_launch(...).seconds``.
-
-    The best case for any launch of this compiled kernel: perfect latency
-    hiding (occupancy = 1), full access-width efficiency, no imbalance,
-    no overlap leak, and zero barrier/schedule/launch overheads — just
-    ``max(arith, ls, dram)`` over the shared mix slice and traffic
-    table.  Every penalty the launch epilogue applies is a multiplier
-    ≥ 1 or an additive term ≥ 0 on top of these components, so the bound
-    holds for every local size; the pruned tuner strategy uses it to
-    discard candidates that cannot beat the incumbent.
-    """
-    if n_items < 1:
-        raise ValueError(f"n_items must be >= 1, got {n_items}")
-    arith, ls, _ = _columns_for(compiled, config).slice(n_items)
-    _, transfer_s = _traffic_entry(
-        _traffic_tables(dram, caches), dram, caches, traits.streams, 1
-    )
-    clock = config.clock_hz
-    n_cores = config.shader_cores
-    return max(
-        arith / (n_cores * config.arith_pipes_per_core) / clock,
-        ls / (n_cores * config.ls_pipes_per_core) / clock,
-        transfer_s,
-    )
-
-
 class GpuPricingModel:
     """The launch pricers of one platform facade.
 
@@ -846,8 +812,8 @@ class GpuConfigStack:
     ):
         """Rigorous per-cell lower bound on :meth:`block_rows` ``seconds``.
 
-        The roofline floor along the config axis (the stacked twin of
-        :func:`roofline_floor_seconds`'s idea):
+        The roofline floor along the config axis, the design space's
+        pruning bound (the tuner prices every candidate and needs none):
         ``max(arith_s, ls_s, dram_s) + schedule_s + launch_overhead``,
         dropping only the terms that can only increase the result —
         the atomic lane of the roofline max, the overlap leak and

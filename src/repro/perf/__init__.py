@@ -26,12 +26,12 @@ and a warm rerun is served whole by the campaign's run cache
 All cached functions are pure: a key is built only from frozen,
 content-hashable inputs (kernel IR trees, options, calibrated configs),
 so a cache hit returns exactly the object a fresh computation would
-have produced.  The whole lane can be switched off
-(``configure(config=PerfConfig(enabled=False))`` or the :func:`disabled`
-context manager): every lookup then computes afresh through the same
-code, with no table or counter traffic — switching the memo off changes
-how often a value is computed, never how.  Both settings produce
-byte-identical :class:`~repro.experiments.runner.ResultSet` JSON
+have produced.  The whole lane can be switched off for a block with
+the :func:`disabled` context manager: every lookup then computes
+afresh through the same code, with no table or counter traffic —
+switching the memo off changes how often a value is computed, never
+how.  Both settings produce byte-identical
+:class:`~repro.experiments.runner.ResultSet` JSON
 (``tests/unit/test_perf_cache.py`` runs the SP+DP grid both ways).
 """
 
@@ -51,12 +51,9 @@ from ..errors import ReproError
 __all__ = [
     "CacheStats",
     "MemoCache",
-    "PerfConfig",
     "cache",
     "caches",
-    "configure",
     "content_key",
-    "current_config",
     "counters",
     "counters_delta",
     "counters_merge",
@@ -74,31 +71,6 @@ DEFAULT_MAXSIZE = 512
 _MISS = object()
 
 _ENABLED = True
-
-
-@dataclass(frozen=True)
-class PerfConfig:
-    """The whole fast-lane configuration as one frozen value.
-
-    ``enabled`` switches the memo on or off.  Pass to
-    ``configure(config=...)``; read the current state back with
-    :func:`current_config`, so a caller can capture, compare and restore
-    it atomically.
-    """
-
-    enabled: bool = True
-
-
-def current_config() -> PerfConfig:
-    """Snapshot of the live fast-lane state as a :class:`PerfConfig`;
-    ``configure(config=current_config())`` is an exact round trip."""
-    return PerfConfig(enabled=_ENABLED)
-
-
-def configure(config: PerfConfig) -> None:
-    """Apply a whole fast-lane configuration process-wide."""
-    global _ENABLED
-    _ENABLED = bool(config.enabled)
 
 
 def is_enabled() -> bool:

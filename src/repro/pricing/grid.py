@@ -86,13 +86,10 @@ def estimate_opt_seconds(bench) -> float | None:
     """Model-only tuned OpenCL-Opt seconds of one timed iteration.
 
     Runs the autotuner (compiles + prices, no functional execution) and
-    returns the winning candidate's modeled time, or ``None`` when no
+    returns the winning trial's modeled time, or ``None`` when no
     candidate is feasible (the paper's missing DP bars).
     """
-    from ..optimizations.autotune import tune
+    from ..optimizations.autotune import sweep
 
-    best = tune(bench)
-    if best is None:
-        return None
-    options, local_size = best
-    return bench.estimate_iteration_seconds(options, local_size)
+    best = sweep(bench).best
+    return None if best is None else best.seconds

@@ -18,6 +18,7 @@ FAST_EXAMPLES = [
     "quickstart.py",
     "architecture_tour.py",
     "custom_kernel.py",
+    "autotune_example.py",
 ]
 
 
@@ -118,7 +119,6 @@ def test_all_examples_are_tested_or_listed():
         "resume_campaign.py",       # tested above at reduced scale
         "distributed_campaign.py",  # tested above at reduced scale
         "optimization_walkthrough.py",
-        "autotune_example.py",
         "energy_study.py",
         "precision_study.py",
         "roofline_study.py",

@@ -4,7 +4,9 @@ import pytest
 
 from repro.benchmarks import Precision, Version, create, run_version
 from repro.calibration import default_platform
+from repro.errors import CLError, CompilerError
 from repro.experiments.sweep import format_sweep, run_size_sweep
+from repro.optimizations.autotune import candidates
 from repro.whatif import (
     compare_platforms,
     fixed_driver_platform,
@@ -102,6 +104,25 @@ class TestCli:
         assert self.run_cli("tune", "vecop", "--scale", "0.05", "--top", "3") == 0
         out = capsys.readouterr().out
         assert "candidates" in out
+
+        # --top N ranks the N fastest of all feasible candidates, each
+        # as it prices on its own
+        assert self.run_cli("tune", "dmmm", "--scale", "0.25", "--top", "10") == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        bench = create("dmmm", scale=0.25)
+        priced = []
+        for options, local in candidates(bench, include_naive=True):
+            try:
+                seconds = bench.estimate_iteration_seconds(options, local)
+            except (CompilerError, CLError):
+                continue
+            label = "driver" if local is None else f"L={local}"
+            priced.append((seconds, options.describe(), label))
+        fastest = sorted(priced, key=lambda p: p[0])[:10]
+        assert len(priced) > 10
+        assert rows == [[f"{s * 1e3:.3f}", "ms", name, label] for s, name, label in fastest]
+        times = [float(row[0]) for row in rows]
+        assert times == sorted(times)
 
     def test_roofline(self, capsys):
         assert self.run_cli("roofline", "--scale", "0.05") == 0

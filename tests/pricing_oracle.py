@@ -9,8 +9,7 @@ checked against: the same models written cell by cell over
 formulas read in the paper's terms.  Every production row must equal
 the reference bit for bit (full dataclass ``==``, never ``approx``).
 
-* :func:`time_launch_reference` / :func:`roofline_floor_reference` —
-  one Mali-T604 NDRange launch and its optimistic roofline floor;
+* :func:`time_launch_reference` — one Mali-T604 NDRange launch;
 * :func:`time_serial_reference` / :func:`time_openmp_reference` — one
   timed Cortex-A15 iteration, one core or both;
 * :func:`facade_rows` — a :class:`~repro.designspace.DesignSpace` row
@@ -47,7 +46,6 @@ from repro.cpu.serial import CpuTiming
 from repro.errors import CLOutOfResources
 from repro.ir.dtypes import DType, scalar_bits
 from repro.ir.nodes import AccessPattern, MemSpace
-from repro.mali import timing
 from repro.mali.job_manager import distribute
 from repro.mali.occupancy import derive_occupancy
 from repro.mali.timing import GpuLaunchTiming, LaunchPricer
@@ -195,28 +193,6 @@ def time_launch_reference(
         dram_bytes=dram_bytes,
         bottleneck=bottleneck,
     )
-
-
-def roofline_floor_reference(compiled, n_items, traits, config, dram, caches) -> float:
-    """``max(arith, ls, dram)`` seconds with perfect hiding and no overheads."""
-    if n_items < 1:
-        raise ValueError(f"n_items must be >= 1, got {n_items}")
-    totals = compiled.mix.scaled(float(n_items))
-    clock = config.clock_hz
-    n_cores = config.shader_cores
-    arith_s = (
-        arith_cycles(totals, config, compiled.options.native_math)
-        / (n_cores * config.arith_pipes_per_core)
-        / clock
-    )
-    ls_s = ls_cycles(totals, config) / (n_cores * config.ls_pipes_per_core) / clock
-    traffic = caches.dram_traffic(list(traits.streams))
-    dram_s = (
-        dram.transfer_seconds("gpu", bytes_by_pattern=traffic)
-        if sum(traffic.values()) > 0
-        else 0.0
-    )
-    return max(arith_s, ls_s, dram_s)
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +600,9 @@ def scalar_pricing():
     Covers the pricing entries a campaign and the tuner reach in-process:
     ``LaunchPricer.price`` (``time_launch``, the tuner's pricers),
     ``PlatformPricing.price_one`` (every CPU cell, through
-    ``cpu_region_timing``) and the pruning floor.
+    ``cpu_region_timing``).
     """
     with perf.disabled(), \
             mock.patch.object(LaunchPricer, "price", _scalar_launch), \
-            mock.patch.object(timing, "roofline_floor_seconds", roofline_floor_reference), \
             mock.patch.object(PlatformPricing, "price_one", _scalar_cpu_one):
         yield

@@ -8,10 +8,9 @@ by cell, and whether the engine runs in-process or on a worker pool.
 
 The scalar world is forced by (a) ``perf.disabled()``, which bypasses
 every memo tier, and (b) patching the launch and CPU pricing entries
-the campaign reaches — ``LaunchPricer.price``,
-``PlatformPricing.price_one`` and the tuner's
-``roofline_floor_seconds`` — onto the independent scalar references of
-``tests/pricing_oracle.py``.
+the campaign reaches — ``LaunchPricer.price`` and
+``PlatformPricing.price_one`` — onto the independent scalar references
+of ``tests/pricing_oracle.py``.
 """
 
 from __future__ import annotations

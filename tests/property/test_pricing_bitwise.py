@@ -26,12 +26,11 @@ from repro.compiler.options import NAIVE, CompileOptions
 from repro.compiler.pipeline import compile_kernel
 from repro.cpu.pricing import CpuConfigStack
 from repro.errors import ReproError
-from repro.mali.timing import GpuConfigStack, roofline_floor_seconds
+from repro.mali.timing import GpuConfigStack
 from repro.ocl.driver import default_quirks
 from repro.power.rails import Activity, ActivityKind
 from repro.pricing import MODE_OPENMP, MODE_SERIAL, CpuCell, GpuLaunchCell
 from tests.pricing_oracle import (
-    roofline_floor_reference,
     time_launch_reference,
     time_openmp_reference,
     time_serial_reference,
@@ -142,7 +141,7 @@ def _gpu_stack(cells, platform, pricing):
 def test_gpu_batched_equals_scalar(name, precision):
     """Every probe launch of a benchmark, as the lanes of one stack and
     one at a time through the launch entry, equals the scalar
-    reference, and so does its roofline floor."""
+    reference."""
     platform = default_platform()
     pricing = platform.pricing_model()
     bench = create(name, precision=precision, scale=0.1, platform=platform)
@@ -165,11 +164,6 @@ def test_gpu_batched_equals_scalar(name, precision):
         assert lane == expected  # full GpuLaunchTiming, bitwise
         pricer = pricing.gpu.pricer(cell.compiled, cell.traits)
         assert pricer.price(cell.n_items, cell.local_size) == expected
-        floor_args = (
-            cell.compiled, cell.n_items, cell.traits,
-            platform.mali, pricing.dram_model, pricing.gpu_caches,
-        )
-        assert roofline_floor_seconds(*floor_args) == roofline_floor_reference(*floor_args)
 
 
 def test_gpu_dp_wide_probe_compiles_somewhere():

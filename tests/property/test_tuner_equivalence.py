@@ -1,19 +1,25 @@
-"""Pruned tuner search selects exactly what exhaustive search selects.
+"""The tuner's sweep prices each candidate as a one-shot probe does.
 
-The pruned strategy skips a candidate only when its roofline lower
-bound strictly exceeds an already-measured time, and memoizes compile
-infeasibility per options point — both provably selection-preserving.
-These tests check that claim empirically over the paper's full
+:func:`sweep` holds one ``iteration_pricer`` per options point and
+prices every local size through it; a build failure condemns every
+local size of its point at once.  Each trial must still be exactly what
+``bench.estimate_iteration_seconds(options, local)`` returns or raises
+for that candidate — the seconds bit for bit, the error text verbatim —
+computed afresh with the memo off, and :func:`tune` must pick the first
+minimum of the trials.  These tests check that over the paper's full
 benchmark × precision grid (including the double-precision
 register-exhaustion collapse of ``nbody`` and ``2dcon``, Figure 2(b))
-and over hypothesis-drawn scales and seeds.
+and over hypothesis-drawn scales and seeds.  In the test names,
+"exhaustive" is the one-at-a-time probe and "pruned" the sweep.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import PAPER_ORDER, Precision, create, perf
-from repro.optimizations.autotune import sweep
+from repro.compiler.options import NAIVE
+from repro.errors import CLError, CompilerError
+from repro.optimizations.autotune import sweep, tune
 from tests.pricing_oracle import scalar_pricing
 
 GRID = [
@@ -23,31 +29,35 @@ GRID = [
 ]
 
 
+def probe(bench, options, local_size):
+    """(seconds, error text) of one candidate priced on its own."""
+    try:
+        return bench.estimate_iteration_seconds(options, local_size), None
+    except (CompilerError, CLError) as exc:
+        return None, str(exc)
+
+
 def assert_equivalent(bench):
-    exhaustive = sweep(bench, strategy="exhaustive")
-    pruned = sweep(bench, strategy="pruned")
+    result = sweep(bench)
 
-    # identical candidate list, in the same canonical order
-    assert [(t.options, t.local_size) for t in pruned.trials] == [
-        (t.options, t.local_size) for t in exhaustive.trials
-    ]
-    # identical infeasibility verdicts (the DP collapse must reproduce
-    # unchanged under pruning: a skipped trial is never an infeasible one)
-    assert pruned.n_infeasible == exhaustive.n_infeasible
-    for p, e in zip(pruned.trials, exhaustive.trials):
-        assert (p.error is not None) == (e.error is not None)
-        if not p.skipped:
-            assert p.seconds == e.seconds
+    # one trial per distinct candidate, naive baseline last unless listed
+    expected = list(dict.fromkeys([*bench.tuning_space(), (NAIVE, None)]))
+    assert [(t.options, t.local_size) for t in result.trials] == expected
+    with perf.disabled():
+        for trial in result.trials:
+            assert (trial.seconds, trial.error) == probe(bench, trial.options, trial.local_size)
 
-    best_p, best_e = pruned.best, exhaustive.best
-    if best_e is None:
-        assert best_p is None
-    else:
-        assert best_p is not None
-        assert best_p.options == best_e.options
-        assert best_p.local_size == best_e.local_size
-        assert best_p.seconds == best_e.seconds
-    return exhaustive, pruned
+    feasible = [t for t in result.trials if t.feasible]
+    assert result.n_evaluated == len(feasible)
+    assert result.n_infeasible == len(result.trials) - len(feasible)
+    if not feasible:
+        assert result.best is None and tune(bench) is None
+        return result
+    fastest = min(t.seconds for t in feasible)
+    first = next(t for t in feasible if t.seconds == fastest)
+    assert result.best is first
+    assert tune(bench) == (first.options, first.local_size)
+    return result
 
 
 @pytest.mark.parametrize("name,precision", GRID, ids=lambda v: getattr(v, "value", v))
@@ -57,43 +67,26 @@ def test_pruned_matches_exhaustive_on_paper_grid(name, precision):
 
 
 def test_dp_register_exhaustion_survives_pruning():
-    """Figure 2(b): the DP infeasible points stay infeasible — and the
-    tuner still falls back to a near-naive winner — under pruning."""
+    """Figure 2(b): the DP aggressive points fail to build, and the
+    tuner still falls back to a near-naive winner."""
     for name in ("nbody", "2dcon"):
         bench = create(name, precision=Precision.DOUBLE, scale=0.25)
-        exhaustive, pruned = assert_equivalent(bench)
-        assert pruned.n_infeasible > 0
-        assert pruned.best is not None
-
-
-def test_pruning_actually_prunes():
-    """On the big SP spaces the bound must pay for itself (this guards
-    against the bound silently degenerating to never-skip)."""
-    skipped = 0
-    for name in ("dmmm", "2dcon", "amcd"):
-        bench = create(name, precision=Precision.SINGLE, scale=0.25)
-        skipped += sweep(bench, strategy="pruned").n_skipped
-    assert skipped > 0
+        result = assert_equivalent(bench)
+        assert result.n_infeasible > 0
+        assert result.best is not None
 
 
 def test_scalar_lane_selects_identically():
     """With every launch priced through the scalar references of
-    ``tests/pricing_oracle.py`` the tuner produces the same timings and
+    ``tests/pricing_oracle.py`` the tuner produces the same trials and
     picks the same winner as through the stack-backed pricers."""
     for name in ("vecop", "red"):
         bench = create(name, precision=Precision.SINGLE, scale=0.1)
-        batched = sweep(bench, strategy="pruned")
+        batched = sweep(bench)
         with scalar_pricing():
-            scalar = sweep(bench, strategy="pruned")
-        priced = lambda r: [
-            (t.options, t.local_size, t.seconds, t.error is not None)
-            for t in r.trials
-            if not t.skipped
-        ]
-        assert priced(scalar) == priced(batched)
-        assert scalar.best.options == batched.best.options
-        assert scalar.best.local_size == batched.best.local_size
-        assert scalar.best.seconds == batched.best.seconds
+            scalar = sweep(bench)
+        assert scalar.trials == batched.trials
+        assert scalar.best == batched.best
 
 
 @given(
@@ -104,9 +97,8 @@ def test_scalar_lane_selects_identically():
 )
 @settings(max_examples=25, deadline=None)
 def test_equivalence_across_scales_and_seeds(name, precision, scale, seed):
-    # a cold lane each example: memoized compiles are shared between the
-    # two sweeps inside assert_equivalent, which is exactly production
-    # behaviour, but examples must not leak state into each other
+    # a cold lane each example, so no example leaks memo state into
+    # the next
     perf.reset()
     bench = create(name, precision=precision, scale=scale, seed=seed)
     assert_equivalent(bench)

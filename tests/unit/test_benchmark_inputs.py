@@ -35,7 +35,7 @@ from repro.benchmarks.spmv import csr_matvec
 from repro.benchmarks.vecop import VecOp
 from repro.designspace import DesignSpace
 from repro.errors import ReproError
-from repro.optimizations.autotune import _candidates, tune
+from repro.optimizations.autotune import candidates, tune
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -98,7 +98,7 @@ class TestShapeOnlyPaths:
         bench = create(name, precision=precision, scale=0.05)
         state = bench.draws.rng.bit_generator.state
         cpu_pricing_inputs(bench)
-        for options, _ in _candidates(bench, include_naive=True):
+        for options, _ in candidates(bench, include_naive=True):
             bench.kernel_ir(options)
             bench.gpu_traits(options)
         tune(bench)

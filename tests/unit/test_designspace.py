@@ -29,7 +29,6 @@ from repro.designspace import (
     DesignPoint,
     DesignSpace,
     dominated,
-    dominates,
     equal_energy_speedup,
     equal_time_energy,
     evaluate_space,
@@ -38,6 +37,7 @@ from repro.designspace import (
     opt_over_serial,
 )
 from repro.errors import CalibrationError, CLOutOfResources
+from repro.pareto import strictly_dominates
 from tests.pricing_oracle import digest_reference, frontier_reference
 
 
@@ -286,6 +286,9 @@ def test_design_point_is_an_immutable_named_tuple():
 
 
 def test_dominates_is_strict_pareto():
+    def dominates(a, b):
+        return strictly_dominates(a.seconds, a.energy_j, b.seconds, b.energy_j)
+
     assert dominates(_pt("a", 1.0, 1.0), _pt("b", 2.0, 2.0))
     assert dominates(_pt("a", 1.0, 2.0), _pt("b", 2.0, 2.0))
     assert not dominates(_pt("a", 1.0, 1.0), _pt("b", 1.0, 1.0))  # equal

@@ -21,10 +21,8 @@ from repro.optimizations.autotune import sweep
 def _cold_lane():
     """Every test starts and ends with empty caches and zero counters."""
     perf.reset()
-    perf.configure(config=dataclasses.replace(perf.current_config(), enabled=True))
     yield
     perf.reset()
-    perf.configure(config=dataclasses.replace(perf.current_config(), enabled=True))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +249,7 @@ def test_sweep_dedupes_naive_already_in_tuning_space():
     bench = create("vecop", scale=0.05)
     space = [(NAIVE, None)] + list(bench.tuning_space())[:3]
     bench.tuning_space = lambda: iter(space)
-    result = sweep(bench, include_naive=True, strategy="exhaustive")
+    result = sweep(bench, include_naive=True)
     candidates = [(t.options, t.local_size) for t in result.trials]
     assert len(candidates) == len(set(candidates))
     assert candidates.count((NAIVE, None)) == 1

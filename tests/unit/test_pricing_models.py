@@ -1,9 +1,9 @@
 """Unit surface of ``repro.pricing``.
 
 Covers the ``PlatformPricing`` facade, the launch errors of every GPU
-pricing view, the GPU model's pricer per traits value, the ``PerfConfig`` form
-of ``perf.configure``, the keyword-only signatures, ``seed_cpu_timing``
-and the model-only estimate helpers the what-if studies use.
+pricing view, the GPU model's pricer per traits value, the keyword-only
+signatures, ``seed_cpu_timing`` and the model-only estimate helpers the
+what-if studies use.
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ from repro.pricing.grid import (
 
 @pytest.fixture(autouse=True)
 def _fresh_perf():
-    """Cold memo per test; the fast-lane configuration is restored."""
-    config = perf.current_config()
+    """Cold memo per test."""
     perf.reset()
     yield
     perf.reset()
-    perf.configure(config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -100,32 +98,6 @@ def test_gpu_model_prices_each_traits_object_as_its_own_value():
         wrong += model.pricer(compiled, short).traits != short
         del short
     assert wrong == 0
-
-
-# ---------------------------------------------------------------------------
-# perf.configure(config=PerfConfig(...))
-# ---------------------------------------------------------------------------
-
-
-class TestPerfConfig:
-    def test_round_trip(self):
-        before = perf.current_config()
-        assert before == perf.PerfConfig(enabled=True)
-        perf.configure(config=perf.PerfConfig(enabled=False))
-        assert not perf.is_enabled()
-        snapshot = perf.current_config()
-        perf.configure(config=before)
-        assert perf.current_config() == before
-        perf.configure(config=snapshot)
-        assert perf.current_config() == snapshot
-
-    def test_frozen(self):
-        with pytest.raises(Exception):
-            perf.current_config().enabled = False
-
-    def test_exported(self):
-        assert "PerfConfig" in perf.__all__
-        assert "current_config" in perf.__all__
 
 
 # ---------------------------------------------------------------------------
