@@ -292,8 +292,13 @@ def cmd_designspace(args) -> int:
         export_frontier,
         frontier,
     )
+    from .errors import CalibrationError
 
-    configs = load_configs(args.configs) if args.configs else default_space()
+    try:
+        configs = load_configs(args.configs) if args.configs else default_space()
+    except CalibrationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     precisions = (
         (Precision.SINGLE,) if args.sp_only else (Precision.SINGLE, Precision.DOUBLE)
     )

@@ -29,6 +29,11 @@ them and caches each part per distinct knob value, so a sweep over
 thousands of configs derives (and, for digests, renders) a part once
 per distinct GPU, CPU, DRAM or rail setting; :meth:`SoCConfig.platform`
 and :meth:`SoCConfig.digest` are its one-config views.
+
+:func:`config_grid` builds a sweep's configs with per-axis work: each
+swept value is checked and its name token rendered once per axis, and
+each config is filled field by field, as the dataclass ``__init__``
+fills it, without re-running the per-config checks.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 
 from ..errors import CalibrationError
@@ -53,6 +60,22 @@ _RANGES = {
     "register_file_scale": (0.125, 4.0),
     "rail_scale": (0.1, 10.0),
 }
+
+_EMPTY_NAME = "SoCConfig needs a non-empty name"
+
+
+def _knob_error(knob: str, value) -> str | None:
+    """Why ``value`` is no valid ``knob`` setting, or ``None``.
+
+    A knob takes a real number (``int``, ``float`` or a NumPy real
+    scalar, never a ``bool``) inside its validated range.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"SoCConfig.{knob}={value!r} is not a real number"
+    lo, hi = _RANGES[knob]
+    if not lo <= value <= hi:
+        return f"SoCConfig.{knob}={value!r} outside the validated range [{lo}, {hi}]"
+    return None
 
 
 @dataclass(frozen=True)
@@ -76,13 +99,11 @@ class SoCConfig:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise CalibrationError("SoCConfig needs a non-empty name")
-        for knob, (lo, hi) in _RANGES.items():
-            value = getattr(self, knob)
-            if not lo <= value <= hi:
-                raise CalibrationError(
-                    f"SoCConfig.{knob}={value!r} outside the validated range [{lo}, {hi}]"
-                )
+            raise CalibrationError(_EMPTY_NAME)
+        for knob in _FIELDS[1:]:
+            error = _knob_error(knob, getattr(self, knob))
+            if error:
+                raise CalibrationError(error)
 
     # ------------------------------------------------------------------
     def platform(self, base: ExynosPlatform | None = None) -> ExynosPlatform:
@@ -101,6 +122,10 @@ class SoCConfig:
             f"rails x{self.rail_scale:g}"
         )
 
+
+#: :class:`SoCConfig`'s fields in declaration order: the name, then the
+#: knobs, in the order configs are checked, named and filled
+_FIELDS = tuple(f.name for f in fields(SoCConfig))
 
 #: the measured board, as a point of the space
 EXYNOS_5250 = SoCConfig(name="exynos5250")
@@ -252,28 +277,59 @@ def config_grid(name_prefix: str = "soc", **axes) -> tuple[SoCConfig, ...]:
     *swept* axis (one with more than one value), in knob-declaration
     order, so a grid's names are stable across runs.  A point matching
     :data:`EXYNOS_5250` on every knob is renamed ``"exynos5250"``.
+
+    The configs, and the error a bad axis raises, are those of building
+    ``SoCConfig(name=..., **knobs)`` for each point in product order;
+    values pass through unconverted, so ``4`` and ``4.0`` stay apart.
+    The work is per axis value instead: each value is checked once
+    (the check ``SoCConfig.__post_init__`` runs) and its name token
+    rendered once, and each config is filled one field at a time in
+    declaration order, as the frozen dataclass ``__init__`` fills it.
     """
-    order = [f.name for f in fields(SoCConfig) if f.name != "name"]
-    unknown = set(axes) - set(order)
+    knobs = _FIELDS[1:]
+    unknown = set(axes) - set(knobs)
     if unknown:
         raise CalibrationError(f"unknown SoCConfig axes: {sorted(unknown)}")
-    swept = [k for k in order if k in axes]
-    values = [tuple(axes[k]) for k in swept]
-    for knob, vals in zip(swept, values):
+    # unswept knobs are one-value axes holding the default, which is the
+    # board's value
+    values = [tuple(axes[k]) if k in axes else (getattr(EXYNOS_5250, k),) for k in knobs]
+    for knob, vals in zip(knobs, values):
         if not vals:
             raise CalibrationError(f"axis {knob!r} has no values")
-    named_axes = [k for k, vals in zip(swept, values) if len(vals) > 1]
-    # unswept knobs keep their defaults, which are the board's values
-    board = tuple(getattr(EXYNOS_5250, k) for k in swept)
+    # flat indices of the points equal to the board on every knob
+    board = [0]
+    for knob, vals in zip(knobs, values):
+        board_value = getattr(EXYNOS_5250, knob)
+        board = [i * len(vals) + j for i in board for j, v in enumerate(vals) if v == board_value]
+    named = [(k, vals) for k, vals in zip(knobs, values) if len(vals) > 1]
+    # only a grid of one point can go unnamed, and its name is checked
+    # before its knobs
+    if not named and not board and not name_prefix:
+        raise CalibrationError(_EMPTY_NAME)
+    # Raise what building the points in product order would raise: the
+    # first point holding a rejected value is the first point if some
+    # axis rejects its first value (the first such knob is reported),
+    # else the point moving only the last axis holding one, to its first
+    # rejected value.
+    errors = [[_knob_error(k, v) for v in vals] for k, vals in zip(knobs, values)]
+    rejected = [errs[0] for errs in errors if errs[0]] or [
+        error for errs in reversed(errors) for error in errs if error
+    ]
+    if rejected:
+        raise CalibrationError(rejected[0])
+    names = [name_prefix]
+    for knob, vals in named:
+        tokens = ["-" + _axis_token(knob, v) for v in vals]
+        names = [name + token for name in names for token in tokens]
+    for i in board:
+        names[i] = EXYNOS_5250.name
+    new, put = object.__new__, object.__setattr__
     configs = []
-    for combo in itertools.product(*values):
-        knobs = dict(zip(swept, combo))
-        if combo == board:
-            name = EXYNOS_5250.name
-        else:
-            tokens = [_axis_token(k, knobs[k]) for k in named_axes]
-            name = "-".join([name_prefix] + tokens) if tokens else name_prefix
-        configs.append(SoCConfig(name=name, **knobs))
+    for name, combo in zip(names, itertools.product(*values)):
+        config = new(SoCConfig)
+        for field, value in zip(_FIELDS, (name, *combo)):
+            put(config, field, value)
+        configs.append(config)
     return tuple(configs)
 
 
@@ -314,7 +370,7 @@ def load_configs(path) -> tuple[SoCConfig, ...]:
             raise CalibrationError(f"{path}: each config needs at least a 'name'")
         try:
             out.append(SoCConfig(**entry))
-        except TypeError as exc:
+        except (TypeError, CalibrationError) as exc:
             raise CalibrationError(f"{path}: bad config {entry.get('name')!r}: {exc}") from None
     grid = data.get("grid")
     if grid is not None:
@@ -322,9 +378,12 @@ def load_configs(path) -> tuple[SoCConfig, ...]:
             raise CalibrationError(f"{path}: 'grid' must be an object of axis lists")
         kwargs = dict(grid)
         prefix = kwargs.pop("name_prefix", "soc")
-        out.extend(config_grid(name_prefix=prefix, **kwargs))
-    names = [c.name for c in out]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
+        try:
+            out.extend(config_grid(name_prefix=prefix, **kwargs))
+        except (TypeError, CalibrationError) as exc:
+            raise CalibrationError(f"{path}: bad grid: {exc}") from None
+    counts = Counter(c.name for c in out)
+    dupes = sorted(name for name, n in counts.items() if n > 1)
+    if dupes:
         raise CalibrationError(f"{path}: duplicate config names {dupes}")
     return tuple(out)

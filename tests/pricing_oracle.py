@@ -21,6 +21,9 @@ the reference bit for bit (full dataclass ``==``, never ``approx``).
   the block pass replaces);
 * :func:`digest_reference` — a config digest hashed from the whole
   derived platform;
+* :func:`config_grid_reference` — a config grid built one
+  ``SoCConfig(name=..., **knobs)`` call per point (the loop
+  :func:`repro.calibration.socspace.config_grid` replaced);
 * :func:`skyline_reference` / :func:`frontier_reference` — the O(n²)
   all-pairs Pareto scans :func:`repro.pareto.skyline` replaced;
 * :func:`scalar_pricing` — patches the launch and CPU pricing entries a
@@ -29,7 +32,9 @@ the reference bit for bit (full dataclass ``==``, never ``approx``).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import math
 import weakref
 from contextlib import contextmanager
@@ -40,10 +45,11 @@ import numpy as np
 from repro import perf
 from repro.benchmarks.base import Fill, Precision
 from repro.benchmarks.registry import create
+from repro.calibration.socspace import EXYNOS_5250, SoCConfig, _axis_token
 from repro.compiler.pipeline import compile_kernel
 from repro.compiler.regalloc import fits_register_file, threads_for_scale
 from repro.cpu.serial import CpuTiming
-from repro.errors import CLOutOfResources
+from repro.errors import CalibrationError, CLOutOfResources
 from repro.ir.dtypes import DType, scalar_bits
 from repro.ir.nodes import AccessPattern, MemSpace
 from repro.mali.job_manager import distribute
@@ -551,6 +557,33 @@ def digest_reference(config, base=None) -> str:
     derived platform."""
     p = config.platform(base)
     return hashlib.sha256(repr((p.mali, p.cpu, p.dram, p.rails)).encode()).hexdigest()[:16]
+
+
+def config_grid_reference(name_prefix: str = "soc", **axes) -> tuple:
+    """The grid of :func:`repro.calibration.socspace.config_grid`, one
+    constructor call (keyword parsing, name and range checks) and one
+    name rendering per point, in product order."""
+    order = [f.name for f in dataclasses.fields(SoCConfig) if f.name != "name"]
+    unknown = set(axes) - set(order)
+    if unknown:
+        raise CalibrationError(f"unknown SoCConfig axes: {sorted(unknown)}")
+    swept = [k for k in order if k in axes]
+    values = [tuple(axes[k]) for k in swept]
+    for knob, vals in zip(swept, values):
+        if not vals:
+            raise CalibrationError(f"axis {knob!r} has no values")
+    named_axes = [k for k, vals in zip(swept, values) if len(vals) > 1]
+    board = tuple(getattr(EXYNOS_5250, k) for k in swept)
+    configs = []
+    for combo in itertools.product(*values):
+        knobs = dict(zip(swept, combo))
+        if combo == board:
+            name = EXYNOS_5250.name
+        else:
+            tokens = [_axis_token(k, knobs[k]) for k in named_axes]
+            name = "-".join([name_prefix] + tokens) if tokens else name_prefix
+        configs.append(SoCConfig(name=name, **knobs))
+    return tuple(configs)
 
 
 # ---------------------------------------------------------------------------

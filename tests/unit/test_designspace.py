@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import perf
@@ -38,7 +41,7 @@ from repro.designspace import (
 )
 from repro.errors import CalibrationError, CLOutOfResources
 from repro.pareto import strictly_dominates
-from tests.pricing_oracle import digest_reference, frontier_reference
+from tests.pricing_oracle import config_grid_reference, digest_reference, frontier_reference
 
 
 @pytest.fixture(autouse=True)
@@ -156,6 +159,99 @@ def test_load_configs_roundtrip(tmp_path):
     path.write_text(json.dumps({"unrelated": 1}))
     with pytest.raises(CalibrationError):
         load_configs(path)
+
+
+#: the streamed grid of perfbench's ``design_space`` workload: 32,768
+#: points, the board among them
+LARGE_GRID = dict(
+    gpu_cores=[1, 2, 3, 4, 6, 8, 12, 16],
+    gpu_clock_hz=[300e6, 416e6, 533e6, 600e6, 700e6, 800e6, 900e6, 1e9],
+    dram_gbps=[6.4, 8.5, 10.6, 12.8, 14.9, 16.5, 21.2, 25.6],
+    rail_scale=[0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0],
+    register_file_scale=[0.5, 1.0, 2.0, 4.0],
+    cpu_cores=[2, 4],
+)
+
+
+@pytest.mark.timeout_guard(10)
+def test_load_configs_finds_the_duplicate_in_a_large_grid(tmp_path):
+    """An explicit ``exynos5250`` next to a grid holding the board: one
+    duplicate among 32,769 names, counted once, not rescanned per name."""
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"configs": [{"name": "exynos5250"}], "grid": LARGE_GRID}))
+    with pytest.raises(CalibrationError) as info:
+        load_configs(path)
+    assert str(info.value) == f"{path}: duplicate config names ['exynos5250']"
+
+
+def test_load_configs_rejects_a_string_knob_value(tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"grid": {"gpu_cores": ["4", 8]}}))
+    with pytest.raises(CalibrationError) as info:
+        load_configs(path)
+    assert str(info.value) == f"{path}: bad grid: SoCConfig.gpu_cores='4' is not a real number"
+
+
+def test_load_configs_rejects_a_bool_knob_value(tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"grid": {"gpu_cores": [True, 8]}}))
+    with pytest.raises(CalibrationError) as info:
+        load_configs(path)
+    assert str(info.value) == f"{path}: bad grid: SoCConfig.gpu_cores=True is not a real number"
+    path.write_text(json.dumps({"configs": [{"name": "b", "cpu_cores": False}]}))
+    with pytest.raises(CalibrationError) as info:
+        load_configs(path)
+    assert str(info.value) == f"{path}: bad config 'b': SoCConfig.cpu_cores=False is not a real number"
+
+
+def test_knob_check_takes_numpy_reals_and_nothing_but_reals():
+    config = SoCConfig(name="np", gpu_cores=np.int64(8), dram_gbps=np.float32(16.5))
+    assert config.gpu_cores == 8 and type(config.gpu_cores) is np.int64
+    axes = dict(gpu_cores=(np.int64(2), 8), rail_scale=(np.float64(0.5), 1.0))
+    assert config_grid(**axes) == config_grid_reference(**axes)
+    for bad in ("4", None, np.bool_(True), 4j, [4]):
+        message = f"SoCConfig.gpu_cores={bad!r} is not a real number"
+        with pytest.raises(CalibrationError) as info:
+            SoCConfig(name="x", gpu_cores=bad)
+        assert str(info.value) == message
+        with pytest.raises(CalibrationError) as info:
+            config_grid(gpu_cores=(2, bad))
+        assert str(info.value) == message
+
+
+def test_designspace_cli_reports_a_bad_config_file(tmp_path, capsys):
+    from repro.__main__ import main
+
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"grid": {"gpu_cores": ["4"]}}))
+    assert main(["designspace", "--configs", str(path), "--sp-only", "--scale", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: bad grid: SoCConfig.gpu_cores='4' is not a real number\n"
+    )
+
+
+def test_config_grid_keeps_no_more_memory_than_the_constructor_loop():
+    """A 4,096-config grid holds what the constructor loop's does: each
+    config keeps CPython's shared-key attribute layout (a config given
+    its own ``__dict__`` costs about 1.8 times as much)."""
+    axes = {k: LARGE_GRID[k] for k in ("gpu_cores", "gpu_clock_hz", "dram_gbps", "rail_scale")}
+
+    def retained(build):
+        build(**axes)  # caches and free lists at their steady state
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grid = build(**axes)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 4096
+        return held
+
+    assert retained(config_grid) <= retained(config_grid_reference)
 
 
 # ---------------------------------------------------------------------------
