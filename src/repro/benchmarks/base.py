@@ -595,19 +595,23 @@ class Benchmark(abc.ABC):
         the paper's double-precision Opt results.
         """
         from ..compiler.pipeline import compile_kernel
+        from ..mali.timing import LaunchPricer
         from ..ocl.driver import default_quirks, fill_activity, launch_geometry
 
         platform = self.platform
         quirks = (
             platform.driver_quirks if platform.driver_quirks is not None else default_quirks()
         )
-        gpu = platform.pricing_model().gpu
+        pricing = platform.pricing_model()
         max_wg = platform.mali.max_work_group_size
         pricers: dict[str, tuple] = {}
         for cell in self.iteration_cells(options, None):
             if isinstance(cell, Launch) and cell.ir.name not in pricers:
                 compiled = compile_kernel(cell.ir, options, quirks=quirks)
-                pricers[cell.ir.name] = (compiled.elems_per_item, gpu.pricer(compiled, cell.traits))
+                pricer = LaunchPricer(
+                    compiled, cell.traits, platform.mali, pricing.dram_model, pricing.gpu_caches
+                )
+                pricers[cell.ir.name] = (compiled.elems_per_item, pricer)
 
         def estimate(local_size: int | None) -> float:
             seconds = 0.0
@@ -681,39 +685,17 @@ def cpu_pricing_inputs(bench: Benchmark) -> tuple:
     return ir, mix, bench.cpu_traits(), bench.elements()
 
 
-def cpu_pricing_key(bench: Benchmark, ir, version: Version, n: int, traits, pricing):
-    """The ``cpu_timing`` memo key of one CPU cell (its content: the IR,
-    version, size, traits and every calibrated config it is priced on)."""
-    return perf.content_key(
-        (
-            ir,
-            version,
-            n,
-            traits,
-            bench.platform.cpu,
-            pricing.dram_model.config,
-            pricing.cpu_caches.l1.config,
-            pricing.cpu_caches.l2.config,
-        )
-    )
-
-
 def cpu_region_timing(bench: Benchmark, version: Version):
-    """Memoized CPU timing of one Serial/OpenMP cell.
+    """CPU timing of one Serial/OpenMP cell on ``bench.platform``.
 
-    CPU pricing is pure in (ir, size, traits, calibration); memoize it
-    content-keyed so repeated cells (and the campaign engine's Serial
-    baselines) price once per process.  The key includes
-    ``bench.platform.cpu``, so a DVFS operating point gets its own slot.
+    Priced afresh on every call by
+    :meth:`~repro.pricing.grid.PlatformPricing.price_one`, so a DVFS
+    operating point pinned on the instance prices at its own clock.
     """
-    pricing = bench.platform.pricing_model()
-    ir, mix, traits, n = cpu_pricing_inputs(bench)
-    pricing_key = cpu_pricing_key(bench, ir, version, n, traits, pricing)
+    _, mix, traits, n = cpu_pricing_inputs(bench)
     mode = MODE_SERIAL if version is Version.SERIAL else MODE_OPENMP
     cell = CpuCell(mix=mix, mode=mode, n_elements=n, traits=traits)
-    return perf.cache("cpu_timing").get_or_compute(
-        pricing_key, lambda: pricing.price_one(cell)
-    )
+    return bench.platform.pricing_model().price_one(cell)
 
 
 def run_cpu_version(
@@ -824,6 +806,34 @@ def run_gpu_version(
     )
 
 
+#: the failure text of an Opt cell whose every candidate fails
+_NO_FEASIBLE_OPT = (
+    "no feasible optimized configuration (all candidates failed to build or launch)"
+)
+
+
+def tuned_candidate(bench: Benchmark) -> tuple[CompileOptions, int | None] | None:
+    """The OpenCL-Opt (options, local size) of ``bench`` on its platform.
+
+    The autotuner's pick, or ``None`` when no candidate builds, swept
+    once per instance and platform: the pick is held on the instance
+    with the platform object it was tuned on, and reused only while
+    ``bench.platform`` is that object (compared with ``is``, so a
+    replaced platform re-tunes and a recycled ``id()`` cannot alias).
+    A governed campaign runs one instance's Opt cell under every
+    governor, and each settles from this one pick.
+    :func:`repro.perf.disabled` bypasses the hold.
+    """
+    from ..optimizations.autotune import tune  # deferred: avoid cycle
+
+    if not perf.is_enabled():
+        return tune(bench)
+    held = bench.__dict__.get("_tuned")
+    if held is None or held[0] is not bench.platform:
+        held = bench._tuned = (bench.platform, tune(bench))
+    return held[1]
+
+
 def run_version(
     bench: Benchmark,
     *,
@@ -851,17 +861,9 @@ def run_version(
     if version is Version.OPENCL:
         # the naive port: scalar kernel, driver-chosen local size
         return run_gpu_version(bench, NAIVE, None, version)
-    from ..optimizations.autotune import tune  # deferred: avoid cycle
-
-    best = tune(bench)
+    best = tuned_candidate(bench)
     if best is None:
-        return RunResult.failed(
-            bench.name,
-            Version.OPENCL_OPT,
-            bench.precision,
-            "no feasible optimized configuration (all candidates failed to "
-            "build or launch)",
-        )
+        return RunResult.failed(bench.name, Version.OPENCL_OPT, bench.precision, _NO_FEASIBLE_OPT)
     options, local_size = best
     return run_gpu_version(bench, options, local_size, Version.OPENCL_OPT)
 
@@ -919,19 +921,10 @@ def _run_governed(
     if version is Version.OPENCL:
         options = NAIVE
     elif version is Version.OPENCL_OPT:
-        from ..optimizations.autotune import tune  # deferred: avoid cycle
-
-        best = tune(bench)
+        best = tuned_candidate(bench)
         if best is None:
-            return replace(
-                RunResult.failed(
-                    bench.name,
-                    version,
-                    bench.precision,
-                    "no feasible optimized configuration (all candidates "
-                    "failed to build or launch)",
-                ),
-                governor=governor,
+            return RunResult.failed(
+                bench.name, version, bench.precision, _NO_FEASIBLE_OPT, governor=governor
             )
         options, local_size = best
 

@@ -76,13 +76,14 @@ class ExynosPlatform:
         return YokogawaWT230(self.meter_sample_hz, self.meter_accuracy, seed=seed)
 
     def pricing_model(self):
-        """The timing entries of this platform, as one facade.
+        """The pricing models of this platform, as one facade.
 
         A fresh :class:`~repro.pricing.grid.PlatformPricing` on every
-        call: the GPU launch pricers (``.gpu.pricer``) and the CPU cell
-        entry (``.price_one``) over one DRAM model and one cache
-        hierarchy per side.  DRAM transfers and board power come from
-        :meth:`dram_model` and :meth:`power_model` directly.
+        call: one DRAM model and one cache hierarchy per side, which
+        the GPU launch pricers are built on (``.dram_model``,
+        ``.gpu_caches``), and the CPU cell entry (``.price_one``).
+        DRAM transfers and board power come from :meth:`dram_model` and
+        :meth:`power_model` directly.
         """
         from ..pricing.grid import PlatformPricing  # deferred: pricing imports models
 

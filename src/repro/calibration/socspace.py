@@ -356,16 +356,26 @@ def load_configs(path) -> tuple[SoCConfig, ...]:
         {"configs": [{"name": "big", "gpu_cores": 8, ...}, ...]}
         {"grid": {"name_prefix": "soc", "gpu_cores": [4, 8], ...}}
 
-    A file may carry both; explicit configs precede grid points.
+    A file may carry both; explicit configs precede grid points.  A file
+    that cannot be read or parsed, and any malformed content, raises
+    :class:`CalibrationError` naming the path.
     """
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise CalibrationError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise CalibrationError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not ({"configs", "grid"} & set(data)):
         raise CalibrationError(
             f"{path}: expected a JSON object with 'configs' and/or 'grid'"
         )
+    entries = data.get("configs", [])
+    if not isinstance(entries, list):
+        raise CalibrationError(f"{path}: 'configs' must be an array, got {entries!r}")
     out: list[SoCConfig] = []
-    for entry in data.get("configs", ()):
+    for entry in entries:
         if not isinstance(entry, dict) or "name" not in entry:
             raise CalibrationError(f"{path}: each config needs at least a 'name'")
         try:
@@ -378,6 +388,11 @@ def load_configs(path) -> tuple[SoCConfig, ...]:
             raise CalibrationError(f"{path}: 'grid' must be an object of axis lists")
         kwargs = dict(grid)
         prefix = kwargs.pop("name_prefix", "soc")
+        for axis, values in kwargs.items():
+            if not isinstance(values, list):
+                raise CalibrationError(
+                    f"{path}: bad grid: axis {axis!r} must be an array, got {values!r}"
+                )
         try:
             out.extend(config_grid(name_prefix=prefix, **kwargs))
         except (TypeError, CalibrationError) as exc:

@@ -59,10 +59,9 @@ class CompiledKernel:
         return self.kernel.elems_per_item
 
     def __getstate__(self):
-        # the pricing layer attaches derived caches (memo-key token, mix
-        # columns) to the instance dict; they are per-process (hash
-        # randomization, config identity) and rebuildable, so only the
-        # declared fields travel across pickles
+        # the pricing layer attaches derived mix columns to the instance
+        # dict; they are per-process (keyed by config identity) and
+        # rebuildable, so only the declared fields travel across pickles
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 

@@ -13,7 +13,7 @@ The epilogues exist once, as the array passes of
 :class:`CpuConfigStack`: design-space sweeps evaluate them for every
 cell per SoC config (:meth:`CpuConfigStack.rows`), and a run's CPU cell
 is one lane of it (:meth:`~repro.pricing.grid.PlatformPricing.price_one`,
-memoized by :func:`~repro.benchmarks.base.cpu_region_timing`).
+which runs reach through :func:`~repro.benchmarks.base.cpu_region_timing`).
 """
 
 from __future__ import annotations

@@ -278,8 +278,8 @@ def _execute_family(
 
     Cache-affinity scheduling: every pending (precision) version-group
     of one benchmark runs sequentially in the same worker, so the
-    in-process memo lane prices a single kernel family per worker —
-    compile/analysis/timing entries are shared across the family's
+    in-process memo lane compiles a single kernel family per worker —
+    compile/analysis entries are shared across the family's
     precisions instead of being rebuilt cold in whichever worker a
     group happened to land on.  Within a group all versions share one
     benchmark instance (setup dominates a cell at paper scale), exactly

@@ -46,13 +46,6 @@ class SizeSweep:
                 return p.scale
         return None
 
-    def speedup_saturates(self, tolerance: float = 0.25) -> bool:
-        """True when the last two points' speedups agree within tol."""
-        if len(self.points) < 2:
-            return False
-        a, b = self.points[-2].speedup, self.points[-1].speedup
-        return abs(a - b) / max(a, b) <= tolerance
-
 
 def run_size_sweep(
     benchmark: str,

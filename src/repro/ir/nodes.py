@@ -29,7 +29,6 @@ changes access patterns, and so on.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Union
 
@@ -177,10 +176,6 @@ class MemAccess:
 
     def widened(self, width: int) -> "MemAccess":
         return replace(self, dtype=self.dtype.with_width(width))
-
-    @property
-    def bytes_per_exec(self) -> float:
-        return float(self.dtype.bytes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,13 +361,3 @@ class Kernel:
             if p.name == name:
                 return p
         raise KeyError(f"kernel {self.name!r} has no parameter {name!r}")
-
-
-def total_trip(loop: Loop) -> float:
-    """Effective body executions of a loop accounting for unrolling."""
-    return loop.trip
-
-
-def unrolled_iterations(loop: Loop) -> float:
-    """Number of (unrolled) iterations the loop header executes."""
-    return math.ceil(loop.trip / loop.unroll) if loop.static_trip else loop.trip / loop.unroll

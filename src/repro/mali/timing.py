@@ -26,6 +26,9 @@ the lane back as a :class:`GpuLaunchTiming` row.  The config-invariant
 inputs (the instruction-mix slice, the DRAM traffic) come from
 per-kernel and per-stream-mix tables shared by all of them and by
 the design space's lower bound (:meth:`GpuConfigStack.floor_seconds`).
+No price is memoized: every call runs the epilogue afresh, and the
+tuner's pick, which is what a run needs again, is held per benchmark
+instance (:func:`~repro.benchmarks.base.tuned_candidate`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .. import perf
 from ..compiler.pipeline import CompiledKernel
 from ..compiler.regalloc import fits_register_file, threads_for_scale
 from ..errors import CLOutOfResources
@@ -130,82 +132,14 @@ def time_launch(
 ) -> GpuLaunchTiming:
     """Price one NDRange launch of ``n_items`` work-items.
 
-    Pure in all arguments (the mutable model objects are keyed by their
-    frozen configs), so results are memoized content-addressed: the
-    autotuner prices each distinct (kernel, options, local size) point
-    once per process.  One-shot callers go through a throwaway
-    :class:`LaunchPricer`; sweeps that price many ``(n_items,
-    local_size)`` candidates of the same kernel should hold one pricer
-    and amortize its memo-key hashing.
+    A throwaway :class:`LaunchPricer`, for one-shot callers such as the
+    command queue; sweeps that price many ``(n_items, local_size)``
+    candidates of the same kernel hold one pricer and check the
+    register file once.
     """
     return LaunchPricer(
         compiled, traits, config, dram, caches, concurrent_agents=concurrent_agents
     ).price(n_items, local_size)
-
-
-class _HashedKey:
-    """A memo-key part that caches its (expensive) structural hash.
-
-    The ``gpu_timing`` memo keys embed deeply nested frozen dataclasses
-    (compiled kernel, traits, configs); hashing them from scratch on
-    every table lookup dominates a tuner sweep's pricing.  This wrapper is
-    transparent in equality and ``repr`` — keys assembled from wrapped
-    parts occupy the same memo slots as the historical raw tuples — but
-    the hash is computed once, at pricer construction.
-    """
-
-    __slots__ = ("value", "_hash")
-
-    def __init__(self, value) -> None:
-        self.value = value
-        self._hash = hash(value)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _HashedKey):
-            return self.value == other.value
-        return self.value == other
-
-    def __repr__(self) -> str:
-        return repr(self.value)
-
-    def __reduce__(self):
-        # str/bytes hashes are randomized per process: rebuild from the
-        # value so an unpickled key part hashes correctly where it lands
-        return (_HashedKey, (self.value,))
-
-
-def _hashed_key_part(obj) -> _HashedKey:
-    """``_HashedKey(content_key(obj))`` with a single structure walk.
-
-    ``content_key`` returns hashable values untouched (after probing
-    ``hash``), so wrapping the raw object directly skips that probe;
-    the ``TypeError`` fallback covers unhashable values.
-    """
-    try:
-        return _HashedKey(obj)
-    except TypeError:
-        return _HashedKey(perf.content_key(obj))
-
-
-def _attached_key_part(obj) -> _HashedKey:
-    """:func:`_hashed_key_part`, cached on the keyed object itself.
-
-    Compiled kernels and traits are immutable once built and typically
-    priced many times per campaign (every tuner candidate, every grid
-    row); their structural content key is a pure derived constant, so it
-    is computed once and attached to the instance.  Per-process only —
-    :class:`CompiledKernel` strips derived attributes on pickle and
-    :class:`_HashedKey` re-hashes on unpickle, so hash randomization
-    never leaks a stale hash across worker processes.
-    """
-    part = obj.__dict__.get("_timing_key_part")
-    if part is None:
-        part = _hashed_key_part(obj)
-        object.__setattr__(obj, "_timing_key_part", part)
-    return part
 
 
 class _MixColumns:
@@ -347,8 +281,8 @@ def _columns_for(compiled: CompiledKernel, config: MaliConfig) -> _MixColumns:
 
     Cached in the compiled kernel's instance dict, keyed by config
     identity (the identity check pins the config object, so a replaced
-    calibration never aliases a stale entry).  Stripped on pickle along
-    with the key token — see :meth:`CompiledKernel.__getstate__`.
+    calibration never aliases a stale entry).  Stripped on pickle — see
+    :meth:`CompiledKernel.__getstate__`.
     """
     cache = compiled.__dict__.get("_timing_columns")
     if cache is None:
@@ -396,18 +330,15 @@ def _traffic_entry(
 
 
 class LaunchPricer:
-    """Memoized launch pricing of one compiled kernel across candidates.
+    """Launch pricing of one compiled kernel across candidates.
 
     The autotuner sweeps many ``(n_items, local_size)`` points of the
-    same compiled kernel.  A pricer hoists the memo-key prefix (the
-    content keys of the kernel, traits and configs — the expensive part
-    of a lookup) and checks once that the kernel fits the config's
-    register file (``CL_OUT_OF_RESOURCES`` at construction otherwise).
-    Each memo miss is a one-lane :class:`GpuConfigStack` view; the
-    mix slices and traffic tables behind it are shared per kernel and
-    per stream mix, so only the epilogue runs per candidate.  Every
-    pricer of one launch, :func:`time_launch`'s throwaway one included,
-    feeds the same ``gpu_timing`` memo slot.
+    same compiled kernel.  A pricer checks once that the kernel fits the
+    config's register file (``CL_OUT_OF_RESOURCES`` at construction
+    otherwise), and each :meth:`price` is a one-lane
+    :class:`GpuConfigStack`.  The mix slices and traffic tables behind
+    it are shared per kernel and per stream mix, so only the epilogue
+    runs per candidate.
     """
 
     def __init__(
@@ -418,7 +349,6 @@ class LaunchPricer:
         dram: DramModel,
         caches: CacheHierarchy,
         concurrent_agents: int = 1,
-        fixed: tuple | None = None,
     ) -> None:
         _check_fits(compiled, config)
         self.compiled = compiled
@@ -427,100 +357,21 @@ class LaunchPricer:
         self.dram = dram
         self.caches = caches
         self.concurrent_agents = concurrent_agents
-        # hoisted memo-key prefix: content_key of a tuple is the tuple of
-        # element content_keys, so assembling per-candidate keys from the
-        # fixed parts yields keys equal to time_launch's historical ones
-        # (same memo slots).  ``fixed`` lets
-        # :class:`GpuPricingModel` inject hash-cached parts, sharing the
-        # platform-level ones across every kernel it prices;
-        # wrapped and raw parts are equal and hash alike, so both forms
-        # address the same memo slots.
-        if fixed is None:
-            fixed = (
-                perf.content_key(compiled),
-                perf.content_key(traits),
-                perf.content_key(config),
-                perf.content_key(dram.config),
-                perf.content_key(caches.l1.config),
-                perf.content_key(caches.l2.config),
-            )
-        self._fixed = fixed
-        self._memo = perf.cache("gpu_timing")
-
-    def key(self, n_items: int, local_size: int) -> tuple:
-        """The ``gpu_timing`` memo key for one candidate."""
-        f = self._fixed
-        return (f[0], n_items, local_size, f[1], f[2], f[3], f[4], f[5], self.concurrent_agents)
 
     def price(self, n_items: int, local_size: int) -> GpuLaunchTiming:
-        """Memoized candidate price (both tiers; one stack lane on a miss).
+        """One candidate's timing, a one-lane stack pass.
 
         Raises ``ValueError`` for ``n_items < 1`` and
         ``CL_INVALID_WORK_GROUP_SIZE`` for a local size no core can hold.
         """
-
-        def fresh() -> GpuLaunchTiming:
-            cell = GpuLaunchCell(
-                compiled=self.compiled,
-                traits=self.traits,
-                n_items=n_items,
-                local_size=local_size,
-                concurrent_agents=self.concurrent_agents,
-            )
-            return GpuConfigStack((cell,), self.config, self.dram, self.caches).timings()[0]
-
-        return self._memo.get_or_compute(self.key(n_items, local_size), fresh)
-
-
-class GpuPricingModel:
-    """The launch pricers of one platform facade.
-
-    Builds one :class:`LaunchPricer` per :meth:`pricer` call and hashes
-    the platform's memo-key parts once for all of them.
-    ``platform.pricing_model()`` builds a fresh facade on every call and
-    :meth:`~repro.benchmarks.base.Benchmark.iteration_pricer` asks once
-    per kernel, so no pricer is cached here; the memo slots behind them
-    are process-wide.
-    """
-
-    def __init__(self, config: MaliConfig, dram: DramModel, caches: CacheHierarchy):
-        self.config = config
-        self.dram = dram
-        self.caches = caches
-        # platform-level memo-key parts, hashed once per facade
-        self._platform_fixed: tuple | None = None
-
-    def _fixed_for(
-        self, compiled: CompiledKernel, traits: WorkloadTraits
-    ) -> tuple:
-        if self._platform_fixed is None:
-            self._platform_fixed = (
-                _hashed_key_part(self.config),
-                _hashed_key_part(self.dram.config),
-                _hashed_key_part(self.caches.l1.config),
-                _hashed_key_part(self.caches.l2.config),
-            )
-        return (
-            _attached_key_part(compiled),
-            _attached_key_part(traits),
-        ) + self._platform_fixed
-
-    def pricer(
-        self,
-        compiled: CompiledKernel,
-        traits: WorkloadTraits,
-        concurrent_agents: int = 1,
-    ) -> LaunchPricer:
-        """A :class:`LaunchPricer` for one kernel instance."""
-        return LaunchPricer(
-            compiled,
-            traits,
-            self.config,
-            self.dram,
-            self.caches,
-            concurrent_agents=concurrent_agents,
-            fixed=self._fixed_for(compiled, traits),
+        cell = GpuLaunchCell(
+            compiled=self.compiled,
+            traits=self.traits,
+            n_items=n_items,
+            local_size=local_size,
+            concurrent_agents=self.concurrent_agents,
         )
+        return GpuConfigStack((cell,), self.config, self.dram, self.caches).timings()[0]
 
 
 # ---------------------------------------------------------------------------

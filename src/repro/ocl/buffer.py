@@ -101,10 +101,6 @@ class Buffer:
         return self._storage.dtype
 
     @property
-    def is_mapped(self) -> bool:
-        return self._mapped
-
-    @property
     def zero_copy(self) -> bool:
         """True when host mapping costs only cache maintenance."""
         return bool(self.flags & MemFlag.ALLOC_HOST_PTR)

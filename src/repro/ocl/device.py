@@ -31,10 +31,6 @@ class Device:
     def supports_fp64(self) -> bool:
         return "cl_khr_fp64" in self.extensions
 
-    @property
-    def is_gpu(self) -> bool:
-        return self.device_type == DeviceType.GPU
-
 
 def mali_embedded_profile(platform: ExynosPlatform | None = None) -> Device:
     """A pre-T604 embedded GPU exposing only the *Embedded Profile*.

@@ -26,10 +26,6 @@ class Kernel:
 
     # ------------------------------------------------------------------
     @property
-    def num_args(self) -> int:
-        return len(self._args)
-
-    @property
     def elems_per_item(self) -> int:
         """Elements each work-item covers after compilation (vectorized
         kernels need a proportionally smaller global size)."""

@@ -2,19 +2,22 @@
 
 The reproduction's hottest path is the empirical tuning loop: every
 OpenCL-Opt run sweeps a (compile options × local size) candidate space,
-and the seed implementation recompiled the kernel IR and re-priced the
-full architecture model for every candidate, with zero reuse.  This
-module provides the content-keyed caches that remove that redundancy
-while keeping results bit-identical:
+compiling each options point's kernels and pricing each candidate.
+This module provides the content-keyed caches that keep the compile
+side from repeating itself while keeping results bit-identical:
 
 * ``compile`` — :func:`repro.compiler.pipeline.compile_kernel` results
   (including *negative* results: a register-exhausted options point is
   remembered and never re-attempted — the tuner's infeasibility memo);
 * ``analysis`` — :func:`repro.ir.analysis.analyze` instruction mixes;
-* ``gpu_timing`` / ``cpu_timing`` — :func:`repro.mali.timing.time_launch`
-  and Serial/OpenMP pricing results;
 * ``functional`` — per-benchmark-instance results (reference outputs,
   the Serial/OpenMP verdict).
+
+Prices are not memoized: a launch or CPU cell is one lane of its
+stack formula, and on a cold grid a price memo hits too rarely to pay
+for its keys.  What a run does need again is the tuner's decision,
+which :func:`~repro.benchmarks.base.tuned_candidate` holds on the
+benchmark instance, once per platform.
 
 Every cache is an LRU with hit/miss/evict counters; the campaign engine
 snapshots :func:`counters` around each run and threads the deltas into

@@ -35,21 +35,6 @@ class EnergyReport:
             meter=meter,
         )
 
-    @classmethod
-    def from_trace(cls, trace) -> "EnergyReport":
-        """Exact (meterless) energy of a model power trace.
-
-        What a perfect meter would report — no sampling noise, no seed.
-        Model-only sweeps (``whatif``, sensitivity probes, design-space
-        exploration) use this to compare platforms without paying the
-        meter simulation.
-        """
-        return cls(
-            elapsed_s=trace.duration_s,
-            mean_power_w=trace.mean_power_w,
-            energy_j=trace.energy_j,
-        )
-
     def normalized_to(self, baseline: "EnergyReport") -> tuple[float, float, float]:
         """(speedup, power ratio, energy ratio) vs a baseline run."""
         if self.elapsed_s <= 0 or baseline.elapsed_s <= 0:

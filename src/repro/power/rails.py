@@ -95,22 +95,19 @@ class PowerRailConfig:
 
     # ------------------------------------------------------------------
     def power(self, activity: Activity) -> float:
-        """Instantaneous board power (watts) during an activity segment."""
-        p = self.board_idle_w
-        p += self.dram_w_per_gbps * activity.dram_bandwidth / 1e9
-        if activity.kind == ActivityKind.IDLE:
-            return p
-        if activity.kind in (ActivityKind.CPU, ActivityKind.HOST_COPY):
-            cores = max(activity.active_cpu_cores, 1)
-            p += cores * (self.cpu_core_base_w + self.cpu_core_ipc_w * activity.cpu_ipc)
-            return p
-        if activity.kind == ActivityKind.GPU_KERNEL:
-            p += self.host_polling_w
-            p += self.gpu_base_w
-            p += self.gpu_alu_w * activity.gpu_alu_utilization
-            p += self.gpu_ls_w * activity.gpu_ls_utilization
-            return p
-        raise ValueError(f"unknown activity kind {activity.kind!r}")  # pragma: no cover
+        """Instantaneous board power (watts) during an activity segment:
+        one lane of :func:`stack_watts`."""
+        return float(
+            stack_watts(
+                self,
+                activity.kind,
+                dram_bandwidth=activity.dram_bandwidth,
+                active_cpu_cores=activity.active_cpu_cores,
+                cpu_ipc=activity.cpu_ipc,
+                gpu_alu_utilization=activity.gpu_alu_utilization,
+                gpu_ls_utilization=activity.gpu_ls_utilization,
+            )
+        )
 
 
 def stack_watts(
@@ -123,14 +120,13 @@ def stack_watts(
     gpu_alu_utilization=None,
     gpu_ls_utilization=None,
 ):
-    """Vectorized twin of :meth:`PowerRailConfig.power` over row arrays.
+    """The board rail chain over row arrays: watts per lane.
 
-    All operands are float64 arrays (or scalars broadcasting over them);
-    each lane performs exactly the scalar method's addition chain, so a
-    lane equals ``rails.power(Activity(...))`` of the same row values
-    bit for bit.  ``active_cpu_cores`` lanes must already be >= 1 (the
-    scalar ``max(cores, 1)`` clamp is the caller's job when a lane could
-    be zero).
+    All operands are float64 arrays (or scalars broadcasting over them),
+    and :meth:`PowerRailConfig.power` is the one-lane call.  Each lane
+    adds the rails in the order of the scalar reference in
+    ``tests/pricing_oracle.py``, so it equals that chain bit for bit.
+    ``active_cpu_cores`` lanes are clamped to at least one core.
     """
     import numpy as np
 

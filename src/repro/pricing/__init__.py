@@ -5,11 +5,12 @@ precision) cell, so a run needs one price per launch and per CPU
 region:
 
 * a GPU launch — :meth:`~repro.mali.timing.LaunchPricer.price`, which
-  the tuner reaches through ``platform.pricing_model().gpu.pricer()``
-  and the command queue through :func:`~repro.mali.timing.time_launch`;
+  the tuner reaches through
+  :meth:`~repro.benchmarks.base.Benchmark.iteration_pricer` and the
+  command queue through :func:`~repro.mali.timing.time_launch`;
 * a CPU (Serial/OpenMP) cell —
-  :meth:`~repro.pricing.grid.PlatformPricing.price_one`, memoized by
-  :func:`~repro.benchmarks.base.cpu_region_timing`;
+  :meth:`~repro.pricing.grid.PlatformPricing.price_one`, which runs
+  reach through :func:`~repro.benchmarks.base.cpu_region_timing`;
 * a DRAM transfer — :meth:`~repro.memory.dram.DramModel.transfer_seconds`;
 * a power trace — :meth:`~repro.power.model.BoardPowerModel.trace`.
 
@@ -18,7 +19,8 @@ config-axis stacks (:class:`~repro.mali.timing.GpuConfigStack`,
 :class:`~repro.cpu.pricing.CpuConfigStack`); each entry point prices a
 one-lane stack, and a design-space sweep prices thousands of
 :mod:`~repro.pricing.cells` as the lanes of one.  Every lane is bitwise
-what the scalar references of ``tests/pricing_oracle.py`` compute.
+what the scalar references of ``tests/pricing_oracle.py`` compute.  No
+entry memoizes its price: each call runs its lane afresh.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ the reference bit for bit (full dataclass ``==``, never ``approx``).
 * :func:`time_launch_reference` — one Mali-T604 NDRange launch;
 * :func:`time_serial_reference` / :func:`time_openmp_reference` — one
   timed Cortex-A15 iteration, one core or both;
+* :func:`rail_power_reference` — board watts during one activity
+  segment, the rail chain :func:`repro.power.rails.stack_watts` runs
+  per lane;
 * :func:`facade_rows` — a :class:`~repro.designspace.DesignSpace` row
   set of one SoC config, every cell priced through the references above
   and every Opt candidate summed over its declared launches and fills
@@ -343,6 +346,30 @@ def time_cpu_reference(cell, config, dram, caches) -> CpuTiming:
 
 
 # ---------------------------------------------------------------------------
+# board power rails
+# ---------------------------------------------------------------------------
+
+
+def rail_power_reference(rails, activity) -> float:
+    """Board watts during one activity segment, one rail at a time."""
+    p = rails.board_idle_w
+    p += rails.dram_w_per_gbps * activity.dram_bandwidth / 1e9
+    if activity.kind == ActivityKind.IDLE:
+        return p
+    if activity.kind in (ActivityKind.CPU, ActivityKind.HOST_COPY):
+        cores = max(activity.active_cpu_cores, 1)
+        p += cores * (rails.cpu_core_base_w + rails.cpu_core_ipc_w * activity.cpu_ipc)
+        return p
+    if activity.kind == ActivityKind.GPU_KERNEL:
+        p += rails.host_polling_w
+        p += rails.gpu_base_w
+        p += rails.gpu_alu_w * activity.gpu_alu_utilization
+        p += rails.gpu_ls_w * activity.gpu_ls_utilization
+        return p
+    raise ValueError(f"unknown activity kind {activity.kind!r}")
+
+
+# ---------------------------------------------------------------------------
 # design-space rows
 # ---------------------------------------------------------------------------
 
@@ -401,20 +428,19 @@ def facade_rows(space, config):
     A15 references, launches that fit the config's register file
     through :func:`time_launch_reference`, fills through
     :func:`~repro.ocl.driver.fill_activity`, and every segment's watts
-    through the scalar trace path.  Each Opt candidate sums its declared
-    commands (:func:`_declared`) from ``0.0`` in enqueue order, seconds
-    and seconds × watts, the way the queue's clock and the power trace
-    do."""
+    through :func:`rail_power_reference`.  Each Opt candidate sums its
+    declared commands (:func:`_declared`) from ``0.0`` in enqueue order,
+    seconds and seconds × watts, the way the queue's clock and the power
+    trace do."""
     from repro.designspace import SpaceRows
 
     platform = config.platform(space.base)
     pricing = platform.pricing_model()
     dram = pricing.dram_model
-    board = platform.power_model()
     rf_scale = platform.mali.register_file_scale
 
     def watts(activity):
-        return board.trace([activity]).segments[0].watts
+        return rail_power_reference(platform.rails, activity)
 
     launches = {}
 
@@ -473,17 +499,15 @@ def facade_rows(space, config):
         time_cpu_reference(cell, platform.cpu, dram, pricing.cpu_caches)
         for cell in space.cpu_cells
     ]
-    cpu_traces = [
-        board.trace(
-            [
-                Activity(
-                    kind=ActivityKind.CPU,
-                    duration_s=r.seconds,
-                    active_cpu_cores=r.active_cores,
-                    cpu_ipc=r.ipc,
-                    dram_bandwidth=r.dram_bandwidth,
-                )
-            ]
+    cpu_watts = [
+        watts(
+            Activity(
+                kind=ActivityKind.CPU,
+                duration_s=r.seconds,
+                active_cpu_cores=r.active_cores,
+                cpu_ipc=r.ipc,
+                dram_bandwidth=r.dram_bandwidth,
+            )
         )
         for r in cpu_rows
     ]
@@ -497,8 +521,8 @@ def facade_rows(space, config):
         opt_watts=np.asarray(opt_watts, dtype=np.float64),
         opt_energy=np.asarray(opt_energy, dtype=np.float64),
         cpu_seconds=np.asarray([r.seconds for r in cpu_rows]),
-        cpu_watts=np.asarray([t.segments[0].watts for t in cpu_traces]),
-        cpu_energy=np.asarray([t.energy_j for t in cpu_traces]),
+        cpu_watts=np.asarray(cpu_watts),
+        cpu_energy=np.asarray([r.seconds * w for r, w in zip(cpu_rows, cpu_watts)]),
     )
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import perf
-from repro.benchmarks.base import Precision, cpu_pricing_inputs, cpu_pricing_key
+from repro.benchmarks.base import Precision
 from repro.benchmarks.registry import create
 from repro.calibration.exynos5250 import default_platform
 from repro.calibration.socspace import (
@@ -232,6 +232,46 @@ def test_designspace_cli_reports_a_bad_config_file(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (None, "cannot read: No such file or directory"),
+        ('{"grid": ', "not valid JSON: Expecting value: line 1 column 10 (char 9)"),
+    ],
+    ids=["missing", "truncated"],
+)
+def test_designspace_cli_reports_an_unreadable_config_file(tmp_path, capsys, text, reason):
+    from repro.__main__ import main
+
+    path = tmp_path / "space.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(CalibrationError) as info:
+        load_configs(path)
+    assert str(info.value) == f"{path}: {reason}"
+    assert main(["designspace", "--configs", str(path), "--sp-only", "--scale", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"grid": {"gpu_cores": 4}}, "bad grid: axis 'gpu_cores' must be an array, got 4"),
+        ({"grid": {"gpu_cores": "48"}}, "bad grid: axis 'gpu_cores' must be an array, got '48'"),
+        ({"configs": {"name": "x"}}, "'configs' must be an array, got {'name': 'x'}"),
+    ],
+    ids=["scalar-axis", "string-axis", "configs-object"],
+)
+def test_load_configs_takes_only_arrays_of_values(tmp_path, data, message):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CalibrationError) as info:
+        load_configs(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_config_grid_keeps_no_more_memory_than_the_constructor_loop():
     """A 4,096-config grid holds what the constructor loop's does: each
     config keeps CPython's shared-key attribute layout (a config given
@@ -300,45 +340,6 @@ def test_launch_pricer_raises_on_register_exhaustion():
             platform.dram_model(),
             platform.gpu_caches(),
         )
-
-
-def test_soc_configs_sharing_a_kernel_get_distinct_memo_keys():
-    """Satellite regression: the perf memo never mixes two SoC configs'
-    entries for the same compiled kernel."""
-    from repro.compiler.options import NAIVE
-    from repro.compiler.pipeline import compile_kernel
-    from repro.mali.timing import LaunchPricer
-    from repro.ocl.driver import default_quirks
-
-    bench = create("vecop", precision=Precision.SINGLE, scale=0.1)
-    compiled = compile_kernel(bench.kernel_ir(NAIVE), NAIVE, quirks=default_quirks())
-    traits = bench.gpu_traits(NAIVE)
-    a = SoCConfig(name="a", gpu_clock_hz=533e6).platform()
-    b = SoCConfig(name="b", gpu_clock_hz=700e6).platform()
-    c = SoCConfig(name="c", register_file_scale=2.0).platform()
-    keys = []
-    for p in (a, b, c):
-        pricer = LaunchPricer(
-            compiled, traits, p.mali, p.dram_model(), p.gpu_caches()
-        )
-        keys.append(pricer.key(1024, 64))
-    assert len(set(keys)) == 3
-
-    # CPU side: distinct A15 clocks -> distinct cpu_timing keys
-    from repro.benchmarks.base import Version
-
-    keys = []
-    for cfg in (SoCConfig(name="a"), SoCConfig(name="b", cpu_clock_hz=1.0e9)):
-        bench = create(
-            "vecop", precision=Precision.SINGLE, scale=0.1, platform=cfg.platform()
-        )
-        ir, _, traits, n = cpu_pricing_inputs(bench)
-        keys.append(
-            cpu_pricing_key(
-                bench, ir, Version.SERIAL, n, traits, bench.platform.pricing_model()
-            )
-        )
-    assert keys[0] != keys[1]
 
 
 # ---------------------------------------------------------------------------

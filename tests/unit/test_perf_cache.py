@@ -1,5 +1,6 @@
 """The memoization fast lane: cache mechanics, identity, transparency."""
 
+import collections
 import dataclasses
 import gc
 import weakref
@@ -7,13 +8,14 @@ import weakref
 import numpy as np
 import pytest
 
-from repro import Precision, Version, create, perf
+from repro import Precision, Version, create, perf, run_version
 from repro.compiler import CompileOptions, compile_kernel
 from repro.compiler.options import NAIVE
 from repro.errors import RegisterAllocationError, ReproError
 from repro.experiments.engine import Campaign, CampaignSpec
 from repro.experiments.runner import run_grid
 from repro.ir.analysis import analyze
+from repro.optimizations import autotune
 from repro.optimizations.autotune import sweep
 
 
@@ -180,15 +182,53 @@ def test_analyze_is_memoized():
     assert perf.counters()["analysis"]["hits"] >= 1
 
 
-def test_estimate_prices_from_cache_on_repeat():
+# ---------------------------------------------------------------------------
+# the tuner's pick: one sweep per instance and platform
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """``autotune.sweep`` calls, counted per benchmark name."""
+    counts = collections.Counter()
+    real = autotune.sweep
+
+    def counted(bench, *args, **kwargs):
+        counts[bench.name] += 1
+        return real(bench, *args, **kwargs)
+
+    monkeypatch.setattr(autotune, "sweep", counted)
+    return counts
+
+
+def test_governed_campaign_tunes_each_instance_once(sweeps):
+    """An instance's Opt cells under three governors settle from one
+    sweep, not one per governor."""
+    spec = CampaignSpec(
+        benchmarks=("vecop", "dmmm"),
+        versions=(Version.OPENCL_OPT,),
+        precisions=(Precision.SINGLE,),
+        scale=0.05,
+        governors=("fixed", "ondemand", "powersave"),
+    )
+    results = Campaign(spec).run(jobs=1)
+    assert len(results.results) == 6
+    assert all(run.ok for run in results.results.values())
+    assert sweeps == {"vecop": 1, "dmmm": 1}
+
+
+def test_a_replaced_platform_re_tunes(sweeps):
     bench = create("vecop", scale=0.05)
-    t1 = bench.estimate_iteration_seconds(NAIVE, 128)
-    before = perf.counters()["gpu_timing"]
-    t2 = bench.estimate_iteration_seconds(NAIVE, 128)
-    after = perf.counters()["gpu_timing"]
-    assert t2 == t1
-    assert after["hits"] == before["hits"] + 1
-    assert after["misses"] == before["misses"]
+    first = run_version(bench, version=Version.OPENCL_OPT)
+    run_version(bench, version=Version.OPENCL_OPT, governor="ondemand")
+    assert sweeps["vecop"] == 1
+    # an equal platform, but not the object the pick was tuned on
+    bench.platform = dataclasses.replace(bench.platform)
+    assert run_version(bench, version=Version.OPENCL_OPT) == first
+    assert sweeps["vecop"] == 2
+    with perf.disabled():
+        run_version(bench, version=Version.OPENCL_OPT)
+    assert sweeps["vecop"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +247,6 @@ def test_run_grid_byte_identical_with_and_without_fast_lane():
         plain = run_grid(**kwargs).to_json()
     assert fast.to_json() == plain
     assert all(run.verified for run in fast.results.values() if run.ok)
-
-
-def test_cold_campaign_prices_each_cpu_timing_once():
-    """Each Serial/OpenMP cell's timing is priced once, when the cell
-    runs: one ``cpu_timing`` miss per CPU cell and no hit."""
-    perf.reset()
-    spec = CampaignSpec(precisions=(Precision.SINGLE, Precision.DOUBLE), scale=0.05)
-    campaign = Campaign(spec)
-    campaign.run()
-    cpu_cells = sum(task.version in (Version.SERIAL, Version.OPENMP) for task in spec.tasks())
-    assert cpu_cells == 36
-    stats = campaign.report.perf["cpu_timing"]
-    assert stats["misses"] == cpu_cells
-    assert stats.get("hits", 0) == 0
 
 
 def test_campaign_report_carries_memo_counters():
