@@ -8,7 +8,8 @@ prices a 64-point SoC design space two ways:
 * **stacked** — :meth:`repro.designspace.DesignSpace.stacked_rows` per
   config: the GPU/CPU config stacks hoist every config-invariant
   quantity at build time, so each config costs a few whole-grid NumPy
-  passes plus :func:`repro.power.rails.stack_watts`;
+  timing passes plus :func:`repro.power.rails.stack_watts` over its
+  picked candidates' commands and its CPU lanes;
 * **facade loop** — ``facade_rows`` of ``tests/pricing_oracle.py`` per
   config: every cell of every SoC priced one by one through the scalar
   reference models, and every Opt candidate's declared launches and
@@ -16,7 +17,9 @@ prices a 64-point SoC design space two ways:
 
 Every row is bitwise-identical between the two (asserted below and in
 ``tests/property/test_grid_pricing_identity.py``, including the
-register-exhaustion infeasible lanes), so the speedup is pure
+register-exhaustion infeasible lanes): the launch and candidate timing
+lanes, each group's Opt pick with its seconds, watts, energy and
+feasibility, and the CPU lanes.  So the speedup is pure
 evaluation-strategy win.  The in-test floor matches the acceptance
 criterion (≥8× over ≥64 configs); the committed
 ``BENCH_design_space.json`` at the repo root records the full-scale

@@ -15,16 +15,19 @@ evaluates the hypercube as *stacked* NumPy evaluations instead:
   :class:`~repro.cpu.pricing.CpuConfigStack` hoist every config-invariant
   quantity;
 * configs are priced in blocks of :data:`BLOCK_SIZE`
-  (:meth:`DesignSpace.block_rows`): one launch-epilogue pass over the
-  block's ``(configs, lanes)`` GPU arrays, one CPU stack evaluation per
-  distinct (A15, DRAM) setting and one
-  :func:`~repro.power.rails.stack_watts` pass per distinct rail scale,
-  each platform part derived once per distinct knob value
-  (:class:`~repro.calibration.socspace.PlatformParts`, no
-  ``ExynosPlatform`` per config);
-* :meth:`DesignSpace.block_points` takes the Opt pick and the
-  per-precision aggregates as column operations over the block and
-  builds the points in one pass.
+  (:meth:`DesignSpace.block_rows`), each platform part derived once per
+  distinct knob value (:class:`~repro.calibration.socspace.PlatformParts`,
+  no ``ExynosPlatform`` per config), in two stages.  The timing stage
+  runs once per distinct (Mali, DRAM) setting of the block — the rail
+  scale never enters a launch's timing — and prices every launch lane,
+  fill and candidate sum in one epilogue pass, then takes each group's
+  Opt pick.  The power stage runs per config over the picked
+  candidates' commands only, one :func:`~repro.power.rails.stack_watts`
+  pass per distinct rail scale (with the CPU lanes, priced once per
+  distinct (A15, DRAM) setting);
+* :meth:`DesignSpace.block_points` takes the per-precision aggregates
+  as column operations over the block and builds the points in one
+  pass.
 
 The stacks are the only implementation of the launch and Serial/OpenMP
 formulas; the campaign's single-cell pricing entry points are views over
@@ -57,11 +60,12 @@ chunks (each chunk's survivors priced as blocks), each chunk's
 target-slice points feed per-precision
 :class:`~repro.pareto.OnlineFrontier` accumulators, and dominated
 points are dropped immediately — peak memory is O(chunk + frontier)
-instead of O(space).  Before pricing, a vectorized roofline/rail
-**lower bound** (:meth:`DesignSpace.opt_bounds`) prunes configs whose
-best case is already dominated by the current frontier; pruning never
-changes the frontier (the bound under-estimates both objectives, and
-domination is transitive).  ``jobs=N`` shards configs over workers
+instead of O(space); a chunk builds :class:`DesignPoint` objects only
+for the target slice and the kept configs.  Before pricing, a
+vectorized roofline/rail **lower bound** (:meth:`DesignSpace.opt_bounds`)
+prunes configs whose best case is already dominated by the current
+frontier; pruning never changes the frontier (the bound under-estimates
+both objectives, and domination is transitive).  ``jobs=N`` shards configs over workers
 that each reduce locally and ship back only frontier candidates,
 merged to results byte-identical to ``jobs=1``.
 """
@@ -99,11 +103,13 @@ AGGREGATE = "aggregate"
 
 _PRECISIONS_DEFAULT = (Precision.SINGLE, Precision.DOUBLE)
 
-#: configs priced per block pass.  It bounds the block's (configs x
-#: lanes) temporaries: over the full benchmark grid they peak near 2 MB
-#: at 64 configs per block, no more than pricing one config at a time
-#: did, and near 7 MB at 256.
-BLOCK_SIZE = 64
+#: configs priced per block pass.  It bounds the block's temporaries:
+#: the timing stage's (settings x lanes) arrays, one row per distinct
+#: (Mali, DRAM) setting, and the power stage's (configs x groups x
+#: commands) arrays.  Over the full benchmark grid a block of 256 peaks
+#: near 9 MB when every config has its own setting, and near 6 MB when
+#: eight configs share each one (they differ only in rail scale).
+BLOCK_SIZE = 256
 
 #: the knobs the roofline floor of :meth:`DesignSpace.opt_bounds` reads
 _floor_knobs = attrgetter("dram_gbps", "register_file_scale", "gpu_cores", "gpu_clock_hz")
@@ -150,6 +156,23 @@ class _BenchCells(NamedTuple):
     candidates: tuple
 
 
+def _slot_layout(benchmarks, precisions) -> tuple[tuple[str, str, str], ...]:
+    """``(benchmark, precision, version)`` of each of a config's points,
+    in point order: [Serial, OpenMP, Opt] per (benchmark, precision)
+    group, benchmark-major, then per precision the aggregate's.
+
+    ``precisions`` are :class:`~repro.benchmarks.base.Precision` values.
+    A :class:`DesignSpace` lays out its points by it, and a materialized
+    :class:`DesignSpaceResult` is indexed by it, without a space at hand.
+    """
+    return tuple(
+        [(name, precision, version) for name in benchmarks for precision in precisions
+         for version in VERSIONS]
+        + [(AGGREGATE, precision, version) for precision in dict.fromkeys(precisions)
+           for version in VERSIONS]
+    )
+
+
 class SpaceRows:
     """Aligned row arrays of configs over a :class:`DesignSpace` grid.
 
@@ -157,22 +180,30 @@ class SpaceRows:
     ``(configs, lanes)`` for a block (:meth:`DesignSpace.block_rows`).
     ``gpu_*`` lanes follow the space's distinct launch cells
     (:attr:`DesignSpace.gpu_cells`); infeasible launches are ``inf``
-    seconds and zero watts.  ``opt_*`` lanes are the Opt candidates of
-    every group in group order, each the in-order sum of its declared
-    launches and fills — the Opt currency; a candidate is infeasible
-    (``inf`` seconds/energy, zero watts) if any of its launches is.
-    CPU lanes follow the space's CPU cell order ([Serial, OpenMP] per
-    group).
+    seconds.  ``opt_*`` lanes are the Opt candidates of every group in
+    group order, each the in-order sum of its declared launches and
+    fills — the Opt currency; a candidate is infeasible (``inf``
+    seconds) if any of its launches is.  ``pick`` and ``pick_*``
+    lanes hold one entry per group, in group order: ``pick`` is the
+    index of the group's Opt candidate on the ``opt_*`` lanes (the
+    first fastest feasible one, ``-1`` when none is feasible), and
+    ``pick_seconds``, ``pick_watts``, ``pick_energy`` and
+    ``pick_feasible`` are its iteration's seconds, mean watts and
+    energy and whether it exists (``inf``, ``0``, ``inf`` and ``False``
+    without one).  CPU lanes follow the space's CPU cell order
+    ([Serial, OpenMP] per group).
     """
 
     __slots__ = (
         "gpu_feasible",
         "gpu_seconds",
-        "gpu_watts",
         "opt_feasible",
         "opt_seconds",
-        "opt_watts",
-        "opt_energy",
+        "pick",
+        "pick_seconds",
+        "pick_watts",
+        "pick_energy",
+        "pick_feasible",
         "cpu_seconds",
         "cpu_watts",
         "cpu_energy",
@@ -194,10 +225,11 @@ class DesignSpace:
     as the tuner), sizes each launch by
     :func:`~repro.ocl.driver.launch_geometry`, keeps each distinct
     launch cell once as a stack lane and builds the GPU/CPU config
-    stacks.  :meth:`block_rows` then prices a block of configs in a few
-    array passes and :meth:`block_points` turns the rows into design
-    points; :meth:`stacked_rows` / :meth:`points` are their one-config
-    views.
+    stacks.  :meth:`block_rows` then prices a block of configs in two
+    stages — the timing of each distinct (Mali, DRAM) setting and its
+    Opt picks, then the board power of each config's picks only — and
+    :meth:`block_points` turns the rows into design points;
+    :meth:`stacked_rows` / :meth:`points` are their one-config views.
     """
 
     def __init__(
@@ -293,34 +325,28 @@ class DesignSpace:
                 )
         self.groups = groups
         #: (benchmark, precision, version) of each of a config's points,
-        #: in :meth:`block_points` order: [Serial, OpenMP, Opt] per group,
-        #: then per precision the aggregate's
-        self.slots = tuple(
-            [(bc.name, bc.precision, version) for bc in groups for version in VERSIONS]
-            + [
-                (AGGREGATE, precision, version)
-                for precision in dict.fromkeys(bc.precision for bc in groups)
-                for version in VERSIONS
-            ]
-        )
+        #: in :meth:`block_points` order (:func:`_slot_layout`)
+        self.slots = _slot_layout(self.benchmarks, [p.value for p in self.precisions])
         self.cpu_cells = tuple(cpu_cells)
         self.gpu_cells = tuple(gpu_cells)
         #: bytes of each distinct declared fill
         self.fill_bytes = tuple(fills)
 
-        # each candidate's commands as columns of [launch lanes | fills]:
-        # its first command, then per further position the candidates
-        # that reach it and their command there
+        # each candidate's commands as columns of [launch lanes | fills],
+        # a (candidates, commands) table padded with its first command,
+        # and its command count
         ext = [[t if t >= 0 else len(gpu_cells) - 1 - t for t in ts] for ts in terms]
-        self._first = np.asarray([t[0] for t in ext], dtype=np.intp)
-        self._single = np.asarray([len(t) == 1 for t in ext], dtype=bool)
-        self._more = [
-            (
-                np.asarray([c for c, t in enumerate(ext) if len(t) > p], dtype=np.intp),
-                np.asarray([t[p] for t in ext if len(t) > p], dtype=np.intp),
-            )
-            for p in range(1, max(map(len, ext), default=1))
-        ]
+        width = max(map(len, ext), default=1)
+        self._commands = np.asarray(
+            [t + t[:1] * (width - len(t)) for t in ext], dtype=np.intp
+        ).reshape(len(ext), width)
+        self._n_commands = np.asarray([len(t) for t in ext], dtype=np.intp)
+        # per further position, the candidates that reach it and their
+        # command there
+        self._more = []
+        for p in range(1, width):
+            reach = np.flatnonzero(self._n_commands > p)
+            self._more.append((reach, self._commands[reach, p]))
 
         dram = self.base.dram_model()
         self._gpu_stack = (
@@ -337,30 +363,40 @@ class DesignSpace:
     def block_rows(self, configs, parts: PlatformParts | None = None) -> SpaceRows:
         """Row arrays of a block of configs, ``(configs, lanes)`` each.
 
-        One GPU epilogue pass over the whole block
-        (:meth:`~repro.mali.timing.GpuConfigStack.block_rows`), one CPU
-        stack evaluation per distinct (A15, DRAM) part pair and one
-        :func:`~repro.power.rails.stack_watts` pass per distinct rail
-        part.  ``parts`` is the sweep's call-local part cache (a fresh
-        one over :attr:`base` when omitted), so each part is derived
-        once per distinct knob value, not once per config.
+        The Opt timing stage runs once per distinct (Mali, DRAM) part
+        pair of the block, its power stage once per config over the
+        picked candidates' commands (:meth:`_opt_rows`); the CPU stack
+        is evaluated once per distinct (A15, DRAM) part pair, and each
+        distinct rail part prices its configs' picks and CPU lanes in
+        one :func:`~repro.power.rails.stack_watts` pass each.  ``parts``
+        is the sweep's call-local part cache (a fresh one over
+        :attr:`base` when omitted), so each part is derived once per
+        distinct knob value, not once per config.
         """
         import numpy as np
 
         if parts is None:
             parts = PlatformParts(self.base)
-        k = len(configs)
-        # parts are shared objects, so identities key the distinct settings
+        # parts are shared objects, so identities key the distinct
+        # settings (``4`` and ``4.0`` are different parts)
         dram_models: dict[int, DramModel] = {}
-        drams = []
+        timing_index: dict[tuple, int] = {}
+        malis, drams, timing_of = [], [], []
         cpu_index: dict[tuple, int] = {}
-        cpu_rows = []
-        cpu_of = []
+        cpu_rows, cpu_of = [], []
         by_rails: dict[int, tuple] = {}
         for i, config in enumerate(configs):
             dram_part = parts.dram(config)
-            dram = dram_models.setdefault(id(dram_part), DramModel(dram_part))
-            drams.append(dram)
+            dram = dram_models.get(id(dram_part))
+            if dram is None:
+                dram = dram_models[id(dram_part)] = DramModel(dram_part)
+            mali = parts.mali(config)
+            key = (id(mali), id(dram_part))
+            if key not in timing_index:
+                timing_index[key] = len(malis)
+                malis.append(mali)
+                drams.append(dram)
+            timing_of.append(timing_index[key])
             cpu = parts.cpu(config)
             key = (id(cpu), id(dram_part))
             if key not in cpu_index:
@@ -389,59 +425,102 @@ class DesignSpace:
             )
 
         if self._gpu_stack is not None:
-            g = self._gpu_stack.block_rows([parts.mali(c) for c in configs], drams)
-            gpu_feasible, gpu_seconds = g.feasible, g.seconds
-            gpu_watts, opt = self._opt_rows(g, [d.config for d in drams], rail_groups)
-        else:
-            gpu_feasible = np.zeros((k, 0), dtype=bool)
-            gpu_seconds = gpu_watts = np.zeros((k, 0))
-            opt = (gpu_feasible, gpu_seconds, gpu_seconds, gpu_seconds)
+            gpu = self._opt_rows(malis, drams, np.asarray(timing_of), rail_groups)
+        else:  # no candidate compiles: every group's Opt is infeasible
+            k, n = len(configs), len(self.groups)
+            none = np.zeros((k, 0))
+            gpu = dict(
+                gpu_feasible=none.astype(bool),
+                gpu_seconds=none,
+                opt_feasible=none.astype(bool),
+                opt_seconds=none,
+                pick=np.full((k, n), -1, dtype=np.intp),
+                pick_seconds=np.full((k, n), np.inf),
+                pick_watts=np.zeros((k, n)),
+                pick_energy=np.full((k, n), np.inf),
+                pick_feasible=np.zeros((k, n), dtype=bool),
+            )
         return SpaceRows(
-            gpu_feasible=gpu_feasible,
-            gpu_seconds=gpu_seconds,
-            gpu_watts=gpu_watts,
-            opt_feasible=opt[0],
-            opt_seconds=opt[1],
-            opt_watts=opt[2],
-            opt_energy=opt[3],
+            **gpu,
             cpu_seconds=cpu_seconds,
             cpu_watts=cpu_watts,
             cpu_energy=cpu_seconds * cpu_watts,
         )
 
-    def _opt_rows(self, g, drams, rail_groups) -> tuple:
-        """``(launch watts, (feasible, seconds, watts, energy))`` of the
-        Opt candidates over priced launch rows ``g``, given each row's
-        DRAM config and the rows of each rail setting.
+    def _opt_rows(self, malis, drams, of, rail_groups) -> dict:
+        """The GPU fields of :class:`SpaceRows` — the launch and
+        candidate lanes and each group's pick columns — of rows ``of``
+        over the distinct (Mali, DRAM) settings ``(malis[i], drams[i])``,
+        given the rows of each rail setting.
 
-        Fills are priced by :func:`~repro.ocl.driver.fill_activity`
-        once per distinct DRAM config, all watts by
-        :func:`~repro.power.rails.stack_watts`.  A candidate's seconds
-        and energy are its commands' in enqueue order, the sums the
-        queue's clock and the power trace run; its watts are its one
-        segment's, or the mean ``energy / seconds`` of several.
+        The timing stage runs once per setting, since the rails never
+        enter a launch's timing: one launch-epilogue pass
+        (:meth:`~repro.mali.timing.GpuConfigStack.block_rows`), the fills
+        by :func:`~repro.ocl.driver.fill_activity` once per distinct DRAM
+        config, each candidate's feasibility (all its launches fit) and
+        seconds (its commands in enqueue order, :meth:`_fold`, the sum
+        the queue's clock runs), and each group's pick: the first minimum
+        of its candidates' seconds (``argmin``'s tie rule, the tuner's
+        too), or ``-1`` when none is feasible.
+
+        The power stage runs per row over the picked candidates'
+        commands only, one :func:`~repro.power.rails.stack_watts` pass
+        per rail setting.  A pick's energy is its commands' ``seconds ×
+        watts`` summed in enqueue order, the sum the power trace runs;
+        its watts are its one segment's, or the mean ``energy /
+        seconds`` of several.  A group without a pick reads ``(inf, 0,
+        inf, False)``.
         """
         import numpy as np
 
         from .ocl.driver import fill_activity
 
-        k, n_fills = len(drams), len(self.fill_bytes)
-        dram_row: dict[int, int] = {}
+        g = self._gpu_stack.block_rows(malis, drams)
+        n, n_fills = len(malis), len(self.fill_bytes)
+        fill_row: dict[int, int] = {}
         fills = []
         for dram in drams:
-            if id(dram) not in dram_row:
-                dram_row[id(dram)] = len(fills)
-                fills.append([_fill_fields(fill_activity(n, dram)) for n in self.fill_bytes])
+            if id(dram.config) not in fill_row:
+                fill_row[id(dram.config)] = len(fills)
+                fills.append(
+                    [_fill_fields(fill_activity(nbytes, dram.config)) for nbytes in self.fill_bytes]
+                )
         # (rows, fills, field): each field's fill columns go after its launch lanes
-        fill = np.asarray(fills).reshape(len(fills), n_fills, 4)[[dram_row[id(d)] for d in drams]]
-        seconds, bandwidth, alu, ls = (
+        fill = np.asarray(fills).reshape(len(fills), n_fills, 4)[
+            [fill_row[id(d.config)] for d in drams]
+        ]
+        columns = [
             np.concatenate([lanes, fill[..., f]], axis=1)
             for f, lanes in enumerate(
                 (g.seconds, g.dram_bandwidth, g.alu_utilization, g.ls_utilization)
             )
+        ]
+        feasible = self._fold(
+            np.logical_and,
+            np.concatenate([g.feasible, np.ones((n, n_fills), dtype=bool)], axis=1),
         )
-        feasible = np.concatenate([g.feasible, np.ones((k, n_fills), dtype=bool)], axis=1)
-        watts = np.empty(seconds.shape)
+        seconds = self._fold(np.add, columns[0])
+        pick = np.full((n, len(self.groups)), -1, dtype=np.intp)
+        for i, bc in enumerate(self.groups):
+            if bc.opt_stop > bc.opt_start:
+                span = slice(bc.opt_start, bc.opt_stop)
+                first = bc.opt_start + seconds[:, span].argmin(axis=1)
+                pick[:, i] = np.where(feasible[:, span].any(axis=1), first, -1)
+        # (settings, groups, commands) activity of each pick's commands,
+        # padded past its last one; a group without a pick reads
+        # candidate 0's, masked below
+        at = np.maximum(pick, 0)
+        commands = self._commands[at]
+        rows = np.arange(n)[:, None]
+        segment_s, bandwidth, alu, ls = (
+            column[rows[..., None], commands][of] for column in columns
+        )
+        has = (np.arange(commands.shape[2]) < self._n_commands[at][..., None])[of]
+        single = (self._n_commands[at] == 1)[of]
+        total = np.where(pick >= 0, seconds[rows, at], np.inf)[of]
+        ok = pick[of] >= 0
+
+        watts = np.empty(segment_s.shape)
         for rails, idx in rail_groups:
             watts[idx] = stack_watts(
                 rails,
@@ -450,20 +529,30 @@ class DesignSpace:
                 gpu_alu_utilization=alu[idx],
                 gpu_ls_utilization=ls[idx],
             )
-        watts = np.where(feasible, watts, 0.0)
-
-        ok = self._fold(np.logical_and, feasible)
-        total = self._fold(np.add, seconds)
         with np.errstate(invalid="ignore", divide="ignore"):
-            energy = np.where(ok, self._fold(np.add, seconds * watts), np.inf)
-            mean = np.where(self._single, watts[:, self._first], energy / total)
-        return watts[:, : g.seconds.shape[1]], (ok, total, np.where(ok, mean, 0.0), energy)
+            energy = segment_s[..., 0] * watts[..., 0]
+            for p in range(1, segment_s.shape[2]):
+                energy = np.where(
+                    has[..., p], energy + segment_s[..., p] * watts[..., p], energy
+                )
+            mean = np.where(single, watts[..., 0], energy / total)
+        return dict(
+            gpu_feasible=g.feasible[of],
+            gpu_seconds=g.seconds[of],
+            opt_feasible=feasible[of],
+            opt_seconds=seconds[of],
+            pick=pick[of],
+            pick_seconds=total,
+            pick_watts=np.where(ok, mean, 0.0),
+            pick_energy=np.where(ok, energy, np.inf),
+            pick_feasible=ok,
+        )
 
     def _fold(self, ufunc, columns):
         """Each candidate's commands folded left by ``ufunc`` in enqueue
         order, over ``columns`` laid out [launch lanes | fills] on the
         last axis: ``np.add`` is a candidate's in-order sum."""
-        out = columns[..., self._first]
+        out = columns[..., self._commands[:, 0]]
         for cols, idx in self._more:
             out[..., cols] = ufunc(out[..., cols], columns[..., idx])
         return out
@@ -474,19 +563,17 @@ class DesignSpace:
         return SpaceRows(**{name: getattr(rows, name)[0] for name in SpaceRows.__slots__})
 
     # ------------------------------------------------------------------
-    def block_points(self, configs, rows: SpaceRows) -> list[DesignPoint]:
-        """Design points of a block of configs from its row arrays.
-
-        Per config, in config order, one point per :attr:`slots` entry:
+    def _block_values(self, rows: SpaceRows) -> list:
+        """``[seconds, watts, energy, feasible]`` of a block's points,
+        each a ``(configs, slots)`` array in :attr:`slots` order:
         [Serial, OpenMP, Opt] per (benchmark, precision) group, then
         per-precision aggregates (sums across benchmarks; an aggregate
-        Opt is infeasible if any benchmark's is).  Every pick and sum
-        is a column over the block; point equality reduces to row
-        identity.
+        Opt is infeasible if any benchmark's is).  Every sum is a column
+        over the block; point equality reduces to row identity.
         """
         import numpy as np
 
-        feasible = np.ones(len(configs), dtype=bool)
+        feasible = np.ones(len(rows.cpu_seconds), dtype=bool)
         picks = {
             version: [
                 (
@@ -499,23 +586,36 @@ class DesignSpace:
             ]
             for lane, version in enumerate(VERSIONS[:2])
         }
-        picks["Opt"] = self._opt_picks(
-            rows.opt_feasible, rows.opt_seconds, rows.opt_watts, rows.opt_energy
-        )
+        picks["Opt"] = [
+            (
+                rows.pick_seconds[:, g],
+                rows.pick_watts[:, g],
+                rows.pick_energy[:, g],
+                rows.pick_feasible[:, g],
+            )
+            for g in range(len(self.groups))
+        ]
         sums = {version: self._aggregates(picks[version]) for version in VERSIONS}
         columns = [picks[version][g] for g in range(len(self.groups)) for version in VERSIONS]
         columns += [
             sums[version][precision]
             for _, precision, version in self.slots[len(columns) :]
         ]
-        k, width = len(configs), len(self.slots)
-        benchmarks, precisions, versions = zip(*self.slots)
+        return [np.stack([column[f] for column in columns], axis=1) for f in range(4)]
+
+    def block_points(self, configs, rows: SpaceRows) -> list[DesignPoint]:
+        """Design points of a block of configs from its row arrays: per
+        config, in config order, one point per :attr:`slots` entry
+        (:meth:`_block_values`)."""
+        return self._slot_points(configs, self._block_values(rows))
+
+    def _slot_points(self, configs, values, slots=slice(None)) -> list[DesignPoint]:
+        """Points of ``configs`` at ``slots`` (a slice of :attr:`slots`),
+        config-major, from the matching rows of :meth:`_block_values`."""
+        benchmarks, precisions, versions = zip(*self.slots[slots])
+        k, width = len(configs), len(benchmarks)
         # (config, slot)-major value lists; the points are then built by
         # tuple.__new__ in C, without a Python frame per point
-        values = (
-            np.stack([column[f] for column in columns], axis=1).ravel().tolist()
-            for f in range(4)
-        )
         return list(
             map(
                 tuple.__new__,
@@ -525,7 +625,7 @@ class DesignSpace:
                     benchmarks * k,
                     precisions * k,
                     versions * k,
-                    *values,
+                    *(value[:, slots].ravel().tolist() for value in values),
                 ),
             )
         )
@@ -538,39 +638,6 @@ class DesignSpace:
             **{name: np.asarray(getattr(rows, name))[None] for name in SpaceRows.__slots__}
         )
         return self.block_points((config,), block)
-
-    def _opt_picks(self, feasible, seconds, watts, energy) -> list[tuple]:
-        """Each group's Opt candidate per row of ``(rows, candidates)``
-        Opt arrays: ``(seconds, watts, energy, feasible)`` columns.
-
-        The pick is the first minimum of the candidates' iteration
-        seconds over the group's span (``argmin``'s tie rule, the
-        tuner's too), feasible iff any candidate is; a group with no
-        feasible candidate reads ``(inf, 0, inf, False)``.
-        """
-        import numpy as np
-
-        n = seconds.shape[0]
-        rows = np.arange(n)
-        inf = np.full(n, np.inf)
-        none = np.zeros(n, dtype=bool)
-        picks = []
-        for bc in self.groups:
-            if bc.opt_stop == bc.opt_start:
-                picks.append((inf, np.zeros(n), inf, none))
-                continue
-            span = slice(bc.opt_start, bc.opt_stop)
-            ok = feasible[:, span].any(axis=1)
-            lane = bc.opt_start + seconds[:, span].argmin(axis=1)
-            picks.append(
-                (
-                    np.where(ok, seconds[rows, lane], np.inf),
-                    np.where(ok, watts[rows, lane], 0.0),
-                    np.where(ok, energy[rows, lane], np.inf),
-                    ok,
-                )
-            )
-        return picks
 
     def _aggregates(self, picks) -> dict:
         """Per precision, the across-benchmark ``(seconds, watts, energy,
@@ -616,7 +683,7 @@ class DesignSpace:
             # callers mask empty groups; the clip keeps a trailing one in range
             starts = np.minimum(
                 np.asarray([bc.opt_start for bc in self.groups], dtype=np.intp),
-                max(len(self._first) - 1, 0),
+                max(len(self._commands) - 1, 0),
             )
             empty = np.asarray(
                 [bc.opt_stop == bc.opt_start for bc in self.groups], dtype=bool
@@ -802,9 +869,11 @@ def _stream_shard(
     full point lists of the ``keep_names`` configs (shard order), one
     :class:`~repro.pareto.OnlineFrontier` per precision over the
     ``(target_benchmark, precision, target_version)`` slice,
-    evaluated/pruned config counts and the peak number of simultaneously
-    resident :class:`DesignPoint` objects (chunk + kept + frontier) —
-    the O(chunk + frontier) memory-model witness.
+    evaluated/pruned config counts and the peak number of points priced
+    and held at once (a chunk's priced points + kept + frontier) — the
+    O(chunk + frontier) memory-model witness.  A chunk prices every
+    point of its configs but builds :class:`DesignPoint` objects only
+    for the target slice and the kept configs.
     """
     import numpy as np
 
@@ -819,7 +888,7 @@ def _stream_shard(
     # the target slice sits at the same slots of every config's points
     width = len(space.slots)
     targets = [
-        (slot, precision)
+        (slice(slot, slot + 1), precision)
         for slot, (benchmark, precision, version) in enumerate(space.slots)
         if benchmark == target_benchmark and version == target_version
     ]
@@ -834,15 +903,16 @@ def _stream_shard(
         priced = 0
         for start in range(0, len(batch), BLOCK_SIZE):
             block = batch[start : start + BLOCK_SIZE]
-            pts = space.block_points(block, space.block_rows(block, parts))
+            values = space._block_values(space.block_rows(block, parts))
             evaluated += len(block)
             for i, config in enumerate(block):
                 if config.name in keep_names:
-                    kept_by_name[config.name] = pts[i * width : (i + 1) * width]
+                    row = [value[i : i + 1] for value in values]
+                    kept_by_name[config.name] = space._slot_points((config,), row)
                     n_kept += width
             for slot, precision in targets:
-                frontiers[precision].update(pts[slot::width])
-            priced += len(pts)
+                frontiers[precision].update(space._slot_points(block, values, slot))
+            priced += len(block) * width
         return priced
 
     # bound-only first pass: one bound call over the whole shard, then
@@ -1001,14 +1071,15 @@ def _stream_result(
 class DesignSpaceResult:
     """The evaluated hypercube: configs, digests and every design point.
 
-    ``mode`` is ``"materialize"`` (every point of every config) or
-    ``"stream"`` (only the kept configs' full point lists plus the
-    per-precision target-slice frontiers survive; everything else was
-    discarded while streaming).  In stream mode ``configs`` /
-    ``digests`` cover only the retained configs, ``evaluated`` +
-    ``pruned`` equals the size of the swept space, and
-    ``peak_resident`` is the observed memory-model witness (max
-    simultaneously resident points: chunk + kept + frontier).
+    ``mode`` is ``"materialize"`` (every point of every config, laid
+    out as :attr:`DesignSpace.slots`) or ``"stream"`` (only the kept
+    configs' full point lists plus the per-precision target-slice
+    frontiers survive; everything else was discarded while streaming).
+    In stream mode ``configs`` / ``digests`` cover only the retained
+    configs, ``evaluated`` + ``pruned`` equals the size of the swept
+    space, and ``peak_resident`` is the observed memory-model witness:
+    the most points priced and held at once (a chunk's priced points +
+    kept + frontier), not the point objects built.
     """
 
     configs: tuple[SoCConfig, ...]
@@ -1071,15 +1142,34 @@ class DesignSpaceResult:
         version: str | None = "Opt",
         feasible_only: bool = False,
     ) -> tuple[DesignPoint, ...]:
-        """Points of one hypercube slice, in evaluation order."""
-        return tuple(
-            p
-            for p in self.points
-            if p.benchmark == benchmark
-            and p.precision == precision
-            and (version is None or p.version == version)
-            and (not feasible_only or p.feasible)
-        )
+        """Points of one hypercube slice, in evaluation order.
+
+        A materialized result holds one point per
+        :attr:`DesignSpace.slots` entry of every config, config-major
+        (:func:`_slot_layout`), so a slice is read at its slot offsets
+        (its three slots merged config by config when ``version`` is
+        ``None``); a streamed result is scanned.
+        """
+        slots = _slot_layout(self.benchmarks, self.precisions)
+        width = len(slots)
+        if self.mode == "materialize" and len(self.points) == width * len(self.configs):
+            offsets = [
+                slot
+                for slot, (b, p, v) in enumerate(slots)
+                if b == benchmark and p == precision and (version is None or v == version)
+            ]
+            points = chain.from_iterable(zip(*(self.points[s::width] for s in offsets)))
+        else:
+            points = (
+                p
+                for p in self.points
+                if p.benchmark == benchmark
+                and p.precision == precision
+                and (version is None or p.version == version)
+            )
+        if feasible_only:
+            points = filter(attrgetter("feasible"), points)
+        return tuple(points)
 
     def point(self, config_name, benchmark, precision, version) -> DesignPoint:
         for p in self.points:
@@ -1592,20 +1682,18 @@ def _dvfs_opp_slices(space: DesignSpace, mali, rails, dram, table, benchmark) ->
 
     The OPPs are priced as one block — the Mali config moved to each
     OPP's clock, the rails scaled by its ``f · V²`` factor — through the
-    stacked engine's candidate sums, Opt selection and aggregate
-    (:meth:`DesignSpace._opt_rows`, :meth:`DesignSpace._opt_picks`,
-    :meth:`DesignSpace._aggregates`).
+    stacked engine's two Opt stages and aggregate
+    (:meth:`DesignSpace._opt_rows`, :meth:`DesignSpace._aggregates`).
     At the table's nominal OPP both are the config's own parts, so that
     slice is bitwise the fixed-frequency Opt point of
     :meth:`DesignSpace.block_points`.
     """
-    import numpy as np
     from dataclasses import replace as _replace
 
     from .power import dvfs
 
     opps = table.points
-    g = space._gpu_stack.block_rows(
+    opt = space._opt_rows(
         [
             mali
             if opp.frequency_hz == mali.clock_hz
@@ -1613,13 +1701,11 @@ def _dvfs_opp_slices(space: DesignSpace, mali, rails, dram, table, benchmark) ->
             for opp in opps
         ],
         [dram] * len(opps),
-    )
-    _, opt = space._opt_rows(
-        g,
-        [dram.config] * len(opps),
+        slice(None),
         [(dvfs.rails_at(rails, gpu_table=table, gpu_opp=opp), i) for i, opp in enumerate(opps)],
     )
-    picks = space._opt_picks(*opt)
+    columns = [opt[f"pick_{field}"] for field in ("seconds", "watts", "energy", "feasible")]
+    picks = [tuple(column[:, g] for column in columns) for g in range(len(space.groups))]
     if benchmark == AGGREGATE:
         slices = space._aggregates(picks)
     else:

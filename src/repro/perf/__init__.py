@@ -40,7 +40,6 @@ how.  Both settings produce byte-identical
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -56,7 +55,6 @@ __all__ = [
     "MemoCache",
     "cache",
     "caches",
-    "content_key",
     "counters",
     "counters_delta",
     "counters_merge",
@@ -257,33 +255,6 @@ def reset() -> None:
 # ---------------------------------------------------------------------------
 # content digests & higher-level memo helpers
 # ---------------------------------------------------------------------------
-
-
-def content_key(obj: Any) -> Any:
-    """A hashable content token for an (effectively) immutable value.
-
-    Hashable values pass through untouched.  Frozen dataclasses that
-    carry dict fields (e.g. ``MaliConfig.op_cost``) and plain containers
-    are converted recursively to tuples; anything else falls back to its
-    ``repr``.  Two calls on equal content yield equal tokens, which is
-    all a memo key needs.
-    """
-    try:
-        hash(obj)
-        return obj
-    except TypeError:
-        pass
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return (type(obj).__qualname__,) + tuple(
-            content_key(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        )
-    if isinstance(obj, dict):
-        return tuple(sorted((repr(k), content_key(v)) for k, v in obj.items()))
-    if isinstance(obj, (set, frozenset)):
-        return tuple(sorted(repr(item) for item in obj))
-    if isinstance(obj, (list, tuple)):
-        return tuple(content_key(item) for item in obj)
-    return repr(obj)
 
 
 def digest(*parts: Any) -> str:

@@ -17,11 +17,12 @@ the reference bit for bit (full dataclass ``==``, never ``approx``).
   per lane;
 * :func:`facade_rows` — a :class:`~repro.designspace.DesignSpace` row
   set of one SoC config, every cell priced through the references above
-  and every Opt candidate summed over its declared launches and fills
-  (the loop a stacked sweep replaces);
+  and every Opt candidate summed over its declared launches and fills,
+  each group's pick the first fastest feasible candidate (the loop a
+  stacked sweep replaces);
 * :func:`points_reference` — one config's design points from its rows,
-  picked and summed with Python floats one group at a time (the loop
-  the block pass replaces);
+  summed with Python floats one group at a time (the loop the block
+  pass replaces);
 * :func:`digest_reference` — a config digest hashed from the whole
   derived platform;
 * :func:`config_grid_reference` — a config grid built one
@@ -431,7 +432,11 @@ def facade_rows(space, config):
     through :func:`rail_power_reference`.  Each Opt candidate sums its
     declared commands (:func:`_declared`) from ``0.0`` in enqueue order,
     seconds and seconds × watts, the way the queue's clock and the power
-    trace do."""
+    trace do.  Each group's pick is its first feasible candidate with
+    the fewest seconds (a strict ``<`` scan in candidate order), and the
+    pick columns carry that candidate's seconds, watts, energy and
+    feasibility, or ``(-1, inf, 0, inf, False)`` when none is
+    feasible."""
     from repro.designspace import SpaceRows
 
     platform = config.platform(space.base)
@@ -511,15 +516,27 @@ def facade_rows(space, config):
         )
         for r in cpu_rows
     ]
-    feasible, opt_seconds, opt_watts, opt_energy = zip(*opt) if opt else ((),) * 4
+    picks = []
+    for group in space.groups:
+        pick = (-1, math.inf, 0.0, math.inf, False)
+        for j in range(group.opt_start, group.opt_stop):
+            ok, seconds, watts_j, energy = opt[j]
+            if ok and seconds < pick[1]:
+                pick = (j, seconds, watts_j, energy, True)
+        picks.append(pick)
+    pick, pick_seconds, pick_watts, pick_energy, pick_feasible = (
+        zip(*picks) if picks else ((),) * 5
+    )
     return SpaceRows(
         gpu_feasible=np.asarray([lane is not None for lane in lanes], dtype=bool),
         gpu_seconds=np.asarray([math.inf if lane is None else lane[0] for lane in lanes]),
-        gpu_watts=np.asarray([0.0 if lane is None else lane[1] for lane in lanes]),
-        opt_feasible=np.asarray(feasible, dtype=bool),
-        opt_seconds=np.asarray(opt_seconds, dtype=np.float64),
-        opt_watts=np.asarray(opt_watts, dtype=np.float64),
-        opt_energy=np.asarray(opt_energy, dtype=np.float64),
+        opt_feasible=np.asarray([c[0] for c in opt], dtype=bool),
+        opt_seconds=np.asarray([c[1] for c in opt], dtype=np.float64),
+        pick=np.asarray(pick, dtype=np.intp),
+        pick_seconds=np.asarray(pick_seconds, dtype=np.float64),
+        pick_watts=np.asarray(pick_watts, dtype=np.float64),
+        pick_energy=np.asarray(pick_energy, dtype=np.float64),
+        pick_feasible=np.asarray(pick_feasible, dtype=bool),
         cpu_seconds=np.asarray([r.seconds for r in cpu_rows]),
         cpu_watts=np.asarray(cpu_watts),
         cpu_energy=np.asarray([r.seconds * w for r, w in zip(cpu_rows, cpu_watts)]),
@@ -529,13 +546,13 @@ def facade_rows(space, config):
 def points_reference(space, config, rows):
     """Design points of one config from its row arrays, one group at a
     time: [Serial, OpenMP, Opt] per (benchmark, precision) group — Opt
-    the first fastest feasible candidate — then the per-precision
-    aggregates, summed term by term in group order."""
+    the group's pick columns — then the per-precision aggregates, summed
+    term by term in group order."""
     from repro.designspace import AGGREGATE, VERSIONS, DesignPoint
 
     pts = []
     agg = {}  # (precision, version) -> [seconds, energy, ok]
-    for bc in space.groups:
+    for g, bc in enumerate(space.groups):
         for version, lane in (("Serial", bc.cpu_start), ("OpenMP", bc.cpu_start + 1)):
             seconds = float(rows.cpu_seconds[lane])
             energy = float(rows.cpu_energy[lane])
@@ -548,13 +565,10 @@ def points_reference(space, config, rows):
             acc = agg.setdefault((bc.precision, version), [0.0, 0.0, True])
             acc[0] += seconds
             acc[1] += energy
-        seconds, watts, energy, ok = math.inf, 0.0, math.inf, False
-        for j in range(bc.opt_start, bc.opt_stop):
-            if rows.opt_feasible[j] and float(rows.opt_seconds[j]) < seconds:
-                seconds = float(rows.opt_seconds[j])
-                watts = float(rows.opt_watts[j])
-                energy = float(rows.opt_energy[j])
-                ok = True
+        seconds = float(rows.pick_seconds[g])
+        watts = float(rows.pick_watts[g])
+        energy = float(rows.pick_energy[g])
+        ok = bool(rows.pick_feasible[g])
         pts.append(
             DesignPoint(
                 config.name, bc.name, bc.precision, "Opt", seconds, watts, energy, ok

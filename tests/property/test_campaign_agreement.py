@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -102,13 +101,11 @@ def test_design_points_are_the_campaign_runs(space, name, drawn):
 def test_opt_pick_is_the_tuners_pick(space, name, drawn):
     for config in _configs(drawn):
         rows = space.stacked_rows(config)
-        for group in space.groups:
+        for g, group in enumerate(space.groups):
             if group.name != name:
                 continue
-            span = slice(group.opt_start, group.opt_stop)
-            pick = None
-            if rows.opt_feasible[span].any():
-                pick = group.candidates[int(np.argmin(rows.opt_seconds[span]))]
+            lane = int(rows.pick[g])
+            pick = None if lane < 0 else group.candidates[lane - group.opt_start]
             bench = create(
                 name,
                 precision=Precision(group.precision),

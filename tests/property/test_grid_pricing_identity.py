@@ -182,3 +182,54 @@ def test_design_space_jobs_pool_matches_inline():
         p for c in configs for p in points_reference(space, c, facade_rows(space, c))
     )
     assert inline.points == reference
+
+
+def _bits(points):
+    """Each point with its floats as IEEE-754 bit patterns, so equality
+    is bit for bit (signed zeros and infinities included)."""
+    import struct
+
+    return [
+        (*p[:4], *(struct.pack("<d", x) for x in p[4:7]), p.feasible, type(p).__name__)
+        for p in points
+    ]
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        # runs that share every timing knob and differ only in the rail
+        # scale, with and without candidates the register file rejects
+        {"register_file_scale": (0.125, 1.0), "rail_scale": (0.5, 1.0, 2.0, 3.0)},
+        # one GPU timing setting under every CPU setting
+        {"cpu_cores": (1, 2, 4), "cpu_clock_hz": (1.0e9, 1.7e9)},
+    ],
+    ids=["rails", "cpu"],
+)
+def test_shared_timing_points_match_the_reference(axes):
+    """Configs that share a (Mali, DRAM) setting share one timing row.
+    Priced in blocks of 3, which split each run of shared-timing
+    configs, the materialized points, the streamed points with every
+    config kept and the jobs=2 points are all bitwise the reference
+    loop's over the scalar rows."""
+    from repro import designspace
+    from repro.calibration.socspace import config_grid
+    from repro.designspace import DesignSpace, evaluate_space
+
+    configs = config_grid(**axes)
+    benchmarks = ("vecop", "red", "hist")
+    space = DesignSpace(benchmarks=benchmarks, scale=0.1)
+    expected = _bits(
+        p for c in configs for p in points_reference(space, c, facade_rows(space, c))
+    )
+    names = [c.name for c in configs]
+    with mock.patch.object(designspace, "BLOCK_SIZE", 3):
+        materialized = evaluate_space(configs, benchmarks=benchmarks, scale=0.1, space=space)
+        streamed = evaluate_space(
+            configs, benchmarks=benchmarks, scale=0.1, space=space, stream=True,
+            chunk_size=4, keep_configs=names,
+        )
+        pooled = evaluate_space(configs, benchmarks=benchmarks, scale=0.1, jobs=2)
+    assert _bits(materialized.points) == expected
+    assert _bits(streamed.points) == expected
+    assert _bits(pooled.points) == expected

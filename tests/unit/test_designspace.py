@@ -496,6 +496,62 @@ def test_evaluate_space_shapes_and_dp_collapse():
     json.dumps(data)  # inf never leaks into the JSON form
 
 
+def test_block_pass_times_each_mali_and_dram_setting_once():
+    """The rail scale never enters launch timing: twelve configs over
+    four (cores, clock) settings send four rows to the launch stack."""
+    from unittest import mock
+
+    from repro.mali.timing import GpuConfigStack
+
+    configs = config_grid(
+        gpu_cores=(1, 2), gpu_clock_hz=(300e6, 600e6), rail_scale=(0.5, 1.0, 2.0)
+    )
+    space = DesignSpace(benchmarks=("vecop",), precisions=(Precision.SINGLE,), scale=0.1)
+    with mock.patch.object(
+        GpuConfigStack, "block_rows", autospec=True, side_effect=GpuConfigStack.block_rows
+    ) as spy:
+        points = space.evaluate(configs)
+    assert len(configs) == 12 and len(points) == 12 * len(space.slots)
+    assert sum(len(call.args[1]) for call in spy.call_args_list) == 4
+
+
+def _select_scan(result, benchmark, precision, version, feasible_only):
+    return tuple(
+        p
+        for p in result.points
+        if p.benchmark == benchmark
+        and p.precision == precision
+        and (version is None or p.version == version)
+        and (not feasible_only or p.feasible)
+    )
+
+
+def test_select_equals_the_scan_on_every_slice():
+    """A materialized result selects by slot offset, a streamed one by
+    scanning: both return what a scan over every point returns."""
+    from repro.designspace import VERSIONS
+
+    configs = config_grid(gpu_cores=(2, 8), register_file_scale=(0.125, 1.0))
+    benchmarks = ("vecop", "amcd")  # amcd DP has no Opt candidate
+    materialized = evaluate_space(configs, benchmarks=benchmarks, scale=0.05)
+    streamed = evaluate_space(configs, benchmarks=benchmarks, scale=0.05, stream=True)
+    filtered = 0
+    for result in (materialized, streamed):
+        for benchmark in (*benchmarks, AGGREGATE, "nbody"):
+            for precision in result.precisions:
+                for version in (*VERSIONS, None):
+                    for feasible_only in (False, True):
+                        picked = result.select(benchmark, precision, version, feasible_only)
+                        scan = _select_scan(result, benchmark, precision, version, feasible_only)
+                        assert type(picked) is tuple and picked == scan
+                        if feasible_only and scan != _select_scan(
+                            result, benchmark, precision, version, False
+                        ):
+                            filtered += 1
+    assert filtered  # the grid has infeasible points to filter out
+    assert len(materialized.select(version=None)) == 3 * len(configs)
+
+
 def test_evaluate_space_validates_inputs():
     with pytest.raises(ValueError):
         evaluate_space(())

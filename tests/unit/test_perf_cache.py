@@ -134,20 +134,8 @@ def test_counters_merge_sums_and_drops_zero():
 
 
 # ---------------------------------------------------------------------------
-# content keys & digests
+# content digests
 # ---------------------------------------------------------------------------
-
-
-def test_content_key_handles_dict_bearing_dataclasses():
-    @dataclasses.dataclass(frozen=True)
-    class Cfg:
-        table: dict
-
-    a = perf.content_key(Cfg(table={"x": 1, "y": [2, 3]}))
-    b = perf.content_key(Cfg(table={"y": [2, 3], "x": 1}))
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != perf.content_key(Cfg(table={"x": 2, "y": [2, 3]}))
 
 
 def test_digest_is_content_addressed():
