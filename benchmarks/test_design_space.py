@@ -103,7 +103,9 @@ def test_design_space_speedup_and_identity(benchmark):
 
     This is the PR's acceptance criterion, run at reduced scale in CI
     (``REPRO_BENCH_SCALE``); the committed ``BENCH_design_space.json``
-    records the scale-1.0 number.
+    records the scale-1.0 number.  Under ``--benchmark-disable`` the
+    fixture runs the stacked pass once and keeps no timings, so the
+    floor takes the fastest of ``ROUNDS`` passes timed here instead.
     """
     space, configs, build_s = _build_space()
     assert len(configs) >= 64
@@ -113,15 +115,22 @@ def test_design_space_speedup_and_identity(benchmark):
     reference_rows = [facade_rows(space, c) for c in configs]
     facade_s = time.perf_counter() - t0
 
-    stacked_rows = benchmark.pedantic(
-        lambda: [space.stacked_rows(c) for c in configs],
-        rounds=ROUNDS,
-        iterations=1,
-    )
-    stacked_s = benchmark.stats.stats.min
+    def stacked():
+        return [space.stacked_rows(c) for c in configs]
 
+    stacked_rows = benchmark.pedantic(stacked, rounds=ROUNDS, iterations=1)
     for config, s, f in zip(configs, stacked_rows, reference_rows):
         assert _rows_bitwise_equal(s, f), config.name
+
+    if benchmark.disabled:
+        passes = []
+        for _ in range(ROUNDS):
+            t0 = time.perf_counter()
+            stacked()
+            passes.append(time.perf_counter() - t0)
+        stacked_s = min(passes)
+    else:
+        stacked_s = benchmark.stats.stats.min
     speedup = facade_s / stacked_s
     benchmark.extra_info["scale"] = SCALE
     benchmark.extra_info["configs"] = len(configs)

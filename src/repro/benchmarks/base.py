@@ -336,8 +336,8 @@ class Benchmark(abc.ABC):
 
     An instance separates its *shape* from its *data*.  :meth:`setup`
     derives the problem sizes plus the few random draws that feed the
-    IR or the traits (spmv's row lengths, hist's values, amcd's
-    chains); that is all pricing, tuning and the design space read.
+    IR or the traits (spmv's row lengths, amcd's chains); that is all
+    pricing, tuning and the design space read.
     The remaining input arrays, named in :attr:`lazy_inputs`, are drawn
     by :meth:`draw_inputs` on the first access to any of them — only
     functional execution and verification pay for them.

@@ -16,12 +16,18 @@ Two GPU source variants (the paper's naive port vs the rewritten Opt):
   the naive version (Figure 3's hist outlier) because the pipes stop
   idling on atomics.
 
+The values are Beta(2, 3): mildly skewed, so hot buckets exist but do
+not dominate.  The atomic contention of both main kernels is the
+largest of the 256 bucket masses of that distribution, taken from its
+closed-form CDF (:func:`beta_cdf`), so set-up draws nothing and the
+values are a lazy input that only functional execution pays for.
+
 The host numerics count buckets :data:`~repro.benchmarks.common.BLOCK`
-values at a time (:func:`bucket_counts`): set-up's hot bucket, the
-functional run and both kernel functions.  The reference is an
-independent formulation, ``np.histogram`` over ``[0, 1]`` (which also
-bins in blocks); both put a float32 value that rounds to 1.0 in the
-last bucket, so every count matches bit for bit.
+values at a time (:func:`bucket_counts`): the functional run and both
+kernel functions.  The reference is an independent formulation,
+``np.histogram`` over ``[0, 1]`` (which also bins in blocks); both put
+a float32 value that rounds to 1.0 in the last bucket, so every count
+matches bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +48,16 @@ from .base import Benchmark, Fill, Launch
 from .common import alloc_mapped, blocks
 
 
+def beta_cdf(x: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The Beta(``a``, ``b``) CDF at ``x`` for integer shapes, in float64.
+
+    The density ``x**(a-1) * (1-x)**(b-1) / B(a, b)`` with its
+    ``(1-x)**(b-1)`` expanded binomially, integrated term by term from 0.
+    """
+    norm = math.factorial(a + b - 1) / (math.factorial(a - 1) * math.factorial(b - 1))
+    return norm * sum((-1) ** k * math.comb(b - 1, k) * x ** (a + k) / (a + k) for k in range(b))
+
+
 def bucket_counts(values: np.ndarray, buckets: int) -> np.ndarray:
     """``int64`` counts of the buckets ``min(int(v * buckets), buckets - 1)``
     of ``values`` in [0, 1], taken block by block."""
@@ -60,17 +76,27 @@ class Histogram(Benchmark):
 
     DEFAULT_N = 1 << 22
     BUCKETS = 256
+    #: Beta shape parameters of the values, read by the draw and the CDF
+    SHAPE = (2, 3)
     #: work-groups used by the privatized variant's first stage
     PRIVATE_COPIES = 64
+    lazy_inputs = ("values",)
 
     def setup(self) -> None:
+        """Size and hot-bucket mass; draws nothing.
+
+        ``hot_fraction``, the atomic contention, is the largest bucket
+        mass of the values' distribution: the same at every scale, and
+        the share a large enough draw of the values tends to.
+        """
         self.n = max(4096, int(self.DEFAULT_N * self.scale))
-        # mildly skewed distribution: hot buckets exist but don't dominate
-        raw = self.take("values", lambda rng: rng.beta(2.0, 3.0, size=self.n))
-        self.values = raw.astype(self.ftype, copy=False)
-        counts = bucket_counts(raw, self.BUCKETS)
-        #: measured probability mass of the hottest bucket -> contention
-        self.hot_fraction = float(counts.max() / self.n)
+        edges = np.arange(self.BUCKETS + 1) / self.BUCKETS
+        self.hot_fraction = float(np.diff(beta_cdf(edges, *self.SHAPE)).max())
+
+    def draw_inputs(self) -> dict[str, np.ndarray]:
+        """The ``n`` Beta(:attr:`SHAPE`) values, drawn in float64 and cast."""
+        raw = self.take("values", lambda rng: rng.beta(*self.SHAPE, size=self.n))
+        return {"values": raw.astype(self.ftype, copy=False)}
 
     def elements(self) -> int:
         return self.n

@@ -29,7 +29,7 @@ from ..ir.nodes import AccessPattern, Kernel as IrKernel, Layout, OpKind, Scalin
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import SingleKernelMixin, alloc_mapped
+from .common import BLOCK, SingleKernelMixin, alloc_mapped
 
 #: record layout: x, y, z, mass, vx, vy, vz, pad
 FIELDS = 8
@@ -52,10 +52,10 @@ def nbody_step(bodies: np.ndarray, ftype) -> np.ndarray:
     # Row-blocked per-axis evaluation: each i-row's interactions are
     # independent, so blocking over i and splitting the axes leaves
     # every elementwise product and every row reduction exactly as in
-    # the whole-matrix formulation while keeping the working set at a
-    # few (block, N) panels instead of an (N, N, 3) tensor.
+    # the whole-matrix formulation while keeping each temporary panel
+    # near BLOCK elements instead of an (N, N, 3) tensor.
     acc = np.empty((n, 3))
-    block = 256
+    block = max(1, BLOCK // n)
     for i0 in range(0, n, block):
         i1 = min(i0 + block, n)
         dx = px[None, :] - px[i0:i1, None]

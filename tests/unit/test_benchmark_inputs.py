@@ -7,8 +7,11 @@ draw an input, the lazily drawn arrays are bit for bit the arrays the
 former eager ``setup()`` drew, and the NumPy replacements for SciPy's
 convolution and CSR product compute what they claim.  The host numerics
 that work in blocks (hist's counts, 2dcon's bands, 3dstc's in-place
-sum) are checked bit for bit against whole-array oracles, at lengths
-and heights that cross a block seam.  They also pin the
+sum, nbody's row panels) are checked bit for bit against whole-array
+oracles, at lengths and heights that cross a block seam.  hist's
+hot-bucket mass, which set-up takes from the Beta CDF instead of a
+draw, is checked against a second formulation of that CDF and against
+the values the kernels count.  They also pin the
 family draw record: the precisions of one (benchmark, scale, seed) share
 one read-only draw, in one order, forgotten after its last reader.
 """
@@ -17,10 +20,12 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import math
 import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +36,7 @@ from repro.benchmarks.base import cpu_pricing_inputs
 from repro.benchmarks.common import BLOCK
 from repro.benchmarks.conv2d import correlate_same
 from repro.benchmarks.hist import bucket_counts
+from repro.benchmarks.nbody import DT, SOFTENING, nbody_step
 from repro.benchmarks.spmv import csr_matvec
 from repro.benchmarks.vecop import VecOp
 from repro.designspace import DesignSpace
@@ -62,8 +68,13 @@ EAGER_DIGESTS = {
     ("2dcon", "double", "filter"): ("float64", (3, 3), "c70a1a9837b900b19c3b147c9ef7c990e7ebce7a1bc021cbc84677c56006bd96"),
     ("spmv", "single", "row_lengths"): ("int64", (1638,), "cd0be085b1ac0a0ef40176e3d4fb9c0be21972370ba3a7d16b3fe46663b746ef"),
     ("spmv", "double", "row_lengths"): ("int64", (1638,), "cd0be085b1ac0a0ef40176e3d4fb9c0be21972370ba3a7d16b3fe46663b746ef"),
+    ("hist", "single", "values"): ("float32", (209715,), "2719d466335c19c0d0f0f5191f860d6eac18e48db018ac4f4c170bd60d102d19"),
+    ("hist", "double", "values"): ("float64", (209715,), "f5d34b970d2531eea0114f13b6e78a9b7ea4995f42cbf2cfe5ff64370f61d120"),
 }
-SEEDS = {"vecop": 11, "red": 12, "3dstc": 13, "dmmm": 14, "nbody": 15, "2dcon": 16, "spmv": 17}
+SEEDS = {
+    "vecop": 11, "red": 12, "3dstc": 13, "dmmm": 14, "nbody": 15, "2dcon": 16, "spmv": 17,
+    "hist": 18,
+}
 
 
 def _undrawn(bench) -> bool:
@@ -106,13 +117,24 @@ class TestShapeOnlyPaths:
         assert bench.draws.rng.bit_generator.state == state
 
     def test_design_space_build_draws_no_input(self, monkeypatch):
+        """The build takes only the set-up draws that feed traits: spmv's
+        row lengths and amcd's chains, once per precision."""
         def refuse(bench):
             raise AssertionError(f"{bench.name} drew its inputs")
 
+        taken = Counter()
+        take = Draws.take
+
+        def counting_take(self, name, draw, at):
+            taken[name] += 1
+            return take(self, name, draw, at)
+
         for cls in BENCHMARKS.values():
             monkeypatch.setattr(cls, "draw_inputs", refuse)
+        monkeypatch.setattr(Draws, "take", counting_take)
         space = DesignSpace(scale=0.05)
         assert len(space.groups) == 2 * len(PAPER_ORDER)
+        assert taken == {"row_lengths": 2, "x0": 2, "seeds": 2}
 
     def test_first_use_draws_every_lazy_input_once(self):
         bench = create("2dcon", scale=0.05)
@@ -126,6 +148,42 @@ class TestShapeOnlyPaths:
         bench = create("vecop", scale=0.02)
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             bench.nope
+        assert _undrawn(bench)
+
+
+def beta_bucket_masses(shape: tuple[int, int], buckets: int) -> np.ndarray:
+    """Bucket masses of Beta(a, b) for integer shapes from the binomial
+    form of its CDF, I_x(a, b) = sum_{j=a}^{a+b-1} C(a+b-1, j) x^j (1-x)^(a+b-1-j)."""
+    a, b = shape
+    x = np.arange(buckets + 1) / buckets
+    m = a + b - 1
+    cdf = sum(math.comb(m, j) * x**j * (1 - x) ** (m - j) for j in range(a, m + 1))
+    return np.diff(cdf)
+
+
+class TestHistShapeOnly:
+    """hist's contention is the Beta bucket mass, not a statistic of a draw."""
+
+    @pytest.mark.parametrize("precision", list(Precision))
+    @pytest.mark.parametrize("scale", [0.05, 1.0])
+    def test_hot_fraction_is_the_largest_bucket_mass(self, scale, precision):
+        bench = create("hist", precision=precision, scale=scale)
+        want = beta_bucket_masses(bench.SHAPE, bench.BUCKETS).max()
+        assert bench.hot_fraction == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert _undrawn(bench)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.25])
+    def test_hot_fraction_describes_the_drawn_values(self, scale):
+        """Within 2.5% of the hottest bucket's share of the family's own
+        float64 draw, the values both kernels count."""
+        bench = create("hist", precision=Precision.DOUBLE, scale=scale)
+        drawn = bucket_counts(bench.values, bench.BUCKETS).max() / bench.n
+        assert bench.hot_fraction == pytest.approx(drawn, rel=0.025)
+
+    def test_setup_leaves_the_family_generator_untouched(self):
+        bench = create("hist", scale=0.05, seed=SEEDS["hist"])
+        fresh = np.random.default_rng(SEEDS["hist"]).bit_generator.state
+        assert bench.draws.rng.bit_generator.state == fresh
         assert _undrawn(bench)
 
 
@@ -299,6 +357,26 @@ def stencil_expression(g: np.ndarray, c0: float, c1: float) -> np.ndarray:
     return out
 
 
+def whole_matrix_step(bodies: np.ndarray, ftype) -> np.ndarray:
+    """nbody's leapfrog step over the whole (N, N) interaction matrix."""
+    pos = bodies[:, 0:3].astype(np.float64)
+    mass = bodies[:, 3].astype(np.float64)
+    vel = bodies[:, 4:7].astype(np.float64)
+    dx, dy, dz = (pos[None, :, k] - pos[:, None, k] for k in range(3))
+    dist2 = dx * dx
+    dist2 += dy * dy
+    dist2 += dz * dz
+    dist2 += SOFTENING**2
+    inv_d3 = dist2 ** (-1.5)
+    np.fill_diagonal(inv_d3, 0.0)
+    w = mass[None, :] * inv_d3
+    acc = np.stack([(dx * w).sum(axis=1), (dy * w).sum(axis=1), (dz * w).sum(axis=1)], axis=1)
+    new = np.array(bodies, dtype=np.float64)
+    new[:, 4:7] = vel + DT * acc
+    new[:, 0:3] = pos + DT * new[:, 4:7]
+    return new.astype(ftype)
+
+
 class TestNumpyKernels:
     #: the last two heights cross one and two seams of 3-row bands
     @pytest.mark.parametrize(
@@ -327,8 +405,8 @@ class TestNumpyKernels:
 
     @pytest.mark.parametrize("precision", (Precision.SINGLE, Precision.DOUBLE))
     def test_hist_block_counts_match_a_whole_array_bincount(self, precision):
-        """Set-up's count, the functional run, its ``np.histogram``
-        reference and both kernel functions count every bucket as one
+        """The functional run, its ``np.histogram`` reference and both
+        kernel functions count every bucket as one
         whole-array ``bincount`` does, over a length that is no multiple
         of ``BLOCK`` and float32 values that round to 1.0."""
         rng = np.random.default_rng(3)
@@ -370,6 +448,16 @@ class TestNumpyKernels:
             dst = np.zeros_like(g)
             bench.kernel_func()(g, dst)
             assert dst.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("precision", (Precision.SINGLE, Precision.DOUBLE))
+    def test_nbody_panels_match_the_whole_matrix(self, precision):
+        """457 bodies take panels of ``BLOCK // 457`` = 143 rows: three
+        full panels and a ragged one."""
+        bench = create("nbody", precision=precision, scale=0.05, seed=SEEDS["nbody"])
+        assert bench.n_bodies == 457 and divmod(457, BLOCK // 457) == (3, 28)
+        got = nbody_step(bench.bodies, bench.ftype)
+        want = whole_matrix_step(bench.bodies, bench.ftype)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_csr_matvec_matches_dense_product(self):
         bench = create("spmv", precision=Precision.DOUBLE, scale=0.02, seed=5)

@@ -1,8 +1,9 @@
 """Statistical properties of the generated datasets.
 
-The models consume *measured* dataset statistics (spmv's row-length CV,
-hist's hot-bucket mass); these tests pin that the generators actually
-produce distributions with the documented properties, across seeds.
+The models consume dataset statistics, measured from a draw (spmv's
+row-length CV) or taken from the distribution (hist's hot-bucket mass);
+these tests pin that the generators actually produce distributions with
+the documented properties, across seeds.
 """
 
 import numpy as np

@@ -599,31 +599,33 @@ def _count_draws(monkeypatch):
 
 def test_platforms_share_one_draw_record(monkeypatch):
     """The platform variants of one benchmark draw its inputs once, and
-    price exactly as fresh per-platform instances do."""
+    price exactly as fresh per-platform instances do.  spmv draws its
+    row lengths in set-up; hist's set-up draws nothing at all."""
     from repro.pricing.grid import estimate_cpu_seconds, estimate_opt_seconds
     from repro.whatif import compare_platforms, estimate_speedups, mali_t628_platform
 
     drawn = _count_draws(monkeypatch)
     platforms = {"t604": default_platform(), "t628": mali_t628_platform()}
-    speedups = estimate_speedups("hist", platforms, scale=0.1)
-    assert drawn and set(drawn.values()) == {1}
+    assert estimate_speedups("hist", platforms, scale=0.1) and not drawn
+    speedups = estimate_speedups("spmv", platforms, scale=0.1)
+    assert drawn == {"row_lengths": 1}
 
     drawn.clear()
     perf.reset()
-    fresh = {name: create("hist", scale=0.1, platform=p) for name, p in platforms.items()}
+    fresh = {name: create("spmv", scale=0.1, platform=p) for name, p in platforms.items()}
     serial = estimate_cpu_seconds(fresh["t604"])
     assert speedups == {
         name: serial / estimate_opt_seconds(bench) for name, bench in fresh.items()
     }
-    assert set(drawn.values()) == {len(platforms)}  # fresh instances redraw
+    assert drawn == {"row_lengths": len(platforms)}  # fresh instances redraw
 
     drawn.clear()
     perf.reset()
-    shared = compare_platforms("hist", platforms, scale=0.05)
-    assert drawn and set(drawn.values()) == {1}
+    shared = compare_platforms("spmv", platforms, scale=0.05)
+    assert len(drawn) > 1 and set(drawn.values()) == {1}
     for name, platform in platforms.items():
         perf.reset()
-        alone = compare_platforms("hist", {name: platform}, scale=0.05)
+        alone = compare_platforms("spmv", {name: platform}, scale=0.05)
         assert shared.runs[name] == alone.runs[name]
 
 
