@@ -32,7 +32,7 @@ from ..ir.nodes import Kernel as IrKernel, OpKind, Scaling
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import SingleKernelMixin, alloc_mapped
+from .common import alloc_mapped
 
 #: LCG constants (Numerical Recipes) used identically in every version
 LCG_A = np.uint64(1664525)
@@ -73,7 +73,7 @@ def simulate_chains(
     return x
 
 
-class Amcd(SingleKernelMixin, Benchmark):
+class Amcd(Benchmark):
     """Independent Metropolis chains in a quadratic potential."""
 
     name = "amcd"
@@ -170,20 +170,20 @@ class Amcd(SingleKernelMixin, Benchmark):
         return WorkloadTraits(streams=self._streams(), elements=self.chains)
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         return {
             "x0": alloc_mapped(ctx, queue, data=self.x0),
             "seeds": alloc_mapped(ctx, queue, data=self.seeds),
-            "out": alloc_mapped(ctx, queue, shape=self.chains, dtype=self.ftype),
+            "x_out": alloc_mapped(ctx, queue, shape=self.chains, dtype=self.ftype),
         }
 
-    def kernel_func(self):
+    def kernel_funcs(self):
         steps, beta, step_size, ftype = self.STEPS, self.BETA, self.STEP_SIZE, self.ftype
 
         def amcd_kernel(x0, seeds, x_out):
             x_out[...] = simulate_chains(x0, seeds, steps, beta, step_size, ftype)
 
-        return amcd_kernel
+        return {"amcd_metropolis": amcd_kernel}
 
     def tuning_space(self):
         # nothing vectorizes (sequential chains, divergent lanes): the

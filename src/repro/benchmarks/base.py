@@ -510,6 +510,7 @@ class Benchmark(abc.ABC):
         """The commands of one timed iteration, in enqueue order (§IV-D).
 
         The one description of what a GPU version runs per iteration:
+        :meth:`gpu_setup` builds and binds its kernels,
         :meth:`gpu_iteration` enqueues it, :meth:`iteration_pricer`
         prices it for the tuner and DVFS, and the design space sums its
         lanes.  The default is one launch of the main kernel over
@@ -528,13 +529,46 @@ class Benchmark(abc.ABC):
     # GPU orchestration
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def gpu_setup(self, ctx: Context, queue: CommandQueue, options: CompileOptions) -> dict:
-        """Create buffers, program and kernels; stage inputs (untimed).
+    def kernel_funcs(self) -> dict[str, Callable[..., None]]:
+        """The functional NumPy implementation of every kernel, by IR name.
 
-        Returns the state :meth:`gpu_iteration` and :meth:`gpu_result`
-        read: ``"kernels"`` by IR name, ``"buffers"`` by name, and the
-        ``"options"`` the program was built with.
+        A function takes the device views of its kernel's buffers in
+        ``ir.params`` order and writes its outputs in place.
         """
+
+    @abc.abstractmethod
+    def gpu_buffers(
+        self, ctx: Context, queue: CommandQueue, options: CompileOptions
+    ) -> dict[str, Buffer]:
+        """Allocate and stage the buffers the kernels of ``options`` bind
+        (untimed), keyed by the IR parameter names that bind them."""
+
+    def gpu_setup(self, ctx: Context, queue: CommandQueue, options: CompileOptions) -> dict:
+        """Build the declared kernels, stage their buffers, bind them (untimed).
+
+        Each kernel the launches of ``iteration_cells(options, None)``
+        name is built from its first launch's IR and traits and its
+        :meth:`kernel_funcs` entry, and takes the :meth:`gpu_buffers`
+        its ``ir.params`` name.  The state holds the ``"kernels"`` by IR
+        name, the ``"buffers"``, the ``"options"`` and the ``"result"``,
+        the last launch's last parameter.
+        """
+        from ..ocl.program import KernelSpec, Program
+
+        launches = [c for c in self.iteration_cells(options, None) if isinstance(c, Launch)]
+        funcs = self.kernel_funcs()
+        specs: dict[str, KernelSpec] = {}
+        for cell in launches:
+            if cell.ir.name not in specs:
+                specs[cell.ir.name] = KernelSpec(cell.ir, funcs[cell.ir.name], cell.traits)
+        program = Program(ctx, specs).build(options)
+        buffers = self.gpu_buffers(ctx, queue, options)
+        kernels = {}
+        for name, spec in specs.items():
+            kernel = kernels[name] = program.create_kernel(name)
+            kernel.set_args(*(buffers[p.name] for p in spec.ir.params))
+        result = buffers[launches[-1].ir.params[-1].name]
+        return {"kernels": kernels, "buffers": buffers, "options": options, "result": result}
 
     def gpu_iteration(self, queue: CommandQueue, state: dict, local_size: int | None) -> None:
         """Enqueue one timed iteration: the :meth:`iteration_cells`."""
@@ -550,10 +584,11 @@ class Benchmark(abc.ABC):
             size = launch_geometry(cell.elements, kernel.elems_per_item, cell.local_size, max_wg)
             queue.enqueue_nd_range_kernel(kernel, *size, traits=cell.traits)
 
-    @abc.abstractmethod
     def gpu_result(self, state: dict) -> Buffer:
-        """The output buffer; after the timed region the runner maps it
-        for reading, verifies the mapped view, then unmaps it."""
+        """The output buffer, the last declared launch's last parameter;
+        after the timed region the runner maps it for reading, verifies
+        the mapped view, then unmaps it."""
+        return state["result"]
 
     # ------------------------------------------------------------------
     # tuning space for OpenCL Opt
@@ -596,12 +631,10 @@ class Benchmark(abc.ABC):
         """
         from ..compiler.pipeline import compile_kernel
         from ..mali.timing import LaunchPricer
-        from ..ocl.driver import default_quirks, fill_activity, launch_geometry
+        from ..ocl.driver import fill_activity, launch_geometry, platform_quirks
 
         platform = self.platform
-        quirks = (
-            platform.driver_quirks if platform.driver_quirks is not None else default_quirks()
-        )
+        quirks = platform_quirks(platform)
         pricing = platform.pricing_model()
         max_wg = platform.mali.max_work_group_size
         pricers: dict[str, tuple] = {}

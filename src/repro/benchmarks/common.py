@@ -7,9 +7,10 @@ unified memory with no copies.  The functional side copies nothing
 either.  An input buffer is a read-only view of the instance's array,
 as if the host had produced it in the mapped region, and its staging
 still enqueues the map and unmap a writing host would.  An output
-buffer is fresh: ``gpu_result`` hands it back, and
-:func:`~repro.benchmarks.base.run_gpu_version` verifies the result in
-its read mapping.  So a kernel function must never write into an
+buffer is fresh.  The result is the one the last declared launch
+writes through its last parameter, and
+:func:`~repro.benchmarks.base.run_gpu_version` verifies it in its read
+mapping.  So a kernel function must never write into an
 input: one that does raises, and its cell fails.  The memmap ablation
 bench exercises the slower flag combinations explicitly.
 
@@ -64,35 +65,3 @@ def alloc_mapped(
     queue.enqueue_unmap_mem_object(buf)
     return buf
 
-
-class SingleKernelMixin:
-    """GPU set-up for benchmarks with one kernel and one launch (the
-    default :meth:`~repro.benchmarks.base.Benchmark.iteration_cells`).
-
-    Subclasses provide :meth:`gpu_buffers` (ordered as the kernel's
-    parameters, with the output under the key named by
-    ``result_buffer``) and :meth:`kernel_func`.
-    """
-
-    #: key of the output buffer in the :meth:`gpu_buffers` dict
-    result_buffer: str = "out"
-
-    def gpu_buffers(self, ctx: Context, queue: CommandQueue) -> dict[str, Buffer]:
-        raise NotImplementedError
-
-    def kernel_func(self):
-        raise NotImplementedError
-
-    def gpu_setup(self, ctx: Context, queue: CommandQueue, options) -> dict:
-        from ..ocl.program import KernelSpec, Program
-
-        ir = self.kernel_ir(options)
-        spec = KernelSpec(ir=ir, func=self.kernel_func(), traits=self.gpu_traits(options))
-        program = Program(ctx, [spec]).build(options)
-        kernel = program.create_kernel(ir.name)
-        buffers = self.gpu_buffers(ctx, queue)
-        kernel.set_args(*buffers.values())
-        return {"kernels": {ir.name: kernel}, "buffers": buffers, "options": options}
-
-    def gpu_result(self, state: dict) -> Buffer:
-        return state["buffers"][self.result_buffer]

@@ -35,7 +35,7 @@ from .. import perf
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import BLOCK, SingleKernelMixin, alloc_mapped
+from .common import BLOCK, alloc_mapped
 
 
 def correlate_same(image: np.ndarray, filt: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -77,7 +77,7 @@ def correlate_same(image: np.ndarray, filt: np.ndarray, dtype=np.float64) -> np.
     return out
 
 
-class Conv2D(SingleKernelMixin, Benchmark):
+class Conv2D(Benchmark):
     """K×K convolution, one output pixel per work-item."""
 
     name = "2dcon"
@@ -163,20 +163,20 @@ class Conv2D(SingleKernelMixin, Benchmark):
         return WorkloadTraits(streams=self._streams(), elements=self.elements())
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         return {
             "image": alloc_mapped(ctx, queue, data=self.image),
             "filt": alloc_mapped(ctx, queue, data=self.filter),
-            "out": alloc_mapped(ctx, queue, shape=self.image.shape, dtype=self.ftype),
+            "output": alloc_mapped(ctx, queue, shape=self.image.shape, dtype=self.ftype),
         }
 
-    def kernel_func(self):
+    def kernel_funcs(self):
         conv = self._convolve
 
         def conv2d_kernel(image, filt, output):
             output[...] = conv()
 
-        return conv2d_kernel
+        return {"conv2d": conv2d_kernel}
 
     def tuning_space(self):
         # "most of the optimizations can be successfully applied"

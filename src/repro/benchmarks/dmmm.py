@@ -33,10 +33,10 @@ from ..ir.nodes import AccessPattern, Kernel as IrKernel, OpKind, Scaling
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import SingleKernelMixin, alloc_mapped
+from .common import alloc_mapped
 
 
-class Dmmm(SingleKernelMixin, Benchmark):
+class Dmmm(Benchmark):
     """Square matrix product, row-major storage."""
 
     name = "dmmm"
@@ -177,18 +177,18 @@ class Dmmm(SingleKernelMixin, Benchmark):
         return WorkloadTraits(streams=self._streams(options), elements=self.elements())
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         return {
             "A": alloc_mapped(ctx, queue, data=self.A),
             "B": alloc_mapped(ctx, queue, data=self.B),
-            "out": alloc_mapped(ctx, queue, shape=(self.n, self.n), dtype=self.ftype),
+            "C": alloc_mapped(ctx, queue, shape=(self.n, self.n), dtype=self.ftype),
         }
 
-    def kernel_func(self):
+    def kernel_funcs(self):
         def dmmm_kernel(A, B, C):
             np.matmul(A, B, out=C)
 
-        return dmmm_kernel
+        return {"dmmm_naive": dmmm_kernel, "dmmm_tiled": dmmm_kernel}
 
     def tuning_space(self):
         for width in (4, 8, 16):

@@ -24,7 +24,7 @@ values are a lazy input that only functional execution pays for.
 
 The host numerics count buckets :data:`~repro.benchmarks.common.BLOCK`
 values at a time (:func:`bucket_counts`): the functional run and both
-kernel functions.  The reference is an independent formulation,
+main kernel functions.  The reference is an independent formulation,
 ``np.histogram`` over ``[0, 1]`` (which also bins in blocks); both put
 a float32 value that rounds to 1.0 in the last bucket, so every count
 matches bit for bit.
@@ -41,8 +41,6 @@ from ..ir.builder import KernelBuilder
 from ..ir.dtypes import U32
 from ..ir.nodes import AccessPattern, Kernel as IrKernel, MemSpace, OpKind, Scaling
 from ..memory.cache import StreamSpec
-from ..ocl.buffer import Buffer
-from ..ocl.program import KernelSpec, Program
 from ..workload import WorkloadTraits
 from .base import Benchmark, Fill, Launch
 from .common import alloc_mapped, blocks
@@ -138,7 +136,7 @@ class Histogram(Benchmark):
     def _privatized_ir(self) -> IrKernel:
         b = KernelBuilder("hist_privatized")
         b.buffer("values", self.fdt, const=True)
-        b.buffer("bins", U32)
+        b.buffer("partials", U32)
         b.int_ops(2)
         self._bucket_ops(b)
         # private per-work-group copy in local memory: conflicts only
@@ -216,59 +214,38 @@ class Histogram(Benchmark):
     # ------------------------------------------------------------------
     # GPU orchestration (two kernels in the optimized variant)
     # ------------------------------------------------------------------
-    def gpu_setup(self, ctx, queue, options: CompileOptions) -> dict:
-        main_ir = self.kernel_ir(options)
-        specs = [
-            KernelSpec(ir=main_ir, func=self._main_func(), traits=self.gpu_traits(options))
-        ]
-        if options.any_enabled:
-            specs.append(
-                KernelSpec(
-                    ir=self._merge_ir(), func=self._merge_func(), traits=self._merge_traits()
-                )
-            )
-        program = Program(ctx, specs).build(options)
+    def gpu_buffers(self, ctx, queue, options):
         buffers = {
             "values": alloc_mapped(ctx, queue, data=self.values),
             "bins": alloc_mapped(ctx, queue, shape=self.BUCKETS, dtype=np.uint32),
         }
-        main = program.create_kernel(main_ir.name)
-        kernels = {main_ir.name: main}
         if options.any_enabled:
             buffers["partials"] = alloc_mapped(
                 ctx, queue, shape=(self.PRIVATE_COPIES, self.BUCKETS), dtype=np.uint32
             )
-            main.set_args(buffers["values"], buffers["partials"])
-            merge = kernels["hist_merge"] = program.create_kernel("hist_merge")
-            merge.set_args(buffers["partials"], buffers["bins"])
-        else:
-            main.set_args(buffers["values"], buffers["bins"])
-        return {"kernels": kernels, "buffers": buffers, "options": options}
+        return buffers
 
-    def gpu_result(self, state: dict) -> Buffer:
-        return state["buffers"]["bins"]
-
-    # ------------------------------------------------------------------
-    def _main_func(self):
+    def kernel_funcs(self):
         buckets = self.BUCKETS
         copies = self.PRIVATE_COPIES
 
-        def hist_kernel(values, bins):
-            if bins.ndim == 2:  # privatized variant: scatter across copies
-                chunk = math.ceil(len(values) / copies)
-                for c in range(copies):
-                    part = values[c * chunk : (c + 1) * chunk]
-                    bins[c] += bucket_counts(part, buckets).astype(np.uint32)
-            else:
-                bins += bucket_counts(values, buckets).astype(np.uint32)
+        def hist_global_atomic(values, bins):
+            bins += bucket_counts(values, buckets).astype(np.uint32)
 
-        return hist_kernel
+        def hist_privatized(values, partials):
+            chunk = math.ceil(len(values) / copies)
+            for c in range(copies):
+                part = values[c * chunk : (c + 1) * chunk]
+                partials[c] += bucket_counts(part, buckets).astype(np.uint32)
 
-    def _merge_func(self):
         def hist_merge(partials, bins):
             bins[...] = partials.sum(axis=0, dtype=np.uint64).astype(np.uint32)
 
-        return hist_merge
+        return {
+            "hist_global_atomic": hist_global_atomic,
+            "hist_privatized": hist_privatized,
+            "hist_merge": hist_merge,
+        }
 
     def _merge_traits(self) -> WorkloadTraits:
         nbytes = float(self.PRIVATE_COPIES * self.BUCKETS * 4)

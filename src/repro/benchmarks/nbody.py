@@ -29,7 +29,7 @@ from ..ir.nodes import AccessPattern, Kernel as IrKernel, Layout, OpKind, Scalin
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import BLOCK, SingleKernelMixin, alloc_mapped
+from .common import BLOCK, alloc_mapped
 
 #: record layout: x, y, z, mass, vx, vy, vz, pad
 FIELDS = 8
@@ -77,7 +77,7 @@ def nbody_step(bodies: np.ndarray, ftype) -> np.ndarray:
     return new.astype(ftype, copy=False)
 
 
-class NBody(SingleKernelMixin, Benchmark):
+class NBody(Benchmark):
     """All-pairs gravitational step, one body per work-item."""
 
     name = "nbody"
@@ -163,13 +163,13 @@ class NBody(SingleKernelMixin, Benchmark):
         return WorkloadTraits(streams=self._streams(), elements=self.n_bodies)
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         return {
             "bodies": alloc_mapped(ctx, queue, data=self.bodies),
-            "out": alloc_mapped(ctx, queue, shape=self.bodies.shape, dtype=self.ftype),
+            "bodies_out": alloc_mapped(ctx, queue, shape=self.bodies.shape, dtype=self.ftype),
         }
 
-    def kernel_func(self):
+    def kernel_funcs(self):
         ftype = self.ftype
 
         def nbody_kernel(bodies, bodies_out):
@@ -181,7 +181,7 @@ class NBody(SingleKernelMixin, Benchmark):
             else:
                 bodies_out[...] = nbody_step(bodies, ftype)
 
-        return nbody_kernel
+        return {"nbody_step": nbody_kernel}
 
     def tuning_space(self):
         # The paper kept the AOS data structure, which rules out

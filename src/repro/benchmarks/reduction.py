@@ -31,8 +31,6 @@ from ..compiler.options import CompileOptions
 from ..ir.builder import KernelBuilder
 from ..ir.nodes import Kernel as IrKernel, MemSpace, OpKind, Scaling
 from ..memory.cache import StreamSpec
-from ..ocl.buffer import Buffer
-from ..ocl.program import KernelSpec, Program
 from ..workload import WorkloadTraits
 from .. import perf
 from .base import Benchmark, Launch
@@ -184,37 +182,14 @@ class Reduction(Benchmark):
         )
 
     # ------------------------------------------------------------------
-    def gpu_setup(self, ctx, queue, options: CompileOptions) -> dict:
-        stage1 = self.kernel_ir(options)
-        stage2 = self._stage2_ir(self.STAGE1_ITEMS)
-        specs = [
-            KernelSpec(
-                ir=stage1,
-                func=self._stage1_func(),
-                traits=self.gpu_traits(options),
-            ),
-            KernelSpec(
-                ir=stage2,
-                func=self._stage2_func(),
-                traits=self._stage2_traits(),
-            ),
-        ]
-        program = Program(ctx, specs).build(options)
-        buffers = {
+    def gpu_buffers(self, ctx, queue, options):
+        return {
             "data": alloc_mapped(ctx, queue, data=self.data),
             "partials": alloc_mapped(ctx, queue, shape=self.STAGE1_ITEMS, dtype=self.ftype),
             "result": alloc_mapped(ctx, queue, shape=1, dtype=self.ftype),
         }
-        k1 = program.create_kernel(stage1.name)
-        k1.set_args(buffers["data"], buffers["partials"])
-        k2 = program.create_kernel(stage2.name)
-        k2.set_args(buffers["partials"], buffers["result"])
-        return {"kernels": {stage1.name: k1, stage2.name: k2}, "buffers": buffers, "options": options}
 
-    def gpu_result(self, state: dict) -> Buffer:
-        return state["buffers"]["result"]
-
-    def _stage1_func(self):
+    def kernel_funcs(self):
         items = self.STAGE1_ITEMS
 
         def red_stage1(data, partials):
@@ -226,13 +201,10 @@ class Reduction(Benchmark):
                 chunks = np.array_split(data, items)
                 partials[...] = [c.sum(dtype=np.float64) for c in chunks]
 
-        return red_stage1
-
-    def _stage2_func(self):
         def red_stage2(partials, result):
             result[...] = partials.astype(np.float64, copy=False).sum()
 
-        return red_stage2
+        return {"red_stage1": red_stage1, "red_stage2": red_stage2}
 
     def _stage2_traits(self) -> WorkloadTraits:
         fsize = np.dtype(self.ftype).itemsize

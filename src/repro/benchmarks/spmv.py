@@ -25,7 +25,7 @@ from ..ir.nodes import AccessPattern, Kernel as IrKernel, OpKind, Scaling
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import SingleKernelMixin, alloc_mapped
+from .common import alloc_mapped
 
 
 def csr_matvec(
@@ -39,7 +39,7 @@ def csr_matvec(
     return np.add.reduceat(data * x[indices], indptr[:-1])
 
 
-class SpMV(SingleKernelMixin, Benchmark):
+class SpMV(Benchmark):
     """CSR sparse matrix-vector product, one row per work-item."""
 
     name = "spmv"
@@ -165,20 +165,20 @@ class SpMV(SingleKernelMixin, Benchmark):
         )
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         return {
             "values": alloc_mapped(ctx, queue, data=self.data),
             "indices": alloc_mapped(ctx, queue, data=self.indices),
             "indptr": alloc_mapped(ctx, queue, data=self.indptr),
             "x": alloc_mapped(ctx, queue, data=self.x),
-            "out": alloc_mapped(ctx, queue, shape=self.rows, dtype=self.ftype),
+            "y": alloc_mapped(ctx, queue, shape=self.rows, dtype=self.ftype),
         }
 
-    def kernel_func(self):
+    def kernel_funcs(self):
         def spmv_csr(values, indices, indptr, x, y):
             y[...] = csr_matvec(values, indices, indptr, x)
 
-        return spmv_csr
+        return {"spmv_csr": spmv_csr}
 
     def tuning_space(self):
         # gathers forbid vectorizing compute; vector loads still help the

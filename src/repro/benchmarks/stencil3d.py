@@ -29,10 +29,10 @@ from ..ir.nodes import AccessPattern, Kernel as IrKernel, OpKind
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import BLOCK, SingleKernelMixin, alloc_mapped
+from .common import BLOCK, alloc_mapped
 
 
-class Stencil3D(SingleKernelMixin, Benchmark):
+class Stencil3D(Benchmark):
     """7-point stencil: out = c0*center + c1*sum(neighbors)."""
 
     name = "3dstc"
@@ -114,19 +114,14 @@ class Stencil3D(SingleKernelMixin, Benchmark):
         return WorkloadTraits(streams=self._streams(), elements=self.elements())
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         return {
             "src": alloc_mapped(ctx, queue, data=self.grid),
-            "out": alloc_mapped(ctx, queue, shape=self.grid.shape, dtype=self.ftype),
+            "dst": alloc_mapped(ctx, queue, shape=self.grid.shape, dtype=self.ftype),
         }
 
-    def kernel_func(self):
-        stencil = self._stencil
-
-        def stencil3d(src, dst):
-            stencil(src, dst)
-
-        return stencil3d
+    def kernel_funcs(self):
+        return {"stencil3d_7pt": self._stencil}
 
     def tuning_space(self):
         # paper: no vectorization for 3dstc; work-group tuning + reuse

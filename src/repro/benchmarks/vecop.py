@@ -27,10 +27,10 @@ from ..ir.nodes import Kernel as IrKernel, OpKind
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark, Precision, matches
-from .common import SingleKernelMixin, alloc_mapped, blocks
+from .common import alloc_mapped, blocks
 
 
-class VecOp(SingleKernelMixin, Benchmark):
+class VecOp(Benchmark):
     """``c[i] = a[i] + b[i]`` over ``n`` elements."""
 
     name = "vecop"
@@ -93,18 +93,18 @@ class VecOp(SingleKernelMixin, Benchmark):
         return WorkloadTraits(streams=self._streams(), elements=self.n)
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         return {
             "a": alloc_mapped(ctx, queue, data=self.a),
             "b": alloc_mapped(ctx, queue, data=self.b),
-            "out": alloc_mapped(ctx, queue, shape=self.n, dtype=self.ftype),
+            "c": alloc_mapped(ctx, queue, shape=self.n, dtype=self.ftype),
         }
 
-    def kernel_func(self):
+    def kernel_funcs(self):
         def vecop_add(a, b, c):
             np.add(a, b, out=c)
 
-        return vecop_add
+        return {"vecop_add": vecop_add}
 
     def tuning_space(self):
         # no loops: unrolling does not apply; sweep widths and locals

@@ -245,7 +245,7 @@ class DesignSpace:
         from .compiler.pipeline import compile_kernel
         from .cpu.pricing import CpuConfigStack
         from .mali.timing import GpuConfigStack
-        from .ocl.driver import default_quirks, launch_geometry
+        from .ocl.driver import launch_geometry, platform_quirks
         from .optimizations import autotune
 
         self.base = base if base is not None else default_platform()
@@ -254,11 +254,7 @@ class DesignSpace:
         self.scale = scale
         self.seed = seed
 
-        quirks = (
-            self.base.driver_quirks
-            if self.base.driver_quirks is not None
-            else default_quirks()
-        )
+        quirks = platform_quirks(self.base)
         max_wg = self.base.mali.max_work_group_size
         groups: list[_BenchCells] = []
         cpu_cells: list[CpuCell] = []

@@ -268,7 +268,6 @@ def run_grid(
     progress: Callable[[str], None] | None = None,
     jobs: int = 1,
     cache_dir: str | None = None,
-    perf_dir: str | None = None,
     trace=None,
     retries: int = 2,
     retry_backoff_s: float = 0.0,
@@ -287,8 +286,7 @@ def run_grid(
     proportionally (the shape of the results is scale-robust above the
     overhead floor; the default tests run at reduced scale for speed).
     ``jobs`` parallelizes across processes, ``cache_dir`` enables the
-    content-addressed run cache, ``perf_dir`` is deprecated and ignored
-    (forwarded to ``Campaign``, which warns), ``trace`` accepts a
+    content-addressed run cache, ``trace`` accepts a
     :class:`~repro.experiments.trace.TraceSink` or JSONL path, and
     ``retries`` / ``retry_backoff_s`` bound the engine's worker-death
     recovery (see :class:`~repro.experiments.engine.Campaign`).
@@ -316,7 +314,6 @@ def run_grid(
     campaign = Campaign(
         spec,
         cache_dir=cache_dir,
-        perf_dir=perf_dir,
         trace=trace,
         progress=progress,
         retries=retries,

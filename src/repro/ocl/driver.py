@@ -17,8 +17,9 @@ the paper's results and are modelled here:
   copies and cache-maintenance cost for map/unmap on the unified
   memory, driving the Section III-A host-code comparison.
 
-It also holds the two command rules every pricing path shares: the
-launch geometry (:func:`launch_geometry`) and the device-side fill
+It also holds the rules every build and pricing path shares: the
+quirk table of a platform (:func:`platform_quirks`), the launch
+geometry (:func:`launch_geometry`) and the device-side fill
 (:func:`fill_activity`).
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..calibration.exynos5250 import ExynosPlatform
 from ..compiler.options import CompileOptions
 from ..errors import CompilerInternalError
 from ..ir.analysis import walk_stmts
@@ -85,6 +87,17 @@ class EmbeddedProfileNoFp64:
 def default_quirks() -> tuple:
     """The quirk table of the simulated driver version."""
     return (Fp64RngCompilerBug(),)
+
+
+def platform_quirks(platform: ExynosPlatform | None) -> tuple:
+    """The quirk table a kernel builds under on ``platform``: its own
+    ``driver_quirks``, else (and without a platform) :func:`default_quirks`.
+
+    The run path's program build, the tuner's pricer and the design
+    space all compile under this rule.
+    """
+    quirks = None if platform is None else platform.driver_quirks
+    return default_quirks() if quirks is None else quirks
 
 
 def embedded_profile_quirks() -> tuple:

@@ -32,7 +32,7 @@ from ..errors import (
 from ..ir.nodes import Kernel as IrKernel
 from ..workload import WorkloadTraits
 from .context import Context
-from .driver import default_quirks
+from .driver import platform_quirks
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,13 @@ class Program:
     def build(self, options: CompileOptions | None = None, quirks=None) -> "Program":
         """``clBuildProgram``: compile every kernel under ``options``.
 
-        ``quirks=None`` resolves to the context device's driver quirk
-        table (the simulated driver version); pass ``()`` explicitly to
-        model a defect-free driver.
+        ``quirks=None`` resolves to the quirk table of the context
+        device's platform (:func:`~repro.ocl.driver.platform_quirks`);
+        pass ``()`` explicitly to model a defect-free driver.
         """
         options = options or CompileOptions()
         if quirks is None:
-            hw = self.context.device.hardware
-            platform_quirks = getattr(hw, "driver_quirks", None) if hw is not None else None
-            quirks = platform_quirks if platform_quirks is not None else default_quirks()
+            quirks = platform_quirks(self.context.device.hardware)
         self._built.clear()
         self.build_log.clear()
         self.build_options = options

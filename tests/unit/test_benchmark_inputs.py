@@ -406,9 +406,10 @@ class TestNumpyKernels:
     @pytest.mark.parametrize("precision", (Precision.SINGLE, Precision.DOUBLE))
     def test_hist_block_counts_match_a_whole_array_bincount(self, precision):
         """The functional run, its ``np.histogram`` reference and both
-        kernel functions count every bucket as one
-        whole-array ``bincount`` does, over a length that is no multiple
-        of ``BLOCK`` and float32 values that round to 1.0."""
+        main kernel functions (the privatized one through the merge)
+        count every bucket as one whole-array ``bincount`` does, over a
+        length that is no multiple of ``BLOCK`` and float32 values that
+        round to 1.0."""
         rng = np.random.default_rng(3)
         raw = rng.beta(2.0, 3.0, size=3 * BLOCK + 77)
         raw[::997] = np.nextafter(1.0, 0.0)  # 1.0 once cast to float32
@@ -423,13 +424,13 @@ class TestNumpyKernels:
         assert np.array_equal(bucket_counts(raw, 256), whole_array_counts(raw))
         assert np.array_equal(bench.run_numpy(), want)
         assert np.array_equal(bench.reference_result(), want)
-        kernel, merge = bench._main_func(), bench._merge_func()
+        funcs = bench.kernel_funcs()
         bins = np.zeros(256, dtype=np.uint32)
-        kernel(values, bins)
+        funcs["hist_global_atomic"](values, bins)
         assert np.array_equal(bins, want)
         partials = np.zeros((bench.PRIVATE_COPIES, 256), dtype=np.uint32)
-        kernel(values, partials)
-        merge(partials, bins)
+        funcs["hist_privatized"](values, partials)
+        funcs["hist_merge"](partials, bins)
         assert np.array_equal(bins, want)
 
     @pytest.mark.parametrize("precision", (Precision.SINGLE, Precision.DOUBLE))
@@ -446,7 +447,7 @@ class TestNumpyKernels:
             want = stencil_expression(g, bench.C0, bench.C1)
             assert bench._stencil(g).tobytes() == want.tobytes()
             dst = np.zeros_like(g)
-            bench.kernel_func()(g, dst)
+            bench.kernel_funcs()["stencil3d_7pt"](g, dst)
             assert dst.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("precision", (Precision.SINGLE, Precision.DOUBLE))

@@ -99,7 +99,7 @@ class TestDeprecatedPerfDir:
     """``perf_dir=`` survives as a no-op: one warning, nothing on disk,
     the same rows as a run without it."""
 
-    @pytest.mark.parametrize("entry", ["Campaign", "run_grid", "resume"])
+    @pytest.mark.parametrize("entry", ["Campaign", "resume"])
     def test_warns_once_and_changes_nothing(self, tmp_path, entry):
         import warnings
 
@@ -111,10 +111,6 @@ class TestDeprecatedPerfDir:
         def run(**kwargs) -> str:
             if entry == "Campaign":
                 return Campaign(spec, **kwargs).run().to_json()
-            if entry == "run_grid":
-                return run_grid(
-                    spec.benchmarks, versions=spec.versions, scale=spec.scale, **kwargs
-                ).to_json()
             return Campaign.resume(journal, **kwargs).run().to_json()
 
         expected = run()

@@ -1,11 +1,13 @@
 """The zero-copy host path of §III-A, on the functional side too.
 
 A GPU cell stages each input as a ``READ_ONLY`` ``ALLOC_HOST_PTR``
-buffer over the instance's own array (no copy), verifies its result in
-the output buffer's read mapping (no copy out), and prices exactly what
-a copying host would.  Serial and OpenMP keep one verdict, not the
-functional array, and a campaign runs each family's double-precision
-group first so the float64 draws die before the single-precision cast.
+buffer over the instance's own array (no copy), binds each kernel's
+buffers by its IR parameter names, verifies its result in the output
+buffer's read mapping (no copy out), and prices exactly what a copying
+host would; a wrong kernel function fails its cell.  Serial and OpenMP
+keep one verdict, not the functional array, and a campaign runs each
+family's double-precision group first so the float64 draws die before
+the single-precision cast.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import numpy as np
 import pytest
 
 from repro import PAPER_ORDER, Precision, create
-from repro.benchmarks.base import Draws, Version, run_gpu_version, run_version
+from repro.benchmarks.base import Draws, Fill, Launch, Version, run_gpu_version, run_version
 from repro.benchmarks.vecop import VecOp
 from repro.compiler.options import NAIVE
+from repro.errors import CLBuildProgramFailure
 from repro.experiments import Campaign, CampaignSpec, ListTraceSink
 from repro.experiments.engine import RunTask, _safe_run
 from repro.ocl.buffer import Buffer
@@ -29,6 +32,7 @@ from repro.ocl.context import Context
 from repro.ocl.device import mali_t604
 from repro.ocl.enums import MapFlag, MemFlag
 from repro.ocl.queue import CommandQueue
+from repro.optimizations.autotune import candidates
 
 SCALE = 0.02
 BOTH = (Precision.SINGLE, Precision.DOUBLE)
@@ -95,15 +99,73 @@ def test_inputs_are_read_only_views_and_outputs_share_nothing(name, precision):
         ctx.release()
 
 
+@pytest.mark.parametrize("name,precision", BUILDS)
+def test_kernels_bind_their_buffers_by_parameter_name(name, precision):
+    """At every options point the tuner can pick, each declared launch's
+    kernel takes the buffers its IR parameters name, every fill names a
+    staged buffer, and the result is the last launch's last parameter."""
+    bench = create(name, precision=precision, scale=SCALE)
+    built = 0
+    for options in dict.fromkeys(o for o, _ in candidates(bench, include_naive=True)):
+        try:
+            ctx, _, state = _setup(bench, options)
+        except CLBuildProgramFailure:
+            continue
+        built += 1
+        buffers = state["buffers"]
+        cells = bench.iteration_cells(options, None)
+        launches = [c for c in cells if isinstance(c, Launch)]
+        for cell in launches:
+            args = state["kernels"][cell.ir.name].bound_args()
+            assert len(args) == len(cell.ir.params)
+            for arg, param in zip(args, cell.ir.params):
+                assert arg is buffers[param.name], (options, cell.ir.name, param.name)
+        assert all(c.buffer in buffers for c in cells if isinstance(c, Fill))
+        assert bench.gpu_result(state) is buffers[launches[-1].ir.params[-1].name]
+        ctx.release()
+    assert built
+
+
+def _corrupting(func):
+    """``func``, then one wrong element in its last argument."""
+
+    def wrong(*views):
+        func(*views)
+        out = views[-1]
+        if out.dtype.kind == "f":
+            out.flat[0] = np.nan
+        else:
+            out.flat[0] += 1
+
+    return wrong
+
+
+@pytest.mark.parametrize("precision", BOTH)
+@pytest.mark.parametrize("name", PAPER_ORDER)
+def test_a_wrong_kernel_fails_its_cell(name, precision):
+    """Every GPU cell that runs verifies what its kernels wrote: a
+    kernel function that corrupts one output element fails it."""
+    bench = create(name, precision=precision, scale=SCALE)
+    funcs = bench.kernel_funcs()
+    bench.kernel_funcs = lambda: {ir: _corrupting(f) for ir, f in funcs.items()}
+    for version in (Version.OPENCL, Version.OPENCL_OPT):
+        run = run_version(bench, version=version)
+        if (name, precision) in BUILDS:
+            assert run.ok and not run.verified, (version, run.failure)
+        else:  # the modeled build failure stays what it was
+            clean = run_version(create(name, precision=precision, scale=SCALE), version=version)
+            assert not run.ok and run.failure_kind is None and run.failure == clean.failure
+
+
 class _InputWriter(VecOp):
     """A kernel function that also writes into its input ``a``."""
 
-    def kernel_func(self):
+    def kernel_funcs(self):
         def vecop_add(a, b, c):
             np.add(a, b, out=c)
             a += 1.0
 
-        return vecop_add
+        return {"vecop_add": vecop_add}
 
 
 def test_a_kernel_writing_its_input_fails_the_cell():
