@@ -130,6 +130,11 @@ def test_large_space_speedup_identity_and_memory(benchmark):
     * its frontier is byte-identical to the unpruned O(n^2) reference,
       at ``jobs=1`` and ``jobs=4``;
     * peak resident points sit >=8x below the materialized space.
+
+    Identity and memory are asserted before any timing is read.  Under
+    ``--benchmark-disable`` the fixture runs the streamed pass once and
+    keeps no timings, so the floor takes the fastest of ``ROUNDS``
+    passes timed here instead.
     """
     configs = _grid()
     space, build_s = _build_space()
@@ -144,7 +149,6 @@ def test_large_space_speedup_identity_and_memory(benchmark):
         lambda: _stream(configs, space), setup=perf.reset, rounds=ROUNDS,
         iterations=1,
     )
-    stream_s = benchmark.stats.stats.min
 
     def points_json(front):
         return json.dumps(
@@ -155,8 +159,18 @@ def test_large_space_speedup_identity_and_memory(benchmark):
     for precision, ref in reference.items():
         assert points_json(streamed.frontier_points(precision)) == points_json(ref)
         assert points_json(pooled.frontier_points(precision)) == points_json(ref)
-
     total_points = len(materialized.points)
+    assert streamed.peak_resident * MEMORY_FACTOR_FLOOR <= total_points
+
+    if benchmark.disabled:
+        passes = []
+        for _ in range(ROUNDS):
+            t0 = time.perf_counter()
+            _stream(configs, space)
+            passes.append(time.perf_counter() - t0)
+        stream_s = min(passes)
+    else:
+        stream_s = benchmark.stats.stats.min
     speedup = baseline_s / stream_s
     benchmark.extra_info["space_build_s"] = round(build_s, 4)
     benchmark.extra_info["scale"] = SCALE
@@ -169,4 +183,3 @@ def test_large_space_speedup_identity_and_memory(benchmark):
     benchmark.extra_info["stream_s"] = round(stream_s, 4)
     benchmark.extra_info["speedup_vs_materialize_reference"] = round(speedup, 2)
     assert speedup >= SPEEDUP_FLOOR
-    assert streamed.peak_resident * MEMORY_FACTOR_FLOOR <= total_points

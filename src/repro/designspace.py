@@ -72,8 +72,10 @@ merged to results byte-identical to ``jobs=1``.
 
 from __future__ import annotations
 
+import gc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import wraps
 from itertools import chain, compress, repeat
 from operator import attrgetter
 from pathlib import Path
@@ -141,6 +143,47 @@ class DesignPoint(NamedTuple):
     watts: float
     energy_j: float
     feasible: bool = True
+
+
+def _collector_paused(build):
+    """Run ``build`` with CPython's cyclic garbage collector paused.
+
+    A sweep allocates hundreds of thousands of containers, one
+    :class:`DesignPoint` per slot of every config among them, so the
+    allocation counter keeps starting collections: young and middle
+    ones walk each new point on its way to the oldest generation, and
+    every full one walks each point built so far (CPython never
+    untracks a tuple subclass).  The pause is safe because a sweep
+    creates no reference cycles: a ``gc.DEBUG_SAVEALL`` collection
+    right after perfbench's ``design_space`` op finds no unreachable
+    object, so reference counting frees everything a sweep drops and
+    the collector would only re-walk live points.
+
+    The switch is process-wide while it is held: no thread's
+    allocations start a collection.  The saved state is restored in a
+    ``finally``, so a sweep that raises leaves the collector as its
+    caller had it, and one the caller had already disabled stays
+    disabled.  CPython keeps counting allocations while paused, so the
+    caller's first allocation after ``build`` returns starts one young
+    collection, which walks the new objects once and moves them on.
+    Reaching the oldest generation together, they make a full
+    collection due, which the caller meets within about ten middle
+    collections if it keeps allocating; a running collector would have
+    made its full collections inside the sweep instead (three in
+    perfbench's ``design_space`` op).
+    """
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 class _BenchCells(NamedTuple):
@@ -658,9 +701,16 @@ class DesignSpace:
         return out
 
     # ------------------------------------------------------------------
+    @_collector_paused
     def evaluate(self, configs) -> tuple[DesignPoint, ...]:
         """Points of many configs, in config order (single process),
-        priced :data:`BLOCK_SIZE` configs at a time."""
+        priced :data:`BLOCK_SIZE` configs at a time.
+
+        Runs with the cyclic collector paused (:func:`_collector_paused`):
+        the points and blocks form no cycles, so no collection walks
+        the points already built; the one deferred young collection
+        over the new points starts at the caller's first allocation
+        after the return."""
         configs = tuple(configs)
         parts = PlatformParts(self.base)
         out: list[DesignPoint] = []
@@ -848,6 +898,7 @@ def _eval_worker(payload) -> tuple[DesignPoint, ...]:
 # ---------------------------------------------------------------------------
 
 
+@_collector_paused
 def _stream_shard(
     space: DesignSpace,
     configs,
@@ -870,6 +921,13 @@ def _stream_shard(
     O(chunk + frontier) memory-model witness.  A chunk prices every
     point of its configs but builds :class:`DesignPoint` objects only
     for the target slice and the kept configs.
+
+    Runs with the cyclic collector paused (:func:`_collector_paused`),
+    as :meth:`DesignSpace.evaluate` does: the bounds, chunks and
+    frontiers form no cycles, and what a chunk drops is freed by
+    reference counting; the one deferred young collection over the
+    shard's surviving objects starts at the caller's first allocation
+    after the return (in a ``jobs>1`` worker, while it packs its reply).
     """
     import numpy as np
 

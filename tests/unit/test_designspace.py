@@ -840,6 +840,127 @@ def test_stream_validates_inputs():
                        target_benchmark="nbody")  # not in benchmarks
 
 
+# ---------------------------------------------------------------------------
+# large sweeps: the paused collector and the streaming memory witness
+# ---------------------------------------------------------------------------
+
+#: configs per streamed chunk: 16 chunks over the grid, as the
+#: large-space bench streams 4,096 configs in chunks of 256
+SWEEP_CHUNK = 64
+
+
+def _sweep_grid():
+    """1,024 configs over the large-space bench's four axes, with half
+    its core counts and clocks: 61,440 points over the full benchmark
+    grid."""
+    return config_grid(
+        gpu_cores=(1, 2, 4, 8),
+        gpu_clock_hz=(300e6, 533e6, 700e6, 1e9),
+        dram_gbps=(6.4, 8.5, 10.6, 12.8, 14.9, 16.5, 21.2, 25.6),
+        rail_scale=(0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0),
+    )
+
+
+@pytest.fixture(scope="module")
+def sweep_space():
+    return DesignSpace(scale=0.1)
+
+
+@pytest.fixture(scope="module")
+def sweeps(sweep_space):
+    """A ``jobs=1`` materialized and a streamed sweep of the large grid,
+    the generation of every collection that started while
+    :meth:`DesignSpace.evaluate` or ``_stream_shard`` ran, and whether
+    the collector runs once both have returned."""
+    from repro import designspace
+
+    assert gc.isenabled()
+    building = []
+    started = []
+
+    def watch(phase, info):
+        if phase == "start" and building:
+            started.append(info["generation"])
+
+    def watched(build):
+        def run(*args, **kwargs):
+            building.append(build)
+            try:
+                return build(*args, **kwargs)
+            finally:
+                building.pop()
+
+        return run
+
+    configs = _sweep_grid()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DesignSpace, "evaluate", watched(DesignSpace.evaluate))
+        mp.setattr(designspace, "_stream_shard", watched(designspace._stream_shard))
+        gc.callbacks.append(watch)
+        try:
+            materialized = evaluate_space(configs, scale=0.1, space=sweep_space)
+            streamed = evaluate_space(
+                configs, scale=0.1, space=sweep_space, stream=True, chunk_size=SWEEP_CHUNK
+            )
+        finally:
+            gc.callbacks.remove(watch)
+    return materialized, streamed, started, gc.isenabled()
+
+
+def test_sweeps_build_their_points_with_the_collector_paused(sweeps):
+    """No collection starts while a sweep builds its points, and the
+    collector runs again once the sweep returns."""
+    materialized, streamed, started, enabled = sweeps
+    assert len(materialized.points) == 61_440
+    assert streamed.evaluated + streamed.pruned == 1_024
+    assert started == []
+    assert enabled
+
+
+def test_stream_peak_resident_sits_8x_below_the_materialized_space(sweeps):
+    """The streaming memory witness of the large-space bench, at its
+    ratio of configs to chunk: the most points priced and held at once
+    stay at least 8x below the materialized point count."""
+    materialized, streamed, _, _ = sweeps
+    assert 0 < streamed.peak_resident
+    assert streamed.peak_resident * 8 <= len(materialized.points)
+
+
+@pytest.mark.parametrize("stream", [False, True])
+def test_a_failed_sweep_restores_the_collector(monkeypatch, sweep_space, stream):
+    """A sweep that raises mid-way, after its first block, leaves the
+    collector running."""
+    block_rows = DesignSpace.block_rows
+    calls = []
+
+    def failing(self, configs, parts=None):
+        calls.append(configs)
+        if len(calls) == 2:
+            raise RuntimeError("block pricing failed")
+        return block_rows(self, configs, parts)
+
+    monkeypatch.setattr(DesignSpace, "block_rows", failing)
+    with pytest.raises(RuntimeError, match="block pricing failed"):
+        evaluate_space(
+            _sweep_grid(), scale=0.1, space=sweep_space, stream=stream,
+            chunk_size=SWEEP_CHUNK,
+        )
+    assert len(calls) == 2
+    assert gc.isenabled()
+
+
+def test_a_sweep_leaves_a_disabled_collector_disabled(sweep_space):
+    configs = _sweep_grid()[:8]
+    gc.disable()
+    try:
+        evaluate_space(configs, scale=0.1, space=sweep_space)
+        assert not gc.isenabled()
+        evaluate_space(configs, scale=0.1, space=sweep_space, stream=True)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_export_frontier_csv_and_json(tmp_path):
     import csv
 
