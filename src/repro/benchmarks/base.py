@@ -855,12 +855,9 @@ def tuned_candidate(bench: Benchmark) -> tuple[CompileOptions, int | None] | Non
     replaced platform re-tunes and a recycled ``id()`` cannot alias).
     A governed campaign runs one instance's Opt cell under every
     governor, and each settles from this one pick.
-    :func:`repro.perf.disabled` bypasses the hold.
     """
     from ..optimizations.autotune import tune  # deferred: avoid cycle
 
-    if not perf.is_enabled():
-        return tune(bench)
     held = bench.__dict__.get("_tuned")
     if held is None or held[0] is not bench.platform:
         held = bench._tuned = (bench.platform, tune(bench))

@@ -3,7 +3,7 @@
 Every hardware constant in :mod:`repro.calibration.exynos5250` was set
 once from public specs; this module answers "how much does conclusion X
 depend on constant Y?" by perturbing one constant at a time and
-re-running a compact probe (a few benchmark Opt-vs-Serial speedups).
+re-pricing a compact probe (a few benchmark Opt-vs-Serial speedups).
 A reproduction whose headline flips when a constant moves ±20 % would
 be calibration-fitting, not modelling — the tests pin that it doesn't.
 """
@@ -14,8 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
-from ..benchmarks.base import Precision, Version, run_version
-from ..benchmarks.registry import create
+from ..benchmarks.base import Precision
 from .exynos5250 import ExynosPlatform, default_platform
 
 #: compact probe set spanning the result regimes: memory-bound,
@@ -94,36 +93,25 @@ def probe_speedups(
     benchmarks: tuple[str, ...] = PROBE_BENCHMARKS,
     scale: float = 0.25,
     seed: int = 1234,
-    model_only: bool = False,
 ) -> dict[str, float]:
     """Opt-over-Serial speedups of the probe set on a platform.
 
-    ``model_only=True`` prices each probe through the platform's
-    ``pricing_model()`` instead of running functional code + meter —
-    the per-point cost a wide perturbation sweep actually needs.
+    Each probe is priced through the platform's ``pricing_model()``
+    (:func:`repro.designspace.opt_over_serial`), with no functional
+    execution and no meter: the numbers equal ``serial.elapsed_s /
+    opt.elapsed_s`` of :func:`~repro.benchmarks.base.run_version` on
+    the same platform, bit for bit.
     """
+    from ..designspace import opt_over_serial
+
     out = {}
     for name in benchmarks:
-        if model_only:
-            from ..designspace import opt_over_serial
-
-            sp = opt_over_serial(
-                name,
-                {"probe": platform},
-                precision=Precision.SINGLE,
-                scale=scale,
-                seed=seed,
-                serial="each",
-            )["probe"]
-            if sp is None:
-                raise RuntimeError(f"no feasible Opt candidate for probe {name!r}")
-            out[name] = sp
-        else:
-            bench = create(name, precision=Precision.SINGLE, scale=scale, seed=seed,
-                           platform=platform)
-            serial = run_version(bench, version=Version.SERIAL)
-            opt = run_version(bench, version=Version.OPENCL_OPT)
-            out[name] = serial.elapsed_s / opt.elapsed_s
+        sp = opt_over_serial(
+            name, {"probe": platform}, precision=Precision.SINGLE, scale=scale, seed=seed,
+        )["probe"]
+        if sp is None:
+            raise RuntimeError(f"no feasible Opt candidate for probe {name!r}")
+        out[name] = sp
     return out
 
 

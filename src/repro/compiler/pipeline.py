@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Callable, Protocol, Sequence
 
-from .. import perf
 from ..ir.analysis import InstructionMix, analyze
 from ..ir.nodes import Kernel
 from ..ir.validate import validate
@@ -74,9 +73,14 @@ def compile_kernel(
     kernel: Kernel,
     options: CompileOptions | None = None,
     quirks: Sequence[DriverQuirk] = (),
-    passes: list[KernelPass] | None = None,
 ) -> CompiledKernel:
     """Compile a kernel IR under the given optimization options.
+
+    Every call compiles afresh and returns a new :class:`CompiledKernel`
+    that lives as long as its caller holds it.  A compile is cheap next
+    to the content key a memo would need (hashing the whole IR tree),
+    and a cold grid repeats too few (kernel, options) points to pay for
+    one.
 
     Raises:
         repro.errors.IRError: structurally invalid input IR.
@@ -85,28 +89,13 @@ def compile_kernel(
             (the runtime reports this as ``CL_OUT_OF_RESOURCES``).
     """
     options = options or CompileOptions()
-    if passes is not None:
-        # A custom pass list is not content-hashable; always compile fresh.
-        return _compile_uncached(kernel, options, quirks, passes)
-    key = (kernel, options, tuple(quirks))
-    return perf.cache("compile").get_or_compute(
-        key, lambda: _compile_uncached(kernel, options, quirks, None)
-    )
-
-
-def _compile_uncached(
-    kernel: Kernel,
-    options: CompileOptions,
-    quirks: Sequence[DriverQuirk],
-    passes: list[KernelPass] | None,
-) -> CompiledKernel:
     validate(kernel)
 
     for quirk in quirks:
         quirk.check(kernel, options)
 
     ctx = PassContext()
-    transformed = run_pipeline(kernel, options, passes or default_passes(), ctx)
+    transformed = run_pipeline(kernel, options, default_passes(), ctx)
     transformed, report = allocate(transformed, options, ctx)
     validate(transformed)
 

@@ -883,12 +883,13 @@ class DesignSpace:
 
 def _eval_worker(payload) -> tuple[DesignPoint, ...]:
     """Worker: rebuild the space locally, evaluate a config chunk."""
-    benchmarks, precision_values, scale, seed, configs = payload
+    benchmarks, precision_values, scale, seed, base, configs = payload
     space = DesignSpace(
         benchmarks=benchmarks,
         precisions=tuple(Precision(v) for v in precision_values),
         scale=scale,
         seed=seed,
+        base=base,
     )
     return space.evaluate(configs)
 
@@ -1043,6 +1044,7 @@ def _stream_worker(payload):
         precision_values,
         scale,
         seed,
+        base,
         configs,
         chunk_size,
         prune,
@@ -1055,6 +1057,7 @@ def _stream_worker(payload):
         precisions=tuple(Precision(v) for v in precision_values),
         scale=scale,
         seed=seed,
+        base=base,
     )
     kept, frontiers, evaluated, pruned, peak = _stream_shard(
         space,
@@ -1294,12 +1297,14 @@ def _materialize(
         shards = min(jobs, len(configs))
         size = -(-len(configs) // shards)
         chunks = [configs[i : i + size] for i in range(0, len(configs), size)]
+        base = None if space is None else space.base
         payloads = [
             (
                 benchmarks,
                 tuple(p.value for p in precisions),
                 scale,
                 seed,
+                base,
                 chunk,
             )
             for chunk in chunks
@@ -1374,7 +1379,7 @@ def evaluate_space(
     ``space`` optionally reuses a prebuilt :class:`DesignSpace` (same
     benchmarks/precisions/scale/seed) so repeated sweeps over one grid
     pay the compile-and-hoist build once; workers of ``jobs > 1`` runs
-    still rebuild locally.
+    still rebuild locally, on the prebuilt space's base platform.
     """
     configs = tuple(configs) if configs is not None else default_space()
     if not configs:
@@ -1440,12 +1445,14 @@ def evaluate_space(
             shard_configs = [
                 configs[i : i + size] for i in range(0, len(configs), size)
             ]
+            base = None if space is None else space.base
             payloads = [
                 (
                     benchmarks,
                     tuple(p.value for p in precisions),
                     scale,
                     seed,
+                    base,
                     shard,
                     chunk_size,
                     prune,
@@ -1994,7 +2001,6 @@ def opt_over_serial(
     precision: Precision = Precision.SINGLE,
     scale: float = 0.5,
     seed: int = 1234,
-    serial: str = "first",
 ) -> dict:
     """Model-only Opt-over-Serial speedup per platform variant.
 
@@ -2002,10 +2008,9 @@ def opt_over_serial(
     and the sensitivity probes: every number comes from each platform's
     ``pricing_model()`` — tuner pricing for the Opt candidate, the CPU
     cell timing for the Serial baseline — with no functional NumPy execution
-    and no meter.  ``serial="first"`` takes the baseline from the first
-    platform (comparable speedups across variants, the what-if
-    convention); ``serial="each"`` re-prices it per platform (the
-    sensitivity convention, where the CPU side is perturbed too).
+    and no meter.  The Serial baseline is priced on the first platform,
+    so the speedups of the variants are comparable; a sensitivity probe
+    passes one platform, so its baseline is its own.
     ``None`` marks a variant with no feasible Opt candidate.  The
     platforms' instances share one :class:`~repro.benchmarks.base.Draws`
     record, so the benchmark's inputs are drawn once, not per platform.
@@ -2014,8 +2019,6 @@ def opt_over_serial(
 
     if not platforms:
         raise ValueError("need at least one platform")
-    if serial not in ("first", "each"):
-        raise ValueError(f"serial must be 'first' or 'each', got {serial!r}")
     out: dict = {}
     serial_seconds = None
     draws = Draws(seed, readers=len(platforms))
@@ -2024,7 +2027,7 @@ def opt_over_serial(
             benchmark, precision=precision, scale=scale, seed=seed, platform=platform,
             draws=draws,
         )
-        if serial == "each" or serial_seconds is None:
+        if serial_seconds is None:
             serial_seconds = estimate_cpu_seconds(bench)
         opt_seconds = estimate_opt_seconds(bench)
         out[name] = None if opt_seconds is None else serial_seconds / opt_seconds

@@ -276,17 +276,14 @@ def _execute_family(
 ) -> tuple[tuple[tuple[RunResult, dict], ...], dict]:
     """Pool entry for one benchmark *family* (all its pending groups).
 
-    Cache-affinity scheduling: every pending (precision) version-group
-    of one benchmark runs sequentially in the same worker, so the
-    in-process memo lane compiles a single kernel family per worker —
-    compile/analysis entries are shared across the family's
-    precisions instead of being rebuilt cold in whichever worker a
-    group happened to land on.  Within a group all versions share one
-    benchmark instance (setup dominates a cell at paper scale), exactly
-    like the classic serial loop, and the groups share one
-    :class:`~repro.benchmarks.base.Draws` record, so each input is drawn
-    once for all the family's precisions.  One group's instance is alive
-    at a time.
+    Every pending (precision) version-group of one benchmark runs
+    sequentially in the same worker, because the groups share one
+    :class:`~repro.benchmarks.base.Draws` record: each input is drawn
+    once for all the family's precisions.  The record is built per
+    call, so nothing of the family outlives it in the worker.  Within
+    a group all versions share one benchmark instance (setup dominates
+    a cell at paper scale), exactly like the classic serial loop.  One
+    group's instance is alive at a time.
 
     Fault isolation: a cell whose execution raises — including a
     failing benchmark ``setup`` — becomes a crashed :class:`RunResult`
@@ -295,7 +292,7 @@ def _execute_family(
 
     Returns each group's ``(run, per-run perf delta)`` pairs plus the
     family-level perf delta (which also covers setup/verification work
-    outside the per-run windows), so the parent can fold worker cache
+    outside the per-run windows), so the parent can fold worker memo
     activity into :attr:`CampaignReport.perf` and the trace.
     """
     family_before = perf.counters()
@@ -567,8 +564,9 @@ class CampaignReport:
     failed_runs: tuple[Key, ...]
     jobs: int
     wall_s: float
-    #: per-cache memo counter deltas (:func:`repro.perf.counters_delta`)
-    #: accumulated over the campaign; ``None`` for pre-fast-lane reports
+    #: per-memo counter deltas (:func:`repro.perf.counters_delta`)
+    #: accumulated over the campaign; ``None`` for reports older than
+    #: the counters
     perf: dict | None = None
     #: cells demoted to ``failure_kind="crash"`` results (a subset of
     #: ``failed_runs``)
@@ -638,10 +636,10 @@ class Campaign:
     """Plans a :class:`CampaignSpec` and executes it.
 
     ``cache_dir`` enables the content-addressed run cache (``None``
-    disables it); ``perf_dir`` is deprecated and ignored — the memo
-    caches live in process memory only, and passing it warns once and
-    creates nothing; ``trace`` accepts a :class:`TraceSink` or a JSONL
-    path; ``progress`` is the classic per-run callback and receives
+    disables it); ``perf_dir`` is deprecated and ignored — nothing is
+    memoized on disk, and passing it warns once and creates nothing;
+    ``trace`` accepts a :class:`TraceSink` or a JSONL path;
+    ``progress`` is the classic per-run callback and receives
     ``"<bench> [<SP|DP>] <Version>"`` before each non-cached run is
     dispatched.
 
@@ -661,8 +659,8 @@ class Campaign:
     ``workers`` switches execution to remote distribution: a tuple of
     ``"host:port"`` addresses of ``repro worker`` processes (default
     platform only).  Uncached chunks are scheduled onto a
-    :class:`repro.experiments.remote.RemoteWorkerPool` (cache-affinity
-    family placement preserved); lost connections feed the same
+    :class:`repro.experiments.remote.RemoteWorkerPool`, one family per
+    chunk in plan order; lost connections feed the same
     recovery ladder as pool worker deaths, and when *every* remote
     worker is gone the campaign degrades gracefully to local execution
     (``tier_degraded`` event + warning) instead of failing.  Results
@@ -1052,11 +1050,10 @@ class Campaign:
         # Work is scheduled as (benchmark, precision) version groups:
         # problem setup dominates a cell's cost at paper scale and is
         # shared by all versions, so a group is the natural unit both
-        # in-process and on the pool.  On the pool, groups are further
-        # bundled into per-benchmark *families* (cache-affinity
-        # scheduling): both precisions of a benchmark price largely the
-        # same kernel space, so keeping a family on one worker keeps its
-        # in-process memo hit rate high.  Dicts preserve plan order.
+        # in-process and on the pool.  Groups are further bundled into
+        # per-benchmark *families*: both precisions of a benchmark take
+        # their inputs from one draw record, so a family runs on one
+        # worker.  Dicts preserve plan order.
         families = self._plan_families(pending)
 
         if self.workers and pending:

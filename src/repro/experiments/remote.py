@@ -17,10 +17,8 @@ Two halves, one contract:
 
 * :class:`RemoteWorkerPool` — an executor of the engine's recovery
   loop, like the local process pool.  One dispatcher thread per worker
-  pulls jobs from a shared queue (preferring chunks of benchmark
-  families the worker has already priced — the remote mirror of the
-  local pool's cache-affinity placement), frames them over the wire,
-  and enforces two watchdogs per in-flight chunk: a **heartbeat
+  pulls jobs from a shared queue in submission order, frames them over
+  the wire, and enforces two watchdogs per in-flight chunk: a **heartbeat
   timeout** (silence means the link or the worker died) and the
   **chunk deadline** (``cell_timeout_s × tasks``, the local pool's
   budget).  A failed chunk — lost link, overrun, unparseable result —
@@ -334,14 +332,13 @@ def serve_worker(
 
 
 class _Job:
-    """One queued chunk: payload, its family, and the engine's future."""
+    """One queued chunk: payload and the engine's future."""
 
-    __slots__ = ("id", "payload", "family", "n_tasks", "future")
+    __slots__ = ("id", "payload", "n_tasks", "future")
 
     def __init__(self, job_id: int, payload: tuple) -> None:
         self.id = job_id
         self.payload = payload
-        self.family = payload[0][0].benchmark
         self.n_tasks = sum(len(group) for group in payload)
         self.future: Future = Future()
 
@@ -390,7 +387,6 @@ class RemoteWorkerPool:
         self.events: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
         self._cond = threading.Condition()
         self._queue: list[_Job] = []
-        self._affinity: dict[str, str] = {}
         self._closed = False
         self._ids = itertools.count()
         self._workers = [_WorkerLink(self, addr) for addr in addrs]
@@ -492,43 +488,20 @@ class RemoteWorkerPool:
         else:
             time.sleep(seconds)
 
-    def _next_job(self, worker: "_WorkerLink") -> _Job | None:
-        """Block for this worker's next chunk (``None`` = shut down).
+    def _next_job(self) -> _Job | None:
+        """Block for the queue's head chunk (``None`` = shut down).
 
-        Cache-affinity placement: prefer a chunk of a family this
-        worker has already completed, then a family no worker owns yet;
-        stealing an owned family is the last resort — an idle worker
-        beats a warm cache.
+        Any idle worker takes the oldest queued chunk: a chunk leaves
+        no state in the worker that ran it, so placement cannot make a
+        later chunk cheaper.
         """
         with self._cond:
             while True:
                 if self._closed:
                     return None
-                index = self._pick_index(worker.addr)
-                if index is not None:
-                    return self._queue.pop(index)
+                if self._queue:
+                    return self._queue.pop(0)
                 self._cond.wait(timeout=0.5)
-
-    def _pick_index(self, addr: str) -> int | None:
-        unowned = None
-        for i, job in enumerate(self._queue):
-            owner = self._affinity.get(job.family)
-            if owner == addr:
-                return i
-            if unowned is None and owner is None:
-                unowned = i
-        if unowned is not None:
-            return unowned
-        return 0 if self._queue else None
-
-    def _record_affinity(self, family: str, addr: str) -> None:
-        with self._cond:
-            self._affinity[family] = addr
-
-    def _drop_affinity(self, addr: str) -> None:
-        with self._cond:
-            for family in [f for f, a in self._affinity.items() if a == addr]:
-                del self._affinity[family]
 
     def _worker_retired(self) -> None:
         """Called by a link entering terminal death; the last one out
@@ -611,7 +584,6 @@ class _WorkerLink(threading.Thread):
                 if pool._closed:
                     return  # cut by close(): nobody waits for a reconnect
                 self.state = "connecting"
-                pool._drop_affinity(self.addr)
                 pool._emit(
                     "worker_lost",
                     detail={"worker": self.addr, "reason": exc.reason},
@@ -665,7 +637,7 @@ class _WorkerLink(threading.Thread):
         self.sock = sock
         try:
             while True:
-                job = self.pool._next_job(self)
+                job = self.pool._next_job()
                 if job is None:
                     try:
                         send_message(sock, {"kind": "bye"}, endpoint="coordinator")
@@ -730,7 +702,6 @@ class _WorkerLink(threading.Thread):
                         value = _result_from_wire(message, job.payload)
                     except (AttributeError, KeyError, TypeError, ValueError) as exc:
                         raise _LinkDead(f"protocol violation: malformed result ({exc!r})") from None
-                    pool._record_affinity(job.family, self.addr)
                     job.future.set_result(value)
                     return
                 if kind == "chunk_error" and message.get("id") == job.id:

@@ -63,7 +63,7 @@ class TraceEvent:
     ``detail`` carries event-specific extras (grid size, hit counters,
     failure text ...).  ``detail["perf"]`` on ``finished`` /
     ``campaign_finished`` events is the memo-counter delta of the run
-    (or campaign) window — per cache ``hits``/``misses``/``evictions``;
+    (or campaign) window — per memo ``hits``/``misses``;
     for pool runs it is measured inside the worker process.
     """
 

@@ -19,7 +19,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
 
-from .. import perf
 from .dtypes import DType
 from .nodes import (
     AccessPattern,
@@ -215,14 +214,10 @@ def _walk(block: Block, mult: float, mix: InstructionMix) -> None:
 def analyze(kernel: Kernel) -> InstructionMix:
     """Compute the expected per-work-item instruction mix of a kernel.
 
-    Results are memoized by IR content (kernels are frozen trees);
-    callers treat the returned mix as read-only and copy via
-    :meth:`InstructionMix.scaled` before mutating.
+    Each call walks the tree and returns a fresh mix that no other
+    caller shares.  A memo keyed by IR content would hash the whole
+    tree, which costs about as much as the walk.
     """
-    return perf.cache("analysis").get_or_compute(kernel, lambda: _analyze_uncached(kernel))
-
-
-def _analyze_uncached(kernel: Kernel) -> InstructionMix:
     mix = InstructionMix()
     _walk(kernel.body, 1.0, mix)
     return mix

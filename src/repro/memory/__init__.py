@@ -2,7 +2,7 @@
 
 from .cache import CacheConfig, CacheHierarchy, CacheModel, StreamSpec
 from .dram import DramConfig, DramModel
-from .patterns import PatternEfficiency, dram_traffic_bytes, effective_bandwidth_fraction
+from .patterns import PatternEfficiency, effective_bandwidth_fraction
 
 __all__ = [
     "CacheConfig",
@@ -12,6 +12,5 @@ __all__ = [
     "DramModel",
     "PatternEfficiency",
     "StreamSpec",
-    "dram_traffic_bytes",
     "effective_bandwidth_fraction",
 ]

@@ -62,21 +62,3 @@ def effective_bandwidth_fraction(
     denom = sum(b / eff.factor(p) for p, b in bytes_by_pattern.items() if b > 0.0)
     return total / denom
 
-
-def dram_traffic_bytes(
-    bytes_by_pattern: dict[AccessPattern, float],
-    hit_fraction_by_pattern: dict[AccessPattern, float] | None = None,
-) -> dict[AccessPattern, float]:
-    """Filter a request stream through cache hit fractions.
-
-    ``hit_fraction_by_pattern`` gives, per pattern, the fraction of the
-    requested bytes served by the on-chip caches and therefore *not*
-    presented to DRAM.  Patterns absent from the dict default to 0 hits.
-    """
-    hits = hit_fraction_by_pattern or {}
-    out: dict[AccessPattern, float] = {}
-    for pattern, nbytes in bytes_by_pattern.items():
-        miss = 1.0 - min(max(hits.get(pattern, 0.0), 0.0), 1.0)
-        if nbytes * miss > 0.0:
-            out[pattern] = nbytes * miss
-    return out

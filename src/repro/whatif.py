@@ -150,7 +150,6 @@ def estimate_speedups(
         precision=precision,
         scale=scale,
         seed=seed,
-        serial="first",
     )
 
 

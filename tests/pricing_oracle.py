@@ -46,7 +46,6 @@ from unittest import mock
 
 import numpy as np
 
-from repro import perf
 from repro.benchmarks.base import Fill, Precision
 from repro.benchmarks.registry import create
 from repro.calibration.socspace import EXYNOS_5250, SoCConfig, _axis_token
@@ -666,14 +665,13 @@ def _scalar_launch(self, n_items, local_size):
 
 @contextmanager
 def scalar_pricing():
-    """Every launch and CPU evaluation through the references, no caches.
+    """Every launch and CPU evaluation through the references.
 
     Covers the pricing entries a campaign and the tuner reach in-process:
     ``LaunchPricer.price`` (``time_launch``, the tuner's pricers),
     ``PlatformPricing.price_one`` (every CPU cell, through
     ``cpu_region_timing``).
     """
-    with perf.disabled(), \
-            mock.patch.object(LaunchPricer, "price", _scalar_launch), \
+    with mock.patch.object(LaunchPricer, "price", _scalar_launch), \
             mock.patch.object(PlatformPricing, "price_one", _scalar_cpu_one):
         yield

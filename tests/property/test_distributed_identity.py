@@ -82,7 +82,7 @@ def test_two_loopback_workers_byte_identical(local_json):
     assert events.count("run_dispatched") == CampaignSpec(**GRID).size
     assert campaign.report.failed_runs == ()
     assert campaign.report.degraded == ()
-    # family affinity: both workers joined and both served chunks
+    # both workers joined and both served chunks
     assert events.count("worker_joined") == 2
     assert sum(s.chunks_served for s in servers) >= 2
 

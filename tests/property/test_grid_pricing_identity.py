@@ -6,9 +6,8 @@ whether cells are priced through the config-axis stacks of
 ``repro.pricing`` or through the scalar reference implementations cell
 by cell, and whether the engine runs in-process or on a worker pool.
 
-The scalar world is forced by (a) ``perf.disabled()``, which bypasses
-every memo tier, and (b) patching the launch and CPU pricing entries
-the campaign reaches — ``LaunchPricer.price`` and
+The scalar world is forced by patching the launch and CPU pricing
+entries the campaign reaches — ``LaunchPricer.price`` and
 ``PlatformPricing.price_one`` — onto the independent scalar references
 of ``tests/pricing_oracle.py``.
 """

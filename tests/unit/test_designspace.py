@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import math
@@ -98,8 +99,6 @@ def test_soc_digest_bytes_are_pinned():
     rails))`` of the derived platform: pinned for the board, equal to
     the whole-platform reference over a knob sample (per config and
     batched), and moved by a base that differs outside the knobs."""
-    import dataclasses
-
     assert EXYNOS_5250.digest() == "95063a522cb7122f"
     configs = config_grid(
         gpu_cores=(1, 8),
@@ -566,15 +565,12 @@ def test_opt_over_serial_matches_whatif_and_sensitivity():
     platforms = {"t604": default_platform(), "t628": mali_t628_platform()}
     sp = estimate_speedups("vecop", platforms, scale=0.1)
     assert set(sp) == {"t604", "t628"}
-    direct = opt_over_serial("vecop", platforms, scale=0.1, serial="first")
+    direct = opt_over_serial("vecop", platforms, scale=0.1)
     assert sp == direct
     with pytest.raises(ValueError):
         estimate_speedups("vecop", {})
-    with pytest.raises(ValueError):
-        opt_over_serial("vecop", platforms, serial="sometimes")
-    probes = probe_speedups(default_platform(), benchmarks=("vecop",),
-                            scale=0.1, model_only=True)
-    assert probes["vecop"] > 0
+    probes = probe_speedups(default_platform(), benchmarks=("vecop",), scale=0.1)
+    assert probes["vecop"] == direct["t604"]
 
 
 def _count_draws(monkeypatch):
@@ -825,6 +821,31 @@ def test_evaluate_space_reuses_a_prebuilt_space():
         evaluate_space(configs, benchmarks=("vecop",), scale=0.25, space=space)
     with pytest.raises(ValueError):
         evaluate_space(configs, benchmarks=("vecop", "hist"), scale=0.1, space=space)
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["materialized", "streamed"])
+def test_pool_workers_price_on_the_prebuilt_space_base(stream):
+    """``jobs=2`` workers rebuild the space on its base platform, not on
+    the default Exynos, so they return what ``jobs=1`` returns."""
+    base = default_platform()
+    base = dataclasses.replace(
+        base, rails=dataclasses.replace(base.rails, board_idle_w=4.0, dram_w_per_gbps=0.2)
+    )
+    space = DesignSpace(
+        benchmarks=("3dstc",), precisions=(Precision.SINGLE,), scale=0.1, base=base
+    )
+    configs = config_grid(gpu_cores=(2, 4))
+    kwargs = dict(
+        benchmarks=("3dstc",), precisions=(Precision.SINGLE,), scale=0.1, stream=stream,
+        space=space,
+    )
+    inline = evaluate_space(configs, **kwargs)
+    pooled = evaluate_space(configs, jobs=2, **kwargs)
+    assert pooled.to_dict()["points"] == inline.to_dict()["points"]
+    assert pooled.frontier_points("single") == inline.frontier_points("single")
+    # and the custom rails do price differently from the default ones
+    default = evaluate_space(configs, **{**kwargs, "space": None})
+    assert default.to_dict()["points"] != inline.to_dict()["points"]
 
 
 def test_stream_validates_inputs():

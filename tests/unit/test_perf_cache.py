@@ -1,4 +1,4 @@
-"""The memoization fast lane: cache mechanics, identity, transparency."""
+"""The per-instance memo, fresh compiles and mixes, and the tuner's held pick."""
 
 import collections
 import dataclasses
@@ -11,7 +11,6 @@ import pytest
 from repro import Precision, Version, create, perf, run_version
 from repro.compiler import CompileOptions, compile_kernel
 from repro.compiler.options import NAIVE
-from repro.errors import RegisterAllocationError, ReproError
 from repro.experiments.engine import Campaign, CampaignSpec
 from repro.experiments.runner import run_grid
 from repro.ir.analysis import analyze
@@ -21,108 +20,43 @@ from repro.optimizations.autotune import sweep
 
 @pytest.fixture(autouse=True)
 def _cold_lane():
-    """Every test starts and ends with empty caches and zero counters."""
+    """Every test starts and ends with zero counters."""
     perf.reset()
     yield
     perf.reset()
 
 
 # ---------------------------------------------------------------------------
-# MemoCache mechanics
+# the per-instance memo and its counters
 # ---------------------------------------------------------------------------
 
 
+class _Instance:
+    pass
+
+
 def test_counters_track_hits_and_misses():
-    c = perf.MemoCache("t")
-    assert c.get_or_compute("a", lambda: 1) == 1
-    assert c.get_or_compute("a", lambda: 2) == 1  # cached, compute ignored
-    assert c.get_or_compute("b", lambda: 3) == 3
-    assert c.stats.hits == 1
-    assert c.stats.misses == 2
-    assert c.stats.evictions == 0
-
-
-def test_lru_eviction_past_maxsize():
-    c = perf.MemoCache("t", maxsize=2)
-    c.put("a", 1)
-    c.put("b", 2)
-    c.get("a")  # refresh a: b becomes least recently used
-    c.put("c", 3)
-    assert c.stats.evictions == 1
-    assert c.get_or_compute("a", lambda: None) == 1  # survived (recently used)
-    assert c.get_or_compute("c", lambda: None) == 3
-    assert c.get_or_compute("b", lambda: "recomputed") == "recomputed"  # evicted
-
-
-def test_exceptions_are_memoized_and_reraised():
-    c = perf.MemoCache("t")
-    calls = []
-
-    def boom():
-        calls.append(1)
-        raise ReproError("nope")
-
-    with pytest.raises(ReproError):
-        c.get_or_compute("k", boom)
-    with pytest.raises(ReproError):
-        c.get_or_compute("k", boom)
-    assert len(calls) == 1  # second raise came from the cache
-    assert c.stats.hits == 1
-
-
-def test_cached_error_keeps_no_caller_alive():
-    """A memoized error must not pin the frames (and arguments) of the
-    calls it was raised through, on the first raise or on a cached one."""
-    c = perf.MemoCache("t")
-
-    class Payload:
-        pass
-
-    def boom():
-        raise RegisterAllocationError("too many registers", 80, 64)
-
-    def caller(payload):
-        try:
-            c.get_or_compute("k", boom)
-        except RegisterAllocationError as exc:
-            return exc
-
-    for _ in range(2):  # the computing raise, then the cached one
-        payload = Payload()
-        ref = weakref.ref(payload)
-        exc = caller(payload)
-        assert (str(exc), exc.registers_required, exc.register_limit) == (
-            "too many registers", 80, 64,
-        )
-        del payload, exc
-        gc.collect()
-        assert ref() is None
-
-
-def test_disabled_bypasses_cache_entirely():
-    c = perf.MemoCache("t")
-    c.put("k", "cached")
-    with perf.disabled():
-        assert not perf.is_enabled()
-        assert c.get_or_compute("k", lambda: "fresh") == "fresh"
-    assert perf.is_enabled()
-    assert c.get_or_compute("k", lambda: "fresh") == "cached"
+    obj = _Instance()
+    assert perf.instance_memo(obj, "a", lambda: 1) == 1
+    assert perf.instance_memo(obj, "a", lambda: 2) == 1  # memoized, compute ignored
+    assert perf.instance_memo(obj, "b", lambda: 3) == 3
+    assert perf.instance_memo(_Instance(), "a", lambda: 4) == 4  # per instance
+    assert perf.counters() == {"functional": {"hits": 1, "misses": 3}}
 
 
 def test_reset_clears_registry_counters():
-    perf.cache("x").get_or_compute(1, lambda: 1)
-    assert perf.counters()["x"]["misses"] == 1
+    perf.instance_memo(_Instance(), "a", lambda: 1)
+    assert perf.counters()["functional"]["misses"] == 1
     perf.reset()
-    assert perf.counters()["x"] == {"hits": 0, "misses": 0, "evictions": 0}
+    assert perf.counters() == {"functional": {"hits": 0, "misses": 0}}
 
 
 def test_counters_delta_drops_idle_caches():
     before = perf.counters()
-    perf.cache("busy").get_or_compute(1, lambda: 1)
-    perf.cache("idle")
-    delta = perf.counters_delta(before, perf.counters())
-    assert "busy" in delta
-    assert "idle" not in delta
+    perf.instance_memo(_Instance(), "a", lambda: 1)
+    after = perf.counters()
+    assert perf.counters_delta(before, after) == {"functional": {"hits": 0, "misses": 1}}
+    assert perf.counters_delta(after, perf.counters()) == {}
 
 
 def test_counters_merge_sums_and_drops_zero():
@@ -149,25 +83,29 @@ def test_digest_is_content_addressed():
 
 
 # ---------------------------------------------------------------------------
-# memoized hot-path functions return identical objects
+# compiles and mixes are computed afresh, and held by their callers only
 # ---------------------------------------------------------------------------
 
 
-def test_compile_kernel_is_memoized():
+def test_a_compiled_kernel_is_freed_once_its_caller_drops_it():
     bench = create("vecop", scale=0.05)
     options = CompileOptions(vector_width=4, qualifiers=True)
-    ir = bench.kernel_ir(options)
-    first = compile_kernel(ir, options)
-    again = compile_kernel(ir, options)
-    assert again is first  # cache hit returns the same object
-    assert perf.counters()["compile"]["hits"] >= 1
+    compiled = compile_kernel(bench.kernel_ir(options), options)
+    ref = weakref.ref(compiled)
+    del compiled
+    gc.collect()
+    assert ref() is None
 
 
-def test_analyze_is_memoized():
-    bench = create("vecop", scale=0.05)
-    ir = bench.kernel_ir(NAIVE)
-    assert analyze(ir) is analyze(ir)
-    assert perf.counters()["analysis"]["hits"] >= 1
+def test_mutating_a_mix_does_not_change_the_next_analysis():
+    ir = create("vecop", scale=0.05).kernel_ir(NAIVE)
+    first = analyze(ir)
+    barriers, arith = first.barriers, dict(first.arith)
+    first.barriers += 1.0
+    first.arith.clear()
+    again = analyze(ir)
+    assert (again.barriers, dict(again.arith)) == (barriers, arith)
+    assert arith
 
 
 # ---------------------------------------------------------------------------
@@ -214,27 +152,11 @@ def test_a_replaced_platform_re_tunes(sweeps):
     bench.platform = dataclasses.replace(bench.platform)
     assert run_version(bench, version=Version.OPENCL_OPT) == first
     assert sweeps["vecop"] == 2
-    with perf.disabled():
-        run_version(bench, version=Version.OPENCL_OPT)
-    assert sweeps["vecop"] == 3
 
 
 # ---------------------------------------------------------------------------
-# transparency: the fast lane must not change any result
+# the campaign report
 # ---------------------------------------------------------------------------
-
-
-def test_run_grid_byte_identical_with_and_without_fast_lane():
-    """The nine-benchmark SP+DP grid, memo on and off: same bytes, and
-    every cell that ran verified."""
-    kwargs = dict(precisions=(Precision.SINGLE, Precision.DOUBLE), scale=0.05)
-    perf.reset()
-    fast = run_grid(**kwargs)
-    perf.reset()
-    with perf.disabled():
-        plain = run_grid(**kwargs).to_json()
-    assert fast.to_json() == plain
-    assert all(run.verified for run in fast.results.values() if run.ok)
 
 
 def test_campaign_report_carries_memo_counters():
@@ -242,7 +164,8 @@ def test_campaign_report_carries_memo_counters():
     campaign.run()
     report = campaign.report
     assert report.perf, "expected memo counter deltas on the report"
-    assert "compile" in report.perf
+    assert "functional" in report.perf
+    assert "compile" not in report.perf
     assert "memo (hits/misses):" in report.describe()
 
 
