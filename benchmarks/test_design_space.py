@@ -40,7 +40,6 @@ import time
 
 import numpy as np
 
-from repro import perf
 from repro.calibration.socspace import default_space
 from repro.designspace import DesignSpace
 from tests.pricing_oracle import facade_rows
@@ -89,7 +88,6 @@ def test_design_space_facade_loop(benchmark):
     space, configs, _ = _build_space()
     rows = benchmark.pedantic(
         lambda: [facade_rows(space, c) for c in configs],
-        setup=perf.reset,
         rounds=ROUNDS,
         iterations=1,
     )
@@ -110,7 +108,6 @@ def test_design_space_speedup_and_identity(benchmark):
     space, configs, build_s = _build_space()
     assert len(configs) >= 64
 
-    perf.reset()
     t0 = time.perf_counter()
     reference_rows = [facade_rows(space, c) for c in configs]
     facade_s = time.perf_counter() - t0

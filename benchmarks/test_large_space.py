@@ -15,13 +15,11 @@ bandwidths x 8 rail scales) over the full benchmark suite two ways:
   ``frontier_reference`` scan of ``tests/pricing_oracle.py`` per
   precision.
 
-Both must produce the identical target-slice frontier (also at
-``jobs=4``, where each worker streams its shard through its own online
-frontier and ships back candidates only).  The in-test floors mirror
-the acceptance criteria: >=5x speedup and a peak-resident witness at
-least 8x below the materialized point count; the committed
-``BENCH_large_space.json`` at the repo root records the scale-1.0
-numbers (see EXPERIMENTS.md).
+Both must produce the identical target-slice frontier.  The in-test
+floors mirror the acceptance criteria: >=5x speedup and a
+peak-resident witness at least 8x below the materialized point count;
+the committed ``BENCH_large_space.json`` at the repo root records the
+scale-1.0 numbers (see EXPERIMENTS.md).
 
 The cell-grid build (kernel compiles + config-stack hoisting) is shared
 by both paths and excluded from the timed region — a sweep pays it once
@@ -37,7 +35,6 @@ import json
 import os
 import time
 
-from repro import perf
 from repro.calibration.socspace import config_grid
 from repro.designspace import DesignSpace, evaluate_space
 from tests.pricing_oracle import frontier_reference
@@ -65,10 +62,9 @@ def _build_space():
     return space, time.perf_counter() - t0
 
 
-def _stream(configs, space=None, **kwargs):
-    perf.reset()
+def _stream(configs, space):
     return evaluate_space(
-        configs, scale=SCALE, stream=True, chunk_size=CHUNK, space=space, **kwargs
+        configs, scale=SCALE, stream=True, chunk_size=CHUNK, space=space
     )
 
 
@@ -89,8 +85,7 @@ def test_large_space_stream(benchmark):
     assert len(configs) == 4096
     space, build_s = _build_space()
     result = benchmark.pedantic(
-        lambda: _stream(configs, space), setup=perf.reset, rounds=ROUNDS,
-        iterations=1,
+        lambda: _stream(configs, space), rounds=ROUNDS, iterations=1
     )
     assert result.evaluated + result.pruned == len(configs)
     benchmark.extra_info["space_build_s"] = round(build_s, 4)
@@ -111,13 +106,10 @@ def test_large_space_materialize_reference(benchmark):
     space, _ = _build_space()
 
     def run():
-        perf.reset()
         result = evaluate_space(configs, scale=SCALE, space=space)
         return result, _reference_frontiers(result)
 
-    result, _ = benchmark.pedantic(
-        run, setup=perf.reset, rounds=ROUNDS, iterations=1
-    )
+    result, _ = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
     benchmark.extra_info["scale"] = SCALE
     benchmark.extra_info["configs"] = len(configs)
     benchmark.extra_info["materialized_points"] = len(result.points)
@@ -127,8 +119,7 @@ def test_large_space_speedup_identity_and_memory(benchmark):
     """The PR's acceptance criteria, in one measured test:
 
     * streaming + pruning is >=5x the materialize-then-reduce baseline;
-    * its frontier is byte-identical to the unpruned O(n^2) reference,
-      at ``jobs=1`` and ``jobs=4``;
+    * its frontier is byte-identical to the unpruned O(n^2) reference;
     * peak resident points sit >=8x below the materialized space.
 
     Identity and memory are asserted before any timing is read.  Under
@@ -139,15 +130,13 @@ def test_large_space_speedup_identity_and_memory(benchmark):
     configs = _grid()
     space, build_s = _build_space()
 
-    perf.reset()
     t0 = time.perf_counter()
     materialized = evaluate_space(configs, scale=SCALE, space=space)
     reference = _reference_frontiers(materialized)
     baseline_s = time.perf_counter() - t0
 
     streamed = benchmark.pedantic(
-        lambda: _stream(configs, space), setup=perf.reset, rounds=ROUNDS,
-        iterations=1,
+        lambda: _stream(configs, space), rounds=ROUNDS, iterations=1
     )
 
     def points_json(front):
@@ -155,10 +144,8 @@ def test_large_space_speedup_identity_and_memory(benchmark):
             [(p.config_name, p.version, p.seconds, p.energy_j) for p in front]
         )
 
-    pooled = _stream(configs, jobs=4)
     for precision, ref in reference.items():
         assert points_json(streamed.frontier_points(precision)) == points_json(ref)
-        assert points_json(pooled.frontier_points(precision)) == points_json(ref)
     total_points = len(materialized.points)
     assert streamed.peak_resident * MEMORY_FACTOR_FLOOR <= total_points
 

@@ -305,7 +305,7 @@ def cmd_designspace(args) -> int:
     benchmark = args.benchmark or AGGREGATE
     result = evaluate_space(
         configs, precisions=precisions, scale=args.scale, seed=args.seed,
-        jobs=args.jobs, stream=args.stream, chunk_size=args.chunk_size,
+        stream=args.stream, chunk_size=args.chunk_size,
         prune=not args.no_prune, target_benchmark=benchmark, trace=args.trace,
     )
     print(result.describe())
@@ -602,8 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--sp-only", action="store_true",
                    help="single precision only")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel worker processes (1 = in-process)")
     p.add_argument("--stream", action="store_true",
                    help="chunked streaming evaluation with bound-based "
                         "pruning: memory stays O(chunk + frontier) instead "

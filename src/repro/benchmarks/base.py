@@ -692,12 +692,7 @@ def measure_trace(
     min_duration = meter.min_duration_s(MIN_METER_SAMPLES)
     reps = max(1, math.ceil(min_duration / trace.duration_s))
     measurement = meter.measure(trace.repeated(reps))
-    return EnergyReport(
-        elapsed_s=trace.duration_s,
-        mean_power_w=measurement.mean_power_w,
-        energy_j=measurement.mean_power_w * trace.duration_s,
-        meter=measurement,
-    )
+    return EnergyReport.from_measurement(trace.duration_s, measurement)
 
 
 # ---------------------------------------------------------------------------

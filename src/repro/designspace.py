@@ -65,15 +65,12 @@ for the target slice and the kept configs.  Before pricing, a
 vectorized roofline/rail **lower bound** (:meth:`DesignSpace.opt_bounds`)
 prunes configs whose best case is already dominated by the current
 frontier; pruning never changes the frontier (the bound under-estimates
-both objectives, and domination is transitive).  ``jobs=N`` shards configs over workers
-that each reduce locally and ship back only frontier candidates,
-merged to results byte-identical to ``jobs=1``.
+both objectives, and domination is transitive).
 """
 
 from __future__ import annotations
 
 import gc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import wraps
 from itertools import chain, compress, repeat
@@ -703,8 +700,8 @@ class DesignSpace:
     # ------------------------------------------------------------------
     @_collector_paused
     def evaluate(self, configs) -> tuple[DesignPoint, ...]:
-        """Points of many configs, in config order (single process),
-        priced :data:`BLOCK_SIZE` configs at a time.
+        """Points of many configs, in config order, priced
+        :data:`BLOCK_SIZE` configs at a time.
 
         Runs with the cyclic collector paused (:func:`_collector_paused`):
         the points and blocks form no cycles, so no collection walks
@@ -795,7 +792,7 @@ class DesignSpace:
         call per distinct DRAM and register-file setting) and gathered
         per config; the rail floor likewise once per rail scale.  Every
         config's bound is therefore the same whichever configs share
-        the call, and a sweep bounds a whole shard in one call.
+        the call, and a sweep bounds all its configs in one call.
         """
         import numpy as np
 
@@ -877,24 +874,6 @@ class DesignSpace:
 
 
 # ---------------------------------------------------------------------------
-# multi-process driver
-# ---------------------------------------------------------------------------
-
-
-def _eval_worker(payload) -> tuple[DesignPoint, ...]:
-    """Worker: rebuild the space locally, evaluate a config chunk."""
-    benchmarks, precision_values, scale, seed, base, configs = payload
-    space = DesignSpace(
-        benchmarks=benchmarks,
-        precisions=tuple(Precision(v) for v in precision_values),
-        scale=scale,
-        seed=seed,
-        base=base,
-    )
-    return space.evaluate(configs)
-
-
-# ---------------------------------------------------------------------------
 # streaming driver (chunked evaluation + pruning + online reduction)
 # ---------------------------------------------------------------------------
 
@@ -907,16 +886,15 @@ def _stream_shard(
     chunk_size: int,
     prune: bool,
     target_benchmark: str,
-    target_version: str,
     keep_names: frozenset,
-    tracer: Tracer | None = None,
+    tracer: Tracer,
 ):
-    """Stream one config shard through chunked pricing + online reduction.
+    """Stream the configs through chunked pricing + online reduction.
 
     Returns ``(kept_points, frontiers, evaluated, pruned, peak)``:
-    full point lists of the ``keep_names`` configs (shard order), one
+    full point lists of the ``keep_names`` configs (input order), one
     :class:`~repro.pareto.OnlineFrontier` per precision over the
-    ``(target_benchmark, precision, target_version)`` slice,
+    ``(target_benchmark, precision, "Opt")`` slice,
     evaluated/pruned config counts and the peak number of points priced
     and held at once (a chunk's priced points + kept + frontier) — the
     O(chunk + frontier) memory-model witness.  A chunk prices every
@@ -927,8 +905,8 @@ def _stream_shard(
     as :meth:`DesignSpace.evaluate` does: the bounds, chunks and
     frontiers form no cycles, and what a chunk drops is freed by
     reference counting; the one deferred young collection over the
-    shard's surviving objects starts at the caller's first allocation
-    after the return (in a ``jobs>1`` worker, while it packs its reply).
+    sweep's surviving objects starts at the caller's first allocation
+    after the return.
     """
     import numpy as np
 
@@ -937,7 +915,6 @@ def _stream_shard(
     pruned = 0
     peak = 0
     kept_by_name: dict[str, list[DesignPoint]] = {}
-    can_prune = prune and target_version == "Opt"
     inf = float("inf")
     n_kept = 0
     # the target slice sits at the same slots of every config's points
@@ -945,7 +922,7 @@ def _stream_shard(
     targets = [
         (slice(slot, slot + 1), precision)
         for slot, (benchmark, precision, version) in enumerate(space.slots)
-        if benchmark == target_benchmark and version == target_version
+        if benchmark == target_benchmark and version == "Opt"
     ]
 
     def _evaluate(batch) -> int:
@@ -970,14 +947,14 @@ def _stream_shard(
             priced += len(block) * width
         return priced
 
-    # bound-only first pass: one bound call over the whole shard, then
+    # bound-only first pass: one bound call over every config, then
     # seed the frontier with the most promising configs (per precision,
     # the bound-time and bound-energy argmins), so the main sweep
     # prunes against a near-final frontier from its very first chunk.
     # Probe choice only affects *which* dominated configs get skipped —
     # the frontier itself is order-independent and pruning is sound —
     # so any probe set yields the same result points.
-    if can_prune:
+    if prune:
         bounds = space.opt_bounds(configs, benchmark=target_benchmark)
         probe_idx = sorted(
             {int(axis.argmin()) for bound in bounds.values() for axis in bound if axis.min() < inf}
@@ -991,7 +968,7 @@ def _stream_shard(
     for start in range(0, len(configs), chunk_size):
         stop = start + chunk_size
         chunk = configs[start:stop]
-        if can_prune:
+        if prune:
             # skippable iff, for every precision, the config's target
             # point provably cannot join the frontier: either its bound
             # is exactly infeasible, or a real frontier member strictly
@@ -1013,63 +990,20 @@ def _stream_shard(
         chunk_points = _evaluate(survivors)
         resident = chunk_points + n_kept + sum(len(f) for f in frontiers.values())
         peak = max(peak, resident)
-        if tracer is not None:
-            tracer.emit(
-                "space_chunk_finished",
-                detail={
-                    "configs": len(chunk),
-                    "evaluated": len(survivors),
-                    "pruned": chunk_pruned,
-                    "frontier": {p: len(f) for p, f in frontiers.items()},
-                    "resident_points": resident,
-                },
-            )
+        tracer.emit(
+            "space_chunk_finished",
+            detail={
+                "configs": len(chunk),
+                "evaluated": len(survivors),
+                "pruned": chunk_pruned,
+                "frontier": {p: len(f) for p, f in frontiers.items()},
+                "resident_points": resident,
+            },
+        )
     # kept points come back in input-config order regardless of the
     # evaluation order above
     kept = [p for c in configs if c.name in kept_by_name for p in kept_by_name[c.name]]
     return kept, frontiers, evaluated, pruned, peak
-
-
-def _stream_worker(payload):
-    """Worker: rebuild the space, stream a shard, ship candidates only.
-
-    The shipped payload is the worker's local frontier (the only points
-    that can still reach the global frontier: local pruning and local
-    eviction both discard only globally-dominated points) plus the full
-    point lists of the keep configs — O(chunk + frontier) data instead
-    of the shard's whole hypercube.
-    """
-    (
-        benchmarks,
-        precision_values,
-        scale,
-        seed,
-        base,
-        configs,
-        chunk_size,
-        prune,
-        target_benchmark,
-        target_version,
-        keep_names,
-    ) = payload
-    space = DesignSpace(
-        benchmarks=benchmarks,
-        precisions=tuple(Precision(v) for v in precision_values),
-        scale=scale,
-        seed=seed,
-        base=base,
-    )
-    kept, frontiers, evaluated, pruned, peak = _stream_shard(
-        space,
-        configs,
-        chunk_size=chunk_size,
-        prune=prune,
-        target_benchmark=target_benchmark,
-        target_version=target_version,
-        keep_names=frozenset(keep_names),
-    )
-    candidates = {prec: f.points() for prec, f in frontiers.items()}
-    return tuple(kept), candidates, evaluated, pruned, peak
 
 
 def _stream_result(
@@ -1087,9 +1021,8 @@ def _stream_result(
     peak,
     chunk_size,
     target_benchmark,
-    target_version,
 ) -> DesignSpaceResult:
-    """Assemble the streamed result (shared by jobs=1 and jobs=N).
+    """Assemble the streamed result.
 
     Retained points are the keep configs' full lists (input config
     order) followed by each precision's frontier (``precisions``
@@ -1120,7 +1053,7 @@ def _stream_result(
         peak_resident=peak,
         chunk_size=chunk_size,
         target_benchmark=target_benchmark,
-        target_version=target_version,
+        target_version="Opt",
     )
 
 
@@ -1290,41 +1223,14 @@ class DesignSpaceResult:
 
 
 def _materialize(
-    configs, benchmarks, precisions, *, scale, seed, jobs, space
+    space: DesignSpace, configs, benchmarks, precisions, *, scale, seed
 ) -> DesignSpaceResult:
     """Every point of every config, in config order (``stream=False``)."""
-    if jobs > 1 and len(configs) > 1:
-        shards = min(jobs, len(configs))
-        size = -(-len(configs) // shards)
-        chunks = [configs[i : i + size] for i in range(0, len(configs), size)]
-        base = None if space is None else space.base
-        payloads = [
-            (
-                benchmarks,
-                tuple(p.value for p in precisions),
-                scale,
-                seed,
-                base,
-                chunk,
-            )
-            for chunk in chunks
-        ]
-        points: list[DesignPoint] = []
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            for chunk_points in pool.map(_eval_worker, payloads):
-                points.extend(chunk_points)
-        points = tuple(points)
-    else:
-        if space is None:
-            space = DesignSpace(
-                benchmarks=benchmarks, precisions=precisions, scale=scale,
-                seed=seed,
-            )
-        points = space.evaluate(configs)
+    points = space.evaluate(configs)
     return DesignSpaceResult(
         configs=configs,
         digests=config_digests(configs),
-        points=tuple(points),
+        points=points,
         benchmarks=benchmarks,
         precisions=tuple(p.value for p in precisions),
         scale=scale,
@@ -1340,12 +1246,10 @@ def evaluate_space(
     precisions=_PRECISIONS_DEFAULT,
     scale: float = 0.5,
     seed: int = 1234,
-    jobs: int = 1,
     stream: bool = False,
     chunk_size: int = 256,
     prune: bool = True,
     target_benchmark: str = AGGREGATE,
-    target_version: str = "Opt",
     keep_configs=(EXYNOS_5250.name,),
     trace=None,
     space: DesignSpace | None = None,
@@ -1353,20 +1257,16 @@ def evaluate_space(
     """Evaluate the full hypercube over a config family.
 
     ``configs`` defaults to :func:`~repro.calibration.socspace.default_space`
-    (64 SoCs around the Exynos 5250).  ``jobs > 1`` shards configs over
-    a process pool; each worker rebuilds the cell grid locally, and the
-    output is byte-identical to ``jobs=1`` (configs are independent and
-    reassembled in input order).
+    (64 SoCs around the Exynos 5250).
 
     ``stream=True`` switches to the chunked large-space driver: configs
     are priced ``chunk_size`` at a time, only the
-    ``(target_benchmark, precision, target_version)`` slice feeds
+    ``(target_benchmark, precision, "Opt")`` slice feeds
     per-precision :class:`~repro.pareto.OnlineFrontier` reducers, and
     non-frontier points are discarded immediately — peak memory is
     O(chunk + frontier), not O(space).  ``prune=True`` additionally
     skips pricing configs whose :meth:`DesignSpace.opt_bounds` lower
-    bound is already strictly dominated on *every* precision (sound
-    only for the Opt version; other targets evaluate everything).  The
+    bound is already strictly dominated on *every* precision.  The
     result retains the full point lists of ``keep_configs`` (reference
     points for the equal-energy/equal-time queries; never pruned) plus
     the frontier points; the streamed frontier is identical to
@@ -1378,8 +1278,7 @@ def evaluate_space(
 
     ``space`` optionally reuses a prebuilt :class:`DesignSpace` (same
     benchmarks/precisions/scale/seed) so repeated sweeps over one grid
-    pay the compile-and-hoist build once; workers of ``jobs > 1`` runs
-    still rebuild locally, on the prebuilt space's base platform.
+    pay the compile-and-hoist build once.
     """
     configs = tuple(configs) if configs is not None else default_space()
     if not configs:
@@ -1402,22 +1301,21 @@ def evaluate_space(
     if stream:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if target_version not in VERSIONS:
-            raise ValueError(f"target_version must be one of {VERSIONS}")
         if target_benchmark != AGGREGATE and target_benchmark not in benchmarks:
             raise ValueError(
                 f"target_benchmark {target_benchmark!r} not in the evaluated "
                 f"benchmarks (or {AGGREGATE!r})"
             )
+    if space is None:
+        space = DesignSpace(benchmarks=benchmarks, precisions=precisions, scale=scale, seed=seed)
     keep_names = frozenset(keep_configs or ())
     sink, owns_sink = resolve_sink(trace)
     tracer = Tracer(sink)
     try:
         if not stream:
-            tracer.emit("space_started", detail={"configs": len(configs), "jobs": jobs})
+            tracer.emit("space_started", detail={"configs": len(configs)})
             result = _materialize(
-                configs, benchmarks, precisions, scale=scale, seed=seed, jobs=jobs,
-                space=space,
+                space, configs, benchmarks, precisions, scale=scale, seed=seed
             )
             tracer.emit(
                 "space_finished",
@@ -1435,86 +1333,18 @@ def evaluate_space(
                 "configs": len(configs),
                 "chunk_size": chunk_size,
                 "prune": bool(prune),
-                "jobs": jobs,
-                "target": f"{target_benchmark}/{target_version}",
+                "target": f"{target_benchmark}/Opt",
             },
         )
-        if jobs > 1 and len(configs) > 1:
-            shards = min(jobs, len(configs))
-            size = -(-len(configs) // shards)
-            shard_configs = [
-                configs[i : i + size] for i in range(0, len(configs), size)
-            ]
-            base = None if space is None else space.base
-            payloads = [
-                (
-                    benchmarks,
-                    tuple(p.value for p in precisions),
-                    scale,
-                    seed,
-                    base,
-                    shard,
-                    chunk_size,
-                    prune,
-                    target_benchmark,
-                    target_version,
-                    tuple(keep_names),
-                )
-                for shard in shard_configs
-            ]
-            # merge order cannot matter: an OnlineFrontier's final set
-            # is order-independent, and each worker ships every point
-            # that can still reach the global frontier (local pruning
-            # and eviction only discard globally-dominated points) —
-            # so the merged frontier is byte-identical to jobs=1
-            frontiers = {
-                p.value: OnlineFrontier(key=point_key) for p in precisions
-            }
-            kept: list[DesignPoint] = []
-            evaluated = pruned = peak = 0
-            candidates = 0
-            with ProcessPoolExecutor(max_workers=shards) as pool:
-                for shard_no, (w_kept, w_cands, w_eval, w_pruned, w_peak) in enumerate(
-                    pool.map(_stream_worker, payloads)
-                ):
-                    kept.extend(w_kept)
-                    for prec, pts in w_cands.items():
-                        frontiers[prec].update(pts)
-                    evaluated += w_eval
-                    pruned += w_pruned
-                    peak = max(peak, w_peak)
-                    candidates += sum(len(pts) for pts in w_cands.values())
-                    tracer.emit(
-                        "space_chunk_finished",
-                        detail={
-                            "shard": shard_no,
-                            "configs": len(shard_configs[shard_no]),
-                            "evaluated": w_eval,
-                            "pruned": w_pruned,
-                            "frontier": {
-                                p: len(f) for p, f in frontiers.items()
-                            },
-                            "resident_points": w_peak,
-                        },
-                    )
-            # the merge itself holds every shipped candidate at once
-            peak = max(peak, candidates + len(kept))
-        else:
-            if space is None:
-                space = DesignSpace(
-                    benchmarks=benchmarks, precisions=precisions, scale=scale,
-                    seed=seed,
-                )
-            kept, frontiers, evaluated, pruned, peak = _stream_shard(
-                space,
-                configs,
-                chunk_size=chunk_size,
-                prune=prune,
-                target_benchmark=target_benchmark,
-                target_version=target_version,
-                keep_names=keep_names,
-                tracer=tracer,
-            )
+        kept, frontiers, evaluated, pruned, peak = _stream_shard(
+            space,
+            configs,
+            chunk_size=chunk_size,
+            prune=prune,
+            target_benchmark=target_benchmark,
+            keep_names=keep_names,
+            tracer=tracer,
+        )
         result = _stream_result(
             configs,
             benchmarks,
@@ -1529,7 +1359,6 @@ def evaluate_space(
             peak=peak,
             chunk_size=chunk_size,
             target_benchmark=target_benchmark,
-            target_version=target_version,
         )
         tracer.emit(
             "space_finished",

@@ -34,7 +34,7 @@ import os
 import shutil
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..benchmarks.base import Precision, RunResult, Version
@@ -55,9 +55,6 @@ class CacheStats:
     misses: int = 0
     invalidated: int = 0
     writes: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def run_key(

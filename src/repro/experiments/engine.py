@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 import signal
 import threading
 import time
@@ -648,13 +647,6 @@ class Campaign:
     result; ``retry_backoff_s`` > 0 sleeps ``backoff * 2**(attempt-1)``
     seconds before each such retry (exponential backoff — useful when
     worker deaths stem from transient memory pressure).
-    ``retry_backoff_cap_s`` clamps the exponential growth and
-    ``retry_backoff_jitter`` (a fraction in ``[0, 1)``) scales each
-    delay by a deterministic random factor in ``[1-jitter, 1]`` — with
-    remote workers, many chunks back off at once after a connection
-    loss, and jitter keeps their reconnects from stampeding the
-    recovering machine in lockstep.  The jitter stream is seeded from
-    the spec, so a campaign's backoff schedule is reproducible.
 
     ``workers`` switches execution to remote distribution: a tuple of
     ``"host:port"`` addresses of ``repro worker`` processes (default
@@ -699,8 +691,6 @@ class Campaign:
         progress: Callable[[str], None] | None = None,
         retries: int = 2,
         retry_backoff_s: float = 0.0,
-        retry_backoff_cap_s: float | None = None,
-        retry_backoff_jitter: float = 0.0,
         cell_timeout_s: float | None = None,
         deadline_s: float | None = None,
         clock: Clock | None = None,
@@ -710,10 +700,6 @@ class Campaign:
             raise ValueError("retries must be >= 0")
         if retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        if retry_backoff_cap_s is not None and retry_backoff_cap_s <= 0:
-            raise ValueError("retry_backoff_cap_s must be positive")
-        if not 0.0 <= retry_backoff_jitter < 1.0:
-            raise ValueError("retry_backoff_jitter must be in [0, 1)")
         if cell_timeout_s is not None and cell_timeout_s <= 0:
             raise ValueError("cell_timeout_s must be positive")
         if deadline_s is not None and deadline_s <= 0:
@@ -734,8 +720,6 @@ class Campaign:
         self.progress = progress
         self.retries = retries
         self.retry_backoff_s = retry_backoff_s
-        self.retry_backoff_cap_s = retry_backoff_cap_s
-        self.retry_backoff_jitter = retry_backoff_jitter
         self.cell_timeout_s = cell_timeout_s
         self.deadline_s = deadline_s
         self.clock = clock or Clock()
@@ -755,7 +739,6 @@ class Campaign:
         self._degraded_traced: set[str] = set()
         self._dispatched: set[tuple] = set()
         self._remote_degraded_reason: str | None = None
-        self._backoff_rng = random.Random(spec.seed)
         #: populated by :meth:`run`
         self.report: CampaignReport | None = None
         #: partial :class:`ResultSet` salvaged when :meth:`run` ended in
@@ -852,7 +835,6 @@ class Campaign:
         self._degraded_traced: set[str] = set()
         self._dispatched = set()
         self._remote_degraded_reason = None
-        self._backoff_rng = random.Random(self.spec.seed)
         results: dict[tuple, RunResult] = {}
         try:
             self._gather(tasks, jobs, tracer, results)
@@ -1415,23 +1397,9 @@ class Campaign:
         self._probe(executor, task, key, failures, tracer, results)
 
     def _backoff_delay(self, attempt: int) -> float:
-        """Seconds to back off before retry number ``attempt`` (1-based).
-
-        Exponential in the attempt, clamped to ``retry_backoff_cap_s``,
-        then scaled by a factor drawn uniformly from
-        ``[1 - retry_backoff_jitter, 1]`` — jitter spreads simultaneous
-        retries (many chunks redistributed after one lost worker) so
-        they do not stampede a recovering worker in lockstep.  The RNG
-        is seeded from the spec per run, keeping schedules reproducible.
-        """
-        if self.retry_backoff_s <= 0:
-            return 0.0
-        delay = self.retry_backoff_s * (2 ** (attempt - 1))
-        if self.retry_backoff_cap_s is not None:
-            delay = min(delay, self.retry_backoff_cap_s)
-        if self.retry_backoff_jitter > 0:
-            delay *= 1.0 - self.retry_backoff_jitter * self._backoff_rng.random()
-        return delay
+        """Seconds to back off before retry number ``attempt`` (1-based):
+        ``retry_backoff_s * 2**(attempt - 1)``."""
+        return self.retry_backoff_s * (2 ** (attempt - 1))
 
     def _probe(
         self,

@@ -24,7 +24,7 @@ Two halves, one contract:
   budget).  A failed chunk — lost link, overrun, unparseable result —
   resolves its future with :class:`WorkerLost` and the engine's one
   retry ladder takes over: redistribute (family → group → single task),
-  retry with jittered exponential backoff, probe a suspect cell on a
+  retry with exponential backoff, probe a suspect cell on a
   known-good worker, convict only on an unambiguous verdict.  A lost
   connection is retried with the campaign's backoff policy; a worker
   whose reconnects are exhausted retires, and when the *last* worker
@@ -349,7 +349,7 @@ class RemoteWorkerPool:
     ``task_fields`` renders one task's trace fields (the engine passes
     its own helper so remote events share the campaign vocabulary);
     ``backoff`` maps a retry attempt number to a sleep in seconds (the
-    engine passes its jittered exponential policy); ``clock`` supplies
+    engine passes its exponential policy); ``clock`` supplies
     the injectable sleep.  Budget and heartbeat watchdogs read the real
     monotonic clock — they bound *socket* reads, which no fake clock
     can accelerate.

@@ -270,7 +270,6 @@ def run_grid(
     cache_dir: str | None = None,
     trace=None,
     retries: int = 2,
-    retry_backoff_s: float = 0.0,
     journal_dir: str | None = None,
     cell_timeout_s: float | None = None,
     deadline_s: float | None = None,
@@ -288,8 +287,8 @@ def run_grid(
     ``jobs`` parallelizes across processes, ``cache_dir`` enables the
     content-addressed run cache, ``trace`` accepts a
     :class:`~repro.experiments.trace.TraceSink` or JSONL path, and
-    ``retries`` / ``retry_backoff_s`` bound the engine's worker-death
-    recovery (see :class:`~repro.experiments.engine.Campaign`).
+    ``retries`` bounds the engine's worker-death recovery (see
+    :class:`~repro.experiments.engine.Campaign`).
     ``journal_dir`` attaches the durable checkpoint journal (a killed
     campaign resumes via ``Campaign.resume`` / ``repro resume``);
     ``cell_timeout_s`` / ``deadline_s`` arm the deadline watchdog.
@@ -317,7 +316,6 @@ def run_grid(
         trace=trace,
         progress=progress,
         retries=retries,
-        retry_backoff_s=retry_backoff_s,
         cell_timeout_s=cell_timeout_s,
         deadline_s=deadline_s,
         workers=tuple(workers) if workers is not None else None,

@@ -45,10 +45,9 @@ REMOTE_EVENTS = ("worker_joined", "worker_rejected", "run_dispatched", "worker_l
 #: error, after salvage), so a ``tail -f`` never ends mid-story
 CAMPAIGN_EVENTS = ("campaign_started", "campaign_finished", "campaign_failed")
 #: design-space streaming events (``evaluate_space(stream=True)``):
-#: one ``space_chunk_finished`` per config chunk (per shard when
-#: ``jobs > 1``) between the envelope pair; ``detail`` carries the
-#: evaluated/pruned counts, per-precision frontier sizes and the
-#: resident-point watermark
+#: one ``space_chunk_finished`` per config chunk between the envelope
+#: pair; ``detail`` carries the evaluated/pruned counts, per-precision
+#: frontier sizes and the resident-point watermark
 SPACE_EVENTS = ("space_started", "space_chunk_finished", "space_finished")
 
 

@@ -99,26 +99,6 @@ class GpuLaunchTiming:
         """Average achieved DRAM bandwidth over the launch, bytes/s."""
         return self.dram_bytes / self.seconds if self.seconds > 0 else 0.0
 
-    @property
-    def clock_sensitivity(self) -> float:
-        """Fraction of the launch that scales with the shader clock.
-
-        The DVFS layer's frequency-response fit ``t(f) = a/f + b``
-        splits a launch into a clock-scaled part and a clock-invariant
-        floor; this is the launch's own estimate of the scaled share,
-        from the two clock-independent terms the model knows about: the
-        DRAM roofline (when it is the binding bottleneck — its seconds
-        ride the memory clock, not the shader clock) and the constant
-        launch overhead.  Compute-bound launches approach 1.0;
-        streaming, bandwidth-bound launches fall toward 0.0.
-        """
-        if self.seconds <= 0:
-            return 0.0
-        invariant = self.launch_overhead_seconds
-        if self.bottleneck == "dram":
-            invariant += self.dram_seconds * self.imbalance_factor
-        return min(max(1.0 - invariant / self.seconds, 0.0), 1.0)
-
 
 def time_launch(
     compiled: CompiledKernel,

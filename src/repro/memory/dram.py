@@ -92,10 +92,3 @@ class DramModel:
             agent, bytes_by_pattern=bytes_by_pattern, concurrent_agents=concurrent_agents
         )
         return total / bw
-
-    def achieved_fraction_of_peak(
-        self, agent: str, bytes_by_pattern: dict[AccessPattern, float]
-    ) -> float:
-        """Diagnostic: achieved bandwidth / theoretical peak."""
-        bw = self.effective_bandwidth(agent, bytes_by_pattern=bytes_by_pattern)
-        return bw / self.config.peak_bandwidth

@@ -34,14 +34,3 @@ class EnergyReport:
             energy_j=meter.mean_power_w * elapsed_s,
             meter=meter,
         )
-
-    def normalized_to(self, baseline: "EnergyReport") -> tuple[float, float, float]:
-        """(speedup, power ratio, energy ratio) vs a baseline run."""
-        if self.elapsed_s <= 0 or baseline.elapsed_s <= 0:
-            raise ValueError("cannot normalize zero-length runs")
-        if baseline.mean_power_w <= 0 or baseline.energy_j <= 0:
-            raise ValueError("cannot normalize against a zero-power baseline")
-        speedup = baseline.elapsed_s / self.elapsed_s
-        power_ratio = self.mean_power_w / baseline.mean_power_w
-        energy_ratio = self.energy_j / baseline.energy_j
-        return speedup, power_ratio, energy_ratio

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import perf
 from repro.benchmarks.base import Precision, Version
 from repro.benchmarks.registry import PAPER_ORDER
 from repro.experiments.runner import run_grid
@@ -29,16 +28,8 @@ from tests.pricing_oracle import facade_rows, points_reference, scalar_pricing
 BOTH_PRECISIONS = (Precision.SINGLE, Precision.DOUBLE)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_perf():
-    perf.reset()
-    yield
-    perf.reset()
-
-
 def _grid_json(*, benchmarks=PAPER_ORDER, versions=tuple(Version),
                precisions=BOTH_PRECISIONS, jobs=1, scalar=False, scale=0.1):
-    perf.reset()
     if scalar:
         with scalar_pricing():
             rs = run_grid(benchmarks, versions=versions, precisions=precisions,
@@ -141,7 +132,6 @@ def test_random_soc_configs_stacked_rows_match_facade(knob_sets):
     from repro.designspace import DesignSpace
 
     configs = [SoCConfig(name=f"p{i}", **knobs) for i, knobs in enumerate(knob_sets)]
-    perf.reset()
     space = DesignSpace(benchmarks=("vecop", "red"), scale=0.1)
     reference = [facade_rows(space, config) for config in configs]
     expected = [
@@ -158,29 +148,6 @@ def test_random_soc_configs_stacked_rows_match_facade(knob_sets):
         with mock.patch.object(designspace, "BLOCK_SIZE", block):
             points = space.evaluate(configs)
         assert list(points) == [p for pts in expected for p in pts]
-
-
-def test_design_space_jobs_pool_matches_inline():
-    """jobs=4 shards configs over a process pool; the reassembled points
-    are exactly the jobs=1 points, which are exactly the points of the
-    scalar reference rows."""
-    from repro.calibration.socspace import config_grid
-    from repro.designspace import DesignPoint, DesignSpace, evaluate_space
-
-    configs = config_grid(gpu_cores=(2, 4), register_file_scale=(0.25, 1.0))
-    perf.reset()
-    inline = evaluate_space(configs, benchmarks=("vecop", "hist"), scale=0.1, jobs=1)
-    perf.reset()
-    pooled = evaluate_space(configs, benchmarks=("vecop", "hist"), scale=0.1, jobs=4)
-    assert pooled.points == inline.points
-    # points compare equal to plain tuples: pickled ones must stay records
-    assert all(type(p) is DesignPoint for p in pooled.points)
-
-    space = DesignSpace(benchmarks=("vecop", "hist"), scale=0.1)
-    reference = tuple(
-        p for c in configs for p in points_reference(space, c, facade_rows(space, c))
-    )
-    assert inline.points == reference
 
 
 def _bits(points):
@@ -208,9 +175,9 @@ def _bits(points):
 def test_shared_timing_points_match_the_reference(axes):
     """Configs that share a (Mali, DRAM) setting share one timing row.
     Priced in blocks of 3, which split each run of shared-timing
-    configs, the materialized points, the streamed points with every
-    config kept and the jobs=2 points are all bitwise the reference
-    loop's over the scalar rows."""
+    configs, the materialized points and the streamed points with every
+    config kept are both bitwise the reference loop's over the scalar
+    rows."""
     from repro import designspace
     from repro.calibration.socspace import config_grid
     from repro.designspace import DesignSpace, evaluate_space
@@ -228,7 +195,5 @@ def test_shared_timing_points_match_the_reference(axes):
             configs, benchmarks=benchmarks, scale=0.1, space=space, stream=True,
             chunk_size=4, keep_configs=names,
         )
-        pooled = evaluate_space(configs, benchmarks=benchmarks, scale=0.1, jobs=2)
     assert _bits(materialized.points) == expected
     assert _bits(streamed.points) == expected
-    assert _bits(pooled.points) == expected

@@ -29,7 +29,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import perf
 from repro.designspace import AGGREGATE, DesignPoint
 from repro.pareto import OnlineFrontier, point_key, skyline, strictly_dominates
 from tests.pricing_oracle import skyline_reference
@@ -188,12 +187,10 @@ def small_space_results():
         register_file_scale=(0.125, 1.0),
     )
     kwargs = dict(benchmarks=("vecop", "hist"), scale=0.1)
-    perf.reset()
     materialized = evaluate_space(configs, **kwargs)
     pruned = evaluate_space(configs, stream=True, chunk_size=5, **kwargs)
     unpruned = evaluate_space(configs, stream=True, chunk_size=5, prune=False, **kwargs)
-    yield materialized, pruned, unpruned
-    perf.reset()
+    return materialized, pruned, unpruned
 
 
 def test_pruning_never_changes_the_frontier(small_space_results):
@@ -209,16 +206,14 @@ def test_pruning_never_changes_the_frontier(small_space_results):
     assert unpruned.pruned == 0
 
 
-@given(chunk_size=st.integers(1, 37), jobs=st.sampled_from((1, 2, 3)))
+@given(chunk_size=st.integers(1, 37))
 @settings(
     max_examples=6,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-def test_stream_frontier_invariant_to_chunking_and_jobs(
-    small_space_results, chunk_size, jobs
-):
-    """Chunk size and worker count never change the streamed frontier."""
+def test_stream_frontier_invariant_to_chunking(small_space_results, chunk_size):
+    """Chunk size never changes the streamed frontier."""
     from repro.calibration.socspace import config_grid
     from repro.designspace import evaluate_space
 
@@ -235,7 +230,6 @@ def test_stream_frontier_invariant_to_chunking_and_jobs(
         scale=0.1,
         stream=True,
         chunk_size=chunk_size,
-        jobs=jobs,
     )
     for precision in ("single", "double"):
         assert result.frontier_points(precision) == materialized.frontier_points(

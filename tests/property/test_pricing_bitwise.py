@@ -18,7 +18,7 @@ import dataclasses
 
 import pytest
 
-from repro import PAPER_ORDER, perf
+from repro import PAPER_ORDER
 from repro.benchmarks.base import Precision, cpu_pricing_inputs
 from repro.benchmarks.registry import create
 from repro.calibration.exynos5250 import default_platform
@@ -48,13 +48,6 @@ GPU_OPTIONS = (
     CompileOptions(vector_width=4, unroll=2, qualifiers=True, soa=True),
     CompileOptions(vector_width=16, unroll=4, qualifiers=True, soa=True),
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_perf():
-    perf.reset()
-    yield
-    perf.reset()
 
 
 # ---------------------------------------------------------------------------

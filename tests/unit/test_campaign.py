@@ -68,9 +68,6 @@ class TestParallelEquivalence:
 
     def test_pool_report_includes_worker_perf_deltas(self):
         """Memo work done inside workers lands in CampaignReport.perf."""
-        from repro import perf
-
-        perf.reset()  # forked workers must start memory-cold
         spec = CampaignSpec(benchmarks=("vecop", "red"), versions=TWO_VERSIONS,
                             scale=0.02)
         campaign = Campaign(spec)

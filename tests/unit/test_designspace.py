@@ -11,7 +11,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import perf
 from repro.benchmarks.base import Precision
 from repro.benchmarks.registry import create
 from repro.calibration.exynos5250 import default_platform
@@ -43,13 +42,6 @@ from repro.designspace import (
 from repro.errors import CalibrationError, CLOutOfResources
 from repro.pareto import strictly_dominates
 from tests.pricing_oracle import config_grid_reference, digest_reference, frontier_reference
-
-
-@pytest.fixture(autouse=True)
-def _fresh_perf():
-    perf.reset()
-    yield
-    perf.reset()
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +599,6 @@ def test_platforms_share_one_draw_record(monkeypatch):
     assert drawn == {"row_lengths": 1}
 
     drawn.clear()
-    perf.reset()
     fresh = {name: create("spmv", scale=0.1, platform=p) for name, p in platforms.items()}
     serial = estimate_cpu_seconds(fresh["t604"])
     assert speedups == {
@@ -616,11 +607,9 @@ def test_platforms_share_one_draw_record(monkeypatch):
     assert drawn == {"row_lengths": len(platforms)}  # fresh instances redraw
 
     drawn.clear()
-    perf.reset()
     shared = compare_platforms("spmv", platforms, scale=0.05)
     assert len(drawn) > 1 and set(drawn.values()) == {1}
     for name, platform in platforms.items():
-        perf.reset()
         alone = compare_platforms("spmv", {name: platform}, scale=0.05)
         assert shared.runs[name] == alone.runs[name]
 
@@ -713,28 +702,6 @@ def test_stream_bounds_a_last_group_without_candidates():
     assert kept and not any(p.feasible for p in kept)
 
 
-def test_stream_jobs_pool_matches_inline_bytes():
-    configs = _stream_grid()
-    perf.reset()
-    inline = evaluate_space(
-        configs, benchmarks=("vecop",), scale=0.1, stream=True, chunk_size=4
-    )
-    perf.reset()
-    pooled = evaluate_space(
-        configs, benchmarks=("vecop",), scale=0.1, stream=True, chunk_size=4, jobs=4
-    )
-    a, b = inline.to_dict(), pooled.to_dict()
-    # evaluated/pruned may differ (each worker probes its own shard);
-    # the surviving data must be byte-identical
-    for key in ("points", "configs"):
-        assert json.dumps(a[key]) == json.dumps(b[key]), key
-    for precision in ("single", "double"):
-        assert pooled.frontier_points(precision) == inline.frontier_points(precision)
-    assert pooled.evaluated + pooled.pruned == len(configs)
-    # points compare equal to plain tuples: pickled ones must stay records
-    assert pooled.points and all(type(p) is DesignPoint for p in pooled.points)
-
-
 def test_stream_single_benchmark_target_and_keep_override():
     configs = _stream_grid()
     st = evaluate_space(
@@ -823,39 +790,11 @@ def test_evaluate_space_reuses_a_prebuilt_space():
         evaluate_space(configs, benchmarks=("vecop", "hist"), scale=0.1, space=space)
 
 
-@pytest.mark.parametrize("stream", [False, True], ids=["materialized", "streamed"])
-def test_pool_workers_price_on_the_prebuilt_space_base(stream):
-    """``jobs=2`` workers rebuild the space on its base platform, not on
-    the default Exynos, so they return what ``jobs=1`` returns."""
-    base = default_platform()
-    base = dataclasses.replace(
-        base, rails=dataclasses.replace(base.rails, board_idle_w=4.0, dram_w_per_gbps=0.2)
-    )
-    space = DesignSpace(
-        benchmarks=("3dstc",), precisions=(Precision.SINGLE,), scale=0.1, base=base
-    )
-    configs = config_grid(gpu_cores=(2, 4))
-    kwargs = dict(
-        benchmarks=("3dstc",), precisions=(Precision.SINGLE,), scale=0.1, stream=stream,
-        space=space,
-    )
-    inline = evaluate_space(configs, **kwargs)
-    pooled = evaluate_space(configs, jobs=2, **kwargs)
-    assert pooled.to_dict()["points"] == inline.to_dict()["points"]
-    assert pooled.frontier_points("single") == inline.frontier_points("single")
-    # and the custom rails do price differently from the default ones
-    default = evaluate_space(configs, **{**kwargs, "space": None})
-    assert default.to_dict()["points"] != inline.to_dict()["points"]
-
-
 def test_stream_validates_inputs():
     configs = _stream_grid()[:2]
     with pytest.raises(ValueError):
         evaluate_space(configs, benchmarks=("vecop",), scale=0.1, stream=True,
                        chunk_size=0)
-    with pytest.raises(ValueError):
-        evaluate_space(configs, benchmarks=("vecop",), scale=0.1, stream=True,
-                       target_version="Fastest")
     with pytest.raises(ValueError):
         evaluate_space(configs, benchmarks=("vecop",), scale=0.1, stream=True,
                        target_benchmark="nbody")  # not in benchmarks
@@ -889,7 +828,7 @@ def sweep_space():
 
 @pytest.fixture(scope="module")
 def sweeps(sweep_space):
-    """A ``jobs=1`` materialized and a streamed sweep of the large grid,
+    """A materialized and a streamed sweep of the large grid,
     the generation of every collection that started while
     :meth:`DesignSpace.evaluate` or ``_stream_shard`` ran, and whether
     the collector runs once both have returned."""

@@ -20,7 +20,6 @@ from repro.experiments.engine import CampaignSpec
 from repro.power import (
     Activity,
     ActivityKind,
-    EnergyReport,
     PowerRailConfig,
     PowerTrace,
     TraceSegment,
@@ -227,73 +226,6 @@ class TestSelectOpp:
             raise AssertionError("a one-point ladder needs no price")
 
         assert settle("ondemand", t, time_at=unpriced) == t.max
-
-
-class TestClockSensitivity:
-    @staticmethod
-    def _timing_at(kernel, n, hz, flops_per_elem=1):
-        from dataclasses import replace
-
-        from repro.compiler import compile_kernel
-        from repro.mali import time_launch
-        from repro.memory.cache import StreamSpec
-        from repro.workload import WorkloadTraits
-
-        platform = default_platform()
-        nbytes = float(n * 4)
-        traits = WorkloadTraits(
-            streams=(StreamSpec("a", nbytes), StreamSpec("c", nbytes)), elements=n
-        )
-        mali = replace(platform.mali, clock_hz=hz)
-        return time_launch(
-            compile_kernel(kernel),
-            n,
-            128,
-            traits,
-            mali,
-            platform.dram_model(),
-            platform.gpu_caches(),
-        )
-
-    @staticmethod
-    def _kernel(fmas):
-        from repro.ir import F32, KernelBuilder, OpKind
-
-        b = KernelBuilder("k")
-        b.buffer("a", F32)
-        b.buffer("c", F32)
-        b.load(F32, param="a")
-        for _ in range(fmas):
-            b.arith(OpKind.FMA, F32)
-        b.store(F32, param="c")
-        return b.build()
-
-    def test_compute_bound_launch_is_clock_scaled(self):
-        timing = self._timing_at(self._kernel(fmas=64), 1 << 20, 533e6)
-        assert timing.clock_sensitivity > 0.9
-
-    def test_streaming_launch_has_a_clock_invariant_floor(self):
-        compute = self._timing_at(self._kernel(fmas=64), 1 << 20, 533e6)
-        stream = self._timing_at(self._kernel(fmas=1), 1 << 20, 533e6)
-        assert stream.clock_sensitivity < compute.clock_sensitivity
-
-    def test_matches_two_point_frequency_fit(self):
-        """The launch's own clock-scaled share agrees with a local
-        frequency-response fit (both split t(f) into a/f + b).  The fit
-        uses adjacent OPPs: across the full 100-533 MHz span the model's
-        binding bottleneck can flip (compute bound at the bottom, memory
-        bound at the top), which is a regime change the single-point
-        sensitivity deliberately does not average over."""
-        kernel = self._kernel(fmas=8)
-        f_slow, f_fast = 450e6, 533e6
-        n = 1 << 18
-        slow = self._timing_at(kernel, n, f_slow)
-        fast = self._timing_at(kernel, n, f_fast)
-        assert slow.bottleneck == fast.bottleneck  # same regime, fair fit
-        a, b = frequency_response(slow.seconds, f_slow, fast.seconds, f_fast)
-        assert fast.clock_sensitivity == pytest.approx(
-            utilization(a, b, f_fast), abs=0.15
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -746,12 +678,6 @@ class TestPowerHardening:
                 active_cpu_cores=np.array([1.0]),
                 cpu_ipc=np.array([-0.5]),
             )
-
-    def test_normalized_to_rejects_zero_power_baseline(self):
-        report = EnergyReport(elapsed_s=1.0, mean_power_w=2.0, energy_j=2.0)
-        zero = EnergyReport(elapsed_s=1.0, mean_power_w=0.0, energy_j=0.0)
-        with pytest.raises(ValueError):
-            report.normalized_to(zero)
 
     def test_lazy_repeat_is_observationally_identical(self):
         segments = (TraceSegment(0.013, 2.1), TraceSegment(0.007, 4.4))

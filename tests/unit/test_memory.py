@@ -180,10 +180,6 @@ class TestDramModel:
     def test_empty_transfer_is_free(self):
         assert self.dram.transfer_seconds("gpu", bytes_by_pattern={}) == 0.0
 
-    def test_achieved_fraction_below_one(self):
-        frac = self.dram.achieved_fraction_of_peak("gpu", {AccessPattern.UNIT: 1e6})
-        assert 0.0 < frac < 1.0
-
 
 class TestConfigValidation:
     def test_negative_peak_rejected(self):

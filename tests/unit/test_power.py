@@ -154,20 +154,6 @@ class TestEnergyReport:
         report = EnergyReport.from_measurement(10.0, m)
         assert report.energy_j == pytest.approx(30.0, rel=0.01)
 
-    def test_normalized_to(self):
-        base = EnergyReport(elapsed_s=10.0, mean_power_w=3.0, energy_j=30.0)
-        faster = EnergyReport(elapsed_s=2.0, mean_power_w=4.5, energy_j=9.0)
-        speedup, power, energy = faster.normalized_to(base)
-        assert speedup == pytest.approx(5.0)
-        assert power == pytest.approx(1.5)
-        assert energy == pytest.approx(0.3)
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             EnergyReport(elapsed_s=-1.0, mean_power_w=1.0, energy_j=1.0)
-
-    def test_rejects_zero_length_normalization(self):
-        base = EnergyReport(elapsed_s=0.0, mean_power_w=3.0, energy_j=0.0)
-        other = EnergyReport(elapsed_s=1.0, mean_power_w=3.0, energy_j=3.0)
-        with pytest.raises(ValueError):
-            other.normalized_to(base)

@@ -11,7 +11,7 @@ import inspect
 
 import pytest
 
-from repro import perf, whatif
+from repro import whatif
 from repro.benchmarks.base import (
     Precision,
     Version,
@@ -33,14 +33,6 @@ from repro.pricing.grid import (
     estimate_opt_seconds,
     seed_cpu_timing,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_perf():
-    """Cold memo per test."""
-    perf.reset()
-    yield
-    perf.reset()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Unit tests for the distributed-execution layer.
 
 Covers the wire protocol (framing, CRC, handshake verdicts), the
-deterministic network fault modes, the jittered/capped retry backoff,
+deterministic network fault modes, the exponential retry backoff,
 and the coordinator-side robustness guarantees: stale-worker rejection
 with graceful degradation, frame-drop redistribution, and the
 all-workers-gone fallback to local execution — each asserting the
@@ -301,7 +301,7 @@ class TestNetFaults:
 
 
 # ---------------------------------------------------------------------------
-# retry backoff: cap + jitter
+# retry backoff
 # ---------------------------------------------------------------------------
 
 
@@ -314,31 +314,10 @@ class TestBackoff:
         campaign = self._campaign(retry_backoff_s=0.5)
         assert [campaign._backoff_delay(a) for a in (1, 2, 3)] == [0.5, 1.0, 2.0]
 
-    def test_cap_clamps_growth(self):
-        campaign = self._campaign(retry_backoff_s=0.5, retry_backoff_cap_s=1.2)
-        assert [campaign._backoff_delay(a) for a in (1, 2, 3, 6)] == [
-            0.5,
-            1.0,
-            1.2,
-            1.2,
-        ]
-
-    def test_jitter_spreads_below_nominal(self):
-        campaign = self._campaign(retry_backoff_s=1.0, retry_backoff_jitter=0.5)
-        delays = [campaign._backoff_delay(1) for _ in range(64)]
-        assert all(0.5 <= d <= 1.0 for d in delays)
-        assert len(set(delays)) > 1  # actually spread, not constant
-
-    def test_jitter_deterministic_per_spec_seed(self):
-        a = self._campaign(retry_backoff_s=1.0, retry_backoff_jitter=0.5)
-        b = self._campaign(retry_backoff_s=1.0, retry_backoff_jitter=0.5)
-        assert [a._backoff_delay(1) for _ in range(8)] == [
-            b._backoff_delay(1) for _ in range(8)
-        ]
-
     def test_backoff_slept_through_injectable_clock(self, tmp_path):
         """A worker kill backs off through Clock.sleep — virtual time,
-        no wall-sleeping — with the jittered delay below nominal."""
+        no wall-sleeping — by exactly ``0.25 * 2**(k-1)`` before retry
+        ``k``."""
         slept: list[float] = []
         clock = Clock(sleep=slept.append)
         # times=2: the first kill fails the family chunk (split, no
@@ -352,19 +331,12 @@ class TestBackoff:
                 CampaignSpec(**GRID),
                 retries=3,
                 retry_backoff_s=0.25,
-                retry_backoff_jitter=0.5,
                 clock=clock,
             )
             results = campaign.run(jobs=2)
         assert all(r.ok for r in results.results.values())
         assert slept, "worker-kill retries should have backed off"
-        assert all(0.125 <= s <= 0.25 * 2**3 for s in slept)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="retry_backoff_cap_s"):
-            self._campaign(retry_backoff_cap_s=0.0)
-        with pytest.raises(ValueError, match="retry_backoff_jitter"):
-            self._campaign(retry_backoff_jitter=1.0)
+        assert all(s in {0.25 * 2 ** (k - 1) for k in (1, 2, 3)} for s in slept)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,6 @@ def test_grid_verifies_without_hashing(monkeypatch):
 
     monkeypatch.setattr(perf, "digest", refuse)
     for jobs in (1, 2):
-        perf.reset()
         results = run_grid(jobs=jobs, **GRID_KW)
         assert all(run.verified for run in results.results.values() if run.ok)
         assert results.to_json() == expected, f"jobs={jobs}"
